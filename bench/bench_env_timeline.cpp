@@ -24,7 +24,7 @@
 #include "core/experiment.hpp"
 #include "core/workload.hpp"
 #include "util/cli.hpp"
-#include "util/parallel.hpp"
+#include "util/executor.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -116,13 +116,14 @@ int main(int argc, char** argv) {
     for (const auto& [label, phases] : timelines) {
       const core::PhasedWorkloadResult phased =
           core::simulate_workload_phased(phases, table);
+      const std::vector<aging::EnvironmentSegmentView> segments =
+          aging::segment_views(phased.segments);
       const auto report_start = std::chrono::steady_clock::now();
-      const auto report =
-          make_aging_report(phased.segments, *model, report_options);
+      const auto report = make_aging_report(segments, *model, report_options);
       const double report_seconds = seconds_since(report_start);
       const auto lifetime_start = std::chrono::steady_clock::now();
       const auto lifetime =
-          make_lifetime_report(phased.segments, lifetime_model, threads);
+          make_lifetime_report(segments, lifetime_model, threads);
       const double lifetime_seconds = seconds_since(lifetime_start);
       timing.report_seconds += report_seconds;
       timing.lifetime_seconds += lifetime_seconds;

@@ -27,7 +27,8 @@ void lifetime_table(const dnnlife::core::Workbench& bench,
           p.weight_bits = bench.codec().bits();
           return p;
         }(), {100});
-    const auto report = aging::make_lifetime_report(tracker, model);
+    const aging::EnvironmentSegmentView segment{&tracker, {}};
+    const auto report = aging::make_lifetime_report({&segment, 1}, model);
     table.add_row(
         {policy.name(),
          util::Table::num(report.device_lifetime_years, 1),

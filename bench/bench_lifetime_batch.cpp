@@ -105,8 +105,10 @@ int main(int argc, char** argv) {
     }
     timing.per_cell_seconds = seconds_since(per_cell_start);
 
+    const aging::EnvironmentSegmentView segment{&tracker, {}};
     const auto lifetime_start = std::chrono::steady_clock::now();
-    const auto lifetime = make_lifetime_report(tracker, lifetime_model, threads);
+    const auto lifetime =
+        make_lifetime_report({&segment, 1}, lifetime_model, threads);
     timing.lifetime_seconds = seconds_since(lifetime_start);
     if (lifetime.device_lifetime_years != min_years) {
       std::cerr << "batched/per-cell mismatch for " << name << "\n";
@@ -116,7 +118,7 @@ int main(int argc, char** argv) {
     aging::AgingReportOptions options;
     options.threads = threads;
     const auto aging_start = std::chrono::steady_clock::now();
-    const auto report = make_aging_report(tracker, *model, options);
+    const auto report = make_aging_report({&segment, 1}, *model, options);
     timing.aging_seconds = seconds_since(aging_start);
     if (report.unused_cells != tracker.unused_cell_count()) return 1;
 

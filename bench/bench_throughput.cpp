@@ -214,8 +214,9 @@ std::shared_ptr<const aging::DeviceAgingModel> report_model(std::int64_t kind) {
 void BM_LifetimeReportFold(benchmark::State& state) {
   const auto tracker = make_report_tracker();
   const aging::LifetimeModel model(report_model(state.range(0)));
+  const aging::EnvironmentSegmentView segment{&tracker, {}};
   for (auto _ : state) {
-    const auto report = aging::make_lifetime_report(tracker, model, 1);
+    const auto report = aging::make_lifetime_report({&segment, 1}, model, 1);
     benchmark::DoNotOptimize(report.device_lifetime_years);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -227,8 +228,9 @@ void BM_AgingReportFold(benchmark::State& state) {
   const auto tracker = make_report_tracker();
   const auto model = report_model(state.range(0));
   const aging::AgingReportOptions options;
+  const aging::EnvironmentSegmentView segment{&tracker, {}};
   for (auto _ : state) {
-    const auto report = aging::make_aging_report(tracker, *model, options);
+    const auto report = aging::make_aging_report({&segment, 1}, *model, options);
     benchmark::DoNotOptimize(report.fraction_optimal);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -131,12 +131,10 @@ int run_audit(int argc, char** argv) {
     const auto tracker = core::simulate_fast(bench.stream(), bound, options);
     // One environment segment: the whole lifetime sits at the audited
     // operating point, evaluated through the registry-selected model.
-    std::vector<aging::EnvironmentSegment> segments;
-    segments.push_back(
-        aging::EnvironmentSegment{tracker, config.environment});
+    const aging::EnvironmentSegmentView segment{&tracker, config.environment};
     const auto report =
-        make_aging_report(segments, bench.model(), config.report);
-    const auto lifetime = make_lifetime_report(segments, lifetime_model);
+        make_aging_report({&segment, 1}, bench.model(), config.report);
+    const auto lifetime = make_lifetime_report({&segment, 1}, lifetime_model);
     table.add_row({policy.name(), util::Table::num(report.snm_stats.mean(), 2),
                    util::Table::num(report.snm_stats.max(), 2),
                    util::Table::num(report.duty_stats.mean(), 3),

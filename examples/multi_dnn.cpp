@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "aging/snm_histogram.hpp"
-#include "aging/snm_model.hpp"
 #include "core/workload.hpp"
 #include "dnn/model_zoo.hpp"
 #include "quant/word_codec.hpp"
@@ -44,14 +43,15 @@ int main(int argc, char** argv) {
   const sim::NpuWeightStream custom_stream(custom_codec);
   const sim::NpuWeightStream alexnet_stream(alexnet_codec);
 
-  const aging::CalibratedSnmModel model;
+  const aging::CalibratedNbtiDeviceModel model;
   util::Table table({"workload", "policy", "mean SNM [%]", "max SNM [%]",
                      "% optimal"});
   const auto evaluate = [&](const std::string& label,
                             std::span<const WorkloadPhase> phases,
                             const PolicyConfig& policy) {
     const auto tracker = core::simulate_workload(phases, policy);
-    const auto report = make_aging_report(tracker, model);
+    const aging::EnvironmentSegmentView segment{&tracker, {}};
+    const auto report = make_aging_report({&segment, 1}, model);
     table.add_row({label, policy.name(),
                    util::Table::num(report.snm_stats.mean(), 2),
                    util::Table::num(report.snm_stats.max(), 2),

@@ -37,11 +37,9 @@
 // NBTI model — the temperature-corner deployment the paper's single
 // operating point cannot express.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -50,6 +48,7 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/executor.hpp"
+#include "util/fsio.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -162,14 +161,12 @@ int main(int argc, char** argv) {
                 << "' after another positional argument)\n";
       return 1;
     } else {
-      std::ifstream file(arg);
-      if (!file) {
-        std::cerr << "cannot open scenario file '" << arg << "'\n";
+      try {
+        text = util::read_file(arg);
+      } catch (const std::exception& error) {
+        std::cerr << "scenario file: " << error.what() << "\n";
         return 1;
       }
-      std::ostringstream buffer;
-      buffer << file.rdbuf();
-      text = buffer.str();
       have_file = true;
     }
   }

@@ -32,6 +32,7 @@
 #include "core/sweep_journal.hpp"
 #include "core/sweep_merge.hpp"
 #include "util/cli.hpp"
+#include "util/fsio.hpp"
 
 namespace {
 

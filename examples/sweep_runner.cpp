@@ -100,6 +100,7 @@
 #include "core/sweep_journal.hpp"
 #include "util/cli.hpp"
 #include "util/executor.hpp"
+#include "util/fsio.hpp"
 #include "util/table.hpp"
 
 namespace {

@@ -255,14 +255,14 @@ CalibratedNbtiDeviceModel::CalibratedNbtiDeviceModel(SnmParams params)
   DNNLIFE_EXPECTS(params_.snm_at_balanced > 0.0, "balanced anchor");
   DNNLIFE_EXPECTS(params_.snm_at_full_stress > params_.snm_at_balanced,
                   "full-stress anchor must exceed balanced anchor");
-  // Same derivation as CalibratedSnmModel: alpha = log2(S_max / S_mid).
+  // snm(s) = S_max * s^alpha with snm(0.5) = S_mid  =>  alpha = log2(S_max/S_mid).
   alpha_ = std::log2(params_.snm_at_full_stress / params_.snm_at_balanced);
 }
 
 double CalibratedNbtiDeviceModel::amplitude(double duty,
                                             const EnvironmentSpec& env) const {
-  // activity_scale == 1 multiplies by exactly 1.0, keeping the default
-  // environment bit-identical to CalibratedSnmModel.
+  // activity_scale == 1 multiplies by exactly 1.0, so the default
+  // environment is the paper's closed form bit-for-bit.
   const double stress = NbtiModel::cell_stress_ratio(duty) * env.activity_scale;
   return params_.snm_at_full_stress * std::pow(stress, alpha_);
 }
@@ -413,7 +413,7 @@ void PbtiHciDeviceModel::degradation_batch(std::span<const double> duties,
 
 // ---- dual BTI as a device model ----------------------------------------------
 
-DualBtiDeviceModel::DualBtiDeviceModel(DualBtiSnmModel::Params params)
+DualBtiDeviceModel::DualBtiDeviceModel(Params params)
     : PowerLawDeviceModel(params.nbti.t_ref_years, params.nbti.time_exponent),
       params_(params) {
   DNNLIFE_EXPECTS(params_.pbti_ratio >= 0.0 && params_.pbti_ratio <= 1.0,
@@ -432,9 +432,11 @@ double DualBtiDeviceModel::amplitude(double duty,
     return s <= 0.0 ? 0.0 : std::pow(s, alpha_);
   };
   // activity_scale == 1 multiplies each stress fraction by exactly 1.0
-  // (bit-identical to DualBtiSnmModel at the nominal environment).
+  // (the nominal environment is the plain dual-BTI closed form).
   const double a = env.activity_scale;
   const auto inverter = [&](double pmos_duty) {
+    // NBTI on the PMOS (stressed while output high) + weaker PBTI on the
+    // NMOS (stressed while output low).
     return nbti.snm_at_full_stress *
            (stress_term(pmos_duty * a) +
             params_.pbti_ratio * stress_term((1.0 - pmos_duty) * a));

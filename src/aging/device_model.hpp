@@ -1,15 +1,10 @@
-// The first-class device-aging abstraction.
-//
-// Before this layer existed, the aging side was a hardcoded chain
-// (NbtiModel → CalibratedSnmModel → LifetimeModel) evaluated at one
-// implicit operating point: every alternative degradation mechanism or
-// temperature corner required parallel edits to the report and lifetime
-// code. A DeviceAgingModel now owns all three evaluation styles of one
-// device model:
+// The device-aging abstraction: the one interface every report and
+// lifetime evaluation goes through. The paper notes its duty-cycle
+// balancing is orthogonal to the device model; a DeviceAgingModel owns all
+// three evaluation styles of one device model:
 //
 //  * degradation-at-duty under an explicit EnvironmentSpec (the histogram
-//    / report evaluation hook — the legacy AgingModel interface is served
-//    by the same virtual, bound to the nominal environment),
+//    / report evaluation hook),
 //  * the years-to-failure inversion the lifetime solver drives, and
 //  * piecewise-constant environment-timeline integration: a cell's stress
 //    history is a sequence of (duty, weight, environment) segments and the
@@ -33,16 +28,35 @@
 #include <span>
 #include <string_view>
 
+#include "aging/duty_memo.hpp"
 #include "aging/environment.hpp"
-#include "aging/snm_model.hpp"
 
 namespace dnnlife::aging {
+
+/// Calibration anchors of the paper's SNM-degradation power law
+///
+///     snm(d, t) = S_max * s^alpha * (t / t_ref)^beta,  s = max(d, 1 - d)
+///
+/// the stress ratio of the most-stressed PMOS. The paper quantifies aging
+/// via SNM degradation after 7 years (device model of its refs [21][25]):
+/// 10.82 % at 50 % duty (both PMOS equally stressed) and 26.12 % at 0 % /
+/// 100 % (one PMOS always stressed). The two anchors determine
+/// alpha = log2(S_max / S_mid) ~ 1.2715, a mildly convex curve matching
+/// the shape of the paper's Fig. 2b.
+struct SnmParams {
+  double snm_at_balanced = 10.82;     ///< % at duty 0.5, t = t_ref
+  double snm_at_full_stress = 26.12;  ///< % at duty 0 or 1, t = t_ref
+  double t_ref_years = 7.0;
+  double time_exponent = 1.0 / 6.0;   ///< reaction-diffusion n
+};
 
 /// Strategy interface for one device-aging model. Implementations must be
 /// immutable after construction (models are shared across threads by the
 /// parallel experiment runner).
-class DeviceAgingModel : public AgingModel {
+class DeviceAgingModel {
  public:
+  virtual ~DeviceAgingModel() = default;
+
   /// The model's registry name (diagnostics and report labels).
   virtual std::string_view name() const noexcept = 0;
 
@@ -54,8 +68,8 @@ class DeviceAgingModel : public AgingModel {
   /// `duty` for `years` years in the constant environment `env`.
   /// Precondition: `env` satisfies validate_environment — enforced at the
   /// framework's ingestion boundaries (spec parsing, workload phases,
-  /// segment checks, EnvironmentBoundModel), not re-checked per call
-  /// (this sits inside the per-cell report and solver hot loops).
+  /// segment checks), not re-checked per call (this sits inside the
+  /// per-cell report and solver hot loops).
   virtual double degradation(double duty, double years,
                              const EnvironmentSpec& env) const = 0;
 
@@ -117,18 +131,6 @@ class DeviceAgingModel : public AgingModel {
   /// bit-identically. Returns +inf when the threshold is unreachable.
   virtual double years_to_failure(std::span<const StressSegment> timeline,
                                   double threshold) const;
-
-  /// Legacy evaluation hook (AgingModel): the nominal environment.
-  double snm_degradation(double duty, double years) const final {
-    return degradation(duty, years, EnvironmentSpec{});
-  }
-
-  /// Legacy batched hook (AgingModel): the nominal environment.
-  void snm_degradation_batch(std::span<const double> duties, double years,
-                             std::span<double> out,
-                             BatchSolveStats* stats = nullptr) const final {
-    degradation_batch(duties, years, EnvironmentSpec{}, out, stats);
-  }
 };
 
 /// Family of models of the separable power-law form
@@ -182,12 +184,12 @@ class PowerLawDeviceModel : public DeviceAgingModel {
   double time_exponent_;
 };
 
-/// The default engine: the paper's calibrated NBTI → SNM power law
-/// (identical numbers to the pre-registry CalibratedSnmModel chain). The
-/// model is deliberately pinned to the calibration's operating point — it
-/// responds to activity scaling (a power-gated cell accumulates no PMOS
-/// stress) but not to temperature or vdd; select "arrhenius-nbti" for
-/// thermal/DVFS timelines.
+/// The default engine: the paper's calibrated NBTI → SNM power law over
+/// SnmParams (alpha = log2(S_max / S_mid)). The model is deliberately
+/// pinned to the calibration's operating point — it responds to activity
+/// scaling (a power-gated cell accumulates no PMOS stress) but not to
+/// temperature or vdd; select "arrhenius-nbti" for thermal/DVFS
+/// timelines.
 class CalibratedNbtiDeviceModel : public PowerLawDeviceModel {
  public:
   explicit CalibratedNbtiDeviceModel(SnmParams params = {});
@@ -196,7 +198,7 @@ class CalibratedNbtiDeviceModel : public PowerLawDeviceModel {
   double amplitude(double duty, const EnvironmentSpec& env) const override;
 
   const SnmParams& params() const noexcept { return params_; }
-  /// The derived stress exponent alpha (see CalibratedSnmModel).
+  /// The derived stress exponent alpha = log2(S_max / S_mid).
   double stress_exponent() const noexcept { return alpha_; }
 
  private:
@@ -296,50 +298,33 @@ class PbtiHciDeviceModel final : public DeviceAgingModel {
   double alpha_;
 };
 
-/// Combined NBTI + PBTI cell aging (paper footnote 1) as a device model:
-/// the DualBtiSnmModel amplitude behind the power-law machinery. Pinned to
-/// the nominal operating point except for activity scaling, like the
-/// default engine.
+/// Combined NBTI + PBTI cell aging (paper footnote 1). In each inverter
+/// the PMOS is NBTI-stressed while the output is high and the NMOS is
+/// PBTI-stressed while it is low, so inverter 1 (output = cell value,
+/// duty d) degrades as nbti(d) + pbti(1-d) and inverter 2 as
+/// nbti(1-d) + pbti(d); the cell is as old as its worse inverter. PBTI is
+/// weaker than NBTI at these nodes (`pbti_ratio` < 1): the model is still
+/// symmetric around duty 0.5, but PBTI flattens the duty-cycle contrast.
+/// Pinned to the nominal operating point except for activity scaling,
+/// like the default engine.
 class DualBtiDeviceModel final : public PowerLawDeviceModel {
  public:
-  explicit DualBtiDeviceModel(DualBtiSnmModel::Params params = {});
+  struct Params {
+    SnmParams nbti{};          ///< anchors of the NBTI-only component
+    double pbti_ratio = 0.3;   ///< PBTI amplitude relative to NBTI
+  };
+
+  DualBtiDeviceModel() : DualBtiDeviceModel(Params{}) {}
+  explicit DualBtiDeviceModel(Params params);
 
   std::string_view name() const noexcept override { return "dual-bti"; }
   double amplitude(double duty, const EnvironmentSpec& env) const override;
 
-  const DualBtiSnmModel::Params& params() const noexcept { return params_; }
+  const Params& params() const noexcept { return params_; }
 
  private:
-  DualBtiSnmModel::Params params_;
+  Params params_;
   double alpha_;
-};
-
-/// View binding a device model to one fixed environment, exposing the
-/// legacy AgingModel hook — single-operating-point reports for runs whose
-/// whole lifetime sits in `env` (e.g. ExperimentConfig::environment).
-class EnvironmentBoundModel final : public AgingModel {
- public:
-  EnvironmentBoundModel(const DeviceAgingModel& model, EnvironmentSpec env)
-      : model_(&model), env_(env) {
-    validate_environment(env_);
-  }
-
-  double snm_degradation(double duty, double years) const override {
-    return model_->degradation(duty, years, env_);
-  }
-
-  void snm_degradation_batch(std::span<const double> duties, double years,
-                             std::span<double> out,
-                             BatchSolveStats* stats = nullptr) const override {
-    model_->degradation_batch(duties, years, env_, out, stats);
-  }
-
-  const DeviceAgingModel& model() const noexcept { return *model_; }
-  const EnvironmentSpec& environment() const noexcept { return env_; }
-
- private:
-  const DeviceAgingModel* model_;  // non-owning
-  EnvironmentSpec env_;
 };
 
 }  // namespace dnnlife::aging

@@ -114,11 +114,6 @@ void check_segments(std::span<const EnvironmentSegmentView> segments) {
   }
 }
 
-void check_segments(std::span<const EnvironmentSegment> segments) {
-  check_segments(std::span<const EnvironmentSegmentView>(
-      segment_views(segments)));
-}
-
 CellResidency gather_cell_segments(
     std::span<const EnvironmentSegmentView> segments, std::size_t cell,
     std::vector<StressSegment>& out) {
@@ -134,14 +129,6 @@ CellResidency gather_cell_segments(
                                 segment.environment});
   }
   return residency;
-}
-
-CellResidency gather_cell_segments(std::span<const EnvironmentSegment> segments,
-                                   std::size_t cell,
-                                   std::vector<StressSegment>& out) {
-  return gather_cell_segments(
-      std::span<const EnvironmentSegmentView>(segment_views(segments)), cell,
-      out);
 }
 
 }  // namespace dnnlife::aging

@@ -192,9 +192,9 @@ struct EnvironmentSegment {
 /// A non-owning segment: shared tracker state paired with an evaluation
 /// environment. This is the state-share surface of the simulation cache
 /// (core/sim_cache.hpp) — one immutable cached tracker can be evaluated
-/// under many environment timelines without copying, and the owned
-/// EnvironmentSegment overloads below delegate to the view overloads, so
-/// both paths fold the exact same tracker bits (byte-identical reports).
+/// under many environment timelines without copying. Reports take views
+/// only: owned segments borrow through segment_views(), and a lone
+/// tracker is the one-element view {&tracker, env}.
 struct EnvironmentSegmentView {
   const DutyCycleTracker* tracker = nullptr;  ///< non-owning, non-null
   EnvironmentSpec environment;
@@ -208,7 +208,6 @@ std::vector<EnvironmentSegmentView> segment_views(
 /// Reject segment lists whose trackers disagree on cell count or region
 /// tags (they must all come from the same region-policy table).
 void check_segments(std::span<const EnvironmentSegmentView> segments);
-void check_segments(std::span<const EnvironmentSegment> segments);
 
 /// A cell's merged residency across every segment (the legacy
 /// single-operating-point view; accumulated in the same wrapping uint32
@@ -225,8 +224,5 @@ struct CellResidency {
 CellResidency gather_cell_segments(
     std::span<const EnvironmentSegmentView> segments, std::size_t cell,
     std::vector<StressSegment>& out);
-CellResidency gather_cell_segments(std::span<const EnvironmentSegment> segments,
-                                   std::size_t cell,
-                                   std::vector<StressSegment>& out);
 
 }  // namespace dnnlife::aging

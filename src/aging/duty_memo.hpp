@@ -3,13 +3,12 @@
 // Per-cell duty-cycles are ratios of 32-bit residency counters, so large
 // memories carry massive duty repetition (every balanced cell is exactly
 // 0.5, every cell of a region written identically shares one ratio). The
-// batched evaluation hooks (AgingModel::snm_degradation_batch,
-// DeviceAgingModel::degradation_batch / years_to_reach_batch) exploit
-// that: within one batch, each *distinct* duty bit pattern is solved once
-// and every repeat is served from the memo. Model evaluation is a pure
-// function of the duty, so the memoised batch is bit-identical to the
-// per-cell loop for any batch composition — which is what keeps the
-// hash-pinned report goldens intact.
+// batched evaluation hooks (DeviceAgingModel::degradation_batch /
+// years_to_reach_batch) exploit that: within one batch, each *distinct*
+// duty bit pattern is solved once and every repeat is served from the
+// memo. Model evaluation is a pure function of the duty, so the memoised
+// batch is bit-identical to the per-cell loop for any batch composition —
+// which is what keeps the hash-pinned report goldens intact.
 #pragma once
 
 #include <bit>

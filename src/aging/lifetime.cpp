@@ -26,7 +26,7 @@ void LifetimeModel::validate_threshold() const {
   // not just the calibration parameter (composite models like dual-bti
   // degrade faster than their NBTI anchor alone).
   const double anchor =
-      model_->snm_degradation(0.5, model_->reference_years());
+      model_->degradation(0.5, model_->reference_years(), EnvironmentSpec{});
   if (params_.snm_failure_threshold > anchor) return;
   std::ostringstream message;
   message.precision(4);
@@ -57,8 +57,8 @@ double LifetimeModel::years_to_failure(
 
 namespace {
 
-/// Min/stats accumulation shared by the single-tracker and the
-/// environment-timeline overloads: the two differ only in how a cell's
+/// Min/stats accumulation shared by the single-segment and the
+/// multi-segment timeline paths: the two differ only in how a cell's
 /// years-to-failure is produced.
 class LifetimeBuilder {
  public:
@@ -121,7 +121,7 @@ struct BatchedLifetimeEval {
   const DutyCycleTracker& tracker;
   const DeviceAgingModel& device;
   double threshold;
-  EnvironmentSpec environment;
+  const EnvironmentSpec& environment;
   std::vector<double> duties;
   std::vector<double> years;
 
@@ -139,74 +139,58 @@ struct BatchedLifetimeEval {
   }
 };
 
-/// The shared blocked driver of both overloads' single-environment paths.
-LifetimeReport lifetime_report_batched(const DutyCycleTracker& tracker,
-                                       const EnvironmentSpec& environment,
-                                       const LifetimeModel& model,
-                                       unsigned threads) {
-  LifetimeBuilder builder(tracker.regions(), model);
-  ReportEvaluator(threads).run_blocks<CellLifetime>(
-      tracker.cell_count(),
-      [&] {
-        return BatchedLifetimeEval{tracker, model.model(),
-                                   model.params().snm_failure_threshold,
-                                   environment,
-                                   {},
-                                   {}};
-      },
-      [&](std::size_t cell, const CellLifetime& value) {
-        if (value.used) builder.add_cell(cell, value.years);
-      });
-  return builder.finish();
-}
+/// Blocked per-shard evaluation state of the multi-segment timeline
+/// solve: the gathered stress history is scratch reused across the
+/// shard's cells.
+struct TimelineLifetimeEval {
+  std::span<const EnvironmentSegmentView> segments;
+  const LifetimeModel& model;
+  std::vector<StressSegment> history;
+
+  void operator()(std::size_t begin, std::size_t end, CellLifetime* out) {
+    for (std::size_t cell = begin; cell < end; ++cell) {
+      out[cell - begin] =
+          gather_cell_segments(segments, cell, history).total == 0
+              ? CellLifetime{}
+              : CellLifetime{model.years_to_failure(history), true};
+    }
+  }
+};
 
 }  // namespace
-
-LifetimeReport make_lifetime_report(const DutyCycleTracker& tracker,
-                                    const LifetimeModel& model,
-                                    unsigned threads) {
-  return lifetime_report_batched(tracker, EnvironmentSpec{}, model, threads);
-}
-
-LifetimeReport make_lifetime_report(std::span<const EnvironmentSegment> segments,
-                                    const LifetimeModel& model,
-                                    unsigned threads) {
-  return make_lifetime_report(
-      std::span<const EnvironmentSegmentView>(segment_views(segments)), model,
-      threads);
-}
 
 LifetimeReport make_lifetime_report(
     std::span<const EnvironmentSegmentView> segments, const LifetimeModel& model,
     unsigned threads) {
   check_segments(segments);
   const DutyCycleTracker& first = *segments.front().tracker;
-  // A one-segment timeline is the single-operating-point solve (the same
-  // shortcut DeviceAgingModel::years_to_failure takes per cell, since each
-  // used cell's gathered history is exactly one positive-weight segment at
-  // the tracker duty) — take the batched path.
-  if (segments.size() == 1)
-    return lifetime_report_batched(first, segments.front().environment, model,
-                                   threads);
   LifetimeBuilder builder(first.regions(), model);
-  // Per-shard evaluation state: the gathered stress history is scratch
-  // reused across the shard's cells.
-  struct CellEval {
-    std::span<const EnvironmentSegmentView> segments;
-    const LifetimeModel& model;
-    std::vector<StressSegment> history;
-
-    CellLifetime operator()(std::size_t cell) {
-      if (gather_cell_segments(segments, cell, history).total == 0) return {};
-      return {model.years_to_failure(history), true};
-    }
+  const auto fold = [&builder](std::size_t cell, const CellLifetime& value) {
+    if (value.used) builder.add_cell(cell, value.years);
   };
-  ReportEvaluator(threads).run<CellLifetime>(
-      first.cell_count(),
-      [&] { return CellEval{segments, model, {}}; },
-      [&](std::size_t cell, const CellLifetime& value) {
-        if (value.used) builder.add_cell(cell, value.years);
-      });
+  const ReportEvaluator evaluator(threads);
+  if (segments.size() == 1) {
+    // A one-segment timeline is the single-operating-point solve (the
+    // same shortcut DeviceAgingModel::years_to_failure takes per cell,
+    // since each used cell's gathered history is exactly one
+    // positive-weight segment at the tracker duty) — take the batched
+    // path.
+    evaluator.run_blocks<CellLifetime>(
+        first.cell_count(),
+        [&] {
+          return BatchedLifetimeEval{first,
+                                     model.model(),
+                                     model.params().snm_failure_threshold,
+                                     segments.front().environment,
+                                     {},
+                                     {}};
+        },
+        fold);
+  } else {
+    evaluator.run_blocks<CellLifetime>(
+        first.cell_count(),
+        [&] { return TimelineLifetimeEval{segments, model, {}}; }, fold);
+  }
   return builder.finish();
 }
 

@@ -95,26 +95,14 @@ struct LifetimeReport {
   std::vector<RegionLifetime> regions;
 };
 
-/// Evaluate every used cell of `tracker` under `model` (nominal
-/// environment). `threads` shards the per-cell lifetime solves on the
-/// session executor under that concurrency budget (0 = hardware
-/// concurrency); results are bit-identical for any value (see
-/// aging/report_evaluator.hpp).
-LifetimeReport make_lifetime_report(const DutyCycleTracker& tracker,
-                                    const LifetimeModel& model,
-                                    unsigned threads = 1);
-
-/// Environment-timeline evaluation: every used cell's lifetime is the
-/// model's years-to-failure over its per-segment stress history. A single
-/// nominal segment reproduces the single-tracker overload bit-identically.
-LifetimeReport make_lifetime_report(std::span<const EnvironmentSegment> segments,
-                                    const LifetimeModel& model,
-                                    unsigned threads = 1);
-
-/// View-based twin of the timeline overload: the primary implementation
-/// (the owned overload borrows its segments and delegates here). This is
-/// what cache-hit scenario evaluation calls with shared tracker state —
-/// identical tracker bits fold to byte-identical reports.
+/// Evaluate every used cell of the environment timeline `segments`: each
+/// cell's lifetime is the model's years-to-failure over its per-segment
+/// stress history. A single tracker is a one-segment timeline
+/// (`EnvironmentSegmentView{&tracker, env}`, solved at the tracker duty in
+/// `env`); owned segments borrow through segment_views(). `threads`
+/// shards the per-cell lifetime solves on the session executor under that
+/// concurrency budget (0 = hardware concurrency); results are
+/// bit-identical for any value (see aging/report_evaluator.hpp).
 LifetimeReport make_lifetime_report(
     std::span<const EnvironmentSegmentView> segments,
     const LifetimeModel& model, unsigned threads = 1);

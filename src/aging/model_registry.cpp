@@ -69,7 +69,7 @@ AgingModelRegistry::AgingModelRegistry() {
   factories_.emplace_back(
       "dual-bti", [](const SnmParams& snm, const AgingModelParams& params) {
         ModelParamReader reader(params, "dual-bti");
-        DualBtiSnmModel::Params model_params;
+        DualBtiDeviceModel::Params model_params;
         model_params.nbti = snm;
         model_params.pbti_ratio =
             reader.get("pbti_ratio", model_params.pbti_ratio);

@@ -10,9 +10,9 @@
 // with s the long-term stress ratio of the transistor (fraction of lifetime
 // under stress), beta the reaction-diffusion time exponent (~1/6), and
 // alpha the stress-ratio exponent. The paper's evaluation is anchored to
-// the SNM degradation numbers of its references (see SnmModel); this class
-// exposes the raw physics layer so other device models can be plugged in,
-// as the paper explicitly invites.
+// the SNM degradation numbers of its references (see SnmParams in
+// aging/device_model.hpp); this class exposes the raw physics layer so
+// other device models can be plugged in, as the paper explicitly invites.
 #pragma once
 
 namespace dnnlife::aging {

@@ -31,10 +31,10 @@
 
 namespace dnnlife::aging {
 
-/// Runs per-cell evaluations in contiguous shards on the session executor
-/// and folds the results in cell order. One evaluator is one concurrency
-/// budget; reports pass AgingReportOptions::threads (0 = hardware
-/// concurrency). A whole report fan-out is ONE bulk submission (one heap
+/// Runs blocked per-cell evaluations in contiguous shards on the session
+/// executor and folds the results in cell order. One evaluator is one
+/// concurrency budget; reports pass AgingReportOptions::threads (0 =
+/// hardware concurrency). A whole report fan-out is ONE bulk submission (one heap
 /// allocation, O(min(shards, workers)) deque pushes), so nothing stops a
 /// suite from evaluating many reports concurrently under their budgets.
 class ReportEvaluator {
@@ -44,45 +44,6 @@ class ReportEvaluator {
 
   unsigned threads() const noexcept { return threads_; }
 
-  /// Evaluate `make_eval()(cell)` for every cell in [0, cell_count) and
-  /// call `fold(cell, value)` in ascending cell order. `make_eval` is
-  /// invoked once per shard so the returned functor can own scratch
-  /// buffers (timeline gathers) without sharing them across threads; it
-  /// must be a pure function of the cell index. Value is the per-cell
-  /// evaluation result buffered between the parallel and the fold phase.
-  template <class Value, class MakeEval, class Fold>
-  void run(std::size_t cell_count, MakeEval&& make_eval, Fold&& fold) const {
-    if (cell_count == 0) return;
-    unsigned shards = threads_;
-    if (static_cast<std::size_t>(shards) > cell_count)
-      shards = static_cast<unsigned>(cell_count);
-    if (shards <= 1) {
-      // Serial: no buffering, evaluate and fold interleaved. The fold
-      // sequence is identical to the sharded path below.
-      auto eval = make_eval();
-      for (std::size_t cell = 0; cell < cell_count; ++cell)
-        fold(cell, eval(cell));
-      return;
-    }
-    std::vector<std::vector<Value>> buffers(shards);
-    {
-      util::TaskGroup group;
-      group.submit_bulk(
-          cell_count, shards,
-          [&](unsigned shard, std::uint64_t begin, std::uint64_t end) {
-            auto eval = make_eval();
-            std::vector<Value>& buffer = buffers[shard];
-            buffer.reserve(static_cast<std::size_t>(end - begin));
-            for (std::uint64_t cell = begin; cell < end; ++cell)
-              buffer.push_back(eval(static_cast<std::size_t>(cell)));
-          });
-      group.wait();
-    }
-    std::size_t cell = 0;
-    for (std::vector<Value>& buffer : buffers)
-      for (Value& value : buffer) fold(cell++, std::move(value));
-  }
-
   /// Cells per block of run_blocks: large enough to amortise a virtual
   /// batch call and give the per-block duty memo real repetition to
   /// exploit (real trackers repeat each distinct counter ratio across many
@@ -90,15 +51,20 @@ class ReportEvaluator {
   /// stays within L2.
   static constexpr std::size_t kBlockCells = 4096;
 
-  /// Blocked variant of run(): `make_eval()` returns a functor invoked as
+  /// Evaluate every cell in [0, cell_count) in blocks and call
+  /// `fold(cell, value)` in ascending cell order. `make_eval()` is invoked
+  /// once per shard (so the functor can own scratch buffers without
+  /// sharing them across threads) and returns a functor invoked as
   /// `eval(begin, end, out)` that fills `out[0 .. end-begin)` with the
   /// values of cells [begin, end) — the hook the batched model calls
   /// (years_to_reach_batch / degradation_batch) drive, amortising curve
   /// and amplitude evaluation across up to kBlockCells contiguous cells.
-  /// Blocks never straddle a shard boundary, block evaluation must equal
-  /// per-cell evaluation for every split, and the fold still replays in
-  /// ascending cell order — so the bit-identical-for-any-thread-count
-  /// invariant of run() carries over unchanged.
+  /// Value is the default-constructible per-cell result buffered between
+  /// the parallel and the fold phase. Blocks never straddle a shard
+  /// boundary, block evaluation must equal per-cell evaluation for every
+  /// split (a pure function of the cell index), and the fold replays in
+  /// ascending cell order — so reports are bit-identical for any thread
+  /// count.
   template <class Value, class MakeEval, class Fold>
   void run_blocks(std::size_t cell_count, MakeEval&& make_eval,
                   Fold&& fold) const {
@@ -107,6 +73,8 @@ class ReportEvaluator {
     if (static_cast<std::size_t>(shards) > cell_count)
       shards = static_cast<unsigned>(cell_count);
     if (shards <= 1) {
+      // Serial: no shard buffers, evaluate and fold block by block. The
+      // fold sequence is identical to the sharded path below.
       auto eval = make_eval();
       std::vector<Value> block(std::min(cell_count, kBlockCells));
       for (std::size_t begin = 0; begin < cell_count; begin += kBlockCells) {

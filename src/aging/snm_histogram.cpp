@@ -37,11 +37,11 @@ std::string AgingReport::to_string() const {
 
 namespace {
 
-/// Single-pass report bookkeeping shared by the single-tracker and the
-/// environment-timeline overloads: region tags are a sorted partition of
+/// Single-pass report bookkeeping shared by the single-segment and the
+/// multi-segment timeline paths: region tags are a sorted partition of
 /// the cells, so the per-region breakdown fills in the same pass that
-/// accumulates the whole-memory statistics. The two overloads differ only
-/// in how a cell's (duty, snm, optimal-reference) triple is produced.
+/// accumulates the whole-memory statistics. The two paths differ only in
+/// how a cell's (duty, snm, optimal-reference) triple is produced.
 class ReportBuilder {
  public:
   ReportBuilder(std::size_t cell_count, const std::vector<CellRegion>& tags,
@@ -121,22 +121,15 @@ struct CellAging {
   bool used = false;
 };
 
-void fold_cell(ReportBuilder& builder, std::size_t cell,
-               const CellAging& value) {
-  if (value.used)
-    builder.add_cell(cell, value.duty, value.snm, value.optimal);
-  else
-    builder.add_unused(cell);
-}
-
 /// Blocked per-shard evaluation state of the single-operating-point aging
 /// report: gather the used cells' duties of one contiguous block, run the
 /// batched forward curve (one duty memo + hoisted time powers per block),
-/// scatter back. snm_degradation_batch is bit-identical to the per-cell
+/// scatter back. degradation_batch is bit-identical to the per-cell
 /// calls, so this changes no report value.
 struct BatchedAgingEval {
   const DutyCycleTracker& tracker;
-  const AgingModel& model;
+  const DeviceAgingModel& model;
+  const EnvironmentSpec& environment;
   double years;
   double optimal;
   std::vector<double> duties;
@@ -147,7 +140,7 @@ struct BatchedAgingEval {
     for (std::size_t cell = begin; cell < end; ++cell)
       if (!tracker.is_unused(cell)) duties.push_back(tracker.duty(cell));
     snm.resize(duties.size());
-    model.snm_degradation_batch(duties, years, snm);
+    model.degradation_batch(duties, years, environment, snm);
     std::size_t next = 0;
     for (std::size_t cell = begin; cell < end; ++cell) {
       if (tracker.is_unused(cell)) {
@@ -160,91 +153,75 @@ struct BatchedAgingEval {
   }
 };
 
-/// The shared blocked driver of both overloads' single-environment paths.
-AgingReport aging_report_batched(const DutyCycleTracker& tracker,
-                                 const AgingModel& model,
-                                 const AgingReportOptions& options) {
-  ReportBuilder builder(tracker.cell_count(), tracker.regions(), options);
-  const double optimal = model.snm_degradation(0.5, options.years);
-  ReportEvaluator(options.threads)
-      .run_blocks<CellAging>(
-          tracker.cell_count(),
-          [&] {
-            return BatchedAgingEval{tracker, model, options.years, optimal,
-                                    {},      {}};
-          },
-          [&](std::size_t cell, const CellAging& value) {
-            fold_cell(builder, cell, value);
-          });
-  return builder.finish();
-}
+/// Blocked per-shard evaluation state of the multi-segment timeline
+/// report. The balanced reference depends on each cell's residency
+/// weights, so every cell composes its own pair of timelines; the
+/// gathered stress history and its balanced-duty twin are scratch buffers
+/// reused across the shard's cells.
+struct TimelineAgingEval {
+  std::span<const EnvironmentSegmentView> segments;
+  const DeviceAgingModel& model;
+  double years;
+  std::vector<StressSegment> history;
+  std::vector<StressSegment> balanced;
+
+  void operator()(std::size_t begin, std::size_t end, CellAging* out) {
+    for (std::size_t cell = begin; cell < end; ++cell) {
+      const CellResidency residency =
+          gather_cell_segments(segments, cell, history);
+      if (residency.total == 0) {
+        out[cell - begin] = {};
+        continue;
+      }
+      const double duty = static_cast<double>(residency.ones) /
+                          static_cast<double>(residency.total);
+      const double snm = model.degradation_on_timeline(history, years);
+      // The minimum achievable degradation for *this* cell: balanced duty
+      // under the same environment exposure.
+      balanced = history;
+      for (StressSegment& segment : balanced) segment.duty = 0.5;
+      const double optimal = model.degradation_on_timeline(balanced, years);
+      out[cell - begin] = {duty, snm, optimal, true};
+    }
+  }
+};
 
 }  // namespace
-
-AgingReport make_aging_report(const DutyCycleTracker& tracker,
-                              const AgingModel& model,
-                              const AgingReportOptions& options) {
-  return aging_report_batched(tracker, model, options);
-}
-
-AgingReport make_aging_report(std::span<const EnvironmentSegment> segments,
-                              const DeviceAgingModel& model,
-                              const AgingReportOptions& options) {
-  return make_aging_report(
-      std::span<const EnvironmentSegmentView>(segment_views(segments)), model,
-      options);
-}
 
 AgingReport make_aging_report(std::span<const EnvironmentSegmentView> segments,
                               const DeviceAgingModel& model,
                               const AgingReportOptions& options) {
   check_segments(segments);
   const DutyCycleTracker& first = *segments.front().tracker;
-  // One segment is the single-operating-point evaluation under that
-  // segment's environment (a used cell's gathered history is exactly one
-  // segment at the tracker duty, and degradation_on_timeline
-  // short-circuits it to degradation(), bit-identically) — take the
-  // batched path through an environment-bound view.
-  if (segments.size() == 1) {
-    const EnvironmentBoundModel bound(model, segments.front().environment);
-    return aging_report_batched(first, bound, options);
-  }
   ReportBuilder builder(first.cell_count(), first.regions(), options);
-  // With several segments the balanced reference depends on each cell's
-  // residency weights and must be composed per cell. Per-shard evaluation
-  // state: the gathered stress history and its balanced-duty twin are
-  // scratch buffers reused across the shard's cells, so each shard owns
-  // its own pair.
-  struct CellEval {
-    std::span<const EnvironmentSegmentView> segments;
-    const DeviceAgingModel& model;
-    const AgingReportOptions& options;
-    std::vector<StressSegment> history;
-    std::vector<StressSegment> balanced;
-
-    CellAging operator()(std::size_t cell) {
-      const CellResidency residency =
-          gather_cell_segments(segments, cell, history);
-      if (residency.total == 0) return {};
-      const double duty = static_cast<double>(residency.ones) /
-                          static_cast<double>(residency.total);
-      const double snm = model.degradation_on_timeline(history, options.years);
-      // The minimum achievable degradation for *this* cell: balanced duty
-      // under the same environment exposure.
-      balanced = history;
-      for (StressSegment& segment : balanced) segment.duty = 0.5;
-      const double optimal =
-          model.degradation_on_timeline(balanced, options.years);
-      return {duty, snm, optimal, true};
-    }
+  const auto fold = [&builder](std::size_t cell, const CellAging& value) {
+    if (value.used)
+      builder.add_cell(cell, value.duty, value.snm, value.optimal);
+    else
+      builder.add_unused(cell);
   };
-  ReportEvaluator(options.threads)
-      .run<CellAging>(
-          first.cell_count(),
-          [&] { return CellEval{segments, model, options, {}, {}}; },
-          [&](std::size_t cell, const CellAging& value) {
-            fold_cell(builder, cell, value);
-          });
+  const ReportEvaluator evaluator(options.threads);
+  if (segments.size() == 1) {
+    // One segment is the single-operating-point evaluation under that
+    // segment's environment (a used cell's gathered history is exactly
+    // one segment at the tracker duty, and degradation_on_timeline
+    // short-circuits it to degradation(), bit-identically) — take the
+    // batched path.
+    const EnvironmentSpec& environment = segments.front().environment;
+    const double optimal = model.degradation(0.5, options.years, environment);
+    evaluator.run_blocks<CellAging>(
+        first.cell_count(),
+        [&] {
+          return BatchedAgingEval{first, model, environment, options.years,
+                                  optimal, {},    {}};
+        },
+        fold);
+  } else {
+    evaluator.run_blocks<CellAging>(
+        first.cell_count(),
+        [&] { return TimelineAgingEval{segments, model, options.years, {}, {}}; },
+        fold);
+  }
   return builder.finish();
 }
 

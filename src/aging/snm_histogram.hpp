@@ -9,7 +9,6 @@
 
 #include "aging/device_model.hpp"
 #include "aging/duty_cycle.hpp"
-#include "aging/snm_model.hpp"
 #include "util/histogram.hpp"
 #include "util/statistics.hpp"
 
@@ -61,25 +60,15 @@ struct AgingReportOptions {
   unsigned threads = 1;
 };
 
-/// Evaluate every used cell of `tracker` under `model`.
-AgingReport make_aging_report(const DutyCycleTracker& tracker,
-                              const AgingModel& model,
-                              const AgingReportOptions& options = {});
-
-/// Environment-timeline evaluation: every used cell's degradation is the
-/// model's composition over its per-segment stress history (see
-/// DeviceAgingModel::degradation_on_timeline). The "optimal" reference of
-/// each cell is a duty-0.5 cell with the same segment weights and
-/// environments. A single nominal segment reproduces the single-tracker
-/// overload bit-identically.
-AgingReport make_aging_report(std::span<const EnvironmentSegment> segments,
-                              const DeviceAgingModel& model,
-                              const AgingReportOptions& options = {});
-
-/// View-based twin of the timeline overload: the primary implementation
-/// (the owned overload borrows its segments and delegates here). This is
-/// what cache-hit scenario evaluation calls with shared tracker state —
-/// identical tracker bits fold to byte-identical reports.
+/// Evaluate every used cell of the environment timeline `segments` under
+/// `model`. Each cell's degradation is the model's composition over its
+/// per-segment stress history (see DeviceAgingModel::
+/// degradation_on_timeline), and its "optimal" reference is a duty-0.5
+/// cell with the same segment weights and environments. A single tracker
+/// is a one-segment timeline: `EnvironmentSegmentView{&tracker, env}`
+/// evaluates every cell at its tracker duty in the fixed environment
+/// `env`. Owned segments borrow through segment_views(); views of shared
+/// (cached) tracker state fold to byte-identical reports.
 AgingReport make_aging_report(std::span<const EnvironmentSegmentView> segments,
                               const DeviceAgingModel& model,
                               const AgingReportOptions& options = {});

@@ -29,30 +29,33 @@ HardwareKind hardware_kind_from_string(std::string_view name) {
 
 aging::AgingReport run_policies_on_stream(
     const sim::WriteStream& stream, const RegionPolicyTable& policies,
-    const aging::AgingModel& model, const aging::AgingReportOptions& report,
-    const StreamRunOptions& options) {
-  if (options.use_reference_simulator) {
-    ReferenceSimOptions reference;
-    reference.inferences = options.inferences;
-    reference.verify_decode = false;
-    const auto tracker = simulate_reference(stream, policies, reference);
-    return make_aging_report(tracker, model, report);
-  }
-  FastSimOptions fast;
-  fast.inferences = options.inferences;
-  fast.threads = options.simulator_threads;
-  const auto tracker = simulate_fast(stream, policies, fast);
-  return make_aging_report(tracker, model, report);
+    const aging::DeviceAgingModel& model,
+    const aging::EnvironmentSpec& environment,
+    const aging::AgingReportOptions& report, const StreamRunOptions& options) {
+  const aging::DutyCycleTracker tracker = [&] {
+    if (options.use_reference_simulator) {
+      ReferenceSimOptions reference;
+      reference.inferences = options.inferences;
+      reference.verify_decode = false;
+      return simulate_reference(stream, policies, reference);
+    }
+    FastSimOptions fast;
+    fast.inferences = options.inferences;
+    fast.threads = options.simulator_threads;
+    return simulate_fast(stream, policies, fast);
+  }();
+  const aging::EnvironmentSegmentView segment{&tracker, environment};
+  return make_aging_report({&segment, 1}, model, report);
 }
 
-aging::AgingReport run_policy_on_stream(const sim::WriteStream& stream,
-                                        const PolicyConfig& policy,
-                                        const aging::AgingModel& model,
-                                        const aging::AgingReportOptions& report,
-                                        const StreamRunOptions& options) {
+aging::AgingReport run_policy_on_stream(
+    const sim::WriteStream& stream, const PolicyConfig& policy,
+    const aging::DeviceAgingModel& model,
+    const aging::EnvironmentSpec& environment,
+    const aging::AgingReportOptions& report, const StreamRunOptions& options) {
   return run_policies_on_stream(
       stream, RegionPolicyTable::uniform(stream.geometry(), policy), model,
-      report, options);
+      environment, report, options);
 }
 
 Workbench::Workbench(const ExperimentConfig& config) : config_(config) {
@@ -76,23 +79,18 @@ Workbench::Workbench(const ExperimentConfig& config) : config_(config) {
 aging::AgingReport Workbench::evaluate(PolicyConfig policy) const {
   // The barrel shifter rotates at weight-word granularity.
   policy.weight_bits = codec_->bits();
-  const aging::EnvironmentBoundModel model(*model_, config_.environment);
-  StreamRunOptions options;
-  options.inferences = config_.inferences;
-  options.use_reference_simulator = config_.use_reference_simulator;
-  options.simulator_threads = config_.simulator_threads;
-  return run_policy_on_stream(*stream_, policy, model, config_.report, options);
+  return evaluate_regions(
+      RegionPolicyTable::uniform(stream_->geometry(), policy));
 }
 
 aging::AgingReport Workbench::evaluate_regions(
     const RegionPolicyTable& policies) const {
-  const aging::EnvironmentBoundModel model(*model_, config_.environment);
   StreamRunOptions options;
   options.inferences = config_.inferences;
   options.use_reference_simulator = config_.use_reference_simulator;
   options.simulator_threads = config_.simulator_threads;
-  return run_policies_on_stream(*stream_, policies, model, config_.report,
-                                options);
+  return run_policies_on_stream(*stream_, policies, *model_,
+                                config_.environment, config_.report, options);
 }
 
 RegionPolicyTable Workbench::region_table(

@@ -68,19 +68,23 @@ struct StreamRunOptions {
   unsigned simulator_threads = 1;
 };
 
-/// Run one policy uniformly against a pre-built write stream.
+/// Run one policy uniformly against a pre-built write stream and evaluate
+/// the duty-cycles under `model` in the fixed environment `environment`.
 /// `policy.weight_bits` must already match the stream's weight format.
-aging::AgingReport run_policy_on_stream(const sim::WriteStream& stream,
-                                        const PolicyConfig& policy,
-                                        const aging::AgingModel& model,
-                                        const aging::AgingReportOptions& report,
-                                        const StreamRunOptions& options = {});
+aging::AgingReport run_policy_on_stream(
+    const sim::WriteStream& stream, const PolicyConfig& policy,
+    const aging::DeviceAgingModel& model,
+    const aging::EnvironmentSpec& environment,
+    const aging::AgingReportOptions& report,
+    const StreamRunOptions& options = {});
 
 /// Run a region → policy table against a pre-built write stream; the
 /// report breaks aging out per region.
 aging::AgingReport run_policies_on_stream(
     const sim::WriteStream& stream, const RegionPolicyTable& policies,
-    const aging::AgingModel& model, const aging::AgingReportOptions& report,
+    const aging::DeviceAgingModel& model,
+    const aging::EnvironmentSpec& environment,
+    const aging::AgingReportOptions& report,
     const StreamRunOptions& options = {});
 
 /// A reusable experiment workbench: owns the network / streamer / codec /

@@ -4,7 +4,7 @@
 
 #include "core/transducer.hpp"
 #include "sim/write_visit.hpp"
-#include "util/parallel.hpp"
+#include "util/executor.hpp"
 
 namespace dnnlife::core {
 

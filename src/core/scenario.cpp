@@ -16,6 +16,7 @@
 #include "sim/accelerator.hpp"
 #include "sim/tpu_npu.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -266,14 +267,6 @@ void fingerprint_field_f64(std::string& text, std::string_view tag,
   fingerprint_field(text, tag, std::string_view(hex, 16));
 }
 
-std::uint64_t fnv1a64(std::string_view text, std::uint64_t hash) {
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 }  // namespace
 
 std::string simulation_fingerprint(const ScenarioSpec& spec) {
@@ -356,8 +349,9 @@ std::string simulation_fingerprint(const ScenarioSpec& spec) {
   // content address, so birthday collisions are out of reach for any
   // realistic sweep size. evaluate_scenario still cross-checks the
   // segment-partition shape against the cached state as a backstop.
-  const std::uint64_t lo = util::splitmix64(fnv1a64(text, 0xcbf29ce484222325ULL));
-  const std::uint64_t hi = util::splitmix64(fnv1a64(text, 0x6c62272e07bb0142ULL));
+  const std::uint64_t lo = util::splitmix64(util::fnv1a64(text));
+  const std::uint64_t hi =
+      util::splitmix64(util::fnv1a64(text, 0x6c62272e07bb0142ULL));
   char digest[33];
   std::snprintf(digest, sizeof digest, "%016llx%016llx",
                 static_cast<unsigned long long>(hi),
@@ -494,7 +488,8 @@ ScenarioResult evaluate_scenario(const ScenarioSpec& spec,
     // The zero tracker is not cached — it rebuilds from the shape.
     aging::DutyCycleTracker combined(state.geometry.cells());
     combined.set_regions(state.regions);
-    result.report = make_aging_report(combined, *model, report);
+    const aging::EnvironmentSegmentView segment{&combined, {}};
+    result.report = make_aging_report({&segment, 1}, *model, report);
     return result;
   }
   const std::vector<aging::EnvironmentSpec> environments =

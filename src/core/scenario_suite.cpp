@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -12,6 +11,8 @@
 #include "core/sweep_journal.hpp"
 #include "core/sweep_scheduler.hpp"
 #include "util/csv.hpp"
+#include "util/fsio.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 #include "util/json_writer.hpp"
 #include "util/rng.hpp"
@@ -21,18 +22,9 @@ namespace dnnlife::core {
 
 namespace {
 
-std::string read_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file)
-    throw std::invalid_argument("cannot open scenario file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return buffer.str();
-}
-
 SuiteEntry load_entry(const std::string& path) {
   try {
-    std::string document = read_file(path);
+    std::string document = util::read_file(path);
     ScenarioSpec spec = parse_scenario(document);
     return SuiteEntry{path, std::move(spec), std::move(document)};
   } catch (const std::exception& error) {
@@ -41,15 +33,6 @@ SuiteEntry load_entry(const std::string& path) {
     throw std::invalid_argument("scenario file '" + path +
                                 "': " + error.what());
   }
-}
-
-std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 }  // namespace
@@ -97,8 +80,8 @@ std::string ScenarioSuite::manifest_hash() const {
   // documents from different directories still agree.
   std::uint64_t hash = util::splitmix64(entries_.size());
   for (const SuiteEntry& entry : entries_) {
-    hash = util::splitmix64(hash ^ fnv1a64(entry.spec.name));
-    hash = util::splitmix64(hash ^ fnv1a64(entry.document));
+    hash = util::splitmix64(hash ^ util::fnv1a64(entry.spec.name));
+    hash = util::splitmix64(hash ^ util::fnv1a64(entry.document));
   }
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx",
@@ -261,14 +244,6 @@ void write_suite_csv(const std::string& path,
   }
 }
 
-void write_suite_csv(const std::string& path,
-                     std::span<const SuiteOutcome> outcomes) {
-  SuiteSummaryInfo info;
-  info.total_scenarios = outcomes.size();
-  const std::vector<SuiteRecord> records = make_suite_records(outcomes);
-  write_suite_csv(path, records, info);
-}
-
 std::string suite_record_json(const SuiteRecord& record, bool include_timing) {
   std::ostringstream out;
   out << "{\"index\": " << record.index << ", \"file\": \""
@@ -425,13 +400,6 @@ std::string suite_summary_json(std::span<const SuiteRecord> records,
         << util::Table::num(max_lifetime, 4);
   out << "}\n}\n";
   return out.str();
-}
-
-std::string suite_summary_json(std::span<const SuiteOutcome> outcomes) {
-  SuiteSummaryInfo info;
-  info.total_scenarios = outcomes.size();
-  const std::vector<SuiteRecord> records = make_suite_records(outcomes);
-  return suite_summary_json(records, info);
 }
 
 }  // namespace dnnlife::core

@@ -256,8 +256,6 @@ SuiteRecord parse_suite_record(const util::JsonValue& entry,
 void write_suite_csv(const std::string& path,
                      std::span<const SuiteRecord> records,
                      const SuiteSummaryInfo& info);
-void write_suite_csv(const std::string& path,
-                     std::span<const SuiteOutcome> outcomes);
 
 /// The same summary as a JSON document: an optional "manifest"/"shard"
 /// header, a "scenarios" array (one object per record, global index
@@ -265,6 +263,5 @@ void write_suite_csv(const std::string& path,
 /// device lifetime over the successful scenarios).
 std::string suite_summary_json(std::span<const SuiteRecord> records,
                                const SuiteSummaryInfo& info);
-std::string suite_summary_json(std::span<const SuiteOutcome> outcomes);
 
 }  // namespace dnnlife::core

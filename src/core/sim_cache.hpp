@@ -27,8 +27,8 @@
 //
 // Determinism: evaluating against cached tracker state is byte-identical
 // to a cache-off run because the aging fold consumes the same tracker
-// bits either way (see the EnvironmentSegmentView overloads of
-// make_aging_report / make_lifetime_report).
+// bits either way (make_aging_report / make_lifetime_report take
+// EnvironmentSegmentViews of shared or owned trackers alike).
 #pragma once
 
 #include <cstddef>

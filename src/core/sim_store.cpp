@@ -11,6 +11,7 @@
 #include "util/binio.hpp"
 #include "util/check.hpp"
 #include "util/fsio.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 #ifdef DNNLIFE_HAVE_FSYNC
@@ -37,12 +38,7 @@ constexpr std::string_view kQuarantineDir = "quarantine";
 /// family the fingerprint itself uses; detects any single flipped byte
 /// and all truncations that survive the length checks.
 std::uint64_t content_checksum(std::string_view bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return util::splitmix64(hash);
+  return util::splitmix64(util::fnv1a64(bytes));
 }
 
 std::uint64_t process_tag() {
@@ -198,24 +194,14 @@ std::string SimStore::unique_suffix() {
 SimStore::StatePtr SimStore::lookup(const std::string& fingerprint) {
   const std::string path = entry_path(fingerprint);
   std::string bytes;
-  {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.misses;
-      return nullptr;
-    }
-    std::string chunk(1 << 16, '\0');
-    while (file.read(chunk.data(), static_cast<std::streamsize>(chunk.size())))
-      bytes.append(chunk.data(), chunk.size());
-    bytes.append(chunk.data(), static_cast<std::size_t>(file.gcount()));
-    if (file.bad()) {
-      // Transient read error, not provably a bad entry: miss without
-      // quarantining.
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.misses;
-      return nullptr;
-    }
+  try {
+    bytes = util::read_file(path);
+  } catch (const std::exception&) {
+    // Absent entry, or a transient read error that does not prove the
+    // entry bad: miss without quarantining.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.misses;
+    return nullptr;
   }
   try {
     StatePtr state = deserialize_simulation_state(bytes, path);

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -166,12 +165,7 @@ SweepJournalContents parse_sweep_journal(std::string_view text,
 }
 
 SweepJournalContents read_sweep_journal(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file)
-    throw std::invalid_argument("cannot open journal '" + path + "'");
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return parse_sweep_journal(buffer.str(), path);
+  return parse_sweep_journal(util::read_file(path), path);
 }
 
 // ---- the writable journal ----------------------------------------------------
@@ -227,13 +221,9 @@ SweepJournal SweepJournal::resume(const std::string& path,
   if (!fs::exists(path, ec) || fs::file_size(path, ec) == 0)
     return create(path, expected);  // nothing journaled yet: fresh start
 
-  std::ifstream file(path, std::ios::binary);
-  if (!file)
-    throw std::invalid_argument("cannot open journal '" + path + "'");
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  file.close();
-  const std::string text = buffer.str();
+  // A read error must not pass for a torn tail: compaction below would
+  // rewrite the file down to the prefix read so far.
+  const std::string text = util::read_file(path);
 
   // A process killed during creation can leave a torn header: exactly one
   // unparseable line with no closing newline. Only that shape restarts

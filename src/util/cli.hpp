@@ -3,7 +3,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 
@@ -16,26 +15,6 @@ inline bool flag_value(const std::string& arg, const std::string& name,
   if (arg.rfind(prefix, 0) != 0) return false;
   value = arg.substr(prefix.size());
   return true;
-}
-
-/// Slurp a whole file; throws std::invalid_argument naming the path —
-/// both when it cannot be opened and when the stream goes bad mid-read.
-/// The old rdbuf-slurp returned whatever prefix had been read before an
-/// I/O error, so a failing disk handed callers a silently truncated
-/// document (e.g. half a scenario) as if it were complete.
-inline std::string read_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::invalid_argument("cannot open '" + path + "'");
-  std::string contents;
-  char chunk[1 << 16];
-  while (file.read(chunk, sizeof chunk))
-    contents.append(chunk, sizeof chunk);
-  contents.append(chunk, static_cast<std::size_t>(file.gcount()));
-  // eof alone is the normal exit; badbit means the read itself failed.
-  if (file.bad())
-    throw std::invalid_argument("error while reading '" + path +
-                                "': stream failed mid-read");
-  return contents;
 }
 
 /// Parse a non-negative decimal flag value into `out`. Returns false (and

@@ -3,7 +3,7 @@
 // Every layer of the framework parallelises — suite jobs, the fast
 // simulator's row-parallel commit, report-evaluation shards, policy
 // fan-outs — and before this executor each of them constructed a private
-// util::ThreadPool. A sweep at `--jobs=HW --threads=HW` therefore
+// thread pool. A sweep at `--jobs=HW --threads=HW` therefore
 // oversubscribed the machine by up to jobs x threads, while a
 // single-scenario tail left most cores idle. The Executor replaces all of
 // those pools with one process-wide set of workers sized once
@@ -298,8 +298,8 @@ class TaskGroup {
 
   /// Item submission under a concurrency budget: run fn(index) for every
   /// index in [0, n), at most `budget` concurrently (a budget of 0 means
-  /// the hardware count — the per-call ThreadPool sizes the old code used
-  /// become budgets here). One allocation, min(budget, n) pushes.
+  /// the hardware count — per-call thread counts are budgets here). One
+  /// allocation, min(budget, n) pushes.
   template <class Fn>
   void submit_items(std::size_t n, unsigned budget, Fn&& fn) {
     if (n == 0) return;
@@ -404,5 +404,24 @@ class TaskGroup {
   std::mutex error_mutex_;
   std::exception_ptr error_;
 };
+
+/// Run fn(shard, begin, end) over [0, n) split into min(threads, n)
+/// contiguous ranges. `threads` is a concurrency budget on the session
+/// executor (<= 1 runs inline with no submission at all). The shard
+/// partition is budget-dependent, so callers that need budget-invariant
+/// results must make per-shard work a pure function of the item index
+/// (see fast_simulator.cpp).
+template <class Fn>
+void parallel_for_shards(std::uint64_t n, unsigned threads, Fn&& fn) {
+  threads = resolve_thread_count(threads);
+  if (n < threads) threads = static_cast<unsigned>(n == 0 ? 1 : n);
+  if (threads <= 1) {
+    if (n > 0) fn(0u, std::uint64_t{0}, n);
+    return;
+  }
+  TaskGroup group;
+  group.submit_bulk(n, threads, std::forward<Fn>(fn));
+  group.wait();
+}
 
 }  // namespace dnnlife::util

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 
 #ifdef DNNLIFE_HAVE_FSYNC
@@ -72,6 +73,21 @@ void write_file_durable(const std::string& tmp_path,
                              "' failed: " + ec.message());
   }
   fsync_parent_directory(final_path);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) throw std::invalid_argument("cannot open '" + path + "'");
+  std::string contents;
+  char chunk[1 << 16];
+  while (file.read(chunk, sizeof chunk))
+    contents.append(chunk, sizeof chunk);
+  contents.append(chunk, static_cast<std::size_t>(file.gcount()));
+  // eof alone is the normal exit; badbit means the read itself failed.
+  if (file.bad())
+    throw std::invalid_argument("error while reading '" + path +
+                                "': stream failed mid-read");
+  return contents;
 }
 
 }  // namespace dnnlife::util

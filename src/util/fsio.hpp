@@ -19,6 +19,10 @@
 // On platforms without fsync (no <unistd.h>) the sync steps degrade to
 // no-ops: still atomic against crashes of the process, just not against
 // power loss.
+//
+// The read side is read_file: every whole-file slurp in the framework goes
+// through it, so an I/O error mid-read is an error and never a silently
+// truncated document.
 #pragma once
 
 #include <cstdio>
@@ -48,5 +52,13 @@ void fsync_parent_directory(const std::string& path) noexcept;
 void write_file_durable(const std::string& tmp_path,
                         const std::string& final_path,
                         std::string_view contents);
+
+/// Slurp a whole file; throws std::invalid_argument naming the path —
+/// both when it cannot be opened and when the stream goes bad mid-read
+/// (e.g. EISDIR for a directory). An rdbuf-slurp returns whatever prefix
+/// was read before an I/O error, handing callers a silently truncated
+/// document (half a scenario, a journal cut at a record boundary) as if
+/// it were complete.
+std::string read_file(const std::string& path);
 
 }  // namespace dnnlife::util

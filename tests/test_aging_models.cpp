@@ -1,10 +1,10 @@
 // Tests for duty-cycle tracking and the NBTI / SNM aging models.
 #include <gtest/gtest.h>
 
+#include "aging/device_model.hpp"
 #include "aging/duty_cycle.hpp"
 #include "aging/nbti_model.hpp"
 #include "aging/snm_histogram.hpp"
-#include "aging/snm_model.hpp"
 
 namespace dnnlife::aging {
 namespace {
@@ -60,47 +60,47 @@ TEST(NbtiModel, RejectsBadInput) {
 }
 
 TEST(SnmModel, MatchesPaperAnchors) {
-  CalibratedSnmModel model;
+  CalibratedNbtiDeviceModel model;
   // Paper Sec. V-A: best 10.82% at 50% duty, worst 26.12% at 0%/100%,
   // both after 7 years.
-  EXPECT_NEAR(model.snm_degradation(0.5, 7.0), 10.82, 1e-9);
-  EXPECT_NEAR(model.snm_degradation(0.0, 7.0), 26.12, 1e-9);
-  EXPECT_NEAR(model.snm_degradation(1.0, 7.0), 26.12, 1e-9);
+  EXPECT_NEAR(model.degradation(0.5, 7.0, {}), 10.82, 1e-9);
+  EXPECT_NEAR(model.degradation(0.0, 7.0, {}), 26.12, 1e-9);
+  EXPECT_NEAR(model.degradation(1.0, 7.0, {}), 26.12, 1e-9);
 }
 
 TEST(SnmModel, SymmetricAroundHalf) {
-  CalibratedSnmModel model;
+  CalibratedNbtiDeviceModel model;
   for (double d : {0.0, 0.1, 0.25, 0.4}) {
-    EXPECT_NEAR(model.snm_degradation(d, 7.0),
-                model.snm_degradation(1.0 - d, 7.0), 1e-12);
+    EXPECT_NEAR(model.degradation(d, 7.0, {}),
+                model.degradation(1.0 - d, 7.0, {}), 1e-12);
   }
 }
 
 TEST(SnmModel, MonotoneInStress) {
-  CalibratedSnmModel model;
+  CalibratedNbtiDeviceModel model;
   double previous = 0.0;
   for (int step = 10; step <= 20; ++step) {
-    const double snm = model.snm_degradation(0.05 * step, 7.0);
+    const double snm = model.degradation(0.05 * step, 7.0, {});
     EXPECT_GE(snm, previous);
     previous = snm;
   }
 }
 
 TEST(SnmModel, MinimumAtBalancedDuty) {
-  CalibratedSnmModel model;
-  const double at_half = model.snm_degradation(0.5, 7.0);
+  CalibratedNbtiDeviceModel model;
+  const double at_half = model.degradation(0.5, 7.0, {});
   for (int step = 0; step <= 20; ++step)
-    EXPECT_GE(model.snm_degradation(0.05 * step, 7.0), at_half - 1e-12);
+    EXPECT_GE(model.degradation(0.05 * step, 7.0, {}), at_half - 1e-12);
 }
 
 TEST(SnmModel, GrowsWithTime) {
-  CalibratedSnmModel model;
-  EXPECT_LT(model.snm_degradation(0.7, 1.0), model.snm_degradation(0.7, 7.0));
-  EXPECT_LT(model.snm_degradation(0.7, 7.0), model.snm_degradation(0.7, 14.0));
+  CalibratedNbtiDeviceModel model;
+  EXPECT_LT(model.degradation(0.7, 1.0, {}), model.degradation(0.7, 7.0, {}));
+  EXPECT_LT(model.degradation(0.7, 7.0, {}), model.degradation(0.7, 14.0, {}));
 }
 
 TEST(SnmModel, DerivedStressExponent) {
-  CalibratedSnmModel model;
+  CalibratedNbtiDeviceModel model;
   // alpha = log2(26.12 / 10.82) ~ 1.2715.
   EXPECT_NEAR(model.stress_exponent(), 1.2715, 1e-3);
 }
@@ -109,26 +109,15 @@ TEST(SnmModel, CustomAnchors) {
   SnmParams params;
   params.snm_at_balanced = 5.0;
   params.snm_at_full_stress = 20.0;
-  CalibratedSnmModel model(params);
-  EXPECT_NEAR(model.snm_degradation(0.5, 7.0), 5.0, 1e-9);
-  EXPECT_NEAR(model.snm_degradation(1.0, 7.0), 20.0, 1e-9);
+  CalibratedNbtiDeviceModel model(params);
+  EXPECT_NEAR(model.degradation(0.5, 7.0, {}), 5.0, 1e-9);
+  EXPECT_NEAR(model.degradation(1.0, 7.0, {}), 20.0, 1e-9);
 }
 
 TEST(SnmModel, RejectsInvertedAnchors) {
   SnmParams params;
   params.snm_at_balanced = 30.0;  // above full stress
-  EXPECT_THROW(CalibratedSnmModel{params}, std::invalid_argument);
-}
-
-TEST(NbtiSnmAdapter, CalibratedAtFullStress) {
-  NbtiSnmAdapter adapter{NbtiModel{}, 26.12};
-  EXPECT_NEAR(adapter.snm_degradation(0.0, 7.0), 26.12, 1e-9);
-  EXPECT_NEAR(adapter.snm_degradation(1.0, 7.0), 26.12, 1e-9);
-  // Less stress, less degradation; same fold-around-0.5 symmetry.
-  EXPECT_LT(adapter.snm_degradation(0.5, 7.0),
-            adapter.snm_degradation(0.9, 7.0));
-  EXPECT_NEAR(adapter.snm_degradation(0.2, 7.0),
-              adapter.snm_degradation(0.8, 7.0), 1e-12);
+  EXPECT_THROW(CalibratedNbtiDeviceModel{params}, std::invalid_argument);
 }
 
 TEST(AgingReport, SummarisesTracker) {
@@ -138,8 +127,9 @@ TEST(AgingReport, SummarisesTracker) {
   tracker.add_ones_time(0, 5);
   tracker.add_total_time(1, 10);
   tracker.add_ones_time(1, 10);
-  CalibratedSnmModel model;
-  const AgingReport report = make_aging_report(tracker, model);
+  CalibratedNbtiDeviceModel model;
+  const EnvironmentSegmentView segment{&tracker, {}};
+  const AgingReport report = make_aging_report({&segment, 1}, model);
   EXPECT_EQ(report.total_cells, 3u);
   EXPECT_EQ(report.unused_cells, 1u);
   EXPECT_NEAR(report.snm_stats.min(), 10.82, 1e-9);
@@ -152,8 +142,9 @@ TEST(AgingReport, ToStringMentionsKeyFields) {
   DutyCycleTracker tracker(1);
   tracker.add_total_time(0, 4);
   tracker.add_ones_time(0, 2);
-  CalibratedSnmModel model;
-  const auto text = make_aging_report(tracker, model).to_string();
+  CalibratedNbtiDeviceModel model;
+  const EnvironmentSegmentView segment{&tracker, {}};
+  const auto text = make_aging_report({&segment, 1}, model).to_string();
   EXPECT_NE(text.find("SNM degradation"), std::string::npos);
   EXPECT_NE(text.find("duty-cycle"), std::string::npos);
 }

@@ -15,6 +15,7 @@
 #include "aging/device_model.hpp"
 #include "aging/lifetime.hpp"
 #include "aging/model_registry.hpp"
+#include "aging/nbti_model.hpp"
 #include "aging/snm_histogram.hpp"
 #include "core/fast_simulator.hpp"
 #include "core/workload.hpp"
@@ -97,39 +98,39 @@ struct GoldenPin {
   std::uint64_t lifetime_hash;
 };
 
-/// Hashes captured from the pre-refactor build (the hardcoded
-/// CalibratedSnmModel → LifetimeModel chain), default report options.
+/// Hashes captured from the pre-refactor build (the hardcoded calibrated
+/// SNM → LifetimeModel chain), default report options.
 void check_golden(const DutyCycleTracker& tracker, const GoldenPin& pin) {
   const std::string label = pin.policy.name();
-  // Pre-refactor evaluation path: the legacy AgingModel overloads.
-  const CalibratedSnmModel legacy_model;
-  const auto legacy_report = make_aging_report(tracker, legacy_model);
-  EXPECT_EQ(fnv1a_doubles(report_fields(legacy_report)), pin.aging_hash)
-      << "legacy aging " << label;
-  const LifetimeModel legacy_lifetime;
+  // The tracker as a one-segment view, under the default-constructed
+  // engine and lifetime model.
+  const EnvironmentSegmentView segment{&tracker, kNominal};
+  const CalibratedNbtiDeviceModel default_model;
+  EXPECT_EQ(fnv1a_doubles(report_fields(
+                make_aging_report({&segment, 1}, default_model))),
+            pin.aging_hash)
+      << "default aging " << label;
+  const LifetimeModel default_lifetime;
   EXPECT_EQ(fnv1a_doubles(lifetime_fields(
-                make_lifetime_report(tracker, legacy_lifetime))),
+                make_lifetime_report({&segment, 1}, default_lifetime))),
             pin.lifetime_hash)
-      << "legacy lifetime " << label;
+      << "default lifetime " << label;
 
-  // New stack: registry-created default engine, evaluated through the
-  // environment-timeline overloads with one nominal segment.
+  // The registry-created default engine over an owned nominal segment,
+  // borrowed through segment_views().
   const std::shared_ptr<const DeviceAgingModel> model =
       make_aging_model(kDefaultAgingModel);
   std::vector<EnvironmentSegment> segments;
   segments.push_back(EnvironmentSegment{tracker, kNominal});
-  EXPECT_EQ(fnv1a_doubles(report_fields(make_aging_report(segments, *model))),
+  const std::vector<EnvironmentSegmentView> views = segment_views(segments);
+  EXPECT_EQ(fnv1a_doubles(report_fields(make_aging_report(views, *model))),
             pin.aging_hash)
-      << "device-model aging " << label;
+      << "registry aging " << label;
   const LifetimeModel lifetime(model);
-  EXPECT_EQ(fnv1a_doubles(
-                lifetime_fields(make_lifetime_report(segments, lifetime))),
-            pin.lifetime_hash)
-      << "device-model timeline lifetime " << label;
-  EXPECT_EQ(fnv1a_doubles(
-                lifetime_fields(make_lifetime_report(tracker, lifetime))),
-            pin.lifetime_hash)
-      << "device-model tracker lifetime " << label;
+  EXPECT_EQ(
+      fnv1a_doubles(lifetime_fields(make_lifetime_report(views, lifetime))),
+      pin.lifetime_hash)
+      << "registry lifetime " << label;
 }
 
 TEST(DeviceModelGolden, DefaultEngineMatchesPreRefactorReports) {
@@ -162,29 +163,49 @@ TEST(DeviceModelGolden, DefaultEngineMatchesPreRefactorMnistReports) {
     check_golden(core::simulate_fast(stream, pin.policy, {8, 1}), pin);
 }
 
-TEST(DeviceModelGolden, DefaultModelBitIdenticalToCalibratedSnmModel) {
-  const CalibratedSnmModel legacy;
+TEST(DeviceModelGolden, DefaultModelBitIdenticalToClosedForm) {
+  // The paper's calibrated power law spelled out, in the operation order
+  // of the pre-registry implementation:
+  // S_max * s^alpha * (t / t_ref)^beta with alpha = log2(S_max / S_mid).
+  const SnmParams snm;
+  const double alpha = std::log2(snm.snm_at_full_stress / snm.snm_at_balanced);
   const CalibratedNbtiDeviceModel device;
   const ArrheniusNbtiDeviceModel arrhenius;  // nominal factors are exactly 1
   for (int d = 0; d <= 20; ++d) {
     const double duty = 0.05 * d;
     for (const double years : {0.0, 1.0, 3.5, 7.0, 20.0}) {
-      const double expected = legacy.snm_degradation(duty, years);
-      EXPECT_EQ(device.snm_degradation(duty, years), expected);
+      const double expected =
+          snm.snm_at_full_stress *
+          std::pow(NbtiModel::cell_stress_ratio(duty), alpha) *
+          std::pow(years / snm.t_ref_years, snm.time_exponent);
       EXPECT_EQ(device.degradation(duty, years, kNominal), expected);
       EXPECT_EQ(arrhenius.degradation(duty, years, kNominal), expected);
     }
   }
 }
 
-TEST(DeviceModelGolden, DualBtiDeviceModelMatchesDualBtiSnmModel) {
-  const DualBtiSnmModel legacy;
+TEST(DeviceModelGolden, DualBtiDeviceModelMatchesClosedForm) {
+  // The footnote-1 model spelled out: the worse of two inverters, each
+  // NBTI-stressed PMOS plus weaker PBTI-stressed NMOS.
+  const DualBtiDeviceModel::Params params;
+  const SnmParams& nbti = params.nbti;
+  const double alpha =
+      std::log2(nbti.snm_at_full_stress / nbti.snm_at_balanced);
+  const auto stress_term = [&](double s) {
+    return s <= 0.0 ? 0.0 : std::pow(s, alpha);
+  };
+  const auto inverter = [&](double pmos_stress) {
+    return nbti.snm_at_full_stress *
+           (stress_term(pmos_stress) +
+            params.pbti_ratio * stress_term(1.0 - pmos_stress));
+  };
   const DualBtiDeviceModel device;
   for (int d = 0; d <= 10; ++d) {
     const double duty = 0.1 * d;
     for (const double years : {1.0, 7.0, 12.0})
       EXPECT_EQ(device.degradation(duty, years, kNominal),
-                legacy.snm_degradation(duty, years));
+                std::max(inverter(duty), inverter(1.0 - duty)) *
+                    std::pow(years / nbti.t_ref_years, nbti.time_exponent));
   }
 }
 
@@ -205,8 +226,8 @@ TEST(AgingModelRegistry, CreateHonoursCalibration) {
   snm.snm_at_full_stress = 30.0;
   const auto model = make_aging_model(kDefaultAgingModel, snm);
   EXPECT_EQ(model->name(), "calibrated-nbti");
-  EXPECT_DOUBLE_EQ(model->snm_degradation(1.0, snm.t_ref_years), 30.0);
-  EXPECT_NEAR(model->snm_degradation(0.5, snm.t_ref_years), 9.0, 1e-9);
+  EXPECT_DOUBLE_EQ(model->degradation(1.0, snm.t_ref_years, {}), 30.0);
+  EXPECT_NEAR(model->degradation(0.5, snm.t_ref_years, {}), 9.0, 1e-9);
 }
 
 TEST(AgingModelRegistry, UnknownNameThrowsListingRegistered) {
@@ -237,8 +258,8 @@ TEST(AgingModelRegistry, CustomModelsPlugIn) {
   }),
                std::invalid_argument);
   const auto model = make_aging_model("test-frozen");
-  EXPECT_DOUBLE_EQ(model->snm_degradation(0.1, 7.0), 12.5);
-  EXPECT_DOUBLE_EQ(model->snm_degradation(0.9, 7.0), 12.5);
+  EXPECT_DOUBLE_EQ(model->degradation(0.1, 7.0, {}), 12.5);
+  EXPECT_DOUBLE_EQ(model->degradation(0.9, 7.0, {}), 12.5);
 }
 
 // ---- environment response ----------------------------------------------------
@@ -494,16 +515,20 @@ TEST_F(PhasedWorkloadFixture, HotterPhaseShortensDeviceLifetimeEndToEnd) {
       make_aging_model("arrhenius-nbti");
   const LifetimeModel lifetime(model);
   const auto cool_report = make_lifetime_report(
-      core::simulate_workload_phased(cool, table).segments, lifetime);
+      segment_views(core::simulate_workload_phased(cool, table).segments),
+      lifetime);
   const auto heated_report = make_lifetime_report(
-      core::simulate_workload_phased(heated, table).segments, lifetime);
+      segment_views(core::simulate_workload_phased(heated, table).segments),
+      lifetime);
   EXPECT_LT(heated_report.device_lifetime_years,
             cool_report.device_lifetime_years);
   // The aging report over the same segments agrees directionally.
   const auto cool_aging = make_aging_report(
-      core::simulate_workload_phased(cool, table).segments, *model);
+      segment_views(core::simulate_workload_phased(cool, table).segments),
+      *model);
   const auto heated_aging = make_aging_report(
-      core::simulate_workload_phased(heated, table).segments, *model);
+      segment_views(core::simulate_workload_phased(heated, table).segments),
+      *model);
   EXPECT_GT(heated_aging.snm_stats.mean(), cool_aging.snm_stats.mean());
 }
 
@@ -513,8 +538,7 @@ TEST(SegmentChecks, RejectMismatchedSegments) {
   std::vector<EnvironmentSegment> segments;
   segments.push_back(EnvironmentSegment{small, kNominal});
   segments.push_back(EnvironmentSegment{large, kNominal});
-  EXPECT_THROW(check_segments(segments), std::invalid_argument);
-  EXPECT_THROW(check_segments(std::span<const EnvironmentSegment>{}),
+  EXPECT_THROW(check_segments(segment_views(segments)),
                std::invalid_argument);
   EXPECT_THROW(check_segments(std::span<const EnvironmentSegmentView>{}),
                std::invalid_argument);
@@ -529,7 +553,8 @@ TEST(LifetimeRegions, BreakdownPartitionsTheDevice) {
     tracker.add_ones_time(cell, ones);
   tracker.set_regions({CellRegion{"a", 0, 3}, CellRegion{"b", 3, 6}});
   const LifetimeModel model;
-  const auto report = make_lifetime_report(tracker, model);
+  const EnvironmentSegmentView segment{&tracker, {}};
+  const auto report = make_lifetime_report({&segment, 1}, model);
   ASSERT_EQ(report.regions.size(), 2u);
   EXPECT_EQ(report.regions[0].name, "a");
   EXPECT_EQ(report.regions[0].cell_lifetime.count(), 3u);

@@ -241,11 +241,12 @@ TEST(Executor, ReportEvaluatorFoldIsInvariantAcrossExecutorSizes) {
   const auto fold_hash = [] {
     aging::ReportEvaluator evaluator(4);  // fixed budget — NOT the variable
     std::uint64_t hash = 0xcbf29ce484222325ULL;
-    evaluator.run<std::uint64_t>(
+    evaluator.run_blocks<std::uint64_t>(
         1000,
         [] {
-          return [](std::size_t cell) {
-            return static_cast<std::uint64_t>(cell) * 2654435761u;
+          return [](std::size_t begin, std::size_t end, std::uint64_t* out) {
+            for (std::size_t cell = begin; cell < end; ++cell)
+              out[cell - begin] = static_cast<std::uint64_t>(cell) * 2654435761u;
           };
         },
         [&hash](std::size_t cell, std::uint64_t value) {
@@ -263,8 +264,6 @@ TEST(Executor, ReportEvaluatorFoldIsInvariantAcrossExecutorSizes) {
   EXPECT_EQ(serial, two);
   EXPECT_EQ(serial, hardware);
 }
-
-// ---- ThreadPool shim ---------------------------------------------------------
 
 TEST(Executor, SessionExecutorIsSharedAndSized) {
   Executor::configure_session(3);

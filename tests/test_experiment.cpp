@@ -159,27 +159,24 @@ TEST(Experiment, HardwareKindNames) {
 
 TEST(Experiment, PluggableAgingModels) {
   // The paper states its technique is orthogonal to the device model:
-  // any AgingModel can be evaluated against the same duty-cycle data.
+  // every registered model can be evaluated against the same duty-cycle
+  // data.
   auto config = small_baseline(quant::WeightFormat::kInt8Symmetric);
   config.inferences = 20;
   const Workbench bench(config);
-  const aging::CalibratedSnmModel nbti;
-  const aging::DualBtiSnmModel dual;
-  const aging::NbtiSnmAdapter adapter{aging::NbtiModel{}};
-  for (const aging::AgingModel* model :
-       {static_cast<const aging::AgingModel*>(&nbti),
-        static_cast<const aging::AgingModel*>(&dual),
-        static_cast<const aging::AgingModel*>(&adapter)}) {
+  for (const std::string& name : aging::AgingModelRegistry::instance().names()) {
+    const auto model = aging::make_aging_model(name);
     StreamRunOptions options;
     options.inferences = 20;
-    const auto none = run_policy_on_stream(bench.stream(), PolicyConfig::none(),
-                                           *model, config.report, options);
+    const auto none =
+        run_policy_on_stream(bench.stream(), PolicyConfig::none(), *model,
+                             config.environment, config.report, options);
     const auto dnn =
         run_policy_on_stream(bench.stream(), PolicyConfig::dnn_life(0.5),
-                             *model, config.report, options);
+                             *model, config.environment, config.report, options);
     // Duty balancing helps under every device model.
-    EXPECT_LE(dnn.snm_stats.mean(), none.snm_stats.mean() + 1e-9);
-    EXPECT_LT(dnn.snm_stats.max(), none.snm_stats.max() + 1e-9);
+    EXPECT_LE(dnn.snm_stats.mean(), none.snm_stats.mean() + 1e-9) << name;
+    EXPECT_LT(dnn.snm_stats.max(), none.snm_stats.max() + 1e-9) << name;
   }
 }
 

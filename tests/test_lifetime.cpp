@@ -5,18 +5,17 @@
 #include <cmath>
 
 #include "aging/lifetime.hpp"
-#include "aging/snm_model.hpp"
 
 namespace dnnlife::aging {
 namespace {
 
 TEST(LifetimeModel, ThresholdCrossingsMatchSnmModel) {
   const LifetimeModel model;
-  const CalibratedSnmModel snm;
+  const CalibratedNbtiDeviceModel snm;
   for (double duty : {0.5, 0.6, 0.8, 1.0}) {
     const double years = model.years_to_failure(duty);
     // At the failure time, the SNM degradation equals the threshold.
-    EXPECT_NEAR(snm.snm_degradation(duty, years),
+    EXPECT_NEAR(snm.degradation(duty, years, {}),
                 model.params().snm_failure_threshold, 1e-9)
         << "duty " << duty;
   }
@@ -63,7 +62,8 @@ TEST(LifetimeReport, DeviceDiesWithFirstCell) {
   tracker.add_ones_time(1, 9);  // duty 0.9
   // cell 2 unused.
   const LifetimeModel model;
-  const auto report = make_lifetime_report(tracker, model);
+  const EnvironmentSegmentView segment{&tracker, {}};
+  const auto report = make_lifetime_report({&segment, 1}, model);
   EXPECT_NEAR(report.device_lifetime_years, model.years_to_failure(0.9), 1e-9);
   EXPECT_EQ(report.cell_lifetime.count(), 2u);
   EXPECT_GT(report.improvement_over_worst_case, 1.0);
@@ -77,41 +77,43 @@ TEST(LifetimeReport, AllBalancedReachesIdeal) {
     tracker.add_ones_time(cell, 4);
   }
   const LifetimeModel model;
-  const auto report = make_lifetime_report(tracker, model);
+  const EnvironmentSegmentView segment{&tracker, {}};
+  const auto report = make_lifetime_report({&segment, 1}, model);
   EXPECT_NEAR(report.fraction_of_ideal, 1.0, 1e-12);
 }
 
 TEST(LifetimeReport, RejectsEmptyTracker) {
   DutyCycleTracker tracker(2);
-  EXPECT_THROW(make_lifetime_report(tracker, LifetimeModel{}),
+  const EnvironmentSegmentView segment{&tracker, {}};
+  EXPECT_THROW(make_lifetime_report({&segment, 1}, LifetimeModel{}),
                std::invalid_argument);
 }
 
 // ---- dual BTI ---------------------------------------------------------------
 
 TEST(DualBti, SymmetricAroundHalf) {
-  const DualBtiSnmModel model;
+  const DualBtiDeviceModel model;
   for (double d : {0.0, 0.2, 0.35}) {
-    EXPECT_NEAR(model.snm_degradation(d, 7.0),
-                model.snm_degradation(1.0 - d, 7.0), 1e-12);
+    EXPECT_NEAR(model.degradation(d, 7.0, {}),
+                model.degradation(1.0 - d, 7.0, {}), 1e-12);
   }
 }
 
 TEST(DualBti, MinimumAtBalancedDuty) {
-  const DualBtiSnmModel model;
-  const double at_half = model.snm_degradation(0.5, 7.0);
+  const DualBtiDeviceModel model;
+  const double at_half = model.degradation(0.5, 7.0, {});
   for (int step = 0; step <= 20; ++step)
-    EXPECT_GE(model.snm_degradation(0.05 * step, 7.0), at_half - 1e-12);
+    EXPECT_GE(model.degradation(0.05 * step, 7.0, {}), at_half - 1e-12);
 }
 
 TEST(DualBti, ZeroPbtiReducesToNbti) {
-  DualBtiSnmModel::Params params;
+  DualBtiDeviceModel::Params params;
   params.pbti_ratio = 0.0;
-  const DualBtiSnmModel dual(params);
-  const CalibratedSnmModel nbti;
+  const DualBtiDeviceModel dual(params);
+  const CalibratedNbtiDeviceModel nbti;
   for (int step = 0; step <= 10; ++step) {
     const double d = 0.1 * step;
-    EXPECT_NEAR(dual.snm_degradation(d, 7.0), nbti.snm_degradation(d, 7.0),
+    EXPECT_NEAR(dual.degradation(d, 7.0, {}), nbti.degradation(d, 7.0, {}),
                 1e-9);
   }
 }
@@ -119,28 +121,28 @@ TEST(DualBti, ZeroPbtiReducesToNbti) {
 TEST(DualBti, PbtiFlattensDutyContrast) {
   // PBTI stresses the complementary transistor, so adding it narrows the
   // gap between worst-case and balanced aging.
-  DualBtiSnmModel::Params with_pbti;
+  DualBtiDeviceModel::Params with_pbti;
   with_pbti.pbti_ratio = 0.5;
-  const DualBtiSnmModel dual(with_pbti);
-  const CalibratedSnmModel nbti_only;
+  const DualBtiDeviceModel dual(with_pbti);
+  const CalibratedNbtiDeviceModel nbti_only;
   const double contrast_dual =
-      dual.snm_degradation(1.0, 7.0) / dual.snm_degradation(0.5, 7.0);
+      dual.degradation(1.0, 7.0, {}) / dual.degradation(0.5, 7.0, {});
   const double contrast_nbti =
-      nbti_only.snm_degradation(1.0, 7.0) / nbti_only.snm_degradation(0.5, 7.0);
+      nbti_only.degradation(1.0, 7.0, {}) / nbti_only.degradation(0.5, 7.0, {});
   EXPECT_LT(contrast_dual, contrast_nbti);
   EXPECT_GT(contrast_dual, 1.0);  // duty still matters
 }
 
 TEST(DualBti, FullStressAnchorPreserved) {
   // At duty 1 the stressed inverter sees NBTI only, so the anchor holds.
-  const DualBtiSnmModel model;
-  EXPECT_NEAR(model.snm_degradation(1.0, 7.0), 26.12, 1e-9);
+  const DualBtiDeviceModel model;
+  EXPECT_NEAR(model.degradation(1.0, 7.0, {}), 26.12, 1e-9);
 }
 
 TEST(DualBti, RejectsBadRatio) {
-  DualBtiSnmModel::Params params;
+  DualBtiDeviceModel::Params params;
   params.pbti_ratio = 1.5;
-  EXPECT_THROW(DualBtiSnmModel{params}, std::invalid_argument);
+  EXPECT_THROW(DualBtiDeviceModel{params}, std::invalid_argument);
 }
 
 }  // namespace

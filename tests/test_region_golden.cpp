@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "aging/snm_histogram.hpp"
-#include "aging/snm_model.hpp"
+#include "aging/device_model.hpp"
 #include "core/fast_simulator.hpp"
 #include "core/reference_simulator.hpp"
 #include "core/region_policy.hpp"
@@ -259,8 +259,9 @@ TEST(RegionPolicy, ReportBreaksOutPerRegion) {
   ASSERT_EQ(tracker.regions().size(), 2u);
   EXPECT_EQ(tracker.regions()[0].name, "hot");
   EXPECT_EQ(tracker.regions()[1].name, "cold");
-  const aging::CalibratedSnmModel model;
-  const auto report = make_aging_report(tracker, model);
+  const aging::CalibratedNbtiDeviceModel model;
+  const aging::EnvironmentSegmentView segment{&tracker, {}};
+  const auto report = make_aging_report({&segment, 1}, model);
   ASSERT_EQ(report.regions.size(), 2u);
   EXPECT_EQ(report.regions[0].total_cells, 3u * 96);
   EXPECT_EQ(report.regions[1].total_cells, 3u * 96);

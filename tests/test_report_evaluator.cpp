@@ -2,7 +2,7 @@
 // lifetime inversion.
 //
 //  * Hash-pinned golden reports for all four built-in aging models at 1, 2
-//    and 8 threads, legacy and environment-timeline overloads: parallel
+//    and 8 threads, single-segment and timeline paths: parallel
 //    evaluation must be bit-identical to the serial loop, and the serial
 //    loop bit-identical to the pre-refactor monolithic one (hashes marked
 //    "pre-refactor" below were captured from the per-cell-loop build).
@@ -133,13 +133,18 @@ class ReportEvaluatorGolden : public ::testing::Test {
         core::simulate_fast(stream, core::PolicyConfig::dnn_life(0.5), {16, 1}));
     hot_ = std::make_unique<DutyCycleTracker>(
         core::simulate_fast(stream, core::PolicyConfig::none(), {16, 1}));
-    segments_.push_back(EnvironmentSegment{*cool_, kNominal});
-    segments_.push_back(EnvironmentSegment{*hot_, hot(85.0)});
+    segments_.push_back(EnvironmentSegmentView{cool_.get(), kNominal});
+    segments_.push_back(EnvironmentSegmentView{hot_.get(), hot(85.0)});
+  }
+
+  /// The cool tracker alone: the single-segment (batched) path.
+  std::span<const EnvironmentSegmentView> cool() const {
+    return {segments_.data(), 1};
   }
 
   std::unique_ptr<DutyCycleTracker> cool_;
   std::unique_ptr<DutyCycleTracker> hot_;
-  std::vector<EnvironmentSegment> segments_;
+  std::vector<EnvironmentSegmentView> segments_;
 };
 
 TEST_F(ReportEvaluatorGolden, AllModelsAllThreadCountsBitIdentical) {
@@ -151,11 +156,11 @@ TEST_F(ReportEvaluatorGolden, AllModelsAllThreadCountsBitIdentical) {
       AgingReportOptions options;
       options.threads = threads;
       EXPECT_EQ(fnv1a_doubles(report_fields(
-                    make_aging_report(*cool_, *model, options))),
+                    make_aging_report(cool(), *model, options))),
                 pins.legacy_aging)
           << pins.model << " legacy aging, " << threads << " threads";
       EXPECT_EQ(fnv1a_doubles(lifetime_fields(
-                    make_lifetime_report(*cool_, lifetime, threads))),
+                    make_lifetime_report(cool(), lifetime, threads))),
                 pins.legacy_lifetime)
           << pins.model << " legacy lifetime, " << threads << " threads";
       EXPECT_EQ(fnv1a_doubles(report_fields(
@@ -178,7 +183,7 @@ TEST_F(ReportEvaluatorGolden, HardwareThreadCountAlsoBitIdentical) {
   AgingReportOptions options;
   options.threads = 0;
   EXPECT_EQ(fnv1a_doubles(report_fields(
-                make_aging_report(*cool_, *model, options))),
+                make_aging_report(cool(), *model, options))),
             kPins[0].legacy_aging);
   const LifetimeModel lifetime(model);
   EXPECT_EQ(fnv1a_doubles(lifetime_fields(
@@ -194,20 +199,19 @@ TEST_F(ReportEvaluatorGolden, RegionBreakdownIdenticalAcrossThreadCounts) {
                                            CellRegion{"c", 384, 576}};
   cool_->set_regions(regions);
   hot_->set_regions(regions);
-  std::vector<EnvironmentSegment> segments;
-  segments.push_back(EnvironmentSegment{*cool_, kNominal});
-  segments.push_back(EnvironmentSegment{*hot_, hot(85.0)});
   const std::shared_ptr<const DeviceAgingModel> model =
       make_aging_model("arrhenius-nbti");
   const LifetimeModel lifetime(model);
 
   AgingReportOptions serial_options;
-  const AgingReport serial = make_aging_report(segments, *model, serial_options);
-  const LifetimeReport serial_life = make_lifetime_report(segments, lifetime, 1);
+  const AgingReport serial =
+      make_aging_report(segments_, *model, serial_options);
+  const LifetimeReport serial_life =
+      make_lifetime_report(segments_, lifetime, 1);
   for (const unsigned threads : {2u, 8u}) {
     AgingReportOptions options;
     options.threads = threads;
-    const AgingReport parallel = make_aging_report(segments, *model, options);
+    const AgingReport parallel = make_aging_report(segments_, *model, options);
     ASSERT_EQ(parallel.regions.size(), serial.regions.size());
     for (std::size_t r = 0; r < serial.regions.size(); ++r) {
       EXPECT_EQ(parallel.regions[r].snm_stats.mean(),
@@ -220,7 +224,7 @@ TEST_F(ReportEvaluatorGolden, RegionBreakdownIdenticalAcrossThreadCounts) {
                 serial.regions[r].fraction_optimal);
     }
     const LifetimeReport parallel_life =
-        make_lifetime_report(segments, lifetime, threads);
+        make_lifetime_report(segments_, lifetime, threads);
     ASSERT_EQ(parallel_life.regions.size(), serial_life.regions.size());
     for (std::size_t r = 0; r < serial_life.regions.size(); ++r) {
       EXPECT_EQ(parallel_life.regions[r].device_lifetime_years,
@@ -259,8 +263,14 @@ TEST(ReportEvaluator, FoldsEveryCellInOrderForAnyShardCount) {
   for (const unsigned threads : {1u, 2u, 3u, 8u, 64u}) {
     const std::size_t cells = 37;  // not divisible by any shard count above
     std::vector<std::size_t> order;
-    ReportEvaluator(threads).run<std::size_t>(
-        cells, [&] { return [](std::size_t cell) { return cell * cell; }; },
+    ReportEvaluator(threads).run_blocks<std::size_t>(
+        cells,
+        [&] {
+          return [](std::size_t begin, std::size_t end, std::size_t* out) {
+            for (std::size_t cell = begin; cell < end; ++cell)
+              out[cell - begin] = cell * cell;
+          };
+        },
         [&](std::size_t cell, std::size_t value) {
           EXPECT_EQ(value, cell * cell);
           order.push_back(cell);
@@ -373,10 +383,6 @@ TEST(BatchedEvaluation, MatchesPerCellBitIdenticallyForAllModels) {
         ASSERT_EQ(batched[i], model->degradation(duties[i], 7.0, env))
             << pins.model << " forward, duty " << duties[i];
     }
-    model->snm_degradation_batch(duties, 7.0, batched);
-    for (std::size_t i = 0; i < duties.size(); ++i)
-      ASSERT_EQ(batched[i], model->snm_degradation(duties[i], 7.0))
-          << pins.model << " legacy hook, duty " << duties[i];
   }
 }
 

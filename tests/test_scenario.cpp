@@ -216,8 +216,9 @@ TEST(ScenarioRun, UniformScenarioMatchesDirectWorkload) {
   const auto tracker = simulate_workload(
       phases, RegionPolicyTable::uniform(bench.stream().geometry(),
                                          PolicyConfig::inversion()));
-  const aging::CalibratedSnmModel model;
-  const auto direct = make_aging_report(tracker, model);
+  const aging::CalibratedNbtiDeviceModel model;
+  const aging::EnvironmentSegmentView segment{&tracker, {}};
+  const auto direct = make_aging_report({&segment, 1}, model);
   EXPECT_EQ(result.report.total_cells, direct.total_cells);
   EXPECT_EQ(result.report.unused_cells, direct.unused_cells);
   EXPECT_DOUBLE_EQ(result.report.duty_stats.mean(), direct.duty_stats.mean());
@@ -343,14 +344,15 @@ TEST(ScenarioRun, DefaultModelNominalEnvironmentsMatchLegacyNumbers) {
   const auto tracker = simulate_workload(
       phases, RegionPolicyTable::uniform(bench.stream().geometry(),
                                          PolicyConfig{}));
-  const aging::CalibratedSnmModel model;
-  const auto direct = make_aging_report(tracker, model);
+  const aging::CalibratedNbtiDeviceModel model;
+  const aging::EnvironmentSegmentView segment{&tracker, {}};
+  const auto direct = make_aging_report({&segment, 1}, model);
   EXPECT_EQ(result.report.snm_stats.mean(), direct.snm_stats.mean());
   EXPECT_EQ(result.report.snm_stats.max(), direct.snm_stats.max());
   EXPECT_EQ(result.report.fraction_optimal, direct.fraction_optimal);
   ASSERT_TRUE(result.lifetime.has_value());
   const auto direct_lifetime =
-      make_lifetime_report(tracker, aging::LifetimeModel{});
+      make_lifetime_report({&segment, 1}, aging::LifetimeModel{});
   EXPECT_EQ(result.lifetime->device_lifetime_years,
             direct_lifetime.device_lifetime_years);
   EXPECT_EQ(result.lifetime->cell_lifetime.mean(),

@@ -57,6 +57,19 @@ class ScenarioSuiteFixture : public ::testing::Test {
   fs::path dir_;
 };
 
+TEST_F(ScenarioSuiteFixture, ReadFailureIsNamedNotAParseError) {
+  // Reading a directory fails mid-read (EISDIR): the error must name the
+  // read failure, not pass an empty prefix on to the JSON parser.
+  try {
+    (void)ScenarioSuite::from_files({dir_.string()});
+    FAIL() << "a directory loaded as a scenario file";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("stream failed mid-read"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST_F(ScenarioSuiteFixture, FromDirectoryGlobsSortedJsonFiles) {
   write("b_second.json", small_scenario("second"));
   write("a_first.json", small_scenario("first"));
@@ -151,9 +164,12 @@ TEST_F(ScenarioSuiteFixture, CsvAndJsonAggregation) {
         small_scenario("two", "\"lifetime\": {\"snm_failure_threshold\": 0.5}"));
   const ScenarioSuite suite = ScenarioSuite::from_directory(dir_.string());
   const auto outcomes = suite.run({});
+  const std::vector<SuiteRecord> records = make_suite_records(outcomes);
+  SuiteSummaryInfo info;
+  info.total_scenarios = outcomes.size();
 
   const std::string csv_path = (dir_ / "summary.csv").string();
-  write_suite_csv(csv_path, outcomes);
+  write_suite_csv(csv_path, records, info);
   std::ifstream csv(csv_path);
   ASSERT_TRUE(csv.is_open());
   std::string line;
@@ -164,7 +180,7 @@ TEST_F(ScenarioSuiteFixture, CsvAndJsonAggregation) {
   EXPECT_NE(lines[1].find("one,ok"), std::string::npos);
   EXPECT_NE(lines[2].find("two,error"), std::string::npos);
 
-  const std::string json = suite_summary_json(outcomes);
+  const std::string json = suite_summary_json(records, info);
   EXPECT_NE(json.find("\"scenarios\": ["), std::string::npos);
   EXPECT_NE(json.find("\"failures\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"error\""), std::string::npos);
@@ -191,11 +207,14 @@ TEST_F(ScenarioSuiteFixture, InfiniteLifetimeEmitsNullNotBareInf) {
   ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
   ASSERT_TRUE(outcomes[0].result->lifetime.has_value());
   EXPECT_TRUE(std::isinf(outcomes[0].result->lifetime->device_lifetime_years));
-  const std::string json = suite_summary_json(outcomes);
+  const std::vector<SuiteRecord> records = make_suite_records(outcomes);
+  SuiteSummaryInfo info;
+  info.total_scenarios = outcomes.size();
+  const std::string json = suite_summary_json(records, info);
   EXPECT_EQ(json.find("inf"), std::string::npos) << json;
   EXPECT_NE(json.find("\"device_lifetime_years\": null"), std::string::npos);
   const std::string csv_path = (dir_ / "gated.csv").string();
-  write_suite_csv(csv_path, outcomes);
+  write_suite_csv(csv_path, records, info);
   std::ifstream csv(csv_path);
   std::stringstream buffer;
   buffer << csv.rdbuf();

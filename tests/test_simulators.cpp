@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "aging/snm_histogram.hpp"
-#include "aging/snm_model.hpp"
+#include "aging/device_model.hpp"
 #include "core/fast_simulator.hpp"
 #include "core/reference_simulator.hpp"
 #include "dnn/model_zoo.hpp"
@@ -80,9 +80,11 @@ TEST_F(SmallStreamFixture, FastMatchesReferenceDnnLifeStatistically) {
   const auto reference =
       simulate_reference(stream, policy, {inferences, 1, false});
   const auto fast = simulate_fast(stream, policy, {inferences});
-  const aging::CalibratedSnmModel model;
-  const auto ref_report = make_aging_report(reference, model);
-  const auto fast_report = make_aging_report(fast, model);
+  const aging::CalibratedNbtiDeviceModel model;
+  const aging::EnvironmentSegmentView ref_segment{&reference, {}};
+  const aging::EnvironmentSegmentView fast_segment{&fast, {}};
+  const auto ref_report = make_aging_report({&ref_segment, 1}, model);
+  const auto fast_report = make_aging_report({&fast_segment, 1}, model);
   EXPECT_NEAR(ref_report.duty_stats.mean(), fast_report.duty_stats.mean(),
               0.01);
   EXPECT_NEAR(ref_report.snm_stats.mean(), fast_report.snm_stats.mean(), 0.25);

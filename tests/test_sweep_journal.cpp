@@ -209,6 +209,21 @@ TEST_F(SweepJournalFixture, ToleratesOnlyATruncatedFinalLine) {
   EXPECT_THROW(read_sweep_journal(path.string()), std::invalid_argument);
 }
 
+TEST_F(SweepJournalFixture, ReadFailureIsNamedNotATornTail) {
+  // Reading a directory fails mid-read (EISDIR). An rdbuf slurp would hand
+  // the parser an empty prefix; a read error must surface as one instead,
+  // since a prefix that parses passes for a torn tail and resume would
+  // compact the journal down to it.
+  try {
+    (void)read_sweep_journal(dir_.string());
+    FAIL() << "a directory read as a journal";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("stream failed mid-read"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST_F(SweepJournalFixture, RejectsForeignAndMalformedJournals) {
   EXPECT_THROW(parse_sweep_journal("", "t"), std::invalid_argument);
   EXPECT_THROW(parse_sweep_journal(R"({"scenarios": []})", "t"),

@@ -343,7 +343,10 @@ TEST(SweepMerge, RejectsSummariesWithoutAManifest) {
       " \"phases\": [{\"network\": \"custom_mnist\", \"inferences\": 2}]}";
   suite.add(SuiteEntry{"solo.json", parse_scenario(document), document});
   const std::vector<SuiteOutcome> outcomes = suite.run({});
-  const std::string legacy = suite_summary_json(outcomes);
+  SuiteSummaryInfo info;
+  info.total_scenarios = outcomes.size();
+  const std::string legacy =
+      suite_summary_json(make_suite_records(outcomes), info);
   std::vector<SuiteSummary> shards;
   shards.push_back(parse_suite_summary(legacy, "legacy"));
   try {

@@ -1,49 +1,16 @@
-// The thread pool, the deterministic shard partition, and the parallel
+// The deterministic shard partition, parallel_for_shards, and the parallel
 // experiment runner (Workbench::evaluate_all vs sequential evaluate).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "util/parallel.hpp"
+#include "util/executor.hpp"
 
 namespace dnnlife::util {
 namespace {
-
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i)
-    pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, IsReusableAfterWait) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 10; ++i)
-      pool.submit([&counter] { counter.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(counter.load(), (round + 1) * 10);
-  }
-}
-
-TEST(ThreadPool, WaitRethrowsFirstTaskException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  // The pool survives a failed batch.
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(counter.load(), 1);
-}
 
 TEST(ShardRange, PartitionsExactlyAndDeterministically) {
   for (const std::uint64_t n : {0ULL, 1ULL, 7ULL, 64ULL, 1000ULL}) {

@@ -4,7 +4,7 @@
 #include <array>
 
 #include "aging/snm_histogram.hpp"
-#include "aging/snm_model.hpp"
+#include "aging/device_model.hpp"
 #include "core/fast_simulator.hpp"
 #include "core/workload.hpp"
 #include "dnn/model_zoo.hpp"
@@ -75,9 +75,11 @@ TEST_F(WorkloadFixture, MixedWorkloadDilutesThePathology) {
       WorkloadPhase{&custom_stream_, 50}, WorkloadPhase{&alexnet_stream_, 50}};
   const auto alone = simulate_workload(custom_only, PolicyConfig::inversion());
   const auto combined = simulate_workload(mixed, PolicyConfig::inversion());
-  const aging::CalibratedSnmModel model;
-  const auto alone_report = make_aging_report(alone, model);
-  const auto mixed_report = make_aging_report(combined, model);
+  const aging::CalibratedNbtiDeviceModel model;
+  const aging::EnvironmentSegmentView alone_segment{&alone, {}};
+  const aging::EnvironmentSegmentView mixed_segment{&combined, {}};
+  const auto alone_report = make_aging_report({&alone_segment, 1}, model);
+  const auto mixed_report = make_aging_report({&mixed_segment, 1}, model);
   EXPECT_LT(mixed_report.snm_stats.mean(), alone_report.snm_stats.mean() - 3.0);
 }
 
@@ -86,8 +88,9 @@ TEST_F(WorkloadFixture, DnnLifeOptimalOnMixedWorkloads) {
       WorkloadPhase{&custom_stream_, 50}, WorkloadPhase{&alexnet_stream_, 50}};
   const auto tracker =
       simulate_workload(mixed, PolicyConfig::dnn_life(0.7, true, 4));
-  const aging::CalibratedSnmModel model;
-  const auto report = make_aging_report(tracker, model);
+  const aging::CalibratedNbtiDeviceModel model;
+  const aging::EnvironmentSegmentView segment{&tracker, {}};
+  const auto report = make_aging_report({&segment, 1}, model);
   EXPECT_LT(report.snm_stats.mean(), 11.5);
   EXPECT_GT(report.fraction_optimal, 0.95);
 }
@@ -127,8 +130,9 @@ TEST_F(WorkloadFixture, RegionTableAppliesAcrossPhases) {
   const auto tracker = simulate_workload(phases, table);
   ASSERT_EQ(tracker.regions().size(), 2u);
   EXPECT_EQ(tracker.regions()[0].name, "hot");
-  const aging::CalibratedSnmModel model;
-  const auto report = make_aging_report(tracker, model);
+  const aging::CalibratedNbtiDeviceModel model;
+  const aging::EnvironmentSegmentView segment{&tracker, {}};
+  const auto report = make_aging_report({&segment, 1}, model);
   ASSERT_EQ(report.regions.size(), 2u);
   EXPECT_EQ(report.regions[0].total_cells + report.regions[1].total_cells,
             report.total_cells);
