@@ -17,6 +17,8 @@
 #include "quant/bit_distribution.hpp"
 #include "quant/word_codec.hpp"
 #include "sim/accelerator.hpp"
+#include "sim/encoded_rows.hpp"
+#include "sim/tpu_npu.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -59,6 +61,30 @@ void BM_Int8Encode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Int8Encode);
+
+// One cold payload build: every GoogLeNet weight synthesised, quantised
+// and packed for the TPU-like NPU (array 128), under a thread budget.
+void BM_EncodeRowsGoogLeNet(benchmark::State& state) {
+  const dnn::Network net = dnn::make_googlenet();
+  const dnn::WeightStreamer streamer(net);
+  const quant::WeightWordCodec codec(streamer, quant::WeightFormat::kInt8Symmetric);
+  sim::TpuNpuConfig config;
+  config.array_dim = 128;
+  const auto threads = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) {
+    const auto rows =
+        sim::EncodedRows::build(codec, sim::npu_dataflow(config), threads);
+    benchmark::DoNotOptimize(rows->row(0).data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(net.total_weights()));
+}
+BENCHMARK(BM_EncodeRowsGoogLeNet)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_XorTransducerRow(benchmark::State& state) {
   const core::XorTransducer transducer(512);

@@ -1,5 +1,6 @@
 #include "core/scenario.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <map>
@@ -281,8 +282,7 @@ std::string simulation_fingerprint(const ScenarioSpec& spec) {
   fingerprint_field(text, "hardware", to_string(spec.hardware));
   switch (spec.hardware) {
     // Only the *active* hardware config is hashed — the dormant one is
-    // dead state. cache_encoded_rows is excluded from both: payload
-    // memoisation changes wall time, never the written bits.
+    // dead state.
     case HardwareKind::kBaseline:
       fingerprint_field(text, "hw.wmem", spec.baseline.weight_memory_bytes);
       fingerprint_field(text, "hw.amem",
@@ -361,51 +361,64 @@ std::string simulation_fingerprint(const ScenarioSpec& spec) {
 
 namespace {
 
+/// The dataflow of the spec's active hardware.
+sim::DataflowConfig scenario_dataflow(const ScenarioSpec& spec) {
+  return spec.hardware == HardwareKind::kBaseline
+             ? sim::baseline_dataflow(spec.baseline)
+             : sim::npu_dataflow(spec.npu);
+}
+
+std::string rows_key(const ScenarioSpec& spec, const std::string& network) {
+  return sim::EncodedRows::key_of(network, dnn::WeightGenConfig{}, spec.format,
+                                  scenario_dataflow(spec));
+}
+
 /// Simulate the spec's write stream end-to-end and commit the duty state:
-/// build the per-network pipelines (hardware config shared, so all phases
-/// target the same physical memory), resolve the region → policy table,
-/// run the phased simulation and strip the result down to what evaluation
-/// needs — geometry, region tags and the per-segment trackers. This is
-/// the expensive half of run_scenario and the unit the SimCache shares
-/// across points.
+/// build one stream per distinct network (hardware config shared, so all
+/// phases target the same physical memory), resolve the region → policy
+/// table, run the phased simulation and strip the result down to what
+/// evaluation needs — geometry, region tags and the per-segment trackers.
+/// This is the expensive half of run_scenario and the unit the SimCache
+/// shares across points; the row payloads under it come prebuilt from
+/// `options` when a scheduler shares them. The streams are the only
+/// owners this function adds, so payloads nobody else holds are freed
+/// before evaluation.
 std::shared_ptr<const SimulationState> simulate_scenario(
-    const ScenarioSpec& spec) {
-  // Build one (network, streamer, codec, stream) pipeline per distinct
-  // network; phases referencing the same network share it.
-  struct NetworkPipeline {
-    std::unique_ptr<dnn::Network> network;
-    std::unique_ptr<dnn::WeightStreamer> streamer;
-    std::unique_ptr<quant::WeightWordCodec> codec;
-    std::unique_ptr<sim::WriteStream> stream;
-  };
-  std::map<std::string, NetworkPipeline> pipelines;
+    const ScenarioSpec& spec, const RunScenarioOptions& options) {
+  std::map<std::string, std::unique_ptr<sim::WriteStream>> streams;
   unsigned weight_bits = 0;
   for (const ScenarioPhaseSpec& phase : spec.phases) {
-    if (pipelines.contains(phase.network)) continue;
-    NetworkPipeline pipeline;
-    pipeline.network =
-        std::make_unique<dnn::Network>(dnn::make_network(phase.network));
-    pipeline.streamer = std::make_unique<dnn::WeightStreamer>(*pipeline.network);
-    pipeline.codec = std::make_unique<quant::WeightWordCodec>(
-        *pipeline.streamer, spec.format);
+    if (streams.contains(phase.network)) continue;
+    std::shared_ptr<const sim::EncodedRows> rows;
+    if (options.lookup_encoded_rows)
+      rows = options.lookup_encoded_rows(rows_key(spec, phase.network));
+    if (!rows) {
+      const dnn::Network network = dnn::make_network(phase.network);
+      const dnn::WeightStreamer streamer(network);
+      const quant::WeightWordCodec codec(streamer, spec.format);
+      rows = sim::EncodedRows::build(codec, scenario_dataflow(spec),
+                                     spec.threads);
+      if (options.publish_encoded_rows) options.publish_encoded_rows(rows);
+    }
+    weight_bits = rows->bits();
+    std::unique_ptr<sim::WriteStream> stream;
     switch (spec.hardware) {
       case HardwareKind::kBaseline:
-        pipeline.stream = std::make_unique<sim::BaselineWeightStream>(
-            *pipeline.codec, spec.baseline);
+        stream = std::make_unique<sim::BaselineWeightStream>(std::move(rows),
+                                                             spec.baseline);
         break;
       case HardwareKind::kTpuNpu:
-        pipeline.stream = std::make_unique<sim::NpuWeightStream>(
-            *pipeline.codec, spec.npu);
+        stream = std::make_unique<sim::NpuWeightStream>(std::move(rows),
+                                                        spec.npu);
         break;
     }
-    weight_bits = pipeline.codec->bits();
-    pipelines.emplace(phase.network, std::move(pipeline));
+    streams.emplace(phase.network, std::move(stream));
   }
 
   const sim::MemoryGeometry geometry =
-      pipelines.at(spec.phases.front().network).stream->geometry();
-  for (const auto& [name, pipeline] : pipelines) {
-    const sim::MemoryGeometry other = pipeline.stream->geometry();
+      streams.at(spec.phases.front().network)->geometry();
+  for (const auto& [name, stream] : streams) {
+    const sim::MemoryGeometry other = stream->geometry();
     DNNLIFE_EXPECTS(other.rows == geometry.rows &&
                         other.row_bits == geometry.row_bits,
                     "scenario phases disagree on the memory geometry "
@@ -428,7 +441,7 @@ std::shared_ptr<const SimulationState> simulate_scenario(
   std::vector<WorkloadPhase> phases;
   phases.reserve(spec.phases.size());
   for (const ScenarioPhaseSpec& phase : spec.phases)
-    phases.push_back(WorkloadPhase{pipelines.at(phase.network).stream.get(),
+    phases.push_back(WorkloadPhase{streams.at(phase.network).get(),
                                    phase.inferences, phase.environment});
 
   WorkloadOptions options;
@@ -515,6 +528,16 @@ ScenarioResult evaluate_scenario(const ScenarioSpec& spec,
 
 }  // namespace
 
+std::vector<std::string> encoded_rows_keys(const ScenarioSpec& spec) {
+  std::vector<std::string> keys;
+  for (const ScenarioPhaseSpec& phase : spec.phases) {
+    std::string key = rows_key(spec, phase.network);
+    if (std::find(keys.begin(), keys.end(), key) == keys.end())
+      keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
 ScenarioResult run_scenario(const ScenarioSpec& spec) {
   return run_scenario(spec, RunScenarioOptions{});
 }
@@ -523,7 +546,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
                             const RunScenarioOptions& options) {
   DNNLIFE_EXPECTS(!spec.phases.empty(), "scenario needs at least one phase");
   if (!options.sim_cache && !options.sim_store)
-    return evaluate_scenario(spec, *simulate_scenario(spec));
+    return evaluate_scenario(spec, *simulate_scenario(spec, options));
   const std::string fingerprint = simulation_fingerprint(spec);
   SimCache::StatePtr state =
       options.sim_cache ? options.sim_cache->lookup(fingerprint) : nullptr;
@@ -537,7 +560,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
     // memory insert — the SweepScheduler releases parked same-fingerprint
     // siblings only after this call returns, so by then the entry is
     // durable and visible to sibling shards sharing the directory.
-    state = simulate_scenario(spec);
+    state = simulate_scenario(spec, options);
     if (options.sim_store) options.sim_store->publish(fingerprint, *state);
   }
   if (options.sim_cache) {

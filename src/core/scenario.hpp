@@ -9,6 +9,7 @@
 // Layering: scenario → workbench/workload → policy engine → simulators.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -19,6 +20,7 @@
 #include "aging/snm_histogram.hpp"
 #include "core/experiment.hpp"
 #include "core/region_policy.hpp"
+#include "sim/encoded_rows.hpp"
 
 namespace dnnlife::core {
 
@@ -128,7 +130,21 @@ struct RunScenarioOptions {
   /// directory reuse committed duty state across processes. Results stay
   /// byte-identical to the store-off path.
   std::shared_ptr<SimStore> sim_store;
+  /// Prebuilt row payloads: asked once per distinct phase network with its
+  /// sim::EncodedRows key (see encoded_rows_keys). Null — or no callback —
+  /// synthesises that network here under the spec's thread budget.
+  std::function<std::shared_ptr<const sim::EncodedRows>(const std::string&)>
+      lookup_encoded_rows;
+  /// Called with every payload artifact this run builds, as soon as it is
+  /// built and before the simulation that uses it. The SweepScheduler
+  /// uses it to release siblings waiting for the same key.
+  std::function<void(std::shared_ptr<const sim::EncodedRows>)>
+      publish_encoded_rows;
 };
+
+/// The sim::EncodedRows keys a simulation of `spec` needs: one per
+/// distinct phase network, in first-use order.
+std::vector<std::string> encoded_rows_keys(const ScenarioSpec& spec);
 
 /// Cache-aware run_scenario. With a null cache and store this is exactly
 /// the plain overload.

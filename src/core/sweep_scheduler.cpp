@@ -1,5 +1,6 @@
 #include "core/sweep_scheduler.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -14,6 +15,7 @@
 #include "core/sim_cache.hpp"
 #include "core/sim_store.hpp"
 #include "core/sweep_journal.hpp"
+#include "sim/encoded_rows.hpp"
 #include "util/executor.hpp"
 #include "util/table.hpp"
 
@@ -116,6 +118,12 @@ struct SweepScheduler::PointState {
   /// True while this point owns its fingerprint group: it simulates, and
   /// same-fingerprint submissions park behind it until it completes.
   bool leads = false;
+  /// Row-payload sharing (guarded by the scheduler mutex): the keys a
+  /// simulating point needs, the artifacts it holds until its simulation
+  /// takes them, and the keys it builds itself.
+  std::vector<std::string> row_keys;
+  std::vector<std::shared_ptr<const sim::EncodedRows>> rows;
+  std::vector<std::string> building;
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -206,6 +214,17 @@ struct SweepScheduler::Impl {
 
   void run_point(PointState& state);
 
+  // Row-payload sharing; every *_locked member runs under `mutex`.
+  void mark_simulating_locked(const std::shared_ptr<PointState>& state);
+  bool acquire_rows_locked(const std::shared_ptr<PointState>& state);
+  void release_rows_locked(const std::string& key);
+  std::shared_ptr<const sim::EncodedRows> lookup_rows(PointState& state,
+                                                      const std::string& key);
+  void publish_rows(PointState& state,
+                    std::shared_ptr<const sim::EncodedRows> rows);
+  void finish_rows_locked(PointState& state);
+  void top_up_locked();
+
   Options options;
   util::Executor* executor;
   unsigned jobs;
@@ -224,6 +243,17 @@ struct SweepScheduler::Impl {
   std::unordered_set<std::string> leaders;
   std::unordered_map<std::string, std::vector<std::shared_ptr<PointState>>>
       parked;
+  // Row-payload sharing, per sim::EncodedRows key: the artifact — weak,
+  // because only points yet to simulate and running streams own it, so it
+  // is freed before evaluation as in a private run — whether a claimant is
+  // building it, and the points parked on that build.
+  struct RowsEntry {
+    std::weak_ptr<const sim::EncodedRows> rows;
+    bool building = false;
+    std::vector<std::shared_ptr<PointState>> parked;
+  };
+  std::unordered_map<std::string, RowsEntry> rows_pool;
+  RowsStats rows_stats;
   unsigned in_flight = 0;
   std::size_t fresh_submitted = 0;
   std::size_t fresh_completed = 0;
@@ -247,6 +277,17 @@ void SweepScheduler::Impl::run_point(PointState& state) {
   RunScenarioOptions run_options;
   run_options.sim_cache = options.sim_cache;
   run_options.sim_store = options.sim_store;
+  if (!state.row_keys.empty()) {
+    // Inline attempts only (sharing is off under a soft deadline), so the
+    // callbacks never outlive this task.
+    run_options.lookup_encoded_rows = [this, &state](const std::string& key) {
+      return lookup_rows(state, key);
+    };
+    run_options.publish_encoded_rows =
+        [this, &state](std::shared_ptr<const sim::EncodedRows> rows) {
+          publish_rows(state, std::move(rows));
+        };
+  }
   AttemptOutcome last;
   unsigned attempt = 1;
   for (;; ++attempt) {
@@ -323,14 +364,16 @@ void SweepScheduler::Impl::run_point(PointState& state) {
         found->second.erase(found->second.begin());
         if (found->second.empty()) parked.erase(found);
         promoted->leads = true;
-        queue.push_front(std::move(promoted));
+        mark_simulating_locked(promoted);
+        if (acquire_rows_locked(promoted)) queue.push_front(std::move(promoted));
       }
     }
+    finish_rows_locked(state);
     // Admission chain: the next queued point is launched from inside this
     // still-counted task, so the group's pending count never drops to
-    // zero while queued work remains. The top-up loop re-fills the
-    // admission budget when a release just grew the queue while other
-    // slots sat idle.
+    // zero while queued work remains. The top-up re-fills the admission
+    // budget when a release just grew the queue while other slots sat
+    // idle.
     if (!queue.empty()) {
       std::shared_ptr<PointState> next = std::move(queue.front());
       queue.pop_front();
@@ -338,14 +381,116 @@ void SweepScheduler::Impl::run_point(PointState& state) {
     } else {
       --in_flight;
     }
-    while (in_flight < jobs && !queue.empty()) {
-      ++in_flight;
-      std::shared_ptr<PointState> next = std::move(queue.front());
-      queue.pop_front();
-      launch_locked(std::move(next));
-    }
+    top_up_locked();
   }
   if (journal_error) std::rethrow_exception(journal_error);
+}
+
+void SweepScheduler::Impl::top_up_locked() {
+  while (in_flight < jobs && !queue.empty()) {
+    ++in_flight;
+    std::shared_ptr<PointState> next = std::move(queue.front());
+    queue.pop_front();
+    launch_locked(std::move(next));
+  }
+}
+
+/// Mark `state` as a point that will simulate: it needs the row payloads
+/// of every phase network. Soft-deadline attempts run on a detached
+/// thread that may outlive the scheduler, so they build privately.
+void SweepScheduler::Impl::mark_simulating_locked(
+    const std::shared_ptr<PointState>& state) {
+  if (options.soft_deadline_seconds <= 0.0)
+    state->row_keys = encoded_rows_keys(state->entry.spec);
+}
+
+/// Take every built key of a simulating point and claim the others, or —
+/// when any key is being built by another point — park on it holding
+/// nothing, to be re-acquired once that build publishes or fails.
+/// All-or-nothing, so a claimant never waits on anyone: no thread ever
+/// blocks on a build, and claims cannot form a cycle.
+bool SweepScheduler::Impl::acquire_rows_locked(
+    const std::shared_ptr<PointState>& state) {
+  for (const std::string& key : state->row_keys) {
+    const auto found = rows_pool.find(key);
+    if (found != rows_pool.end() && found->second.building) {
+      found->second.parked.push_back(state);
+      ++rows_stats.parks;
+      return false;
+    }
+  }
+  for (const std::string& key : state->row_keys) {
+    RowsEntry& entry = rows_pool[key];
+    if (auto rows = entry.rows.lock()) {
+      state->rows.push_back(std::move(rows));
+    } else {
+      entry.building = true;
+      state->building.push_back(key);
+    }
+  }
+  return true;
+}
+
+/// Re-acquire the points parked on `key` in submission order; the ready
+/// ones go to the queue front, ahead of later submissions.
+void SweepScheduler::Impl::release_rows_locked(const std::string& key) {
+  std::vector<std::shared_ptr<PointState>> waiting =
+      std::exchange(rows_pool.at(key).parked, {});
+  std::vector<std::shared_ptr<PointState>> ready;
+  for (std::shared_ptr<PointState>& point : waiting)
+    if (acquire_rows_locked(point)) ready.push_back(std::move(point));
+  for (auto point = ready.rbegin(); point != ready.rend(); ++point)
+    queue.push_front(std::move(*point));
+}
+
+/// The artifact for `key`: the point's own hold (handed over to its
+/// stream), else a live pool entry (a retry), else null — build it.
+std::shared_ptr<const sim::EncodedRows> SweepScheduler::Impl::lookup_rows(
+    PointState& state, const std::string& key) {
+  const std::lock_guard<std::recursive_mutex> lock(mutex);
+  const auto held =
+      std::find_if(state.rows.begin(), state.rows.end(),
+                   [&](const auto& rows) { return rows->key() == key; });
+  if (held != state.rows.end()) {
+    std::shared_ptr<const sim::EncodedRows> rows = std::move(*held);
+    state.rows.erase(held);
+    return rows;
+  }
+  const auto found = rows_pool.find(key);
+  return found == rows_pool.end() ? nullptr : found->second.rows.lock();
+}
+
+void SweepScheduler::Impl::publish_rows(
+    PointState& state, std::shared_ptr<const sim::EncodedRows> rows) {
+  const std::lock_guard<std::recursive_mutex> lock(mutex);
+  const auto claimed =
+      std::find(state.building.begin(), state.building.end(), rows->key());
+  if (claimed == state.building.end()) return;  // a private build
+  state.building.erase(claimed);
+  RowsEntry& entry = rows_pool.at(rows->key());
+  entry.rows = rows;
+  entry.building = false;
+  ++rows_stats.builds;
+  // Released siblings launch from inside this still-counted task.
+  release_rows_locked(rows->key());
+  top_up_locked();
+}
+
+/// A point finished: hand its unbuilt claims to parked siblings (one of
+/// them claims the key, exactly as a failed fingerprint leader promotes a
+/// sibling), drop the holds its simulation never took, and forget keys
+/// whose artifact is gone and that nobody builds or waits for.
+void SweepScheduler::Impl::finish_rows_locked(PointState& state) {
+  for (const std::string& key : state.building) {
+    rows_pool.at(key).building = false;
+    release_rows_locked(key);
+  }
+  state.building.clear();
+  state.rows.clear();
+  std::erase_if(rows_pool, [](const auto& entry) {
+    return !entry.second.building && entry.second.parked.empty() &&
+           entry.second.rows.expired();
+  });
 }
 
 SweepScheduler::SweepScheduler(Options options)
@@ -399,8 +544,12 @@ SweepScheduler::Handle SweepScheduler::submit_locked(SuiteEntry entry,
     if (!committed) {
       impl_->leaders.insert(state->fingerprint);
       state->leads = true;
+      impl_->mark_simulating_locked(state);
     }
+  } else {
+    impl_->mark_simulating_locked(state);
   }
+  if (!impl_->acquire_rows_locked(state)) return Handle(std::move(state));
   if (impl_->in_flight < impl_->jobs) {
     ++impl_->in_flight;
     impl_->launch_locked(state);
@@ -434,6 +583,13 @@ std::size_t SweepScheduler::submitted() const {
 std::size_t SweepScheduler::completed() const {
   const std::lock_guard<std::recursive_mutex> lock(impl_->mutex);
   return impl_->fresh_completed;
+}
+
+SweepScheduler::RowsStats SweepScheduler::rows_stats() const {
+  const std::lock_guard<std::recursive_mutex> lock(impl_->mutex);
+  RowsStats stats = impl_->rows_stats;
+  stats.held = impl_->rows_pool.size();
+  return stats;
 }
 
 }  // namespace dnnlife::core

@@ -19,6 +19,19 @@
 // completion *help* the executor (run pending tasks) instead of sleeping,
 // so polling a handle from a worker cannot deadlock the pool.
 //
+// Row-payload sharing: every point that simulates needs the packed row
+// payloads (sim::EncodedRows) of its phase networks, and points of one
+// sweep often share them — a policy or region grid over one network,
+// format and hardware dataflow. The first such point claims the key and
+// builds it; later ones park off the queue (not counted against `jobs`)
+// and are released the moment the builder publishes the artifact, before
+// its own simulation runs. If the builder fails first, a parked sibling
+// claims the key instead. No thread ever blocks on a build. An artifact is
+// owned only by points yet to simulate against it and by running
+// simulations, so it is freed before evaluation as in a private run.
+// Points that never simulate (cache or store hits) never wait on a key,
+// and soft-deadline sweeps build privately per point.
+//
 // Journal integration matches the suite runner: fresh outcomes are
 // appended (flushed) before they are announced, and submitting an index
 // the journal already holds yields an immediately-done "replayed" Handle
@@ -89,6 +102,13 @@ class SweepScheduler {
 
   struct PointState;
 
+  /// Row-payload sharing counters.
+  struct RowsStats {
+    std::size_t builds = 0;  ///< artifacts built and published by points
+    std::size_t parks = 0;   ///< times a point parked on an in-flight build
+    std::size_t held = 0;    ///< keys alive, being built or waited for
+  };
+
   /// Future-like view of one submitted point. Copyable (shared state);
   /// outcome()/record() block until the point finished, running pending
   /// executor work while they wait.
@@ -158,6 +178,8 @@ class SweepScheduler {
   /// Fresh (non-replayed) points submitted / finished so far.
   std::size_t submitted() const;
   std::size_t completed() const;
+
+  RowsStats rows_stats() const;
 
  private:
   struct Impl;

@@ -1,10 +1,25 @@
 #include "dnn/weight_gen.hpp"
 
+#include <algorithm>
 #include <cmath>
 
-#include "util/statistics.hpp"
-
 namespace dnnlife::dnn {
+
+void WeightRange::fold(std::span<const float> values) noexcept {
+  for (const float value : values) {
+    min = std::min(min, static_cast<double>(value));
+    max = std::max(max, static_cast<double>(value));
+  }
+}
+
+void WeightRange::merge(const WeightRange& other) noexcept {
+  min = std::min(min, other.min);
+  max = std::max(max, other.max);
+}
+
+double WeightRange::abs_max() const noexcept {
+  return std::max(std::abs(min), std::abs(max));
+}
 
 WeightStreamer::WeightStreamer(const Network& network, WeightGenConfig config)
     : network_(&network), config_(config) {
@@ -14,7 +29,6 @@ WeightStreamer::WeightStreamer(const Network& network, WeightGenConfig config)
   const auto& weighted = network.weighted_layers();
   layer_rngs_.reserve(weighted.size());
   sigmas_.reserve(weighted.size());
-  stats_cache_.resize(weighted.size());
   for (std::size_t w = 0; w < weighted.size(); ++w) {
     layer_rngs_.emplace_back(util::derive_seed(config_.seed, w + 1));
     const auto& layer = network.layers()[weighted[w]];
@@ -47,23 +61,45 @@ float WeightStreamer::weight(std::uint64_t g) const {
   return static_cast<float>(value);
 }
 
-const LayerWeightStats& WeightStreamer::layer_stats(std::size_t w) const {
-  DNNLIFE_EXPECTS(w < stats_cache_.size(), "weighted-layer index out of range");
-  if (!stats_cache_[w]) {
-    const std::uint64_t begin = network_->weight_offset(w);
-    const std::uint64_t end =
-        begin + network_->layers()[network_->weighted_layers()[w]].weight_count();
-    util::RunningStats acc;
-    for (std::uint64_t g = begin; g < end; ++g) acc.add(weight(g));
-    auto stats = std::make_unique<LayerWeightStats>();
-    stats->min = acc.min();
-    stats->max = acc.max();
-    stats->abs_max = std::max(std::abs(acc.min()), std::abs(acc.max()));
-    stats->mean = acc.mean();
-    stats->stddev = acc.stddev();
-    stats_cache_[w] = std::move(stats);
+void WeightStreamer::fill(std::size_t w, std::uint64_t local_begin,
+                          std::span<float> out) const {
+  DNNLIFE_EXPECTS(w < sigmas_.size(), "weighted-layer index out of range");
+  DNNLIFE_EXPECTS(local_begin + out.size() <= layer_weight_count(w),
+                  "fill range past the end of the layer");
+  // weight()'s arithmetic with the per-layer constants hoisted: every
+  // factor is computed by the same expression, so the bits agree.
+  const util::CounterRng& rng = layer_rngs_[w];
+  const double sigma = sigmas_[w];
+  const double gamma = config_.tail_asymmetry;
+  const double positive = (1.0 + gamma) / std::sqrt(1.0 + gamma * gamma);
+  const double negative = (1.0 - gamma) / std::sqrt(1.0 + gamma * gamma);
+  const double laplace_scale = sigma / std::sqrt(2.0);
+  const bool gaussian = config_.distribution == WeightDistribution::kGaussian;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    double value = gaussian ? sigma * rng.gaussian_at(local_begin + i)
+                            : rng.laplace_at(local_begin + i, laplace_scale);
+    if (gamma != 0.0) value *= value > 0.0 ? positive : negative;
+    out[i] = static_cast<float>(value);
   }
-  return *stats_cache_[w];
+}
+
+std::uint64_t WeightStreamer::layer_weight_count(std::size_t w) const {
+  DNNLIFE_EXPECTS(w < sigmas_.size(), "weighted-layer index out of range");
+  return network_->layers()[network_->weighted_layers()[w]].weight_count();
+}
+
+WeightRange WeightStreamer::layer_range(std::size_t w) const {
+  constexpr std::uint64_t kChunk = 4096;
+  std::vector<float> chunk(kChunk);
+  const std::uint64_t count = layer_weight_count(w);
+  WeightRange range;
+  for (std::uint64_t begin = 0; begin < count; begin += kChunk) {
+    const std::span<float> values(chunk.data(),
+                                  std::min(kChunk, count - begin));
+    fill(w, begin, values);
+    range.fold(values);
+  }
+  return range;
 }
 
 double WeightStreamer::layer_sigma(std::size_t w) const {

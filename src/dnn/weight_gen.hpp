@@ -14,7 +14,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "dnn/network.hpp"
@@ -39,13 +40,15 @@ struct WeightGenConfig {
   double tail_asymmetry = 0.4;
 };
 
-/// Cached per-layer range statistics (computed by one streaming pass).
-struct LayerWeightStats {
-  double min = 0.0;
-  double max = 0.0;
-  double abs_max = 0.0;
-  double mean = 0.0;
-  double stddev = 0.0;
+/// Running [min, max] of a weight sequence. Min and max are exact and
+/// order-free, so chunks may be folded in any order and merged.
+struct WeightRange {
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+
+  void fold(std::span<const float> values) noexcept;
+  void merge(const WeightRange& other) noexcept;
+  double abs_max() const noexcept;
 };
 
 class WeightStreamer {
@@ -56,11 +59,21 @@ class WeightStreamer {
   const WeightGenConfig& config() const noexcept { return config_; }
 
   /// The value of the global weight index `g` (see Network for ordering).
+  /// The scalar reference: fill() must agree with it bit for bit.
   float weight(std::uint64_t g) const;
 
-  /// Range statistics of weighted layer `w` (index into
-  /// Network::weighted_layers()); computed on first use and cached.
-  const LayerWeightStats& layer_stats(std::size_t w) const;
+  /// Values of weighted layer `w` (index into Network::weighted_layers())
+  /// at local indices [local_begin, local_begin + out.size()): element i
+  /// equals weight(weight_offset(w) + local_begin + i), without the
+  /// per-weight layer lookup.
+  void fill(std::size_t w, std::uint64_t local_begin,
+            std::span<float> out) const;
+
+  /// Number of weights of weighted layer `w`.
+  std::uint64_t layer_weight_count(std::size_t w) const;
+
+  /// [min, max] of weighted layer `w` (one chunked pass, not cached).
+  WeightRange layer_range(std::size_t w) const;
 
   /// Per-layer Laplace/Gaussian scale parameter (sigma).
   double layer_sigma(std::size_t w) const;
@@ -70,7 +83,6 @@ class WeightStreamer {
   WeightGenConfig config_;
   std::vector<util::CounterRng> layer_rngs_;  // one decorrelated stream per layer
   std::vector<double> sigmas_;
-  mutable std::vector<std::unique_ptr<LayerWeightStats>> stats_cache_;
 };
 
 }  // namespace dnnlife::dnn

@@ -31,13 +31,6 @@ QuantParams make_asymmetric_uint8(double min, double max) {
   return params;
 }
 
-std::int32_t quantize(const QuantParams& params, double value) {
-  const double scaled = value / params.scale;
-  const auto rounded = static_cast<std::int32_t>(
-      std::lround(scaled));  // lround = round half away from zero
-  return std::clamp(rounded + params.zero_point, params.q_min, params.q_max);
-}
-
 double dequantize(const QuantParams& params, std::int32_t code) {
   DNNLIFE_EXPECTS(code >= params.q_min && code <= params.q_max,
                   "code outside quantizer range");

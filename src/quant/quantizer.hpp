@@ -9,6 +9,8 @@
 // the paper as [24].
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "util/check.hpp"
@@ -32,8 +34,14 @@ QuantParams make_symmetric_int8(double abs_max);
 QuantParams make_asymmetric_uint8(double min, double max);
 
 /// Quantize a real value to the integer grid (round-half-away-from-zero,
-/// clamped to [q_min, q_max]).
-std::int32_t quantize(const QuantParams& params, double value);
+/// clamped to [q_min, q_max]). Inline: the payload build runs it once per
+/// weight.
+inline std::int32_t quantize(const QuantParams& params, double value) {
+  const double scaled = value / params.scale;
+  const auto rounded = static_cast<std::int32_t>(
+      std::lround(scaled));  // lround = round half away from zero
+  return std::clamp(rounded + params.zero_point, params.q_min, params.q_max);
+}
 
 /// Reconstruct the real value of an integer code.
 double dequantize(const QuantParams& params, std::int32_t code);

@@ -34,33 +34,38 @@ WeightFormat weight_format_from_string(std::string_view name) {
       "' (expected one of: float32, int8-symmetric, int8-asymmetric)");
 }
 
+QuantParams layer_quant_params(WeightFormat format,
+                               const dnn::WeightRange& range) {
+  switch (format) {
+    case WeightFormat::kInt8Symmetric:
+      return make_symmetric_int8(range.abs_max());
+    case WeightFormat::kInt8Asymmetric:
+      return make_asymmetric_uint8(range.min, range.max);
+    case WeightFormat::kFloat32:
+      break;
+  }
+  throw std::invalid_argument("float32 has no quantization parameters");
+}
+
 WeightWordCodec::WeightWordCodec(const dnn::WeightStreamer& streamer,
                                  WeightFormat format)
-    : streamer_(&streamer), format_(format), bits_(bits_per_weight(format)) {
-  params_cache_.resize(streamer.network().weighted_layers().size());
-  // Build every layer's quantization parameters (and the streamer stats
-  // they derive from) up front: encode/decode touch all layers on any full
-  // pass anyway, and a fully-populated cache makes the codec safe to share
-  // across threads (Workbench::evaluate_all) with no per-call locking.
-  if (format_ != WeightFormat::kFloat32) {
-    for (std::size_t w = 0; w < params_cache_.size(); ++w)
-      (void)layer_params(w);
-  }
-}
+    : streamer_(&streamer), format_(format), bits_(bits_per_weight(format)) {}
 
 const QuantParams& WeightWordCodec::layer_params(std::size_t w) const {
   DNNLIFE_EXPECTS(format_ != WeightFormat::kFloat32,
                   "float32 has no quantization parameters");
-  DNNLIFE_EXPECTS(w < params_cache_.size(), "weighted-layer index out of range");
-  if (!params_cache_[w]) {
-    const auto& stats = streamer_->layer_stats(w);
-    auto params = std::make_unique<QuantParams>(
-        format_ == WeightFormat::kInt8Symmetric
-            ? make_symmetric_int8(stats.abs_max)
-            : make_asymmetric_uint8(stats.min, stats.max));
-    params_cache_[w] = std::move(params);
-  }
-  return *params_cache_[w];
+  // Every layer at once, under call_once: encode/decode touch all layers
+  // on any full pass anyway, and the filled vector is then read-only, so
+  // the codec is safe to share across threads with no per-call locking.
+  std::call_once(params_once_, [this] {
+    const std::size_t layers = streamer_->network().weighted_layers().size();
+    params_.reserve(layers);
+    for (std::size_t layer = 0; layer < layers; ++layer)
+      params_.push_back(
+          layer_quant_params(format_, streamer_->layer_range(layer)));
+  });
+  DNNLIFE_EXPECTS(w < params_.size(), "weighted-layer index out of range");
+  return params_[w];
 }
 
 const QuantParams& WeightWordCodec::params_for(std::uint64_t g) const {
@@ -69,20 +74,9 @@ const QuantParams& WeightWordCodec::params_for(std::uint64_t g) const {
 
 std::uint64_t WeightWordCodec::encode(std::uint64_t g) const {
   const float value = streamer_->weight(g);
-  switch (format_) {
-    case WeightFormat::kFloat32:
-      return float_to_bits(value);
-    case WeightFormat::kInt8Symmetric: {
-      const std::int32_t code = quantize(params_for(g), value);
-      // Two's-complement low byte.
-      return static_cast<std::uint64_t>(static_cast<std::uint8_t>(code));
-    }
-    case WeightFormat::kInt8Asymmetric: {
-      const std::int32_t code = quantize(params_for(g), value);
-      return static_cast<std::uint64_t>(static_cast<std::uint8_t>(code));
-    }
-  }
-  throw std::logic_error("unknown weight format");
+  if (format_ == WeightFormat::kFloat32)
+    return encode_word(format_, QuantParams{}, value);
+  return encode_word(format_, params_for(g), value);
 }
 
 double WeightWordCodec::decode(std::uint64_t g, std::uint64_t word) const {

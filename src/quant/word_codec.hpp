@@ -4,12 +4,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "dnn/weight_gen.hpp"
+#include "quant/float_bits.hpp"
 #include "quant/quantizer.hpp"
 
 namespace dnnlife::quant {
@@ -30,10 +31,26 @@ std::string to_string(WeightFormat format);
 /// std::invalid_argument (listing the valid names) for anything else.
 WeightFormat weight_format_from_string(std::string_view name);
 
+/// Per-tensor quantization parameters of a layer whose weights span
+/// `range`, for an int8 format.
+QuantParams layer_quant_params(WeightFormat format,
+                               const dnn::WeightRange& range);
+
+/// The stored word (low bits_per_weight(format) bits) of `value`;
+/// `params` is ignored for float32. Inline: the payload build runs it once
+/// per weight.
+inline std::uint64_t encode_word(WeightFormat format,
+                                 const QuantParams& params, float value) {
+  if (format == WeightFormat::kFloat32) return float_to_bits(value);
+  // Two's-complement low byte (symmetric) or the uint8 code (asymmetric).
+  return static_cast<std::uint64_t>(
+      static_cast<std::uint8_t>(quantize(params, value)));
+}
+
 /// Encodes weights of one network into memory words. Quantization
 /// parameters are per-layer (per-tensor granularity, the standard
-/// post-training setting), computed lazily from the streamer's layer
-/// statistics.
+/// post-training setting), computed for every layer on first use from the
+/// streamer's layer ranges; construction synthesises nothing.
 class WeightWordCodec {
  public:
   WeightWordCodec(const dnn::WeightStreamer& streamer, WeightFormat format);
@@ -56,7 +73,8 @@ class WeightWordCodec {
   const dnn::WeightStreamer* streamer_;  // non-owning
   WeightFormat format_;
   unsigned bits_;
-  mutable std::vector<std::unique_ptr<QuantParams>> params_cache_;
+  mutable std::once_flag params_once_;
+  mutable std::vector<QuantParams> params_;
 
   const QuantParams& params_for(std::uint64_t g) const;
 };

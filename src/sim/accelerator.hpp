@@ -8,11 +8,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "quant/word_codec.hpp"
 #include "sim/dataflow.hpp"
-#include "sim/row_packing.hpp"
+#include "sim/encoded_rows.hpp"
 #include "sim/write_stream.hpp"
 
 namespace dnnlife::sim {
@@ -31,27 +32,28 @@ struct BaselineAcceleratorConfig {
   /// only every other block, halving the per-cell K — a realistic
   /// configuration the paper's single-buffer model does not cover.
   bool double_buffered = false;
-  /// Memoise the packed row payloads on first visitation (the write stream
-  /// is identical every inference and every policy): repeat visits replay
-  /// words instead of re-quantizing every weight. Costs
-  /// writes_per_inference x words_per_row x 8 bytes; the build is guarded
-  /// by std::call_once (see RowPayloadCache), so a cached stream may be
-  /// visited from several threads concurrently — disable only for
-  /// single-threaded use on networks too large to hold one inference's
-  /// payloads in host memory.
-  bool cache_encoded_rows = true;
 };
+
+/// The dataflow the baseline accelerator streams: f = pe_count filters,
+/// N = multipliers_per_pe weights each per row.
+DataflowConfig baseline_dataflow(const BaselineAcceleratorConfig& config) noexcept;
 
 /// Write stream of one inference on the baseline accelerator.
 class BaselineWeightStream final : public WriteStream {
  public:
+  /// Build the row payloads of the codec's network (serially; see
+  /// EncodedRows::build for a parallel build).
   BaselineWeightStream(const quant::WeightWordCodec& codec,
+                       BaselineAcceleratorConfig config = {});
+  /// Replay prebuilt payloads; their dataflow must be
+  /// baseline_dataflow(config).
+  BaselineWeightStream(std::shared_ptr<const EncodedRows> rows,
                        BaselineAcceleratorConfig config = {});
 
   MemoryGeometry geometry() const override { return geometry_; }
   std::uint32_t blocks_per_inference() const override { return blocks_; }
   std::uint64_t writes_per_inference() const override {
-    return rows_.total_rows();
+    return rows_->rows();
   }
   void for_each_write(
       const std::function<void(const RowWriteEvent&)>& visit) const override;
@@ -64,17 +66,14 @@ class BaselineWeightStream final : public WriteStream {
   /// Statically-dispatched visitation (see sim/write_visit.hpp).
   template <class Visitor>
   void visit_writes(Visitor&& visit) const {
-    visit_tiled_writes(rows_, *codec_, geometry_.words_per_row(),
-                       config_.cache_encoded_rows, cache_,
-                       [this](std::uint64_t row_index) {
-                         return event_at(row_index);
-                       },
-                       std::forward<Visitor>(visit));
+    visit_encoded_rows(
+        *rows_, [this](std::uint64_t row_index) { return event_at(row_index); },
+        std::forward<Visitor>(visit));
   }
 
  private:
   /// Destination (row, block) of the row_index-th dataflow row — a pure
-  /// function of the index, so the payload cache needs no per-event
+  /// function of the index, so the shared payloads need no per-event
   /// metadata.
   RowWriteEvent event_at(std::uint64_t row_index) const noexcept {
     RowWriteEvent event;
@@ -88,14 +87,12 @@ class BaselineWeightStream final : public WriteStream {
     return event;
   }
 
-  const quant::WeightWordCodec* codec_;  // non-owning
+  std::shared_ptr<const EncodedRows> rows_;
   BaselineAcceleratorConfig config_;
-  TiledRowSource rows_;
   MemoryGeometry geometry_;
   std::uint32_t blocks_ = 0;
   std::uint32_t image_rows_ = 0;  ///< rows filled per mapping
   std::vector<std::uint32_t> durations_;  // empty = uniform
-  RowPayloadCache cache_;
 };
 
 }  // namespace dnnlife::sim

@@ -2,19 +2,21 @@
 
 namespace dnnlife::sim {
 
+LayerRowShape::LayerRowShape(const dnn::LayerSpec& layer,
+                             DataflowConfig config) noexcept
+    : filters(layer.kind == dnn::LayerKind::kConv ? layer.out_channels
+                                                  : layer.out_features),
+      weights_per_filter(layer.weight_count() / filters),
+      sets(util::ceil_div(filters, config.filters_per_set)),
+      rows_per_set(util::ceil_div(weights_per_filter,
+                                  config.weights_per_filter_per_row)) {}
+
 TiledRowSource::TiledRowSource(const dnn::Network& network, DataflowConfig config)
     : network_(&network), config_(config) {
   DNNLIFE_EXPECTS(config_.filters_per_set >= 1, "f must be positive");
   DNNLIFE_EXPECTS(config_.weights_per_filter_per_row >= 1, "N must be positive");
-  for (std::size_t w = 0; w < network.weighted_layers().size(); ++w) {
-    const auto& layer = network.layers()[network.weighted_layers()[w]];
-    const std::uint64_t filters = filter_count(layer);
-    const std::uint64_t wpf = layer.weight_count() / filters;
-    const std::uint64_t sets = util::ceil_div(filters, config_.filters_per_set);
-    const std::uint64_t rows_per_set =
-        util::ceil_div(wpf, config_.weights_per_filter_per_row);
-    total_rows_ += sets * rows_per_set;
-  }
+  for (const std::size_t layer : network.weighted_layers())
+    total_rows_ += LayerRowShape(network.layers()[layer], config_).rows();
 }
 
 void TiledRowSource::for_each_row(

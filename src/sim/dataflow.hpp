@@ -23,6 +23,21 @@ namespace dnnlife::sim {
 struct DataflowConfig {
   std::uint32_t filters_per_set = 8;          ///< f
   std::uint32_t weights_per_filter_per_row = 8;  ///< N
+
+  bool operator==(const DataflowConfig&) const = default;
+};
+
+/// How one weighted layer splits into dataflow rows: its filters are
+/// grouped into `sets` of f, each set streaming `rows_per_set` rows of N
+/// consecutive weights per filter.
+struct LayerRowShape {
+  std::uint64_t filters = 0;             ///< output channels / features
+  std::uint64_t weights_per_filter = 0;
+  std::uint64_t sets = 0;
+  std::uint64_t rows_per_set = 0;
+
+  LayerRowShape(const dnn::LayerSpec& layer, DataflowConfig config) noexcept;
+  std::uint64_t rows() const noexcept { return sets * rows_per_set; }
 };
 
 /// Enumerates the dataflow's row sequence as weight indices.
@@ -45,10 +60,9 @@ class TiledRowSource {
       const std::function<void(std::uint64_t row_index,
                                std::span<const std::int64_t> slots)>& visit) const;
 
-  /// Statically-dispatched variant of for_each_row: the simulators' hot
-  /// loops iterate millions of rows, so the visitor is a template parameter
-  /// instead of a std::function (same enumeration, zero per-row
-  /// indirection).
+  /// Statically-dispatched variant of for_each_row (same enumeration). It
+  /// is the reference row order: the payload oracle tests pack rows from
+  /// it and compare them with sim::EncodedRows.
   template <class Visitor>
   void visit_rows(Visitor&& visit) const {
     const std::uint32_t f = config_.filters_per_set;
@@ -59,22 +73,20 @@ class TiledRowSource {
     for (std::size_t w = 0; w < network.weighted_layers().size(); ++w) {
       const auto& layer = network.layers()[network.weighted_layers()[w]];
       const std::uint64_t layer_base = network.weight_offset(w);
-      const std::uint64_t filters = filter_count(layer);
-      const std::uint64_t wpf = layer.weight_count() / filters;
-      const std::uint64_t sets = util::ceil_div(filters, f);
-      const std::uint64_t rows_per_set = util::ceil_div(wpf, n);
-      for (std::uint64_t set = 0; set < sets; ++set) {
-        for (std::uint64_t r = 0; r < rows_per_set; ++r) {
+      const LayerRowShape shape(layer, config_);
+      for (std::uint64_t set = 0; set < shape.sets; ++set) {
+        for (std::uint64_t r = 0; r < shape.rows_per_set; ++r) {
           for (std::uint32_t i = 0; i < f; ++i) {
             const std::uint64_t filter = set * f + i;
             for (std::uint32_t j = 0; j < n; ++j) {
               const std::uint64_t local = r * n + j;
               const std::size_t slot = static_cast<std::size_t>(i) * n + j;
-              if (filter >= filters || local >= wpf) {
+              if (filter >= shape.filters ||
+                  local >= shape.weights_per_filter) {
                 slots[slot] = -1;
               } else {
                 slots[slot] = static_cast<std::int64_t>(
-                    layer_base + filter * wpf + local);
+                    layer_base + filter * shape.weights_per_filter + local);
               }
             }
           }
@@ -87,12 +99,6 @@ class TiledRowSource {
   }
 
  private:
-  /// Filter count of a weighted layer (output channels / features).
-  static std::uint64_t filter_count(const dnn::LayerSpec& layer) noexcept {
-    return layer.kind == dnn::LayerKind::kConv ? layer.out_channels
-                                               : layer.out_features;
-  }
-
   const dnn::Network* network_;
   DataflowConfig config_;
   std::uint64_t total_rows_ = 0;

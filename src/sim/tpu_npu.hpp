@@ -8,10 +8,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "quant/word_codec.hpp"
 #include "sim/dataflow.hpp"
-#include "sim/row_packing.hpp"
+#include "sim/encoded_rows.hpp"
 #include "sim/write_stream.hpp"
 
 namespace dnnlife::sim {
@@ -20,23 +21,29 @@ struct TpuNpuConfig {
   std::uint32_t array_dim = 256;  ///< PE array is array_dim x array_dim
   std::uint32_t fifo_tiles = 4;   ///< FIFO depth in tiles
   std::uint64_t activation_memory_bytes = 24 * 1024 * 1024;
-  /// Memoise packed row payloads on first visitation (thread-safe; see
-  /// BaselineAcceleratorConfig::cache_encoded_rows).
-  bool cache_encoded_rows = true;
 
   /// Rows of one tile (one row per PE-array row).
   std::uint32_t tile_rows() const noexcept { return array_dim; }
 };
 
+/// The dataflow the NPU streams: f = array_dim filters in parallel, one
+/// weight each per row.
+DataflowConfig npu_dataflow(const TpuNpuConfig& config) noexcept;
+
 class NpuWeightStream final : public WriteStream {
  public:
+  /// Build the row payloads of the codec's network (serially; see
+  /// EncodedRows::build for a parallel build).
   NpuWeightStream(const quant::WeightWordCodec& codec, TpuNpuConfig config = {});
+  /// Replay prebuilt payloads; their dataflow must be npu_dataflow(config).
+  NpuWeightStream(std::shared_ptr<const EncodedRows> rows,
+                  TpuNpuConfig config = {});
 
   MemoryGeometry geometry() const override { return geometry_; }
   /// One mapping slot per tile streamed through the FIFO.
   std::uint32_t blocks_per_inference() const override { return tiles_; }
   std::uint64_t writes_per_inference() const override {
-    return rows_.total_rows();
+    return rows_->rows();
   }
   void for_each_write(
       const std::function<void(const RowWriteEvent&)>& visit) const override;
@@ -46,12 +53,9 @@ class NpuWeightStream final : public WriteStream {
   /// Statically-dispatched visitation (see sim/write_visit.hpp).
   template <class Visitor>
   void visit_writes(Visitor&& visit) const {
-    visit_tiled_writes(rows_, *codec_, geometry_.words_per_row(),
-                       config_.cache_encoded_rows, cache_,
-                       [this](std::uint64_t row_index) {
-                         return event_at(row_index);
-                       },
-                       std::forward<Visitor>(visit));
+    visit_encoded_rows(
+        *rows_, [this](std::uint64_t row_index) { return event_at(row_index); },
+        std::forward<Visitor>(visit));
   }
 
  private:
@@ -68,12 +72,10 @@ class NpuWeightStream final : public WriteStream {
     return event;
   }
 
-  const quant::WeightWordCodec* codec_;  // non-owning
+  std::shared_ptr<const EncodedRows> rows_;
   TpuNpuConfig config_;
-  TiledRowSource rows_;
   MemoryGeometry geometry_;
   std::uint32_t tiles_ = 0;
-  RowPayloadCache cache_;
 };
 
 }  // namespace dnnlife::sim

@@ -148,10 +148,4 @@ double CounterRng::gaussian_at(std::uint64_t i) const noexcept {
   return inverse_normal_cdf(u);
 }
 
-double CounterRng::laplace_at(std::uint64_t i, double scale) const noexcept {
-  const double u = (static_cast<double>(bits_at(i) >> 11) + 0.5) * 0x1.0p-53 - 0.5;
-  const double sign = u < 0 ? -1.0 : 1.0;
-  return -scale * sign * std::log(1.0 - 2.0 * std::abs(u));
-}
-
 }  // namespace dnnlife::util

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 #include "util/check.hpp"
@@ -88,8 +89,14 @@ class CounterRng {
   /// Standard normal for index `i` (inverse-CDF, Acklam approximation).
   double gaussian_at(std::uint64_t i) const noexcept;
 
-  /// Laplace(0, scale) for index `i` (inverse CDF).
-  double laplace_at(std::uint64_t i, double scale) const noexcept;
+  /// Laplace(0, scale) for index `i` (inverse CDF). Inline: the weight
+  /// synthesis loop runs it once per weight. The sign select is exact —
+  /// (u < 0 ? scale : -scale) equals -scale * sign(u) bit for bit.
+  double laplace_at(std::uint64_t i, double scale) const noexcept {
+    const double u =
+        (static_cast<double>(bits_at(i) >> 11) + 0.5) * 0x1.0p-53 - 0.5;
+    return (u < 0 ? scale : -scale) * std::log(1.0 - 2.0 * std::abs(u));
+  }
 
   std::uint64_t seed() const noexcept { return seed_; }
 

@@ -2,7 +2,9 @@
 // interpreter.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <vector>
 
 #include "dnn/inference.hpp"
 #include "dnn/model_zoo.hpp"
@@ -99,8 +101,8 @@ TEST(WeightStreamer, TailAsymmetrySkewsRangeNotSign) {
                   static_cast<double>(net.total_weights()),
               0.5, 0.01);
   // ...but the range is skewed: max exceeds |min| by roughly (1+g)/(1-g).
-  const auto& stats = streamer.layer_stats(0);
-  EXPECT_GT(stats.max, 1.4 * std::abs(stats.min));
+  const WeightRange range = streamer.layer_range(0);
+  EXPECT_GT(range.max, 1.4 * std::abs(range.min));
 }
 
 TEST(WeightStreamer, ZeroAsymmetryIsSymmetric) {
@@ -108,8 +110,8 @@ TEST(WeightStreamer, ZeroAsymmetryIsSymmetric) {
   WeightGenConfig config;
   config.tail_asymmetry = 0.0;
   WeightStreamer streamer(net, config);
-  const auto& stats = streamer.layer_stats(0);
-  EXPECT_NEAR(stats.max / std::abs(stats.min), 1.0, 0.25);
+  const WeightRange range = streamer.layer_range(0);
+  EXPECT_NEAR(range.max / std::abs(range.min), 1.0, 0.25);
 }
 
 TEST(WeightStreamer, RejectsBadConfig) {
@@ -138,15 +140,69 @@ TEST(WeightStreamer, LaplaceIsHeavyTailed) {
   EXPECT_GT(kurtosis, 4.5);
 }
 
-TEST(WeightStreamer, LayerStatsAreCachedAndConsistent) {
+TEST(WeightStreamer, LayerStatsAreConsistent) {
   const Network net = tiny_network();
   WeightStreamer streamer(net);
-  const auto& stats = streamer.layer_stats(0);
-  EXPECT_LE(stats.min, stats.max);
-  EXPECT_GE(stats.abs_max, std::abs(stats.min));
-  EXPECT_GE(stats.abs_max, std::abs(stats.max));
-  // Second call returns the same cached object.
-  EXPECT_EQ(&streamer.layer_stats(0), &stats);
+  const WeightRange range = streamer.layer_range(0);
+  EXPECT_LE(range.min, range.max);
+  EXPECT_GE(range.abs_max(), std::abs(range.min));
+  EXPECT_GE(range.abs_max(), std::abs(range.max));
+  // The chunked pass agrees with a scalar fold over weight(g).
+  util::RunningStats scalar;
+  for (std::uint64_t g = 0; g < streamer.layer_weight_count(0); ++g)
+    scalar.add(streamer.weight(g));
+  EXPECT_EQ(range.min, scalar.min());
+  EXPECT_EQ(range.max, scalar.max());
+}
+
+// fill() is the generator the payload build runs on; weight(g) is the
+// scalar reference. They must agree bit for bit.
+void expect_fill_matches_weight(const WeightStreamer& streamer, std::size_t w,
+                                std::uint64_t begin, std::uint64_t count) {
+  std::vector<float> values(count);
+  streamer.fill(w, begin, values);
+  const std::uint64_t base = streamer.network().weight_offset(w);
+  for (std::uint64_t i = 0; i < count; ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(values[i]),
+              std::bit_cast<std::uint32_t>(streamer.weight(base + begin + i)))
+        << "layer " << w << " local " << begin + i;
+}
+
+TEST(WeightStreamer, FillMatchesScalarWeightEverywhere) {
+  const Network net = make_custom_mnist();
+  for (const WeightDistribution distribution :
+       {WeightDistribution::kLaplace, WeightDistribution::kGaussian}) {
+    for (const double gamma : {0.0, 0.4}) {
+      WeightGenConfig config;
+      config.distribution = distribution;
+      config.tail_asymmetry = gamma;
+      const WeightStreamer streamer(net, config);
+      for (std::size_t w = 0; w < net.weighted_layers().size(); ++w)
+        expect_fill_matches_weight(streamer, w, 0,
+                                   streamer.layer_weight_count(w));
+    }
+  }
+}
+
+TEST(WeightStreamer, FillMatchesScalarWeightOnVgg16Fc6) {
+  const Network net = make_vgg16();
+  const WeightStreamer streamer(net);
+  std::size_t fc6 = net.weighted_layers().size();
+  for (std::size_t w = 0; w < net.weighted_layers().size(); ++w)
+    if (net.layers()[net.weighted_layers()[w]].name == "fc6") fc6 = w;
+  ASSERT_LT(fc6, net.weighted_layers().size());
+  const std::uint64_t count = streamer.layer_weight_count(fc6);
+  ASSERT_EQ(count, 25088u * 4096u);
+  constexpr std::uint64_t kChunk = 4096;
+  expect_fill_matches_weight(streamer, fc6, 0, kChunk);
+  expect_fill_matches_weight(streamer, fc6, count / 2 - kChunk / 2, kChunk);
+  expect_fill_matches_weight(streamer, fc6, count - kChunk, kChunk);
+  EXPECT_THROW(
+      {
+        std::vector<float> past(2);
+        streamer.fill(fc6, count - 1, past);
+      },
+      std::invalid_argument);
 }
 
 TEST(WeightStreamer, SigmaScaleMultiplies) {

@@ -1,0 +1,217 @@
+// SweepScheduler row-payload sharing: points that simulate against the
+// same (network, format, dataflow) share one sim::EncodedRows build. The
+// first claims the key, later ones park until it publishes, a failed
+// builder hands the key to a parked sibling, and points that never
+// simulate (store hits) never wait on a key. Records stay byte-identical
+// to private, unshared runs.
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <future>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "core/scenario.hpp"
+#include "core/scenario_suite.hpp"
+#include "core/sim_store.hpp"
+#include "core/sweep_scheduler.hpp"
+
+namespace dnnlife::core {
+namespace {
+
+namespace fs = std::filesystem;
+
+/// A fast scenario; `seed` only perturbs the fingerprint, `format` picks
+/// the payload key.
+ScenarioSpec point_spec(std::uint64_t seed,
+                        quant::WeightFormat format =
+                            quant::WeightFormat::kInt8Symmetric) {
+  ScenarioSpec spec;
+  spec.name = "point" + std::to_string(seed) + "-" + quant::to_string(format);
+  spec.format = format;
+  spec.hardware = HardwareKind::kTpuNpu;
+  spec.npu.array_dim = 32;
+  spec.npu.fifo_tiles = 2;
+  spec.phases.push_back(ScenarioPhaseSpec{"custom_mnist", 2, {}});
+  ScenarioRegionSpec region;
+  region.policy = PolicyConfig::inversion();
+  region.policy.seed = seed;
+  spec.regions.push_back(region);
+  return spec;
+}
+
+/// The summary record of a private run_scenario, timing omitted.
+std::string private_record(const ScenarioSpec& spec, std::size_t index) {
+  SuiteOutcome outcome;
+  outcome.index = index;
+  outcome.path = "<" + spec.name + ">";
+  outcome.name = spec.name;
+  outcome.fingerprint = simulation_fingerprint(spec);
+  outcome.ok = true;
+  outcome.result = run_scenario(spec);
+  return suite_record_json(make_suite_record(outcome), false);
+}
+
+/// A fault hook that holds point 0 (the first builder) until release(),
+/// so every later submission deterministically finds its build in flight;
+/// with `fail`, point 0 then throws instead of building.
+struct HeldBuilder {
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+
+  SuiteFaultHook hook(bool fail) const {
+    return [open = open, fail](const SuiteFaultContext& context) {
+      if (context.index != 0) return;
+      open.wait();
+      if (fail) throw std::runtime_error("injected builder failure");
+    };
+  }
+  void release() { gate.set_value(); }
+};
+
+fs::path temp_dir(const std::string& name) {
+  const fs::path dir = fs::temp_directory_path() / name;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+TEST(RowSharing, SameKeyPointsBuildOnceAndMatchPrivateRuns) {
+  HeldBuilder builder;
+  SweepScheduler::Options options;
+  options.jobs = 4;
+  options.threads_per_scenario = 1;
+  options.fault_hook = builder.hook(false);
+  SweepScheduler scheduler(options);
+  std::vector<ScenarioSpec> specs;
+  std::vector<SweepScheduler::Handle> handles;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    specs.push_back(point_spec(seed));
+    handles.push_back(scheduler.submit(specs.back()));
+  }
+  builder.release();
+  scheduler.wait_all();
+  const SweepScheduler::RowsStats stats = scheduler.rows_stats();
+  EXPECT_EQ(stats.builds, 1u);
+  EXPECT_EQ(stats.parks, 3u);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(handles[i].outcome().ok) << handles[i].outcome().error;
+    EXPECT_EQ(suite_record_json(handles[i].record(), false),
+              private_record(specs[i], i));
+  }
+}
+
+// At jobs 1 with point 0 held, every later point is queued behind it or
+// parked on a key, so the build count cannot depend on timing.
+TEST(RowSharing, InterleavedKeysBuildOncePerKey) {
+  HeldBuilder builder;
+  SweepScheduler::Options options;
+  options.jobs = 1;
+  options.threads_per_scenario = 1;
+  options.fault_hook = builder.hook(false);
+  SweepScheduler scheduler(options);
+  std::vector<SweepScheduler::Handle> handles;
+  for (std::uint64_t seed = 0; seed < 4; ++seed)
+    handles.push_back(scheduler.submit(point_spec(
+        seed, seed % 2 == 0 ? quant::WeightFormat::kInt8Symmetric
+                            : quant::WeightFormat::kInt8Asymmetric)));
+  builder.release();
+  scheduler.wait_all();
+  for (const SweepScheduler::Handle& handle : handles)
+    EXPECT_TRUE(handle.outcome().ok) << handle.outcome().error;
+  EXPECT_EQ(scheduler.rows_stats().builds, 2u);
+}
+
+TEST(RowSharing, NothingStaysHeldAfterWaitAll) {
+  HeldBuilder builder;
+  SweepScheduler::Options options;
+  options.jobs = 1;
+  options.threads_per_scenario = 1;
+  options.fault_hook = builder.hook(false);
+  SweepScheduler scheduler(options);
+  std::uint64_t seed = 0;
+  for (const quant::WeightFormat format :
+       {quant::WeightFormat::kInt8Symmetric,
+        quant::WeightFormat::kInt8Asymmetric, quant::WeightFormat::kFloat32})
+    for (int repeat = 0; repeat < 2; ++repeat)
+      scheduler.submit(point_spec(seed++, format));
+  EXPECT_EQ(scheduler.rows_stats().held, 3u);
+  builder.release();
+  scheduler.wait_all();
+  const SweepScheduler::RowsStats stats = scheduler.rows_stats();
+  EXPECT_EQ(stats.builds, 3u);
+  EXPECT_EQ(stats.held, 0u);
+}
+
+TEST(RowSharing, FailedBuilderPromotesASiblingThatBuildsOnce) {
+  HeldBuilder builder;
+  SweepScheduler::Options options;
+  options.jobs = 4;
+  options.threads_per_scenario = 1;
+  options.retries = 0;
+  options.fault_hook = builder.hook(true);
+  SweepScheduler scheduler(options);
+  std::vector<SweepScheduler::Handle> handles;
+  for (std::uint64_t seed = 0; seed < 4; ++seed)
+    handles.push_back(scheduler.submit(point_spec(seed)));
+  builder.release();
+  scheduler.wait_all();
+  EXPECT_FALSE(handles[0].outcome().ok);
+  for (std::size_t i = 1; i < handles.size(); ++i)
+    EXPECT_TRUE(handles[i].outcome().ok) << handles[i].outcome().error;
+  const SweepScheduler::RowsStats stats = scheduler.rows_stats();
+  EXPECT_EQ(stats.builds, 1u);
+  EXPECT_EQ(stats.held, 0u);
+}
+
+TEST(RowSharing, StoreHitsNeverParkOnAKey) {
+  const fs::path dir = temp_dir("dnnlife_rows_sharing_store");
+  const auto store =
+      std::make_shared<SimStore>(SimStore::Options{dir.string(), 0});
+  SweepScheduler::Options options;
+  options.jobs = 4;
+  options.threads_per_scenario = 1;
+  options.sim_store = store;
+  {
+    // Warm the store with the fingerprints of seeds 0 and 1.
+    SweepScheduler warm(options);
+    warm.submit(point_spec(0));
+    warm.submit(point_spec(1));
+    warm.wait_all();
+  }
+  {
+    // Hits interleaved with misses: only the second miss waits on the
+    // first miss's build.
+    HeldBuilder builder;
+    SweepScheduler::Options held = options;
+    held.fault_hook = builder.hook(false);
+    SweepScheduler scheduler(held);
+    std::vector<SweepScheduler::Handle> handles;
+    handles.push_back(scheduler.submit(point_spec(2)));  // miss, builds
+    handles.push_back(scheduler.submit(point_spec(0)));  // hit
+    handles.push_back(scheduler.submit(point_spec(1)));  // hit
+    handles.push_back(scheduler.submit(point_spec(3)));  // miss, parks
+    builder.release();
+    scheduler.wait_all();
+    for (const SweepScheduler::Handle& handle : handles)
+      EXPECT_TRUE(handle.outcome().ok) << handle.outcome().error;
+    const SweepScheduler::RowsStats stats = scheduler.rows_stats();
+    EXPECT_EQ(stats.builds, 1u);
+    EXPECT_EQ(stats.parks, 1u);
+  }
+  {
+    // All hits: nothing is built and nothing waits.
+    SweepScheduler scheduler(options);
+    for (std::uint64_t seed = 0; seed < 4; ++seed)
+      scheduler.submit(point_spec(seed));
+    scheduler.wait_all();
+    const SweepScheduler::RowsStats stats = scheduler.rows_stats();
+    EXPECT_EQ(stats.builds, 0u);
+    EXPECT_EQ(stats.parks, 0u);
+  }
+  fs::remove_all(dir);
+}
+
+}  // namespace
+}  // namespace dnnlife::core

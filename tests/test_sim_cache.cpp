@@ -30,7 +30,8 @@ namespace {
 // sensitivity tests in this file) before re-pinning. If a size moved
 // WITHOUT a new field (toolchain/ABI change), just re-pin.
 TEST(SimulationFingerprint, FieldInventoryIsClassified) {
-  EXPECT_EQ(sizeof(ScenarioSpec), 320u)
+  // 312 since TpuNpuConfig lost its (never hashed) payload-cache switch.
+  EXPECT_EQ(sizeof(ScenarioSpec), 312u)
       << "ScenarioSpec changed: classify the new field in "
          "simulation_fingerprint (core/scenario.cpp) before re-pinning";
   EXPECT_EQ(sizeof(ScenarioPhaseSpec), 64u)
@@ -50,7 +51,8 @@ TEST(SimulationFingerprint, FieldInventoryIsClassified) {
   EXPECT_EQ(sizeof(sim::BaselineAcceleratorConfig), 32u)
       << "BaselineAcceleratorConfig changed: the active hardware config is "
          "hashed in full — classify the new field";
-  EXPECT_EQ(sizeof(sim::TpuNpuConfig), 24u)
+  // 16 since the (never hashed) payload-cache switch was removed.
+  EXPECT_EQ(sizeof(sim::TpuNpuConfig), 16u)
       << "TpuNpuConfig changed: the active hardware config is hashed in "
          "full — classify the new field";
   // Evaluation-only sub-structs: excluded from the hash as a whole, but a

@@ -2,17 +2,64 @@
 // the energy model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "dnn/model_zoo.hpp"
 #include "quant/word_codec.hpp"
 #include "sim/accelerator.hpp"
+#include "sim/encoded_rows.hpp"
 #include "sim/energy_model.hpp"
 #include "sim/tpu_npu.hpp"
 #include "util/bitops.hpp"
 
 namespace dnnlife::sim {
 namespace {
+
+/// Scalar oracle of the payload build: pack one dataflow row (weight-index
+/// slots) with the per-weight codec.encode; padding slots (-1) are zero.
+void pack_row_words(const quant::WeightWordCodec& codec,
+                    std::span<const std::int64_t> slots,
+                    std::span<std::uint64_t> words) {
+  std::fill(words.begin(), words.end(), 0);
+  const unsigned wb = codec.bits();
+  for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+    if (slots[slot] < 0) continue;
+    const std::uint64_t value =
+        codec.encode(static_cast<std::uint64_t>(slots[slot]));
+    const std::size_t bit_pos = slot * wb;
+    const std::size_t word = bit_pos / 64;
+    const unsigned shift = bit_pos % 64;
+    words[word] |= value << shift;
+    if (shift + wb > 64) words[word + 1] |= value >> (64 - shift);
+  }
+}
+
+/// Every payload word of `stream`, in write order.
+std::vector<std::uint64_t> stream_words(const WriteStream& stream) {
+  std::vector<std::uint64_t> words;
+  stream.for_each_write([&](const RowWriteEvent& event) {
+    words.insert(words.end(), event.words.begin(), event.words.end());
+  });
+  return words;
+}
+
+/// The oracle's payload words of one inference in `dataflow` order.
+std::vector<std::uint64_t> oracle_words(const quant::WeightWordCodec& codec,
+                                        DataflowConfig dataflow) {
+  const TiledRowSource source(codec.streamer().network(), dataflow);
+  const std::size_t per_row =
+      util::ceil_div(std::uint64_t{source.slots_per_row()} * codec.bits(), 64);
+  std::vector<std::uint64_t> words(source.total_rows() * per_row);
+  source.visit_rows([&](std::uint64_t row, std::span<const std::int64_t> slots) {
+    pack_row_words(codec, slots,
+                   std::span<std::uint64_t>(words.data() + row * per_row,
+                                            per_row));
+  });
+  return words;
+}
 
 class StreamTest : public ::testing::Test {
  protected:
@@ -151,6 +198,94 @@ TEST_F(StreamTest, DoubleBufferingCoversAllWeights) {
   std::uint64_t writes = 0;
   stream.for_each_write([&](const RowWriteEvent&) { ++writes; });
   EXPECT_EQ(writes, stream.writes_per_inference());
+}
+
+// ---- EncodedRows against the scalar oracle --------------------------------
+
+TEST(EncodedRows, MatchesScalarOracleForEveryFormatHardwareAndBudget) {
+  const dnn::Network network = dnn::make_custom_mnist();
+  const dnn::WeightStreamer streamer(network);
+  BaselineAcceleratorConfig baseline;
+  baseline.weight_memory_bytes = 16 * 1024;
+  BaselineAcceleratorConfig double_buffered = baseline;
+  double_buffered.double_buffered = true;
+  for (const quant::WeightFormat format :
+       {quant::WeightFormat::kFloat32, quant::WeightFormat::kInt8Symmetric,
+        quant::WeightFormat::kInt8Asymmetric}) {
+    const quant::WeightWordCodec codec(streamer, format);
+    const std::vector<std::uint64_t> npu_oracle =
+        oracle_words(codec, npu_dataflow(TpuNpuConfig{}));
+    const std::vector<std::uint64_t> baseline_oracle =
+        oracle_words(codec, baseline_dataflow(baseline));
+    for (const unsigned threads : {1u, 3u, 4u}) {
+      SCOPED_TRACE(quant::to_string(format) + " at budget " +
+                   std::to_string(threads));
+      const auto npu_rows =
+          EncodedRows::build(codec, npu_dataflow(TpuNpuConfig{}), threads);
+      const auto baseline_rows =
+          EncodedRows::build(codec, baseline_dataflow(baseline), threads);
+      EXPECT_EQ(stream_words(NpuWeightStream(npu_rows)), npu_oracle);
+      EXPECT_EQ(stream_words(BaselineWeightStream(baseline_rows, baseline)),
+                baseline_oracle);
+      // Double buffering moves rows, never payloads.
+      EXPECT_EQ(
+          stream_words(BaselineWeightStream(baseline_rows, double_buffered)),
+          baseline_oracle);
+    }
+  }
+}
+
+TEST(EncodedRows, SharedArtifactReplaysIntoEitherConstructor) {
+  const dnn::Network network = dnn::make_custom_mnist();
+  const dnn::WeightStreamer streamer(network);
+  const quant::WeightWordCodec codec(streamer,
+                                     quant::WeightFormat::kInt8Symmetric);
+  const TpuNpuConfig config;
+  const auto rows = EncodedRows::build(codec, npu_dataflow(config), 2);
+  EXPECT_EQ(rows->key(),
+            EncodedRows::key_of("custom_mnist", dnn::WeightGenConfig{},
+                                quant::WeightFormat::kInt8Symmetric,
+                                npu_dataflow(config)));
+  const NpuWeightStream shared(rows, config);
+  const NpuWeightStream built(codec, config);
+  EXPECT_EQ(shared.geometry().rows, built.geometry().rows);
+  EXPECT_EQ(shared.blocks_per_inference(), built.blocks_per_inference());
+  EXPECT_EQ(stream_words(shared), stream_words(built));
+  // An artifact replays only into the dataflow it was built for.
+  EXPECT_THROW(BaselineWeightStream(rows, BaselineAcceleratorConfig{}),
+               std::invalid_argument);
+}
+
+TEST(PayloadOracle, GoogLeNetInt8SymmetricNpuAtBudget4) {
+  const dnn::Network network = dnn::make_googlenet();
+  const dnn::WeightStreamer streamer(network);
+  const quant::WeightWordCodec codec(streamer,
+                                     quant::WeightFormat::kInt8Symmetric);
+  TpuNpuConfig config;
+  config.array_dim = 128;
+  config.fifo_tiles = 2;
+  EXPECT_EQ(stream_words(NpuWeightStream(
+                EncodedRows::build(codec, npu_dataflow(config), 4), config)),
+            oracle_words(codec, npu_dataflow(config)));
+}
+
+TEST(PayloadOracle, RegeneratesLayersPastTheKeepBuffer) {
+  // One fully-connected layer over 4 Mi weights: the build synthesises it
+  // again in the pack pass instead of keeping its values.
+  const dnn::Network network("wide_fc",
+                             {dnn::LayerSpec::fully_connected("fc", 2049, 2048)});
+  ASSERT_GT(network.total_weights(), std::uint64_t{1} << 22);
+  const dnn::WeightStreamer streamer(network);
+  for (const quant::WeightFormat format :
+       {quant::WeightFormat::kInt8Asymmetric, quant::WeightFormat::kFloat32}) {
+    const quant::WeightWordCodec codec(streamer, format);
+    BaselineAcceleratorConfig baseline;
+    EXPECT_EQ(stream_words(BaselineWeightStream(
+                  EncodedRows::build(codec, baseline_dataflow(baseline), 4),
+                  baseline)),
+              oracle_words(codec, baseline_dataflow(baseline)))
+        << quant::to_string(format);
+  }
 }
 
 // ---- energy model ------------------------------------------------------------
