@@ -6,13 +6,20 @@
 // cost make_lifetime_report used to pay), the blocked batched lifetime
 // report, and the blocked batched aging report.
 //
+// A second, two-segment case times the multi-environment (timeline)
+// reports: 128Ki cells whose hot quarter carries all-distinct stress
+// histories and whose cold remainder repeats seven, the shape of a
+// dnn-life hot region next to unmitigated rows. It is timed against the
+// per-cell timeline solve loop (one years_to_failure per used cell).
+//
 //   bench_lifetime_batch [--threads=N] [--json=PATH]
 //
-// --threads sets the report shard count (default 1 — the per-cell/batched
-// comparison is cleanest single-threaded; results are bit-identical for
-// any value). --json writes the timings plus the duty-kernel variant — CI
-// gates the batched seconds against bench/bench_throughput_reference.json
-// (pre-batching baselines), failing on a >2x regression.
+// --threads sets the report concurrency budget (default 1 — the
+// per-cell/batched comparison is cleanest single-threaded; results are
+// bit-identical for any value). --json writes the timings plus the
+// duty-kernel variant — CI gates the batched single-segment seconds
+// against bench/bench_throughput_reference.json (pre-batching baselines),
+// failing on a >2x regression.
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -70,6 +77,23 @@ int main(int argc, char** argv) {
     tracker.total_time()[cell] = 1000;
   }
 
+  // The two-segment timeline case: hot quarter distinct, cold remainder
+  // repeating seven histories.
+  aging::DutyCycleTracker cool(kCells);
+  aging::DutyCycleTracker warm(kCells);
+  for (std::size_t cell = 0; cell < kCells; ++cell) {
+    const bool hot_cell = cell < kCells / 4;
+    cool.total_time()[cell] = hot_cell ? 1u << 20 : 1000;
+    cool.ones_time()[cell] = static_cast<std::uint32_t>(
+        hot_cell ? cell * 29 % (1u << 20) : cell % 7 * 150);
+    warm.total_time()[cell] = 1000;
+    warm.ones_time()[cell] = hot_cell ? 500 : 900;
+  }
+  aging::EnvironmentSpec warm_environment;
+  warm_environment.temperature_c = 85.0;
+  const std::vector<aging::EnvironmentSegmentView> timeline = {
+      {&cool, {}}, {&warm, warm_environment}};
+
   benchutil::print_heading("Batched vs per-cell lifetime inversion");
   std::cout << "cells: " << kCells << " (" << kDistinct
             << " distinct duty ratios), duty kernel: "
@@ -80,10 +104,15 @@ int main(int argc, char** argv) {
     double per_cell_seconds = 0.0;
     double lifetime_seconds = 0.0;
     double aging_seconds = 0.0;
+    double timeline_per_cell_seconds = 0.0;
+    double timeline_lifetime_seconds = 0.0;
+    double timeline_aging_seconds = 0.0;
   };
   std::vector<ModelTiming> timings;
   util::Table out({"model", "per-cell [s]", "batched lifetime [s]",
                    "batched aging [s]", "speedup"});
+  util::Table timeline_out({"model", "per-cell [s]", "timeline lifetime [s]",
+                            "timeline aging [s]", "speedup"});
   for (const char* name :
        {"calibrated-nbti", "arrhenius-nbti", "pbti-hci", "dual-bti"}) {
     const std::shared_ptr<const aging::DeviceAgingModel> model =
@@ -122,16 +151,53 @@ int main(int argc, char** argv) {
     timing.aging_seconds = seconds_since(aging_start);
     if (report.unused_cells != tracker.unused_cell_count()) return 1;
 
+    // The per-cell timeline reference: gather and solve every cell.
+    const auto timeline_per_cell_start = std::chrono::steady_clock::now();
+    double timeline_min_years = std::numeric_limits<double>::infinity();
+    std::vector<aging::StressSegment> history;
+    for (std::size_t cell = 0; cell < kCells; ++cell) {
+      if (aging::gather_cell_segments(timeline, cell, history).total == 0)
+        continue;
+      const double years = lifetime_model.years_to_failure(history);
+      if (years < timeline_min_years) timeline_min_years = years;
+    }
+    timing.timeline_per_cell_seconds = seconds_since(timeline_per_cell_start);
+
+    const auto timeline_lifetime_start = std::chrono::steady_clock::now();
+    const auto timeline_lifetime =
+        make_lifetime_report(timeline, lifetime_model, threads);
+    timing.timeline_lifetime_seconds = seconds_since(timeline_lifetime_start);
+    if (timeline_lifetime.device_lifetime_years != timeline_min_years) {
+      std::cerr << "timeline memo/per-cell mismatch for " << name << "\n";
+      return 1;
+    }
+    const auto timeline_aging_start = std::chrono::steady_clock::now();
+    const auto timeline_report = make_aging_report(timeline, *model, options);
+    timing.timeline_aging_seconds = seconds_since(timeline_aging_start);
+    if (timeline_report.unused_cells != 0) return 1;
+
     out.add_row({timing.model, util::Table::num(timing.per_cell_seconds, 4),
                  util::Table::num(timing.lifetime_seconds, 4),
                  util::Table::num(timing.aging_seconds, 4),
                  util::Table::num(
                      timing.per_cell_seconds / timing.lifetime_seconds, 1)});
+    timeline_out.add_row(
+        {timing.model, util::Table::num(timing.timeline_per_cell_seconds, 4),
+         util::Table::num(timing.timeline_lifetime_seconds, 4),
+         util::Table::num(timing.timeline_aging_seconds, 4),
+         util::Table::num(timing.timeline_per_cell_seconds /
+                              timing.timeline_lifetime_seconds,
+                          1)});
     timings.push_back(timing);
   }
   std::cout << out.to_string();
   std::cout << "speedup = per-cell seconds / batched lifetime seconds (duty\n"
                "memoisation + hoisted model constants per block).\n";
+  std::cout << "\ntwo-segment timeline (" << kCells
+            << " cells, distinct hot quarter, repeated cold remainder):\n"
+            << timeline_out.to_string()
+            << "speedup = per-cell timeline solve seconds / timeline lifetime\n"
+               "report seconds (one solve per distinct history and block).\n";
 
   if (!json_path.empty()) {
     std::ofstream json(json_path);
@@ -150,7 +216,13 @@ int main(int argc, char** argv) {
            << "\"lifetime_seconds\": "
            << util::Table::num(timing.lifetime_seconds, 4) << ", "
            << "\"aging_seconds\": "
-           << util::Table::num(timing.aging_seconds, 4) << "}"
+           << util::Table::num(timing.aging_seconds, 4) << ", "
+           << "\"timeline_per_cell_seconds\": "
+           << util::Table::num(timing.timeline_per_cell_seconds, 4) << ", "
+           << "\"timeline_lifetime_seconds\": "
+           << util::Table::num(timing.timeline_lifetime_seconds, 4) << ", "
+           << "\"timeline_aging_seconds\": "
+           << util::Table::num(timing.timeline_aging_seconds, 4) << "}"
            << (i + 1 < timings.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";

@@ -1,4 +1,5 @@
-// Exact-duty memoisation shared by the batched model-evaluation hooks.
+// Exact-key memoisation shared by the batched model-evaluation hooks and
+// the report evaluator.
 //
 // Per-cell duty-cycles are ratios of 32-bit residency counters, so large
 // memories carry massive duty repetition (every balanced cell is exactly
@@ -6,11 +7,15 @@
 // batched evaluation hooks (DeviceAgingModel::degradation_batch /
 // years_to_reach_batch) exploit that: within one batch, each *distinct*
 // duty bit pattern is solved once and every repeat is served from the
-// memo. Model evaluation is a pure function of the duty, so the memoised
-// batch is bit-identical to the per-cell loop for any batch composition —
-// which is what keeps the hash-pinned report goldens intact.
+// memo. The report evaluator (aging/report_evaluator.hpp) applies the same
+// table one level up, keyed on a cell's whole stress history (its
+// residency counters in every segment). Model evaluation is a pure
+// function of those keys, so memoised results are bit-identical to the
+// per-cell loop for any batch composition — which is what keeps the
+// hash-pinned report goldens intact.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -33,39 +38,98 @@ struct BatchSolveStats {
 
 namespace detail {
 
+/// Assigns each distinct fixed-width integer key a dense id, in first-seen
+/// order. A flat open-addressed table (Fibonacci hashing on the high
+/// product bits + linear probing, load factor <= 1/2), so a lookup costs a
+/// few nanoseconds — the memo must stay profitable even for closed-form
+/// solves that are themselves only one pow(). Keys compare exactly, word
+/// for word, so a hit names the very key a fresh evaluation would see.
+class ExactKeyTable {
+ public:
+  struct Lookup {
+    std::uint32_t id;  ///< first-seen rank of the key
+    bool inserted;     ///< true when the key was new
+  };
+
+  /// Forget every key and size the table for up to `max_keys` keys of
+  /// `words` 64-bit words each. Storage is reused across calls.
+  void reset(std::size_t max_keys, std::size_t words) {
+    DNNLIFE_EXPECTS(words >= 1, "keys need at least one word");
+    unsigned bits = 4;
+    while ((std::size_t{1} << bits) < max_keys * 2) ++bits;
+    shift_ = 64 - bits;
+    mask_ = (std::size_t{1} << bits) - 1;
+    words_ = words;
+    max_keys_ = max_keys;
+    size_ = 0;
+    slots_.assign(mask_ + 1, 0);
+    keys_.resize(max_keys * words);
+  }
+
+  /// Look `key` (`words` words) up, inserting it when new. One- and
+  /// two-word keys (the duty memo, one- and two-segment reports) take
+  /// fixed-width instances whose hash and compare loops unroll.
+  Lookup insert(const std::uint64_t* key) {
+    if (words_ == 1) return insert_words<1>(key);
+    if (words_ == 2) return insert_words<2>(key);
+    return insert_words<0>(key);
+  }
+
+ private:
+  static std::uint32_t tag_id(std::uint32_t tag) noexcept { return tag - 1; }
+
+  /// insert() for kWords-word keys (0 = words_ words).
+  template <std::size_t kWords>
+  Lookup insert_words(const std::uint64_t* key) {
+    const std::size_t words = kWords == 0 ? words_ : kWords;
+    std::uint64_t hash = 0;
+    for (std::size_t w = 0; w < words; ++w)
+      hash = (std::rotl(hash, 31) ^ key[w]) * 0x9e3779b97f4a7c15ULL;
+    for (std::size_t slot = hash >> shift_;; slot = (slot + 1) & mask_) {
+      const std::uint32_t tag = slots_[slot];
+      if (tag == 0) {
+        DNNLIFE_EXPECTS(size_ < max_keys_, "exact-key table is full");
+        std::copy_n(key, words, keys_.data() + size_ * words);
+        slots_[slot] = ++size_;
+        return {tag_id(size_), true};
+      }
+      if (std::equal(key, key + words, keys_.data() + tag_id(tag) * words))
+        return {tag_id(tag), false};
+    }
+  }
+
+  std::vector<std::uint32_t> slots_;  ///< 0 = empty, else id + 1
+  std::vector<std::uint64_t> keys_;   ///< key of id i at [i*words, (i+1)*words)
+  std::size_t words_ = 1;
+  std::size_t max_keys_ = 0;
+  std::uint32_t size_ = 0;
+  unsigned shift_ = 60;
+  std::size_t mask_ = 15;
+};
+
 /// out[i] = solve(duties[i]), solving each distinct duty bit pattern once.
-/// The memo is a flat open-addressed table (Fibonacci hashing + linear
-/// probing, load factor <= 1/2) so a lookup costs a few nanoseconds — the
-/// memo must stay profitable even for closed-form solves that are
-/// themselves only one pow(). Keys are the exact duty bit patterns, so a
-/// hit returns the identical double a fresh solve would have produced.
+/// Keys are the exact duty bit patterns, so a hit returns the identical
+/// double a fresh solve would have produced.
 template <class Solve>
 void solve_batch_memoised(std::span<const double> duties,
                           std::span<double> out, BatchSolveStats* stats,
                           Solve&& solve) {
   DNNLIFE_EXPECTS(out.size() == duties.size(),
                   "batch output size must match the duty count");
-  const std::size_t count = duties.size();
-  if (count == 0) return;
-  std::size_t capacity = 16;
-  while (capacity < count * 2) capacity <<= 1;
-  const std::size_t mask = capacity - 1;
-  std::vector<std::uint64_t> keys(capacity);
-  std::vector<double> values(capacity);
-  std::vector<std::uint8_t> occupied(capacity, 0);
-  for (std::size_t i = 0; i < count; ++i) {
+  if (duties.empty()) return;
+  ExactKeyTable table;
+  table.reset(duties.size(), 1);
+  std::vector<double> values;
+  for (std::size_t i = 0; i < duties.size(); ++i) {
     const std::uint64_t key = std::bit_cast<std::uint64_t>(duties[i]);
-    std::size_t slot = (key * 0x9e3779b97f4a7c15ULL) & mask;
-    while (occupied[slot] && keys[slot] != key) slot = (slot + 1) & mask;
-    if (!occupied[slot]) {
-      occupied[slot] = 1;
-      keys[slot] = key;
-      values[slot] = solve(duties[i]);
+    const ExactKeyTable::Lookup lookup = table.insert(&key);
+    if (lookup.inserted) {
+      values.push_back(solve(duties[i]));
       if (stats != nullptr) ++stats->solves;
     } else if (stats != nullptr) {
       ++stats->memo_hits;
     }
-    out[i] = values[slot];
+    out[i] = values[lookup.id];
   }
 }
 

@@ -105,54 +105,63 @@ class LifetimeBuilder {
   std::size_t region_ = 0;
 };
 
-/// Per-cell lifetime solve result buffered between the parallel shard
-/// phase and the in-order min/stats fold.
+/// Per-history lifetime solve result, buffered per block between the
+/// parallel evaluation and the in-order min/stats fold.
 struct CellLifetime {
   double years = 0.0;
   bool used = false;
 };
 
-/// Blocked per-shard evaluation state of the single-operating-point
-/// lifetime solve: gather the used cells' duties of one contiguous block,
-/// run the batched inversion (one duty memo + hoisted model constants per
-/// block), scatter back. years_to_reach_batch is bit-identical to the
-/// per-cell solver, so this changes no report value.
+/// Blocked evaluation state of the single-operating-point lifetime solve:
+/// gather the duties of the block's distinct used histories, run the
+/// batched inversion (hoisted model constants per block), scatter back.
+/// years_to_reach_batch is bit-identical to the per-cell solver, so this
+/// changes no report value.
 struct BatchedLifetimeEval {
-  const DutyCycleTracker& tracker;
+  std::span<const EnvironmentSegmentView> segment;
   const DeviceAgingModel& device;
   double threshold;
-  const EnvironmentSpec& environment;
+  BlockHistories histories;
   std::vector<double> duties;
   std::vector<double> years;
 
-  void operator()(std::size_t begin, std::size_t end, CellLifetime* out) {
+  void operator()(std::size_t begin, std::size_t end,
+                  BlockValues<CellLifetime>& out) {
+    const DutyCycleTracker& tracker = *segment.front().tracker;
+    const std::span<const std::size_t> firsts =
+        histories.scan(segment, begin, end, out.index);
     duties.clear();
-    for (std::size_t cell = begin; cell < end; ++cell)
+    for (const std::size_t cell : firsts)
       if (!tracker.is_unused(cell)) duties.push_back(tracker.duty(cell));
     years.resize(duties.size());
-    device.years_to_reach_batch(duties, threshold, environment, years);
+    device.years_to_reach_batch(duties, threshold, segment.front().environment,
+                                years);
     std::size_t next = 0;
-    for (std::size_t cell = begin; cell < end; ++cell) {
-      out[cell - begin] =
-          tracker.is_unused(cell) ? CellLifetime{} : CellLifetime{years[next++], true};
+    for (const std::size_t cell : firsts) {
+      out.values.push_back(tracker.is_unused(cell)
+                               ? CellLifetime{}
+                               : CellLifetime{years[next++], true});
     }
   }
 };
 
-/// Blocked per-shard evaluation state of the multi-segment timeline
-/// solve: the gathered stress history is scratch reused across the
-/// shard's cells.
+/// Blocked evaluation state of the multi-segment timeline solve: one
+/// years_to_failure per distinct history of the block; the gathered
+/// stress history is scratch reused across the block's histories.
 struct TimelineLifetimeEval {
   std::span<const EnvironmentSegmentView> segments;
   const LifetimeModel& model;
+  BlockHistories histories;
   std::vector<StressSegment> history;
 
-  void operator()(std::size_t begin, std::size_t end, CellLifetime* out) {
-    for (std::size_t cell = begin; cell < end; ++cell) {
-      out[cell - begin] =
+  void operator()(std::size_t begin, std::size_t end,
+                  BlockValues<CellLifetime>& out) {
+    for (const std::size_t cell :
+         histories.scan(segments, begin, end, out.index)) {
+      out.values.push_back(
           gather_cell_segments(segments, cell, history).total == 0
               ? CellLifetime{}
-              : CellLifetime{model.years_to_failure(history), true};
+              : CellLifetime{model.years_to_failure(history), true});
     }
   }
 };
@@ -178,18 +187,15 @@ LifetimeReport make_lifetime_report(
     evaluator.run_blocks<CellLifetime>(
         first.cell_count(),
         [&] {
-          return BatchedLifetimeEval{first,
-                                     model.model(),
-                                     model.params().snm_failure_threshold,
-                                     segments.front().environment,
-                                     {},
-                                     {}};
+          return BatchedLifetimeEval{
+              segments, model.model(), model.params().snm_failure_threshold,
+              {},       {},            {}};
         },
         fold);
   } else {
     evaluator.run_blocks<CellLifetime>(
         first.cell_count(),
-        [&] { return TimelineLifetimeEval{segments, model, {}}; }, fold);
+        [&] { return TimelineLifetimeEval{segments, model, {}, {}}; }, fold);
   }
   return builder.finish();
 }

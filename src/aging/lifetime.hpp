@@ -99,10 +99,11 @@ struct LifetimeReport {
 /// cell's lifetime is the model's years-to-failure over its per-segment
 /// stress history. A single tracker is a one-segment timeline
 /// (`EnvironmentSegmentView{&tracker, env}`, solved at the tracker duty in
-/// `env`); owned segments borrow through segment_views(). `threads`
-/// shards the per-cell lifetime solves on the session executor under that
-/// concurrency budget (0 = hardware concurrency); results are
-/// bit-identical for any value (see aging/report_evaluator.hpp).
+/// `env`); owned segments borrow through segment_views(). Each distinct
+/// stress history of a 4096-cell block is solved once, and `threads` is
+/// the concurrency budget of those blocks on the session executor (0 =
+/// hardware concurrency); results are bit-identical for any value (see
+/// aging/report_evaluator.hpp).
 LifetimeReport make_lifetime_report(
     std::span<const EnvironmentSegmentView> segments,
     const LifetimeModel& model, unsigned threads = 1);

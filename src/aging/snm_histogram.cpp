@@ -112,8 +112,8 @@ class ReportBuilder {
   std::size_t region_ = 0;
 };
 
-/// Per-cell evaluation result buffered between the parallel shard phase
-/// and the in-order accumulation fold.
+/// Per-history evaluation result, buffered per block between the parallel
+/// evaluation and the in-order accumulation fold.
 struct CellAging {
   double duty = 0.0;
   double snm = 0.0;
@@ -121,67 +121,74 @@ struct CellAging {
   bool used = false;
 };
 
-/// Blocked per-shard evaluation state of the single-operating-point aging
-/// report: gather the used cells' duties of one contiguous block, run the
-/// batched forward curve (one duty memo + hoisted time powers per block),
-/// scatter back. degradation_batch is bit-identical to the per-cell
-/// calls, so this changes no report value.
+/// Blocked evaluation state of the single-operating-point aging report:
+/// gather the duties of the block's distinct used histories, run the
+/// batched forward curve (hoisted time powers per block), scatter back.
+/// degradation_batch is bit-identical to the per-cell calls, so this
+/// changes no report value.
 struct BatchedAgingEval {
-  const DutyCycleTracker& tracker;
+  std::span<const EnvironmentSegmentView> segment;
   const DeviceAgingModel& model;
-  const EnvironmentSpec& environment;
   double years;
   double optimal;
+  BlockHistories histories;
   std::vector<double> duties;
   std::vector<double> snm;
 
-  void operator()(std::size_t begin, std::size_t end, CellAging* out) {
+  void operator()(std::size_t begin, std::size_t end,
+                  BlockValues<CellAging>& out) {
+    const DutyCycleTracker& tracker = *segment.front().tracker;
+    const std::span<const std::size_t> firsts =
+        histories.scan(segment, begin, end, out.index);
     duties.clear();
-    for (std::size_t cell = begin; cell < end; ++cell)
+    for (const std::size_t cell : firsts)
       if (!tracker.is_unused(cell)) duties.push_back(tracker.duty(cell));
     snm.resize(duties.size());
-    model.degradation_batch(duties, years, environment, snm);
+    model.degradation_batch(duties, years, segment.front().environment, snm);
     std::size_t next = 0;
-    for (std::size_t cell = begin; cell < end; ++cell) {
+    for (const std::size_t cell : firsts) {
       if (tracker.is_unused(cell)) {
-        out[cell - begin] = {};
+        out.values.emplace_back();
       } else {
-        out[cell - begin] = {duties[next], snm[next], optimal, true};
+        out.values.push_back({duties[next], snm[next], optimal, true});
         ++next;
       }
     }
   }
 };
 
-/// Blocked per-shard evaluation state of the multi-segment timeline
-/// report. The balanced reference depends on each cell's residency
-/// weights, so every cell composes its own pair of timelines; the
-/// gathered stress history and its balanced-duty twin are scratch buffers
-/// reused across the shard's cells.
+/// Blocked evaluation state of the multi-segment timeline report. The
+/// balanced reference depends on each cell's residency weights, so every
+/// distinct history composes its own pair of timelines; the gathered
+/// stress history and its balanced-duty twin are scratch buffers reused
+/// across the block's histories.
 struct TimelineAgingEval {
   std::span<const EnvironmentSegmentView> segments;
   const DeviceAgingModel& model;
   double years;
+  BlockHistories histories;
   std::vector<StressSegment> history;
   std::vector<StressSegment> balanced;
 
-  void operator()(std::size_t begin, std::size_t end, CellAging* out) {
-    for (std::size_t cell = begin; cell < end; ++cell) {
+  void operator()(std::size_t begin, std::size_t end,
+                  BlockValues<CellAging>& out) {
+    for (const std::size_t cell :
+         histories.scan(segments, begin, end, out.index)) {
       const CellResidency residency =
           gather_cell_segments(segments, cell, history);
       if (residency.total == 0) {
-        out[cell - begin] = {};
+        out.values.emplace_back();
         continue;
       }
       const double duty = static_cast<double>(residency.ones) /
                           static_cast<double>(residency.total);
       const double snm = model.degradation_on_timeline(history, years);
-      // The minimum achievable degradation for *this* cell: balanced duty
-      // under the same environment exposure.
+      // The minimum achievable degradation for *this* history: balanced
+      // duty under the same environment exposure.
       balanced = history;
       for (StressSegment& segment : balanced) segment.duty = 0.5;
       const double optimal = model.degradation_on_timeline(balanced, years);
-      out[cell - begin] = {duty, snm, optimal, true};
+      out.values.push_back({duty, snm, optimal, true});
     }
   }
 };
@@ -207,19 +214,21 @@ AgingReport make_aging_report(std::span<const EnvironmentSegmentView> segments,
     // one segment at the tracker duty, and degradation_on_timeline
     // short-circuits it to degradation(), bit-identically) — take the
     // batched path.
-    const EnvironmentSpec& environment = segments.front().environment;
-    const double optimal = model.degradation(0.5, options.years, environment);
+    const double optimal =
+        model.degradation(0.5, options.years, segments.front().environment);
     evaluator.run_blocks<CellAging>(
         first.cell_count(),
         [&] {
-          return BatchedAgingEval{first, model, environment, options.years,
-                                  optimal, {},    {}};
+          return BatchedAgingEval{segments, model, options.years, optimal,
+                                  {},       {},    {}};
         },
         fold);
   } else {
     evaluator.run_blocks<CellAging>(
         first.cell_count(),
-        [&] { return TimelineAgingEval{segments, model, options.years, {}, {}}; },
+        [&] {
+          return TimelineAgingEval{segments, model, options.years, {}, {}, {}};
+        },
         fold);
   }
   return builder.finish();

@@ -53,9 +53,10 @@ struct AgingReportOptions {
   /// percentage points (~ the width of the paper's lowest histogram bin;
   /// cells here read as "around 10.8%" in Fig. 9/11 terms).
   double optimal_tolerance = 2.0;
-  /// Report-evaluation shard budget on the session executor (0 =
-  /// hardware concurrency). Results are bit-identical for any value: per-cell model
-  /// evaluation parallelizes, accumulation replays in cell order (see
+  /// Report-evaluation budget on the session executor (0 = hardware
+  /// concurrency). Results are bit-identical for any value: model
+  /// evaluation runs per 4096-cell block, once per distinct cell history,
+  /// and accumulation replays in cell order (see
   /// aging/report_evaluator.hpp).
   unsigned threads = 1;
 };

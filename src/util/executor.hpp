@@ -1,7 +1,7 @@
 // Session-scoped work-stealing executor: one pool for the whole stack.
 //
 // Every layer of the framework parallelises — suite jobs, the fast
-// simulator's row-parallel commit, report-evaluation shards, policy
+// simulator's row-parallel commit, report-evaluation blocks, policy
 // fan-outs — and before this executor each of them constructed a private
 // thread pool. A sweep at `--jobs=HW --threads=HW` therefore
 // oversubscribed the machine by up to jobs x threads, while a
@@ -29,16 +29,21 @@
 //    worker — and without oversubscription.
 //  * Task is a small-buffer-optimised callable (48 inline bytes): the
 //    shard lambdas of the hot paths submit without touching the heap, and
-//    TaskGroup::submit_bulk() shares ONE allocation across a whole shard
-//    range (workers claim shards from an atomic cursor), so a report fan-
-//    out is O(1) allocations and O(min(shards, workers)) deque pushes.
+//    TaskGroup::submit_bulk() / submit_items() share ONE allocation across
+//    a whole shard range or item set (workers claim shards or items from
+//    an atomic cursor), so a report fan-out is O(1) allocations and
+//    O(min(items, budget)) deque pushes.
 //
-// Determinism: the executor schedules, it never decomposes. Shard
-// partitions (util::shard_range over the *budget*, not the worker count)
-// and per-shard RNG derivation are untouched, results land in disjoint
-// slots, and folds replay in fixed shard order — so reports, sweeps and
-// summaries are bit-identical for ANY worker count (pinned by goldens in
-// tests/test_executor.cpp).
+// Determinism: the executor schedules, it never decomposes. Every work
+// partition is fixed by its caller before submission and never by the
+// worker count: report folds cut cells into fixed 4096-cell blocks (a
+// function of the cell count alone; see aging/report_evaluator.hpp) and
+// submit them as items, while shard fan-outs such as the fast simulator's
+// row commit use util::shard_range over the *budget*. Per-shard RNG
+// derivation is untouched, results land in disjoint slots, and folds
+// replay in fixed block or shard order — so reports, sweeps and summaries
+// are bit-identical for ANY worker count and budget (pinned by goldens in
+// tests/test_executor.cpp and tests/test_report_evaluator.cpp).
 #pragma once
 
 #include <atomic>

@@ -11,6 +11,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -163,6 +164,11 @@ TEST(Executor, WorkerBlockedInWaitExecutesSubtasksAtSizeOne) {
   std::thread::id outer_thread;
   std::set<std::thread::id> inner_threads;
   std::mutex inner_mutex;
+  // The test main must not help: a waiter in outer.wait() may run the
+  // outer task itself, or steal inner tasks while the worker runs it, and
+  // then the subtasks see two threads. Block on a latch the outer task
+  // counts down as its last action, so outer.wait() only collects it.
+  std::latch outer_done(1);
   TaskGroup outer(executor);
   outer.submit(Task([&] {
     outer_thread = std::this_thread::get_id();
@@ -174,7 +180,9 @@ TEST(Executor, WorkerBlockedInWaitExecutesSubtasksAtSizeOne) {
         inner_threads.insert(std::this_thread::get_id());
       }));
     inner.wait();
+    outer_done.count_down();
   }));
+  outer_done.wait();
   outer.wait();
   EXPECT_EQ(inner_hits.load(), 8);
   ASSERT_EQ(inner_threads.size(), 1u);
@@ -235,18 +243,25 @@ TEST(Executor, NestedFanOutStress) {
 TEST(Executor, ReportEvaluatorFoldIsInvariantAcrossExecutorSizes) {
   // The determinism argument of the whole PR in miniature: the fold replay
   // (ReportEvaluator) must produce the identical sequence for any executor
-  // size, because the shard partition depends only on the budget. Uses the
+  // size, because the block partition depends only on the cell count and
+  // the fold replays blocks in cell order. Spans two full blocks plus a
+  // ragged tail, so the budget-4 run really fans out. Uses the
   // session executor via configure_session — legal here because the
   // session is idle between runs.
   const auto fold_hash = [] {
     aging::ReportEvaluator evaluator(4);  // fixed budget — NOT the variable
     std::uint64_t hash = 0xcbf29ce484222325ULL;
     evaluator.run_blocks<std::uint64_t>(
-        1000,
+        2 * aging::ReportEvaluator::kBlockCells + 1000,
         [] {
-          return [](std::size_t begin, std::size_t end, std::uint64_t* out) {
-            for (std::size_t cell = begin; cell < end; ++cell)
-              out[cell - begin] = static_cast<std::uint64_t>(cell) * 2654435761u;
+          return [](std::size_t begin, std::size_t end,
+                    aging::BlockValues<std::uint64_t>& out) {
+            for (std::size_t cell = begin; cell < end; ++cell) {
+              out.index[cell - begin] =
+                  static_cast<std::uint16_t>(out.values.size());
+              out.values.push_back(static_cast<std::uint64_t>(cell) *
+                                   2654435761u);
+            }
           };
         },
         [&hash](std::size_t cell, std::uint64_t value) {

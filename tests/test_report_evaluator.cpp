@@ -10,16 +10,23 @@
 //    safeguarded Newton inversion replaced blind bisection there, so those
 //    hashes pin the Newton results and a separate test bounds the
 //    Newton-vs-bisection difference at ulp scale.
+//  * Exact-history memo tests: per-cell and whole-report bit identity with
+//    a per-cell reference loop over repeated, unused and 4096-all-distinct
+//    histories, and budget invariance when the distinct histories cluster
+//    in the first quarter of the cells.
 //  * Solver tests: Newton agreement with the legacy bisection, a pinned
 //    iteration-count budget (~10 evaluations vs bisection's ~50+), and the
 //    finite-difference default of degradation_slope against the analytic
 //    overrides.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "aging/lifetime.hpp"
@@ -236,18 +243,25 @@ TEST_F(ReportEvaluatorGolden, RegionBreakdownIdenticalAcrossThreadCounts) {
 }
 
 TEST(ReportEvaluator, BlockedRunFoldsEveryCellInOrderForAnyShardCount) {
-  // run_blocks spans several kBlockCells blocks per shard plus ragged
-  // tails; the fold must still see every cell exactly once, in order, with
-  // the block evaluation's values.
+  // run_blocks spans several kBlockCells blocks plus a ragged tail; the
+  // fold must still see every cell exactly once, in order, with the value
+  // its block's index points at. The block stores its values in reverse
+  // cell order, so an index replay that ignored the index would fail.
   const std::size_t cells = 2 * ReportEvaluator::kBlockCells + 613;
-  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+  for (const unsigned threads : {1u, 2u, 3u, 8u, 64u}) {
     std::vector<std::size_t> order;
     ReportEvaluator(threads).run_blocks<std::size_t>(
         cells,
         [&] {
-          return [](std::size_t begin, std::size_t end, std::size_t* out) {
-            for (std::size_t cell = begin; cell < end; ++cell)
-              out[cell - begin] = cell * 3 + 1;
+          return [](std::size_t begin, std::size_t end,
+                    BlockValues<std::size_t>& out) {
+            ASSERT_TRUE(out.values.empty());
+            ASSERT_EQ(out.index.size(), end - begin);
+            for (std::size_t cell = end; cell-- > begin;) {
+              out.index[cell - begin] =
+                  static_cast<std::uint16_t>(out.values.size());
+              out.values.push_back(cell * 3 + 1);
+            }
           };
         },
         [&](std::size_t cell, std::size_t value) {
@@ -260,23 +274,309 @@ TEST(ReportEvaluator, BlockedRunFoldsEveryCellInOrderForAnyShardCount) {
 }
 
 TEST(ReportEvaluator, FoldsEveryCellInOrderForAnyShardCount) {
-  for (const unsigned threads : {1u, 2u, 3u, 8u, 64u}) {
-    const std::size_t cells = 37;  // not divisible by any shard count above
-    std::vector<std::size_t> order;
-    ReportEvaluator(threads).run_blocks<std::size_t>(
-        cells,
-        [&] {
-          return [](std::size_t begin, std::size_t end, std::size_t* out) {
-            for (std::size_t cell = begin; cell < end; ++cell)
-              out[cell - begin] = cell * cell;
-          };
-        },
-        [&](std::size_t cell, std::size_t value) {
-          EXPECT_EQ(value, cell * cell);
-          order.push_back(cell);
-        });
-    ASSERT_EQ(order.size(), cells) << threads << " threads";
-    for (std::size_t i = 0; i < cells; ++i) EXPECT_EQ(order[i], i);
+  // Cell counts not divisible by any budget below, within one block and
+  // across six; each block shares one value between the cells of equal
+  // cell * cell % 7, so the replay must resolve repeated indices.
+  for (const std::size_t cells :
+       {std::size_t{37}, 5 * ReportEvaluator::kBlockCells + 37}) {
+    for (const unsigned threads : {1u, 2u, 3u, 8u, 64u}) {
+      std::vector<std::size_t> order;
+      ReportEvaluator(threads).run_blocks<std::size_t>(
+          cells,
+          [&] {
+            return [](std::size_t begin, std::size_t end,
+                      BlockValues<std::size_t>& out) {
+              std::vector<int> slot(7, -1);
+              for (std::size_t cell = begin; cell < end; ++cell) {
+                int& id = slot[cell * cell % 7];
+                if (id < 0) {
+                  id = static_cast<int>(out.values.size());
+                  out.values.push_back(cell * cell % 7);
+                }
+                out.index[cell - begin] = static_cast<std::uint16_t>(id);
+              }
+            };
+          },
+          [&](std::size_t cell, std::size_t value) {
+            EXPECT_EQ(value, cell * cell % 7);
+            order.push_back(cell);
+          });
+      ASSERT_EQ(order.size(), cells) << threads << " threads";
+      for (std::size_t i = 0; i < cells; ++i) EXPECT_EQ(order[i], i);
+    }
+  }
+}
+
+// ---- exact-history memo -----------------------------------------------------
+
+constexpr std::size_t kBlock = ReportEvaluator::kBlockCells;
+
+/// Two segment trackers over 2 * kBlock + 1500 cells carrying every kind
+/// of history the block memo must get right:
+///  * block 0: kBlock all-distinct histories (the uint16_t index bound);
+///  * blocks 1 and 2: 13 histories repeated inside each block and across
+///    the two blocks, among them cells unused in segment a only, in
+///    segment b only, and in both.
+std::pair<DutyCycleTracker, DutyCycleTracker> history_trackers() {
+  const std::size_t cells = 2 * kBlock + 1500;
+  DutyCycleTracker a(cells);
+  DutyCycleTracker b(cells);
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    std::uint32_t a_ones = 0, a_total = 0, b_ones = 0, b_total = 0;
+    if (cell < kBlock) {
+      a_total = 5000 + static_cast<std::uint32_t>(cell);
+      a_ones = static_cast<std::uint32_t>(cell * 37 % a_total);
+      b_total = 300;
+      b_ones = static_cast<std::uint32_t>(cell % 301);
+    } else {
+      const auto j = static_cast<std::uint32_t>(cell % 13);
+      if (j != 7 && j != 11) {
+        a_total = 200;
+        a_ones = 15 * j;
+      }
+      if (j != 7 && j % 4 != 0) {
+        b_total = 100;
+        b_ones = 7 * j;
+      }
+    }
+    a.ones_time()[cell] = a_ones;
+    a.total_time()[cell] = a_total;
+    b.ones_time()[cell] = b_ones;
+    b.total_time()[cell] = b_total;
+  }
+  return {std::move(a), std::move(b)};
+}
+
+/// One region per cell, so a report's region breakdown exposes every
+/// cell's own value (the min of a one-value RunningStats is that value).
+std::vector<CellRegion> one_region_per_cell(std::size_t cells) {
+  std::vector<CellRegion> regions;
+  regions.reserve(cells);
+  for (std::size_t cell = 0; cell < cells; ++cell)
+    regions.push_back(CellRegion{std::to_string(cell), cell, cell + 1});
+  return regions;
+}
+
+/// A cell's values, computed the per-cell way.
+struct ReferenceCell {
+  bool used = false;
+  double duty = 0.0;
+  double snm = 0.0;
+  double optimal = 0.0;
+  double years = 0.0;
+};
+
+std::vector<ReferenceCell> reference_cells(
+    std::span<const EnvironmentSegmentView> segments,
+    const LifetimeModel& lifetime, double years) {
+  const DeviceAgingModel& model = lifetime.model();
+  std::vector<ReferenceCell> cells;
+  std::vector<StressSegment> history;
+  for (std::size_t cell = 0; cell < segments.front().tracker->cell_count();
+       ++cell) {
+    const CellResidency residency =
+        gather_cell_segments(segments, cell, history);
+    if (residency.total == 0) {
+      cells.emplace_back();
+      continue;
+    }
+    std::vector<StressSegment> balanced = history;
+    for (StressSegment& segment : balanced) segment.duty = 0.5;
+    cells.push_back(ReferenceCell{
+        true,
+        static_cast<double>(residency.ones) /
+            static_cast<double>(residency.total),
+        model.degradation_on_timeline(history, years),
+        model.degradation_on_timeline(balanced, years),
+        lifetime.years_to_failure(history)});
+  }
+  return cells;
+}
+
+/// report_fields() of the report the per-cell loop folds.
+std::vector<double> reference_aging_fields(
+    const std::vector<ReferenceCell>& cells,
+    const AgingReportOptions& options) {
+  util::Histogram histogram(options.hist_lo, options.hist_hi,
+                            options.hist_bins);
+  util::RunningStats snm;
+  util::RunningStats duty;
+  std::uint64_t used = 0;
+  std::uint64_t optimal = 0;
+  for (const ReferenceCell& cell : cells) {
+    if (!cell.used) continue;
+    ++used;
+    histogram.add(cell.snm);
+    snm.add(cell.snm);
+    duty.add(cell.duty);
+    if (cell.snm <= cell.optimal + options.optimal_tolerance) ++optimal;
+  }
+  std::vector<double> fields = {
+      snm.mean(),  snm.min(),  snm.max(),  snm.variance(),
+      duty.mean(), duty.min(), duty.max(), duty.variance(),
+      used == 0 ? 0.0
+                : static_cast<double>(optimal) / static_cast<double>(used),
+      static_cast<double>(cells.size()),
+      static_cast<double>(cells.size() - used)};
+  for (std::size_t b = 0; b < histogram.bin_count(); ++b)
+    fields.push_back(histogram.fraction_in_bin(b));
+  return fields;
+}
+
+/// lifetime_fields() of the report the per-cell loop folds.
+std::vector<double> reference_lifetime_fields(
+    const std::vector<ReferenceCell>& cells, const LifetimeModel& lifetime) {
+  util::RunningStats years;
+  double device = 0.0;
+  for (const ReferenceCell& cell : cells) {
+    if (!cell.used) continue;
+    if (years.count() == 0 || cell.years < device) device = cell.years;
+    years.add(cell.years);
+  }
+  return {device,
+          years.mean(),
+          years.min(),
+          years.max(),
+          years.variance(),
+          device / lifetime.worst_case_years(),
+          device / lifetime.best_case_years()};
+}
+
+std::uint64_t bits_of(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+void expect_bit_identical(const std::vector<double>& actual,
+                          const std::vector<double>& expected,
+                          const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (std::size_t i = 0; i < actual.size(); ++i)
+    EXPECT_EQ(bits_of(actual[i]), bits_of(expected[i]))
+        << what << ", field " << i << ": " << actual[i] << " vs "
+        << expected[i];
+}
+
+TEST(ReportEvaluatorMemo, BlockHistoriesNumberDistinctKeysInFirstSeenOrder) {
+  const auto [a, b] = history_trackers();
+  const std::vector<EnvironmentSegmentView> segments = {{&a, kNominal},
+                                                        {&b, hot(85.0)}};
+  BlockHistories histories;
+  std::vector<std::uint16_t> index(kBlock);
+  // Block 0: every history distinct, so every cell is its own first.
+  std::span<const std::size_t> firsts =
+      histories.scan(segments, 0, kBlock, index);
+  ASSERT_EQ(firsts.size(), kBlock);
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    EXPECT_EQ(index[i], i);
+    EXPECT_EQ(firsts[i], i);
+  }
+  // Block 1: the 13 repeating histories, numbered by first appearance.
+  firsts = histories.scan(segments, kBlock, 2 * kBlock, index);
+  ASSERT_EQ(firsts.size(), 13u);
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    ASSERT_LT(index[i], firsts.size());
+    EXPECT_EQ(firsts[index[i]] % 13, (kBlock + i) % 13);
+    EXPECT_EQ(index[i], i < 13 ? i : index[i - 13]);
+  }
+}
+
+TEST(ReportEvaluatorMemo, MatchesPerCellReferenceForEveryHistoryKind) {
+  auto [a, b] = history_trackers();
+  const std::size_t cells = a.cell_count();
+  a.set_regions(one_region_per_cell(cells));
+  b.set_regions(one_region_per_cell(cells));
+  const std::vector<EnvironmentSegmentView> timeline = {{&a, hot(45.0)},
+                                                        {&b, hot(85.0)}};
+  const std::span<const EnvironmentSegmentView> single(timeline.data(), 1);
+  for (const ModelPins& pins : kPins) {
+    const LifetimeModel lifetime(make_aging_model(pins.model));
+    for (const std::span<const EnvironmentSegmentView> segments :
+         {single, std::span<const EnvironmentSegmentView>(timeline)}) {
+      const std::string view = std::string(pins.model) + ", " +
+                               std::to_string(segments.size()) + " segment(s)";
+      AgingReportOptions options;
+      const std::vector<ReferenceCell> reference =
+          reference_cells(segments, lifetime, options.years);
+      const std::vector<double> aging_fields =
+          reference_aging_fields(reference, options);
+      const std::vector<double> life_fields =
+          reference_lifetime_fields(reference, lifetime);
+      for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+        const std::string what = view + ", budget " + std::to_string(threads);
+        options.threads = threads;
+        const AgingReport report =
+            make_aging_report(segments, lifetime.model(), options);
+        const LifetimeReport life =
+            make_lifetime_report(segments, lifetime, threads);
+        expect_bit_identical(report_fields(report), aging_fields,
+                             what + " aging");
+        expect_bit_identical(lifetime_fields(life), life_fields,
+                             what + " lifetime");
+        ASSERT_EQ(report.regions.size(), cells);
+        ASSERT_EQ(life.regions.size(), cells);
+        std::size_t mismatches = 0;
+        std::size_t first_mismatch = cells;
+        for (std::size_t cell = 0; cell < cells; ++cell) {
+          const ReferenceCell& expected = reference[cell];
+          const RegionAging& aging = report.regions[cell];
+          const RegionLifetime& lifetime_region = life.regions[cell];
+          const bool same =
+              expected.used
+                  ? aging.unused_cells == 0 &&
+                        bits_of(aging.snm_stats.min()) == bits_of(expected.snm) &&
+                        bits_of(aging.duty_stats.min()) ==
+                            bits_of(expected.duty) &&
+                        aging.fraction_optimal ==
+                            (expected.snm <=
+                                     expected.optimal + options.optimal_tolerance
+                                 ? 1.0
+                                 : 0.0) &&
+                        bits_of(lifetime_region.device_lifetime_years) ==
+                            bits_of(expected.years)
+                  : aging.unused_cells == 1 &&
+                        lifetime_region.cell_lifetime.count() == 0;
+          if (!same && mismatches++ == 0) first_mismatch = cell;
+        }
+        EXPECT_EQ(mismatches, 0u)
+            << what << ": first mismatching cell " << first_mismatch;
+      }
+    }
+  }
+}
+
+TEST(ReportEvaluatorMemo, SkewedDistinctHistoriesIdenticalAcrossBudgets) {
+  // Every distinct history sits in the first quarter of the cells (the
+  // shape of a dnn-life hot region next to unmitigated cold rows): the
+  // block items must still fold to the budget-1 report bit for bit.
+  const std::size_t cells = 4 * kBlock;
+  DutyCycleTracker a(cells);
+  DutyCycleTracker b(cells);
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    const bool hot_cell = cell < cells / 4;
+    a.total_time()[cell] = hot_cell ? 4000 + static_cast<std::uint32_t>(cell)
+                                    : 1000;
+    a.ones_time()[cell] = hot_cell ? static_cast<std::uint32_t>(cell) : 900;
+    b.total_time()[cell] = 500;
+    b.ones_time()[cell] = hot_cell ? 250 : static_cast<std::uint32_t>(cell % 3);
+  }
+  const std::vector<EnvironmentSegmentView> segments = {{&a, hot(45.0)},
+                                                        {&b, hot(85.0)}};
+  for (const ModelPins& pins : kPins) {
+    const LifetimeModel lifetime(make_aging_model(pins.model));
+    AgingReportOptions options;
+    const std::vector<double> serial_aging = report_fields(
+        make_aging_report(segments, lifetime.model(), options));
+    const std::vector<double> serial_life =
+        lifetime_fields(make_lifetime_report(segments, lifetime, 1));
+    for (const unsigned threads : {2u, 3u, 8u}) {
+      options.threads = threads;
+      const std::string what =
+          std::string(pins.model) + ", budget " + std::to_string(threads);
+      expect_bit_identical(
+          report_fields(make_aging_report(segments, lifetime.model(), options)),
+          serial_aging, what + " aging");
+      expect_bit_identical(
+          lifetime_fields(make_lifetime_report(segments, lifetime, threads)),
+          serial_life, what + " lifetime");
+    }
   }
 }
 
