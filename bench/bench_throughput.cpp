@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "aging/device_model.hpp"
 #include "aging/lifetime.hpp"
@@ -12,6 +14,7 @@
 #include "core/fast_simulator.hpp"
 #include "core/reference_simulator.hpp"
 #include "core/region_policy.hpp"
+#include "core/sim_store.hpp"
 #include "core/transducer.hpp"
 #include "dnn/model_zoo.hpp"
 #include "quant/bit_distribution.hpp"
@@ -263,6 +266,34 @@ void BM_AgingReportFold(benchmark::State& state) {
                           static_cast<std::int64_t>(tracker.cell_count()));
 }
 BENCHMARK(BM_AgingReportFold)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// One store entry through the codec: serialize, then deserialize (which
+// checksums and validates every byte), for a 2048 x 128-row single-segment
+// state — 262,144 cells, the GoogLeNet TPU-like-NPU weight memory.
+void BM_SimStateCodec(benchmark::State& state) {
+  core::SimulationState sim_state;
+  sim_state.geometry.rows = 2048;
+  sim_state.geometry.row_bits = 128;
+  const std::uint64_t cells = sim_state.geometry.cells();
+  sim_state.regions = {{"memory", 0, cells}};
+  aging::DutyCycleTracker tracker(static_cast<std::size_t>(cells));
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    tracker.ones_time()[cell] = static_cast<std::uint32_t>(cell % 997);
+    tracker.total_time()[cell] = 1000;
+  }
+  tracker.set_regions(sim_state.regions);
+  sim_state.segment_trackers.push_back(std::move(tracker));
+  std::size_t entry_bytes = 0;
+  for (auto _ : state) {
+    const std::string bytes = core::serialize_simulation_state(sim_state);
+    const auto loaded = core::deserialize_simulation_state(bytes, "bench");
+    benchmark::DoNotOptimize(loaded->segment_trackers.data());
+    entry_bytes = bytes.size();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(entry_bytes));
+}
+BENCHMARK(BM_SimStateCodec)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

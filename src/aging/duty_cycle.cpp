@@ -47,8 +47,15 @@ void DutyCycleTracker::save(std::string& out) const {
     util::append_u64le(out, region.cell_begin);
     util::append_u64le(out, region.cell_end);
   }
-  for (const std::uint32_t value : ones_time_) util::append_u32le(out, value);
-  for (const std::uint32_t value : total_time_) util::append_u32le(out, value);
+  util::append_u32le_array(out, ones_time_);
+  util::append_u32le_array(out, total_time_);
+}
+
+std::size_t DutyCycleTracker::saved_bytes() const noexcept {
+  std::size_t bytes = 8 + 8 + 8 * cell_count();  // counts + accumulators
+  for (const CellRegion& region : regions_)
+    bytes += 8 + region.name.size() + 16;
+  return bytes;
 }
 
 DutyCycleTracker DutyCycleTracker::load(util::ByteReader& reader) {
@@ -75,10 +82,8 @@ DutyCycleTracker DutyCycleTracker::load(util::ByteReader& reader) {
     regions.push_back(std::move(region));
   }
   DutyCycleTracker tracker(static_cast<std::size_t>(cell_count));
-  for (std::uint32_t& value : tracker.ones_time_)
-    value = reader.u32("tracker ones time");
-  for (std::uint32_t& value : tracker.total_time_)
-    value = reader.u32("tracker total time");
+  reader.u32_array(tracker.ones_time_, "tracker ones time");
+  reader.u32_array(tracker.total_time_, "tracker total time");
   tracker.set_regions(std::move(regions));  // re-validates the partition
   return tracker;
 }

@@ -116,6 +116,9 @@ class DutyCycleTracker {
   /// committed trackers through this pair.
   void save(std::string& out) const;
 
+  /// The number of bytes save() appends.
+  std::size_t saved_bytes() const noexcept;
+
   /// Parse one tracker back from `reader`'s cursor (the exact inverse of
   /// save; the cursor advances past the tracker). Throws
   /// std::invalid_argument on truncated input or an invalid region

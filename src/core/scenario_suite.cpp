@@ -15,7 +15,6 @@
 #include "util/hash.hpp"
 #include "util/json.hpp"
 #include "util/json_writer.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace dnnlife::core {

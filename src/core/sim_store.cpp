@@ -12,7 +12,6 @@
 #include "util/check.hpp"
 #include "util/fsio.hpp"
 #include "util/hash.hpp"
-#include "util/rng.hpp"
 
 #ifdef DNNLIFE_HAVE_FSYNC
 #include <unistd.h>
@@ -26,7 +25,9 @@ namespace {
 
 /// 16-byte file magic; anything else is "not a simulation-state file".
 constexpr std::string_view kMagic = "dnnlife-simstate";
-constexpr std::uint32_t kFormatVersion = 1;
+/// v2: the trailing checksum is util::wordlane64 (v1's was FNV-1a). No v1
+/// reader is kept; a v1 entry fails the version check like any stale one.
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::size_t kChecksumBytes = 8;
 /// magic + version + checksum — the smallest conceivable valid file.
 constexpr std::size_t kMinFileBytes = kMagic.size() + 4 + kChecksumBytes;
@@ -34,11 +35,11 @@ constexpr std::size_t kMinFileBytes = kMagic.size() + 4 + kChecksumBytes;
 constexpr std::string_view kEntrySuffix = ".simstate";
 constexpr std::string_view kQuarantineDir = "quarantine";
 
-/// FNV-1a-64 over the framed bytes, splitmix-finished — the same hash
-/// family the fingerprint itself uses; detects any single flipped byte
-/// and all truncations that survive the length checks.
+/// Word-parallel checksum over the framed bytes: detects any single
+/// flipped byte by construction (see util::wordlane64) and the truncations
+/// that survive the length checks, at memory bandwidth.
 std::uint64_t content_checksum(std::string_view bytes) {
-  return util::splitmix64(util::fnv1a64(bytes));
+  return util::wordlane64(bytes);
 }
 
 std::uint64_t process_tag() {
@@ -58,7 +59,15 @@ bool is_hex_fingerprint(const std::string& fingerprint) {
 }  // namespace
 
 std::string serialize_simulation_state(const SimulationState& state) {
-  std::string out(kMagic);
+  // Size the buffer exactly once: an entry is megabytes of tracker words.
+  std::size_t size = kMagic.size() + 4 + 4 + 4 + 8 + 8 + kChecksumBytes;
+  for (const aging::CellRegion& region : state.regions)
+    size += 8 + region.name.size() + 16;
+  for (const aging::DutyCycleTracker& tracker : state.segment_trackers)
+    size += tracker.saved_bytes();
+  std::string out;
+  out.reserve(size);
+  out.append(kMagic);
   util::append_u32le(out, kFormatVersion);
   util::append_u32le(out, state.geometry.rows);
   util::append_u32le(out, state.geometry.row_bits);
@@ -72,6 +81,7 @@ std::string serialize_simulation_state(const SimulationState& state) {
   for (const aging::DutyCycleTracker& tracker : state.segment_trackers)
     tracker.save(out);
   util::append_u64le(out, content_checksum(out));
+  DNNLIFE_ENSURES(out.size() == size, "simulation-state size mismatch");
   return out;
 }
 

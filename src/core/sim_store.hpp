@@ -18,6 +18,14 @@
 // (preserved for inspection, never re-probed) and the lookup degrades to
 // a miss. Lookup never throws for bad entry content.
 //
+// Format v2 checksums with util::wordlane64, a four-lane word-parallel
+// hash that still changes on any single flipped byte by construction, so
+// reading and checking an entry runs near memory bandwidth. Every lookup
+// reads, checksums and validates the whole entry; no decoded state is
+// kept between lookups (that is SimCache's tier). A v1 entry (FNV-1a
+// checksum) fails the version check: it is quarantined once, simulated
+// again and republished as v2.
+//
 // Publication is crash-durable and atomic (util/fsio.hpp): serialize to a
 // unique tmp name in the store directory, fsync, rename onto the final
 // name, fsync the parent directory. Readers therefore only ever see

@@ -1,5 +1,6 @@
 #include "util/fsio.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -78,11 +79,24 @@ void write_file_durable(const std::string& tmp_path,
 std::string read_file(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
   if (!file) throw std::invalid_argument("cannot open '" + path + "'");
-  std::string contents;
-  char chunk[1 << 16];
-  while (file.read(chunk, sizeof chunk))
-    contents.append(chunk, sizeof chunk);
-  contents.append(chunk, static_cast<std::size_t>(file.gcount()));
+  // Size the buffer once from the file's current size, plus one byte so a
+  // file that did not grow hits EOF inside the first read. The size is
+  // only a hint (none for a directory or a special file): reading goes
+  // on to EOF, doubling the buffer, so a file that grew is read in full.
+  std::error_code no_size;
+  const std::uintmax_t hint = std::filesystem::file_size(path, no_size);
+  std::string contents(no_size ? std::size_t{1 << 16}
+                               : static_cast<std::size_t>(hint) + 1,
+                       '\0');
+  std::size_t filled = 0;
+  for (;;) {
+    file.read(contents.data() + filled,
+              static_cast<std::streamsize>(contents.size() - filled));
+    filled += static_cast<std::size_t>(file.gcount());
+    if (!file) break;
+    contents.resize(std::max<std::size_t>(2 * contents.size(), 1 << 16));
+  }
+  contents.resize(filled);
   // eof alone is the normal exit; badbit means the read itself failed.
   if (file.bad())
     throw std::invalid_argument("error while reading '" + path +

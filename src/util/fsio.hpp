@@ -22,7 +22,9 @@
 //
 // The read side is read_file: every whole-file slurp in the framework goes
 // through it, so an I/O error mid-read is an error and never a silently
-// truncated document.
+// truncated document. It sizes its buffer once from the file's size and
+// then drains to EOF, so a store entry of megabytes costs one allocation
+// and one pass, and a file that grew meanwhile is still read in full.
 #pragma once
 
 #include <cstdio>

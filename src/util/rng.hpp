@@ -19,17 +19,9 @@
 #include <cstdint>
 
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace dnnlife::util {
-
-/// SplitMix64 step: the canonical 64-bit finaliser used for seeding and as
-/// the mixing function of CounterRng.
-constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// xoshiro256** by Blackman & Vigna: fast, high-quality 64-bit PRNG.
 class Xoshiro256ss {

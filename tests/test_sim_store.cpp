@@ -22,6 +22,7 @@
 #include "core/sim_store.hpp"
 #include "util/binio.hpp"
 #include "util/executor.hpp"
+#include "util/hash.hpp"
 
 namespace dnnlife::core {
 namespace {
@@ -160,6 +161,26 @@ TEST(SimulationStateSerialization, RejectsTrailingGarbageAndDamage) {
   }
 }
 
+TEST(SimulationStateSerialization, EverySingleBitFlipIsDetected) {
+  // Two segments and a payload spanning many of the checksum's 32-byte
+  // lane blocks plus a non-empty tail: each lane step and the tail step
+  // are bijections, so no single flipped bit anywhere may go unnoticed.
+  const std::string bytes =
+      serialize_simulation_state(*make_state(4, 24, 2, 3));
+  const std::size_t framed = bytes.size() - 8;  // all but the checksum
+  ASSERT_GE(framed / 32, 8u);
+  ASSERT_NE(framed % 32, 0u) << "the payload must leave a checksum tail";
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+      EXPECT_THROW(deserialize_simulation_state(flipped, "t"),
+                   std::invalid_argument)
+          << "flip of bit " << bit << " at byte " << at << " was not detected";
+    }
+  }
+}
+
 // ---- the store ---------------------------------------------------------------
 
 class SimStoreFixture : public ::testing::Test {
@@ -264,6 +285,42 @@ TEST_F(SimStoreFixture, CorruptionCorpusDegradesToQuarantinedMisses) {
   for (const auto& file : fs::directory_iterator(dir_ / "quarantine"))
     if (file.is_regular_file()) ++preserved;
   EXPECT_EQ(preserved, corpus.size());
+}
+
+TEST_F(SimStoreFixture, StaleV1EntryIsQuarantinedOnceThenRepublished) {
+  // A genuine v1 entry: the current payload under format version 1 with
+  // v1's checksum (splitmix64 of FNV-1a over the framed bytes). No v1
+  // reader exists, so it is a quarantined miss and is simulated again.
+  const std::string fingerprint = "0badc0de0badc0de0badc0de0badc0de";
+  const auto state = make_state(8, 64, 2, 4);
+  std::string v1 = serialize_simulation_state(*state);
+  v1.resize(v1.size() - 8);
+  v1[16] = 1;  // u32le version after the 16-byte magic
+  v1[17] = v1[18] = v1[19] = 0;
+  util::append_u64le(v1, util::splitmix64(util::fnv1a64(v1)));
+
+  SimStore store(store_options());
+  const std::string entry = store.entry_path(fingerprint);
+  {
+    std::ofstream out(entry, std::ios::binary | std::ios::trunc);
+    out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+  }
+  EXPECT_EQ(store.lookup(fingerprint), nullptr)
+      << "a v1 entry must never be served";
+  SimStoreStats stats = store.stats();
+  EXPECT_EQ(stats.quarantined, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_FALSE(fs::exists(entry));
+
+  EXPECT_TRUE(store.publish(fingerprint, *state));
+  const SimStore::StatePtr loaded = store.lookup(fingerprint);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_TRUE(states_equal(*state, *loaded));
+  stats = store.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.quarantined, 1u) << "the v1 entry is quarantined once";
 }
 
 TEST_F(SimStoreFixture, ConcurrentPublishersConvergeOnOneValidEntry) {
