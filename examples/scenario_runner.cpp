@@ -53,6 +53,8 @@
 
 namespace {
 
+using dnnlife::util::flag_value;
+
 constexpr const char* kDefaultScenario = R"json({
   "name": "hybrid-hot-cold",
   "hardware": "tpu-like-npu",
@@ -71,14 +73,6 @@ constexpr const char* kDefaultScenario = R"json({
   ],
   "threads": 2
 })json";
-
-bool flag_value(const std::string& arg, const std::string& name,
-                std::string& value) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  value = arg.substr(prefix.size());
-  return true;
-}
 
 }  // namespace
 
@@ -122,21 +116,16 @@ int main(int argc, char** argv) {
       executor_threads = parsed;
     } else if (flag_value(arg, "phase-temp", value)) {
       const std::size_t colon = value.find(':');
-      const std::string index = value.substr(0, colon);
-      if (colon == std::string::npos || index.empty() ||
-          index.find_first_not_of("0123456789") != std::string::npos) {
+      unsigned index = 0;
+      double celsius = 0.0;
+      if (colon == std::string::npos ||
+          !util::parse_unsigned_flag(value.substr(0, colon), index) ||
+          !util::parse_double_flag(value.substr(colon + 1), celsius)) {
         std::cerr << "--phase-temp expects IDX:CELSIUS, got '" << value
                   << "'\n";
         return 1;
       }
-      try {
-        phase_temps.emplace_back(std::stoul(index),
-                                 std::stod(value.substr(colon + 1)));
-      } catch (const std::exception&) {
-        std::cerr << "--phase-temp expects IDX:CELSIUS, got '" << value
-                  << "'\n";
-        return 1;
-      }
+      phase_temps.emplace_back(index, celsius);
     } else if (flag_value(arg, "csv", value)) {
       csv_path = value;
     } else if (flag_value(arg, "sim-cache-mb", value)) {

@@ -38,9 +38,10 @@
 //                    schedulers can always pass --resume.
 //   --retries=N      extra attempts per failed/timed-out scenario
 //                    (default 0; each attempt starts from a fresh spec)
-//   --deadline=SEC   soft per-scenario deadline on the monotonic clock: an
-//                    attempt that exceeds it is recorded as status
-//                    "timeout" and abandoned instead of hanging the shard
+//   --deadline=SEC   soft per-attempt deadline on the monotonic clock: an
+//                    attempt that exceeds it stops at its next stage
+//                    boundary (payload build, simulation, aging report,
+//                    lifetime report) and is recorded as status "timeout"
 //   --sim-cache-mb=N enable content-addressed simulation reuse with an
 //                    N-MB duty-state cache (0 = off, the default): points
 //                    whose specs share a simulation fingerprint (same
@@ -74,9 +75,11 @@
 //                    deterministic fault injection at the scenario with
 //                    global index INDEX. KIND: "throw" (every attempt of
 //                    the point fails), "delay" (the first attempt sleeps
-//                    SECONDS, default 0.3 — pair with --deadline to force
-//                    a timeout), "exit" (the process dies with _Exit(40)
-//                    the moment the point starts — a simulated crash).
+//                    SECONDS, default 0.3, before the scenario starts — a
+//                    --deadline below SECONDS stops the attempt at its
+//                    first check, a timeout), "exit" (the process dies
+//                    with _Exit(40) the moment the point starts — a
+//                    simulated crash).
 //
 // Cross-machine sweep: run `--spec=S.json --shard=K/N --json=shard-K.json`
 // on each of N machines, then `example_sweep_merge shard-*.json`.

@@ -373,6 +373,12 @@ std::string rows_key(const ScenarioSpec& spec, const std::string& network) {
                                   scenario_dataflow(spec));
 }
 
+/// A stage boundary of run_scenario: stop here once the deadline passed.
+void check_deadline(const RunScenarioOptions& options) {
+  if (std::chrono::steady_clock::now() >= options.deadline)
+    throw DeadlineExceeded();
+}
+
 /// Simulate the spec's write stream end-to-end and commit the duty state:
 /// build one stream per distinct network (hardware config shared, so all
 /// phases target the same physical memory), resolve the region → policy
@@ -393,6 +399,7 @@ std::shared_ptr<const SimulationState> simulate_scenario(
     if (options.lookup_encoded_rows)
       rows = options.lookup_encoded_rows(rows_key(spec, phase.network));
     if (!rows) {
+      check_deadline(options);
       const dnn::Network network = dnn::make_network(phase.network);
       const dnn::WeightStreamer streamer(network);
       const quant::WeightWordCodec codec(streamer, spec.format);
@@ -444,10 +451,12 @@ std::shared_ptr<const SimulationState> simulate_scenario(
     phases.push_back(WorkloadPhase{streams.at(phase.network).get(),
                                    phase.inferences, phase.environment});
 
-  WorkloadOptions options;
-  options.threads = spec.threads;
-  options.use_reference_simulator = spec.use_reference_simulator;
-  PhasedWorkloadResult phased = simulate_workload_phased(phases, table, options);
+  WorkloadOptions workload;
+  workload.threads = spec.threads;
+  workload.use_reference_simulator = spec.use_reference_simulator;
+  check_deadline(options);
+  PhasedWorkloadResult phased =
+      simulate_workload_phased(phases, table, workload);
   auto state = std::make_shared<SimulationState>();
   state->geometry = geometry;
   state->regions = phased.combined.regions();
@@ -462,7 +471,8 @@ std::shared_ptr<const SimulationState> simulate_scenario(
 /// aging fold consumes the same tracker bits either way, so the report is
 /// byte-identical) and run the aging/lifetime pipeline.
 ScenarioResult evaluate_scenario(const ScenarioSpec& spec,
-                                 const SimulationState& state) {
+                                 const SimulationState& state,
+                                 const RunScenarioOptions& options) {
   // The simulation validates phase environments; a cache hit skips it, so
   // keep the rejection behaviour identical here (idempotent on a miss).
   for (const ScenarioPhaseSpec& phase : spec.phases)
@@ -496,6 +506,7 @@ ScenarioResult evaluate_scenario(const ScenarioSpec& spec,
   // simulation used (bit-identical for any value).
   aging::AgingReportOptions report = spec.report;
   report.threads = spec.threads;
+  check_deadline(options);
   if (state.segment_trackers.empty()) {
     // Every phase dormant: an all-unused report, no lifetime to solve.
     // The zero tracker is not cached — it rebuilds from the shape.
@@ -520,6 +531,7 @@ ScenarioResult evaluate_scenario(const ScenarioSpec& spec,
   result.report = make_aging_report(
       std::span<const aging::EnvironmentSegmentView>(views), *model, report);
   const aging::LifetimeModel lifetime(model, spec.lifetime);
+  check_deadline(options);
   result.lifetime = make_lifetime_report(
       std::span<const aging::EnvironmentSegmentView>(views), lifetime,
       spec.threads);
@@ -545,8 +557,9 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
 ScenarioResult run_scenario(const ScenarioSpec& spec,
                             const RunScenarioOptions& options) {
   DNNLIFE_EXPECTS(!spec.phases.empty(), "scenario needs at least one phase");
+  check_deadline(options);
   if (!options.sim_cache && !options.sim_store)
-    return evaluate_scenario(spec, *simulate_scenario(spec, options));
+    return evaluate_scenario(spec, *simulate_scenario(spec, options), options);
   const std::string fingerprint = simulation_fingerprint(spec);
   SimCache::StatePtr state =
       options.sim_cache ? options.sim_cache->lookup(fingerprint) : nullptr;
@@ -571,7 +584,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
     // compute in the first place; this is the correctness backstop).
     state = options.sim_cache->insert(fingerprint, std::move(state));
   }
-  return evaluate_scenario(spec, *state);
+  return evaluate_scenario(spec, *state, options);
 }
 
 }  // namespace dnnlife::core

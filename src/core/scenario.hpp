@@ -9,9 +9,11 @@
 // Layering: scenario → workbench/workload → policy engine → simulators.
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -118,6 +120,13 @@ std::string simulation_fingerprint(const ScenarioSpec& spec);
 
 class SimStore;  // core/sim_store.hpp
 
+/// Thrown by run_scenario when RunScenarioOptions::deadline has passed at
+/// one of its stage boundaries.
+class DeadlineExceeded : public std::runtime_error {
+ public:
+  DeadlineExceeded() : std::runtime_error("scenario deadline exceeded") {}
+};
+
 struct RunScenarioOptions {
   /// Shared duty-state cache. Non-null: look up the spec's fingerprint
   /// first and skip simulation on a hit, inserting on a miss; results are
@@ -140,6 +149,13 @@ struct RunScenarioOptions {
   /// uses it to release siblings waiting for the same key.
   std::function<void(std::shared_ptr<const sim::EncodedRows>)>
       publish_encoded_rows;
+  /// Soft deadline: once it has passed, the run throws DeadlineExceeded at
+  /// its next stage boundary — entry, each payload build, the duty
+  /// simulation, the aging report, the lifetime report. A running stage is
+  /// never interrupted, so the overrun is at most one stage. The
+  /// SweepScheduler sets it per attempt; the default never expires.
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
 };
 
 /// The sim::EncodedRows keys a simulation of `spec` needs: one per

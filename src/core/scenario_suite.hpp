@@ -91,10 +91,11 @@ struct SuiteFaultContext {
   unsigned attempt = 1;
 };
 
-/// Deterministic fault-injection hook: runs on the attempt's own thread
-/// before the scenario executes. A hook that throws simulates a failing
-/// attempt (exercising the retry path), one that sleeps simulates a stall
-/// (exercising the soft-deadline watchdog), and one that calls _Exit
+/// Deterministic fault-injection hook: runs at the start of each attempt,
+/// on the pool task that then runs the scenario, inside the attempt's soft
+/// deadline. A hook that throws simulates a failing attempt (exercising
+/// the retry path), one that sleeps past the deadline simulates a stall
+/// (the scenario then stops at its entry check), and one that calls _Exit
 /// simulates a process crash (exercising journal resume). Production runs
 /// leave it empty.
 using SuiteFaultHook = std::function<void(const SuiteFaultContext&)>;
@@ -113,11 +114,12 @@ struct SuiteRunOptions {
   /// Every attempt starts from a fresh copy of the parsed spec, so no
   /// state leaks between attempts; the outcome records the attempts used.
   unsigned retries = 0;
-  /// Soft per-scenario deadline in seconds, measured on the monotonic
-  /// clock (0 = no watchdog). An attempt that exceeds it is classified as
-  /// `timeout` and abandoned — its worker thread is detached and its
-  /// eventual result discarded — so one stuck point cannot hang the whole
-  /// shard. Soft: the abandoned computation itself is not cancelled.
+  /// Soft per-attempt deadline in seconds, measured on the monotonic
+  /// clock from the attempt's start, fault hook included (0 = none). Once
+  /// it has passed, the attempt stops at its next stage boundary (see
+  /// RunScenarioOptions::deadline) and is classified as `timeout`, so one
+  /// slow point cannot hold up the shard for longer than one stage. Soft:
+  /// a running stage is never interrupted.
   double soft_deadline_seconds = 0.0;
   /// Fault-injection hook for tests and `sweep_runner --inject-fault`.
   SuiteFaultHook fault_hook;

@@ -6,7 +6,6 @@
 #include <deque>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -32,72 +31,35 @@ struct AttemptOutcome {
 };
 
 /// Run one attempt: fault hook, then the scenario, from a fresh spec copy.
-/// With a soft deadline the attempt executes on its own thread — never on
-/// a pool worker, which could not be abandoned — and on expiry the thread
-/// is detached (the shared state keeps everything it still touches alive,
-/// and it discards its result once it sees the abandoned flag) so the
-/// sweep moves on instead of hanging.
-AttemptOutcome execute_attempt(ScenarioSpec spec, std::size_t global_index,
-                               unsigned attempt, double soft_deadline_seconds,
+/// The soft deadline is cooperative: run_scenario checks it at its stage
+/// boundaries, so a late attempt stops at the next one and returns its
+/// budget like any failure — nothing outlives the attempt.
+AttemptOutcome execute_attempt(const ScenarioSpec& spec,
+                               std::size_t global_index, unsigned attempt,
+                               double soft_deadline_seconds,
                                const SuiteFaultHook& fault_hook,
                                RunScenarioOptions run_options) {
-  const auto body = [](ScenarioSpec& fresh_spec, std::size_t index,
-                       unsigned attempt_number, const SuiteFaultHook& hook,
-                       const RunScenarioOptions& scenario_options,
-                       AttemptOutcome& out) {
-    try {
-      if (hook) hook(SuiteFaultContext{index, attempt_number});
-      out.result = run_scenario(fresh_spec, scenario_options);
-      out.ok = true;
-    } catch (const std::exception& error) {
-      out.error = error.what();
-    } catch (...) {
-      out.error = "unknown error";
-    }
-  };
-  if (soft_deadline_seconds <= 0.0) {
-    AttemptOutcome out;
-    body(spec, global_index, attempt, fault_hook, run_options, out);
-    return out;
-  }
-
-  struct Shared {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    bool abandoned = false;
-    AttemptOutcome out;
-  };
-  const auto shared = std::make_shared<Shared>();
-  // The worker owns copies of everything it touches (spec, hook, the
-  // cache shared_ptr), so an abandoned worker never dangles into the
-  // caller's frame.
-  std::thread worker([shared, spec = std::move(spec), hook = fault_hook,
-                      run_options = std::move(run_options), global_index,
-                      attempt, body]() mutable {
-    AttemptOutcome local;
-    body(spec, global_index, attempt, hook, run_options, local);
-    const std::lock_guard<std::mutex> lock(shared->mutex);
-    if (!shared->abandoned) shared->out = std::move(local);
-    shared->done = true;
-    shared->cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lock(shared->mutex);
-  const bool finished = shared->cv.wait_for(
-      lock, std::chrono::duration<double>(soft_deadline_seconds),
-      [&] { return shared->done; });
-  if (finished) {
-    lock.unlock();
-    worker.join();
-    return std::move(shared->out);
-  }
-  shared->abandoned = true;
-  lock.unlock();
-  worker.detach();
+  using Clock = std::chrono::steady_clock;
+  const auto start = Clock::now();
+  const std::chrono::duration<double> budget(soft_deadline_seconds);
+  // A budget past the clock's range never expires (the default deadline).
+  if (soft_deadline_seconds > 0.0 && budget < Clock::time_point::max() - start)
+    run_options.deadline =
+        start + std::chrono::duration_cast<Clock::duration>(budget);
   AttemptOutcome out;
-  out.timed_out = true;
-  out.error = "soft deadline of " + util::Table::num(soft_deadline_seconds, 3) +
-              " s exceeded";
+  try {
+    if (fault_hook) fault_hook(SuiteFaultContext{global_index, attempt});
+    out.result = run_scenario(spec, run_options);
+    out.ok = true;
+  } catch (const DeadlineExceeded&) {
+    out.timed_out = true;
+    out.error = "soft deadline of " +
+                util::Table::num(soft_deadline_seconds, 3) + " s exceeded";
+  } catch (const std::exception& error) {
+    out.error = error.what();
+  } catch (...) {
+    out.error = "unknown error";
+  }
   return out;
 }
 
@@ -278,8 +240,7 @@ void SweepScheduler::Impl::run_point(PointState& state) {
   run_options.sim_cache = options.sim_cache;
   run_options.sim_store = options.sim_store;
   if (!state.row_keys.empty()) {
-    // Inline attempts only (sharing is off under a soft deadline), so the
-    // callbacks never outlive this task.
+    // Attempts run inline, so the callbacks never outlive this task.
     run_options.lookup_encoded_rows = [this, &state](const std::string& key) {
       return lookup_rows(state, key);
     };
@@ -294,7 +255,7 @@ void SweepScheduler::Impl::run_point(PointState& state) {
     ScenarioSpec spec = entry.spec;  // fresh-attempt isolation
     if (options.threads_per_scenario != 0)
       spec.threads = options.threads_per_scenario;
-    last = execute_attempt(std::move(spec), outcome.index, attempt,
+    last = execute_attempt(spec, outcome.index, attempt,
                            options.soft_deadline_seconds, options.fault_hook,
                            run_options);
     if (last.ok || attempt >= max_attempts) break;
@@ -396,12 +357,10 @@ void SweepScheduler::Impl::top_up_locked() {
 }
 
 /// Mark `state` as a point that will simulate: it needs the row payloads
-/// of every phase network. Soft-deadline attempts run on a detached
-/// thread that may outlive the scheduler, so they build privately.
+/// of every phase network.
 void SweepScheduler::Impl::mark_simulating_locked(
     const std::shared_ptr<PointState>& state) {
-  if (options.soft_deadline_seconds <= 0.0)
-    state->row_keys = encoded_rows_keys(state->entry.spec);
+  state->row_keys = encoded_rows_keys(state->entry.spec);
 }
 
 /// Take every built key of a simulating point and claim the others, or —

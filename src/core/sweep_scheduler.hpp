@@ -29,8 +29,12 @@
 // claims the key instead. No thread ever blocks on a build. An artifact is
 // owned only by points yet to simulate against it and by running
 // simulations, so it is freed before evaluation as in a private run.
-// Points that never simulate (cache or store hits) never wait on a key,
-// and soft-deadline sweeps build privately per point.
+// Points that never simulate (cache or store hits) never wait on a key.
+//
+// Soft deadlines are cooperative: every attempt runs inline on the pool,
+// deadline or not, and run_scenario stops a late one at its next stage
+// boundary. A timed-out builder or fingerprint leader hands its key over
+// like any failed point, and nothing it touched outlives the attempt.
 //
 // Journal integration matches the suite runner: fresh outcomes are
 // appended (flushed) before they are announced, and submitting an index
@@ -63,9 +67,9 @@ class SweepScheduler {
     unsigned threads_per_scenario = 0;
     /// Extra attempts after a failed or timed-out attempt (0 = fail fast).
     unsigned retries = 0;
-    /// Soft per-scenario deadline in seconds (0 = no watchdog); see
-    /// SuiteRunOptions::soft_deadline_seconds. Deadline attempts run on a
-    /// dedicated thread so an abandoned attempt never wedges a pool worker.
+    /// Soft per-attempt deadline in seconds (0 = none); see
+    /// SuiteRunOptions::soft_deadline_seconds. Each attempt passes it to
+    /// run_scenario as RunScenarioOptions::deadline.
     double soft_deadline_seconds = 0.0;
     /// Fault-injection hook (tests, sweep_runner --inject-fault).
     SuiteFaultHook fault_hook;
@@ -87,16 +91,15 @@ class SweepScheduler {
     /// simulates, its siblings are parked off the queue and only released
     /// once the shared entry is committed (single-flight: exactly one
     /// simulation per distinct fingerprint, even at full concurrency).
-    /// Held by shared_ptr because abandoned soft-deadline attempts may
-    /// still touch the cache after the scheduler is gone.
+    /// Shared with the caller, who keeps it (and its counters) across
+    /// schedulers; the scheduler's copy goes when the scheduler does.
     std::shared_ptr<SimCache> sim_cache;
     /// Disk tier under the cache (core/sim_store.hpp). Non-null also
     /// enables the single-flight grouping above (with or without a
     /// memory cache): the leader of a fingerprint group durably
     /// publishes its entry before its siblings are released, so even
     /// store-only runs — and sibling shards sharing the directory —
-    /// simulate each distinct stream once. Same shared_ptr lifetime
-    /// rationale as the cache.
+    /// simulate each distinct stream once. Shared like the cache.
     std::shared_ptr<SimStore> sim_store;
   };
 

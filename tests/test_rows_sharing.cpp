@@ -1,15 +1,18 @@
 // SweepScheduler row-payload sharing: points that simulate against the
 // same (network, format, dataflow) share one sim::EncodedRows build. The
-// first claims the key, later ones park until it publishes, a failed
-// builder hands the key to a parked sibling, and points that never
-// simulate (store hits) never wait on a key. Records stay byte-identical
-// to private, unshared runs.
+// first claims the key, later ones park until it publishes, a failed or
+// timed-out builder hands the key to a parked sibling, and points that
+// never simulate (store hits) never wait on a key. Records stay
+// byte-identical to private, unshared runs, with or without a soft
+// deadline.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <future>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -53,18 +56,29 @@ std::string private_record(const ScenarioSpec& spec, std::size_t index) {
   return suite_record_json(make_suite_record(outcome), false);
 }
 
+/// How the held builder (point 0) ends once released.
+enum class BuilderEnd { kBuilds, kThrows, kStalls };
+
+/// The soft deadline the stalling builder sleeps past.
+constexpr double kStallDeadlineSeconds = 2.0;
+
 /// A fault hook that holds point 0 (the first builder) until release(),
-/// so every later submission deterministically finds its build in flight;
-/// with `fail`, point 0 then throws instead of building.
+/// so every later submission deterministically finds its build in flight.
+/// Point 0 then builds, throws, or sleeps past kStallDeadlineSeconds so
+/// that its attempt times out before building.
 struct HeldBuilder {
   std::promise<void> gate;
   std::shared_future<void> open = gate.get_future().share();
 
-  SuiteFaultHook hook(bool fail) const {
-    return [open = open, fail](const SuiteFaultContext& context) {
+  SuiteFaultHook hook(BuilderEnd end) const {
+    return [open = open, end](const SuiteFaultContext& context) {
       if (context.index != 0) return;
       open.wait();
-      if (fail) throw std::runtime_error("injected builder failure");
+      if (end == BuilderEnd::kThrows)
+        throw std::runtime_error("injected builder failure");
+      if (end == BuilderEnd::kStalls)
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(kStallDeadlineSeconds + 0.25));
     };
   }
   void release() { gate.set_value(); }
@@ -77,28 +91,34 @@ fs::path temp_dir(const std::string& name) {
   return dir;
 }
 
+// A soft deadline changes nothing about sharing: deadline attempts run
+// inline like any other.
 TEST(RowSharing, SameKeyPointsBuildOnceAndMatchPrivateRuns) {
-  HeldBuilder builder;
-  SweepScheduler::Options options;
-  options.jobs = 4;
-  options.threads_per_scenario = 1;
-  options.fault_hook = builder.hook(false);
-  SweepScheduler scheduler(options);
-  std::vector<ScenarioSpec> specs;
-  std::vector<SweepScheduler::Handle> handles;
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    specs.push_back(point_spec(seed));
-    handles.push_back(scheduler.submit(specs.back()));
-  }
-  builder.release();
-  scheduler.wait_all();
-  const SweepScheduler::RowsStats stats = scheduler.rows_stats();
-  EXPECT_EQ(stats.builds, 1u);
-  EXPECT_EQ(stats.parks, 3u);
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    ASSERT_TRUE(handles[i].outcome().ok) << handles[i].outcome().error;
-    EXPECT_EQ(suite_record_json(handles[i].record(), false),
-              private_record(specs[i], i));
+  for (const double deadline : {0.0, 60.0}) {
+    SCOPED_TRACE(::testing::Message() << "soft deadline " << deadline << " s");
+    HeldBuilder builder;
+    SweepScheduler::Options options;
+    options.jobs = 4;
+    options.threads_per_scenario = 1;
+    options.soft_deadline_seconds = deadline;
+    options.fault_hook = builder.hook(BuilderEnd::kBuilds);
+    SweepScheduler scheduler(options);
+    std::vector<ScenarioSpec> specs;
+    std::vector<SweepScheduler::Handle> handles;
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      specs.push_back(point_spec(seed));
+      handles.push_back(scheduler.submit(specs.back()));
+    }
+    builder.release();
+    scheduler.wait_all();
+    const SweepScheduler::RowsStats stats = scheduler.rows_stats();
+    EXPECT_EQ(stats.builds, 1u);
+    EXPECT_EQ(stats.parks, 3u);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      ASSERT_TRUE(handles[i].outcome().ok) << handles[i].outcome().error;
+      EXPECT_EQ(suite_record_json(handles[i].record(), false),
+                private_record(specs[i], i));
+    }
   }
 }
 
@@ -109,7 +129,7 @@ TEST(RowSharing, InterleavedKeysBuildOncePerKey) {
   SweepScheduler::Options options;
   options.jobs = 1;
   options.threads_per_scenario = 1;
-  options.fault_hook = builder.hook(false);
+  options.fault_hook = builder.hook(BuilderEnd::kBuilds);
   SweepScheduler scheduler(options);
   std::vector<SweepScheduler::Handle> handles;
   for (std::uint64_t seed = 0; seed < 4; ++seed)
@@ -128,7 +148,7 @@ TEST(RowSharing, NothingStaysHeldAfterWaitAll) {
   SweepScheduler::Options options;
   options.jobs = 1;
   options.threads_per_scenario = 1;
-  options.fault_hook = builder.hook(false);
+  options.fault_hook = builder.hook(BuilderEnd::kBuilds);
   SweepScheduler scheduler(options);
   std::uint64_t seed = 0;
   for (const quant::WeightFormat format :
@@ -144,25 +164,33 @@ TEST(RowSharing, NothingStaysHeldAfterWaitAll) {
   EXPECT_EQ(stats.held, 0u);
 }
 
+// The builder fails by throwing, or by timing out before it builds.
 TEST(RowSharing, FailedBuilderPromotesASiblingThatBuildsOnce) {
-  HeldBuilder builder;
-  SweepScheduler::Options options;
-  options.jobs = 4;
-  options.threads_per_scenario = 1;
-  options.retries = 0;
-  options.fault_hook = builder.hook(true);
-  SweepScheduler scheduler(options);
-  std::vector<SweepScheduler::Handle> handles;
-  for (std::uint64_t seed = 0; seed < 4; ++seed)
-    handles.push_back(scheduler.submit(point_spec(seed)));
-  builder.release();
-  scheduler.wait_all();
-  EXPECT_FALSE(handles[0].outcome().ok);
-  for (std::size_t i = 1; i < handles.size(); ++i)
-    EXPECT_TRUE(handles[i].outcome().ok) << handles[i].outcome().error;
-  const SweepScheduler::RowsStats stats = scheduler.rows_stats();
-  EXPECT_EQ(stats.builds, 1u);
-  EXPECT_EQ(stats.held, 0u);
+  for (const BuilderEnd end : {BuilderEnd::kThrows, BuilderEnd::kStalls}) {
+    const bool stalls = end == BuilderEnd::kStalls;
+    SCOPED_TRACE(stalls ? "builder stalls past its deadline"
+                        : "builder throws");
+    HeldBuilder builder;
+    SweepScheduler::Options options;
+    options.jobs = 4;
+    options.threads_per_scenario = 1;
+    options.retries = 0;
+    if (stalls) options.soft_deadline_seconds = kStallDeadlineSeconds;
+    options.fault_hook = builder.hook(end);
+    SweepScheduler scheduler(options);
+    std::vector<SweepScheduler::Handle> handles;
+    for (std::uint64_t seed = 0; seed < 4; ++seed)
+      handles.push_back(scheduler.submit(point_spec(seed)));
+    builder.release();
+    scheduler.wait_all();
+    EXPECT_FALSE(handles[0].outcome().ok);
+    EXPECT_EQ(handles[0].outcome().timed_out, stalls);
+    for (std::size_t i = 1; i < handles.size(); ++i)
+      EXPECT_TRUE(handles[i].outcome().ok) << handles[i].outcome().error;
+    const SweepScheduler::RowsStats stats = scheduler.rows_stats();
+    EXPECT_EQ(stats.builds, 1u);
+    EXPECT_EQ(stats.held, 0u);
+  }
 }
 
 TEST(RowSharing, StoreHitsNeverParkOnAKey) {
@@ -185,7 +213,7 @@ TEST(RowSharing, StoreHitsNeverParkOnAKey) {
     // first miss's build.
     HeldBuilder builder;
     SweepScheduler::Options held = options;
-    held.fault_hook = builder.hook(false);
+    held.fault_hook = builder.hook(BuilderEnd::kBuilds);
     SweepScheduler scheduler(held);
     std::vector<SweepScheduler::Handle> handles;
     handles.push_back(scheduler.submit(point_spec(2)));  // miss, builds

@@ -1,8 +1,13 @@
 // Tests for the declarative scenario layer: the JSON reader, strict spec
-// parsing and end-to-end scenario runs (hybrid regions, multi-phase).
+// parsing, end-to-end scenario runs (hybrid regions, multi-phase) and the
+// soft deadline's stage-boundary checks.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "core/scenario.hpp"
+#include "core/sim_cache.hpp"
 #include "core/workload.hpp"
 #include "util/json.hpp"
 
@@ -371,6 +376,42 @@ TEST(ScenarioRun, ZeroInferencePhaseIsSkipped) {
   const ScenarioResult result = run_scenario(parse_scenario(json));
   EXPECT_EQ(result.phase_labels.front(), "custom_mnist x 0");
   EXPECT_GT(result.report.total_cells, result.report.unused_cells);
+}
+
+// ---- soft deadline -----------------------------------------------------------
+
+ScenarioSpec small_npu_scenario() {
+  return parse_scenario(R"json({
+    "hardware": "tpu-like-npu",
+    "npu": {"array_dim": 16, "fifo_tiles": 2},
+    "phases": [{"network": "custom_mnist", "inferences": 1}]
+  })json");
+}
+
+TEST(ScenarioDeadline, PassedDeadlineStopsAtEntry) {
+  RunScenarioOptions options;
+  options.sim_cache = std::make_shared<SimCache>(std::size_t{1} << 24);
+  options.deadline = std::chrono::steady_clock::now();
+  EXPECT_THROW(run_scenario(small_npu_scenario(), options), DeadlineExceeded);
+  EXPECT_EQ(options.sim_cache->stats().misses, 0u);  // never probed
+}
+
+// A deadline that passes during the payload build stops the run at the
+// next boundary, before the duty simulation, so nothing reaches the cache.
+TEST(ScenarioDeadline, DeadlineDuringPayloadBuildStopsBeforeSimulation) {
+  RunScenarioOptions options;
+  options.sim_cache = std::make_shared<SimCache>(std::size_t{1} << 24);
+  options.deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  bool built = false;
+  options.publish_encoded_rows = [&](std::shared_ptr<const sim::EncodedRows>) {
+    built = true;
+    std::this_thread::sleep_until(options.deadline);
+  };
+  EXPECT_THROW(run_scenario(small_npu_scenario(), options), DeadlineExceeded);
+  EXPECT_TRUE(built);
+  EXPECT_EQ(options.sim_cache->stats().misses, 1u);
+  EXPECT_EQ(options.sim_cache->stats().inserts, 0u);
 }
 
 }  // namespace

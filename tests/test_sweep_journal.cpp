@@ -21,6 +21,8 @@
 
 #include "core/scenario_generator.hpp"
 #include "core/scenario_suite.hpp"
+#include "core/sim_cache.hpp"
+#include "core/sim_store.hpp"
 #include "core/sweep_journal.hpp"
 #include "util/json.hpp"
 
@@ -488,11 +490,12 @@ TEST(SweepDeadline, ClassifiesAStalledPointAsTimeout) {
   options.jobs = 2;
   options.threads_per_scenario = 1;
   // Wide margins keep this deterministic on loaded/sanitized builds: a
-  // healthy point finishes in milliseconds, the stalled one sleeps 20 s.
+  // healthy point finishes in milliseconds, the stalled one sleeps 1 s
+  // past the deadline and then stops at the scenario's entry check.
   options.soft_deadline_seconds = 2.0;
   options.fault_hook = [](const SuiteFaultContext& context) {
     if (context.index == 5)
-      std::this_thread::sleep_for(std::chrono::seconds(20));
+      std::this_thread::sleep_for(std::chrono::seconds(3));
   };
   const std::vector<SuiteOutcome> outcomes = suite.run(options);
   const SuiteOutcome& stalled = outcomes[5];
@@ -524,13 +527,41 @@ TEST(SweepDeadline, TimeoutsAreRetriedLikeFailures) {
       first = stalled_once.insert(context.index).second;
     }
     if (first && context.index == 2)
-      std::this_thread::sleep_for(std::chrono::seconds(20));
+      std::this_thread::sleep_for(std::chrono::seconds(3));
   };
   const std::vector<SuiteOutcome> outcomes = suite.run(options);
   const SuiteOutcome& recovered = outcomes[2];
   EXPECT_TRUE(recovered.ok) << recovered.error;
   EXPECT_FALSE(recovered.timed_out);
   EXPECT_EQ(recovered.attempts, 2u);
+}
+
+// A timed-out attempt stops inside its own task: once run() returns, no
+// part of it still holds the cache or the store.
+TEST(SweepDeadline, TimedOutAttemptHoldsNothingAfterRun) {
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "dnnlife_sweep_deadline_holds";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const ScenarioSuite suite = small_suite();
+  SuiteRunOptions options;
+  options.jobs = 2;
+  options.threads_per_scenario = 1;
+  options.soft_deadline_seconds = 1.0;
+  options.sim_cache = std::make_shared<SimCache>(std::size_t{1} << 26);
+  options.sim_store =
+      std::make_shared<SimStore>(SimStore::Options{dir.string(), 0});
+  options.fault_hook = [](const SuiteFaultContext& context) {
+    if (context.index == 5)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  };
+  const std::vector<SuiteOutcome> outcomes = suite.run(options);
+  EXPECT_TRUE(outcomes[5].timed_out) << outcomes[5].error;
+  EXPECT_EQ(options.sim_cache.use_count(), 1);
+  EXPECT_EQ(options.sim_store.use_count(), 1);
+  options.sim_store.reset();
+  std::error_code ignored;
+  fs::remove_all(dir, ignored);
 }
 
 TEST(SweepRecordJson, AttemptsFieldAppearsOnlyWhenRetried) {

@@ -2,9 +2,10 @@
 // process killed mid-sweep (deterministically via --inject-fault=...:exit,
 // and for real via SIGKILL) must leave a resumable journal, and the
 // resumed run's summary must be byte-identical to an uninterrupted one.
-// Also the runner's CLI flag guards. These tests need the runner binary
-// path (DNNLIFE_SWEEP_RUNNER_PATH, injected by CMake when examples are
-// built) and POSIX process control; they skip elsewhere.
+// Also the runner's soft deadline, driven by a delay fault, and its CLI
+// flag guards. These tests need the runner binary path
+// (DNNLIFE_SWEEP_RUNNER_PATH, injected by CMake when examples are built)
+// and POSIX process control; they skip elsewhere.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,6 +13,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "core/sweep_merge.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -89,15 +92,20 @@ pid_t spawn_runner(const std::vector<std::string>& args,
   ::_exit(127);  // exec failed
 }
 
-/// Run to completion; returns the exit code (or -signal when signalled).
-int run_runner(const std::vector<std::string>& args,
-               const fs::path& stderr_to = {}) {
-  const pid_t pid = spawn_runner(args, stderr_to);
+/// Wait for a spawned runner; returns the exit code (or -signal when
+/// signalled).
+int wait_runner(pid_t pid) {
   int status = 0;
   if (::waitpid(pid, &status, 0) != pid) return -999;
   if (WIFEXITED(status)) return WEXITSTATUS(status);
   if (WIFSIGNALED(status)) return -WTERMSIG(status);
   return -998;
+}
+
+/// Run to completion; returns wait_runner's exit code.
+int run_runner(const std::vector<std::string>& args,
+               const fs::path& stderr_to = {}) {
+  return wait_runner(spawn_runner(args, stderr_to));
 }
 
 class SweepKillResume : public ::testing::Test {
@@ -218,6 +226,41 @@ TEST_F(SweepKillResume, SigkillMidSweepIsResumable) {
   args.push_back("--json=" + resumed.string());
   ASSERT_EQ(run_runner(args), 0);
   EXPECT_EQ(slurp(resumed), slurp(reference));
+}
+
+// A delay fault holds the first attempt of global index 4 for 3 s before
+// the scenario starts, so a 1 s deadline stops it at its entry check. The
+// two runs sleep concurrently to keep the test at one stall's length.
+TEST_F(SweepKillResume, DelayFaultTimesOutAndRetrySucceeds) {
+  const fs::path once = dir_ / "once.json";
+  const fs::path retried = dir_ / "retried.json";
+  std::vector<std::string> args = shard_args();
+  args.push_back("--deadline=1");
+  args.push_back("--inject-fault=4:delay:3");
+  std::vector<std::string> retry_args = args;
+  args.push_back("--json=" + once.string());
+  retry_args.push_back("--retries=1");
+  retry_args.push_back("--json=" + retried.string());
+  const pid_t once_pid = spawn_runner(args);
+  const pid_t retried_pid = spawn_runner(retry_args);
+  ASSERT_EQ(wait_runner(once_pid), 2);
+  ASSERT_EQ(wait_runner(retried_pid), 0);
+
+  const auto summary = dnnlife::core::parse_suite_summary(slurp(once));
+  ASSERT_EQ(summary.records.size(), 5u);
+  for (const dnnlife::core::SuiteRecord& record : summary.records) {
+    if (record.index == 4) {
+      EXPECT_TRUE(record.timed_out);
+      EXPECT_EQ(record.error, "soft deadline of 1.000 s exceeded");
+    } else {
+      EXPECT_TRUE(record.ok) << record.index << ": " << record.error;
+    }
+  }
+  for (const dnnlife::core::SuiteRecord& record :
+       dnnlife::core::parse_suite_summary(slurp(retried)).records) {
+    EXPECT_TRUE(record.ok) << record.index << ": " << record.error;
+    EXPECT_EQ(record.attempts, record.index == 4 ? 2u : 1u);
+  }
 }
 
 TEST_F(SweepKillResume, FlagGuardsRejectContradictions) {

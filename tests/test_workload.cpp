@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <optional>
 
 #include "aging/snm_histogram.hpp"
 #include "aging/device_model.hpp"
@@ -9,6 +10,7 @@
 #include "core/workload.hpp"
 #include "dnn/model_zoo.hpp"
 #include "quant/word_codec.hpp"
+#include "sim/encoded_rows.hpp"
 #include "sim/tpu_npu.hpp"
 
 namespace dnnlife::core {
@@ -38,21 +40,31 @@ TEST(TrackerMerge, RejectsGeometryMismatch) {
 class WorkloadFixture : public ::testing::Test {
  protected:
   WorkloadFixture()
-      : custom_(dnn::make_custom_mnist()), alexnet_(dnn::make_alexnet()),
-        custom_streamer_(custom_), alexnet_streamer_(alexnet_),
+      : custom_(dnn::make_custom_mnist()),
+        custom_streamer_(custom_),
         custom_codec_(custom_streamer_, quant::WeightFormat::kInt8Symmetric),
-        alexnet_codec_(alexnet_streamer_, quant::WeightFormat::kInt8Symmetric),
-        custom_stream_(custom_codec_, sim::TpuNpuConfig{}),
-        alexnet_stream_(alexnet_codec_, sim::TpuNpuConfig{}) {}
+        custom_stream_(custom_codec_, sim::TpuNpuConfig{}) {}
+
+  /// The AlexNet stream, built on first use (only the mixed-workload
+  /// tests need it) over every core; the payloads are bit-identical for
+  /// any thread budget, so only the build's wall time changes.
+  const sim::NpuWeightStream& alexnet_stream() {
+    if (!alexnet_stream_) {
+      const dnn::Network alexnet = dnn::make_alexnet();
+      const dnn::WeightStreamer streamer(alexnet);
+      const quant::WeightWordCodec codec(streamer,
+                                         quant::WeightFormat::kInt8Symmetric);
+      alexnet_stream_.emplace(sim::EncodedRows::build(
+          codec, sim::npu_dataflow(sim::TpuNpuConfig{}), 0));
+    }
+    return *alexnet_stream_;
+  }
 
   dnn::Network custom_;
-  dnn::Network alexnet_;
   dnn::WeightStreamer custom_streamer_;
-  dnn::WeightStreamer alexnet_streamer_;
   quant::WeightWordCodec custom_codec_;
-  quant::WeightWordCodec alexnet_codec_;
   sim::NpuWeightStream custom_stream_;
-  sim::NpuWeightStream alexnet_stream_;
+  std::optional<sim::NpuWeightStream> alexnet_stream_;
 };
 
 TEST_F(WorkloadFixture, SinglePhaseMatchesDirectSimulation) {
@@ -72,7 +84,7 @@ TEST_F(WorkloadFixture, MixedWorkloadDilutesThePathology) {
   const std::array<WorkloadPhase, 1> custom_only = {
       WorkloadPhase{&custom_stream_, 50}};
   const std::array<WorkloadPhase, 2> mixed = {
-      WorkloadPhase{&custom_stream_, 50}, WorkloadPhase{&alexnet_stream_, 50}};
+      WorkloadPhase{&custom_stream_, 50}, WorkloadPhase{&alexnet_stream(), 50}};
   const auto alone = simulate_workload(custom_only, PolicyConfig::inversion());
   const auto combined = simulate_workload(mixed, PolicyConfig::inversion());
   const aging::CalibratedNbtiDeviceModel model;
@@ -85,7 +97,7 @@ TEST_F(WorkloadFixture, MixedWorkloadDilutesThePathology) {
 
 TEST_F(WorkloadFixture, DnnLifeOptimalOnMixedWorkloads) {
   const std::array<WorkloadPhase, 2> mixed = {
-      WorkloadPhase{&custom_stream_, 50}, WorkloadPhase{&alexnet_stream_, 50}};
+      WorkloadPhase{&custom_stream_, 50}, WorkloadPhase{&alexnet_stream(), 50}};
   const auto tracker =
       simulate_workload(mixed, PolicyConfig::dnn_life(0.7, true, 4));
   const aging::CalibratedNbtiDeviceModel model;
@@ -99,7 +111,7 @@ TEST_F(WorkloadFixture, ZeroInferencePhaseContributesNothing) {
   // A provisioned-but-dormant model must not change the lifetime result —
   // and must not trip the simulators' inferences >= 1 contract.
   const std::array<WorkloadPhase, 3> with_dormant = {
-      WorkloadPhase{&custom_stream_, 10}, WorkloadPhase{&alexnet_stream_, 0},
+      WorkloadPhase{&custom_stream_, 10}, WorkloadPhase{&alexnet_stream(), 0},
       WorkloadPhase{&custom_stream_, 0}};
   const std::array<WorkloadPhase, 1> active_only = {
       WorkloadPhase{&custom_stream_, 10}};
@@ -112,7 +124,7 @@ TEST_F(WorkloadFixture, ZeroInferencePhaseContributesNothing) {
 
 TEST_F(WorkloadFixture, AllPhasesDormantLeavesMemoryUntouched) {
   const std::array<WorkloadPhase, 2> phases = {
-      WorkloadPhase{&custom_stream_, 0}, WorkloadPhase{&alexnet_stream_, 0}};
+      WorkloadPhase{&custom_stream_, 0}, WorkloadPhase{&alexnet_stream(), 0}};
   const auto tracker = simulate_workload(phases, PolicyConfig::none());
   EXPECT_EQ(tracker.unused_cell_count(), tracker.cell_count());
 }
@@ -126,7 +138,7 @@ TEST_F(WorkloadFixture, RegionTableAppliesAcrossPhases) {
                                               geometry.rows}}),
       {PolicyConfig::dnn_life(0.5), PolicyConfig::none()});
   const std::array<WorkloadPhase, 2> phases = {
-      WorkloadPhase{&custom_stream_, 10}, WorkloadPhase{&alexnet_stream_, 10}};
+      WorkloadPhase{&custom_stream_, 10}, WorkloadPhase{&alexnet_stream(), 10}};
   const auto tracker = simulate_workload(phases, table);
   ASSERT_EQ(tracker.regions().size(), 2u);
   EXPECT_EQ(tracker.regions()[0].name, "hot");
