@@ -3,14 +3,18 @@
 // One synthetic tracker with the counter-ratio duty repetition real
 // memories produce (128Ki cells, ~1000 distinct ratios), evaluated three
 // ways per model: the pre-batching per-cell solver loop (the reference
-// cost make_lifetime_report used to pay), the blocked batched lifetime
-// report, and the blocked batched aging report.
+// cost make_lifetime_report used to pay), the lifetime report and the
+// aging report. Each report keys the state into its history table and
+// evaluates every distinct history once (one batched call at budget 1).
 //
 // A second, two-segment case times the multi-environment (timeline)
 // reports: 128Ki cells whose hot quarter carries all-distinct stress
 // histories and whose cold remainder repeats seven, the shape of a
 // dnn-life hot region next to unmitigated rows. It is timed against the
 // per-cell timeline solve loop (one years_to_failure per used cell).
+//
+// Both tables print each case's whole-state distinct-history count (the
+// number of model evaluations a report makes), also in the --json models.
 //
 //   bench_lifetime_batch [--threads=N] [--json=PATH]
 //
@@ -30,6 +34,7 @@
 
 #include "aging/lifetime.hpp"
 #include "aging/model_registry.hpp"
+#include "aging/report_evaluator.hpp"
 #include "aging/snm_histogram.hpp"
 #include "bench_util.hpp"
 #include "util/bitops.hpp"
@@ -93,6 +98,11 @@ int main(int argc, char** argv) {
   warm_environment.temperature_c = 85.0;
   const std::vector<aging::EnvironmentSegmentView> timeline = {
       {&cool, {}}, {&warm, warm_environment}};
+  const aging::EnvironmentSegmentView single{&tracker, {}};
+  const std::size_t distinct_histories =
+      aging::HistoryTable({&single, 1}).size();
+  const std::size_t timeline_distinct_histories =
+      aging::HistoryTable(timeline).size();
 
   benchutil::print_heading("Batched vs per-cell lifetime inversion");
   std::cout << "cells: " << kCells << " (" << kDistinct
@@ -109,10 +119,11 @@ int main(int argc, char** argv) {
     double timeline_aging_seconds = 0.0;
   };
   std::vector<ModelTiming> timings;
-  util::Table out({"model", "per-cell [s]", "batched lifetime [s]",
-                   "batched aging [s]", "speedup"});
-  util::Table timeline_out({"model", "per-cell [s]", "timeline lifetime [s]",
-                            "timeline aging [s]", "speedup"});
+  util::Table out({"model", "histories", "per-cell [s]",
+                   "batched lifetime [s]", "batched aging [s]", "speedup"});
+  util::Table timeline_out({"model", "histories", "per-cell [s]",
+                            "timeline lifetime [s]", "timeline aging [s]",
+                            "speedup"});
   for (const char* name :
        {"calibrated-nbti", "arrhenius-nbti", "pbti-hci", "dual-bti"}) {
     const std::shared_ptr<const aging::DeviceAgingModel> model =
@@ -123,7 +134,7 @@ int main(int argc, char** argv) {
     timing.model = name;
 
     // The pre-batching reference: one scalar inversion per used cell —
-    // exactly the inner loop make_lifetime_report ran before run_blocks.
+    // exactly the inner loop make_lifetime_report ran before memoisation.
     const auto per_cell_start = std::chrono::steady_clock::now();
     double min_years = std::numeric_limits<double>::infinity();
     for (std::size_t cell = 0; cell < kCells; ++cell) {
@@ -134,10 +145,9 @@ int main(int argc, char** argv) {
     }
     timing.per_cell_seconds = seconds_since(per_cell_start);
 
-    const aging::EnvironmentSegmentView segment{&tracker, {}};
     const auto lifetime_start = std::chrono::steady_clock::now();
     const auto lifetime =
-        make_lifetime_report({&segment, 1}, lifetime_model, threads);
+        make_lifetime_report({&single, 1}, lifetime_model, threads);
     timing.lifetime_seconds = seconds_since(lifetime_start);
     if (lifetime.device_lifetime_years != min_years) {
       std::cerr << "batched/per-cell mismatch for " << name << "\n";
@@ -147,7 +157,7 @@ int main(int argc, char** argv) {
     aging::AgingReportOptions options;
     options.threads = threads;
     const auto aging_start = std::chrono::steady_clock::now();
-    const auto report = make_aging_report({&segment, 1}, *model, options);
+    const auto report = make_aging_report({&single, 1}, *model, options);
     timing.aging_seconds = seconds_since(aging_start);
     if (report.unused_cells != tracker.unused_cell_count()) return 1;
 
@@ -176,13 +186,15 @@ int main(int argc, char** argv) {
     timing.timeline_aging_seconds = seconds_since(timeline_aging_start);
     if (timeline_report.unused_cells != 0) return 1;
 
-    out.add_row({timing.model, util::Table::num(timing.per_cell_seconds, 4),
+    out.add_row({timing.model, std::to_string(distinct_histories),
+                 util::Table::num(timing.per_cell_seconds, 4),
                  util::Table::num(timing.lifetime_seconds, 4),
                  util::Table::num(timing.aging_seconds, 4),
                  util::Table::num(
                      timing.per_cell_seconds / timing.lifetime_seconds, 1)});
     timeline_out.add_row(
-        {timing.model, util::Table::num(timing.timeline_per_cell_seconds, 4),
+        {timing.model, std::to_string(timeline_distinct_histories),
+         util::Table::num(timing.timeline_per_cell_seconds, 4),
          util::Table::num(timing.timeline_lifetime_seconds, 4),
          util::Table::num(timing.timeline_aging_seconds, 4),
          util::Table::num(timing.timeline_per_cell_seconds /
@@ -191,13 +203,13 @@ int main(int argc, char** argv) {
     timings.push_back(timing);
   }
   std::cout << out.to_string();
-  std::cout << "speedup = per-cell seconds / batched lifetime seconds (duty\n"
-               "memoisation + hoisted model constants per block).\n";
+  std::cout << "speedup = per-cell seconds / batched lifetime seconds (one\n"
+               "evaluation per distinct history + hoisted model constants).\n";
   std::cout << "\ntwo-segment timeline (" << kCells
             << " cells, distinct hot quarter, repeated cold remainder):\n"
             << timeline_out.to_string()
             << "speedup = per-cell timeline solve seconds / timeline lifetime\n"
-               "report seconds (one solve per distinct history and block).\n";
+               "report seconds (one solve per distinct history).\n";
 
   if (!json_path.empty()) {
     std::ofstream json(json_path);
@@ -222,7 +234,10 @@ int main(int argc, char** argv) {
            << "\"timeline_lifetime_seconds\": "
            << util::Table::num(timing.timeline_lifetime_seconds, 4) << ", "
            << "\"timeline_aging_seconds\": "
-           << util::Table::num(timing.timeline_aging_seconds, 4) << "}"
+           << util::Table::num(timing.timeline_aging_seconds, 4) << ", "
+           << "\"distinct_histories\": " << distinct_histories << ", "
+           << "\"timeline_distinct_histories\": "
+           << timeline_distinct_histories << "}"
            << (i + 1 < timings.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";

@@ -96,14 +96,14 @@ class DeviceAgingModel {
                                 const EnvironmentSpec& env) const;
 
   /// Batched Newton lifetime inversion: out[i] = years_to_reach(duties[i],
-  /// target, env) for a block of cells sharing one model and environment.
+  /// target, env) for a batch of cells sharing one model and environment.
   /// The default loops the scalar solver over each *distinct* duty and
   /// serves repeats from a memo (aging/duty_memo.hpp); the power-law
   /// family and the pbti-hci two-exponent model override it with real
   /// batched implementations that amortise curve/slope evaluation across
   /// the batch. Always bit-identical to the per-cell solver — this is what
-  /// the cache-blocked report fold drives with each block's distinct
-  /// duties (aging/report_evaluator.hpp).
+  /// a one-segment report drives with the duties of the state's distinct
+  /// histories (aging/report_evaluator.hpp).
   /// `out.size()` must equal `duties.size()`.
   virtual void years_to_reach_batch(std::span<const double> duties,
                                     double target, const EnvironmentSpec& env,

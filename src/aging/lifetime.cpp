@@ -57,113 +57,10 @@ double LifetimeModel::years_to_failure(
 
 namespace {
 
-/// Min/stats accumulation shared by the single-segment and the
-/// multi-segment timeline paths: the two differ only in how a cell's
-/// years-to-failure is produced.
-class LifetimeBuilder {
- public:
-  LifetimeBuilder(const std::vector<CellRegion>& tags,
-                  const LifetimeModel& model)
-      : model_(model), tags_(tags) {
-    report_.regions.reserve(tags.size());
-    for (const CellRegion& tag : tags)
-      report_.regions.push_back(RegionLifetime{tag.name, 0.0, {}});
-  }
-
-  /// Cells must be visited in order.
-  void add_cell(std::size_t cell, double years) {
-    while (region_ < tags_.size() && cell >= tags_[region_].cell_end)
-      ++region_;
-    report_.cell_lifetime.add(years);
-    if (first_ || years < report_.device_lifetime_years) {
-      report_.device_lifetime_years = years;
-      first_ = false;
-    }
-    if (region_ < tags_.size()) {
-      RegionLifetime& breakdown = report_.regions[region_];
-      if (breakdown.cell_lifetime.count() == 0 ||
-          years < breakdown.device_lifetime_years)
-        breakdown.device_lifetime_years = years;
-      breakdown.cell_lifetime.add(years);
-    }
-  }
-
-  LifetimeReport finish() {
-    DNNLIFE_EXPECTS(!first_, "no used cells in tracker");
-    report_.improvement_over_worst_case =
-        report_.device_lifetime_years / model_.worst_case_years();
-    report_.fraction_of_ideal =
-        report_.device_lifetime_years / model_.best_case_years();
-    return std::move(report_);
-  }
-
- private:
-  const LifetimeModel& model_;
-  const std::vector<CellRegion>& tags_;
-  LifetimeReport report_;
-  bool first_ = true;
-  std::size_t region_ = 0;
-};
-
-/// Per-history lifetime solve result, buffered per block between the
-/// parallel evaluation and the in-order min/stats fold.
+/// One distinct history's lifetime, replayed per cell by the fold.
 struct CellLifetime {
   double years = 0.0;
   bool used = false;
-};
-
-/// Blocked evaluation state of the single-operating-point lifetime solve:
-/// gather the duties of the block's distinct used histories, run the
-/// batched inversion (hoisted model constants per block), scatter back.
-/// years_to_reach_batch is bit-identical to the per-cell solver, so this
-/// changes no report value.
-struct BatchedLifetimeEval {
-  std::span<const EnvironmentSegmentView> segment;
-  const DeviceAgingModel& device;
-  double threshold;
-  BlockHistories histories;
-  std::vector<double> duties;
-  std::vector<double> years;
-
-  void operator()(std::size_t begin, std::size_t end,
-                  BlockValues<CellLifetime>& out) {
-    const DutyCycleTracker& tracker = *segment.front().tracker;
-    const std::span<const std::size_t> firsts =
-        histories.scan(segment, begin, end, out.index);
-    duties.clear();
-    for (const std::size_t cell : firsts)
-      if (!tracker.is_unused(cell)) duties.push_back(tracker.duty(cell));
-    years.resize(duties.size());
-    device.years_to_reach_batch(duties, threshold, segment.front().environment,
-                                years);
-    std::size_t next = 0;
-    for (const std::size_t cell : firsts) {
-      out.values.push_back(tracker.is_unused(cell)
-                               ? CellLifetime{}
-                               : CellLifetime{years[next++], true});
-    }
-  }
-};
-
-/// Blocked evaluation state of the multi-segment timeline solve: one
-/// years_to_failure per distinct history of the block; the gathered
-/// stress history is scratch reused across the block's histories.
-struct TimelineLifetimeEval {
-  std::span<const EnvironmentSegmentView> segments;
-  const LifetimeModel& model;
-  BlockHistories histories;
-  std::vector<StressSegment> history;
-
-  void operator()(std::size_t begin, std::size_t end,
-                  BlockValues<CellLifetime>& out) {
-    for (const std::size_t cell :
-         histories.scan(segments, begin, end, out.index)) {
-      out.values.push_back(
-          gather_cell_segments(segments, cell, history).total == 0
-              ? CellLifetime{}
-              : CellLifetime{model.years_to_failure(history), true});
-    }
-  }
 };
 
 }  // namespace
@@ -171,33 +68,93 @@ struct TimelineLifetimeEval {
 LifetimeReport make_lifetime_report(
     std::span<const EnvironmentSegmentView> segments, const LifetimeModel& model,
     unsigned threads) {
+  return make_lifetime_report(segments, HistoryTable(segments), model, threads);
+}
+
+LifetimeReport make_lifetime_report(
+    std::span<const EnvironmentSegmentView> segments,
+    const HistoryTable& histories, const LifetimeModel& model,
+    unsigned threads) {
   check_segments(segments);
-  const DutyCycleTracker& first = *segments.front().tracker;
-  LifetimeBuilder builder(first.regions(), model);
-  const auto fold = [&builder](std::size_t cell, const CellLifetime& value) {
-    if (value.used) builder.add_cell(cell, value.years);
-  };
+  histories.check_matches(segments);
+  const std::span<const std::size_t> firsts = histories.firsts();
   const ReportEvaluator evaluator(threads);
+  std::vector<CellLifetime> values;
   if (segments.size() == 1) {
     // A one-segment timeline is the single-operating-point solve (the
     // same shortcut DeviceAgingModel::years_to_failure takes per cell,
     // since each used cell's gathered history is exactly one
-    // positive-weight segment at the tracker duty) — take the batched
-    // path.
-    evaluator.run_blocks<CellLifetime>(
-        first.cell_count(),
-        [&] {
-          return BatchedLifetimeEval{
-              segments, model.model(), model.params().snm_failure_threshold,
-              {},       {},            {}};
-        },
-        fold);
+    // positive-weight segment at the tracker duty): gather the duties of
+    // the distinct used histories, run the batched inversion, scatter
+    // back. years_to_reach_batch is bit-identical to the per-cell solver,
+    // so this changes no report value.
+    const DutyCycleTracker& tracker = *segments.front().tracker;
+    values = evaluator.evaluate<CellLifetime>(firsts.size(), [&] {
+      return [&, duties = std::vector<double>(), years = std::vector<double>()](
+                 std::size_t begin, std::size_t end,
+                 std::span<CellLifetime> out) mutable {
+        duties.clear();
+        for (std::size_t id = begin; id < end; ++id)
+          if (!tracker.is_unused(firsts[id]))
+            duties.push_back(tracker.duty(firsts[id]));
+        years.resize(duties.size());
+        model.model().years_to_reach_batch(
+            duties, model.params().snm_failure_threshold,
+            segments.front().environment, years);
+        std::size_t next = 0;
+        for (std::size_t id = begin; id < end; ++id)
+          if (!tracker.is_unused(firsts[id]))
+            out[id - begin] = {years[next++], true};
+      };
+    });
   } else {
-    evaluator.run_blocks<CellLifetime>(
-        first.cell_count(),
-        [&] { return TimelineLifetimeEval{segments, model, {}, {}}; }, fold);
+    // One years_to_failure per distinct history; the gathered stress
+    // history is a scratch buffer.
+    values = evaluator.evaluate<CellLifetime>(firsts.size(), [&] {
+      return [&, history = std::vector<StressSegment>()](
+                 std::size_t begin, std::size_t end,
+                 std::span<CellLifetime> out) mutable {
+        for (std::size_t id = begin; id < end; ++id)
+          if (gather_cell_segments(segments, firsts[id], history).total != 0)
+            out[id - begin] = {model.years_to_failure(history), true};
+      };
+    });
   }
-  return builder.finish();
+
+  // The in-order fold: one unit-weight Welford add per used cell and
+  // region, in ascending cell order. A RunningStats min is the running
+  // `value < min` replacement, so it is the device (and region) lifetime.
+  const std::vector<CellRegion>& tags = segments.front().tracker->regions();
+  LifetimeReport report;
+  report.regions.reserve(tags.size());
+  for_each_region(histories.cell_count(), tags, [&](std::size_t begin,
+                                                    std::size_t end,
+                                                    std::size_t r) {
+    // Local accumulators, so the Welford state can stay in registers.
+    util::RunningStats cells = report.cell_lifetime;
+    util::RunningStats region_cells;
+    const bool tagged = r < tags.size();
+    histories.for_each(begin, end, [&](std::size_t, std::uint32_t id) {
+      const CellLifetime& cell = values[id];
+      if (!cell.used) return;
+      cells.add(cell.years);
+      if (tagged) region_cells.add(cell.years);
+    });
+    report.cell_lifetime = cells;
+    if (tagged)
+      report.regions.push_back(RegionLifetime{
+          tags[r].name,
+          region_cells.count() == 0 ? 0.0 : region_cells.min(),
+          region_cells});
+  });
+  DNNLIFE_EXPECTS(report.cell_lifetime.count() != 0,
+                  "no used cells in tracker");
+  report.device_lifetime_years = report.cell_lifetime.min();
+  report.improvement_over_worst_case =
+      report.device_lifetime_years / model.worst_case_years();
+  report.fraction_of_ideal =
+      report.device_lifetime_years / model.best_case_years();
+  return report;
 }
 
 }  // namespace dnnlife::aging

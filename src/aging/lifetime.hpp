@@ -26,6 +26,8 @@
 
 namespace dnnlife::aging {
 
+class HistoryTable;
+
 struct LifetimeParams {
   /// SNM degradation (percent) at which a cell is considered failed.
   /// Must exceed the model's degradation-at-balanced anchor at t_ref,
@@ -100,12 +102,19 @@ struct LifetimeReport {
 /// stress history. A single tracker is a one-segment timeline
 /// (`EnvironmentSegmentView{&tracker, env}`, solved at the tracker duty in
 /// `env`); owned segments borrow through segment_views(). Each distinct
-/// stress history of a 4096-cell block is solved once, and `threads` is
-/// the concurrency budget of those blocks on the session executor (0 =
+/// stress history of the whole state is solved once, and `threads` is the
+/// concurrency budget of those solves on the session executor (0 =
 /// hardware concurrency); results are bit-identical for any value (see
-/// aging/report_evaluator.hpp).
+/// aging/report_evaluator.hpp). Builds the state's HistoryTable and calls
+/// the overload below.
 LifetimeReport make_lifetime_report(
     std::span<const EnvironmentSegmentView> segments,
     const LifetimeModel& model, unsigned threads = 1);
+
+/// The same report over a prebuilt history table of `segments`.
+LifetimeReport make_lifetime_report(
+    std::span<const EnvironmentSegmentView> segments,
+    const HistoryTable& histories, const LifetimeModel& model,
+    unsigned threads = 1);
 
 }  // namespace dnnlife::aging

@@ -1,25 +1,32 @@
-// Block-scheduled, exactly memoised per-cell report evaluation.
+// One history table per evaluated state, and exactly memoised report
+// evaluation over it.
 //
 // make_aging_report / make_lifetime_report evaluate the model for every
-// cell of a memory, feeding a builder that owns the RunningStats /
-// histogram / per-region accumulators. The expensive part — per-cell
-// model evaluation, up to a full Newton lifetime solve per cell — is
-// embarrassingly parallel and massively repetitive; the cheap part,
-// statistical accumulation, is order-sensitive (Welford updates and
-// histogram adds do not commute bitwise). ReportEvaluator splits the two:
+// cell of a memory, feeding accumulators that own the RunningStats /
+// histogram / per-region breakdown. The expensive part — per-cell model
+// evaluation, up to a full Newton lifetime solve per cell — is massively
+// repetitive: a committed state holds few distinct cell histories (tens
+// to tens of thousands across up to millions of cells). The cheap part,
+// statistical accumulation, is order-sensitive (Welford updates do not
+// commute bitwise). The pipeline splits the two:
 //
-//  * cells are cut into fixed kBlockCells blocks — a pure function of the
-//    cell count, never of the budget or the executor size — and the
-//    blocks are claimed as items on the session-wide work-stealing
-//    executor, so a memory whose expensive cells cluster in one region
-//    still spreads over every worker;
-//  * within a block, each *distinct* cell stress history is evaluated
-//    once (BlockHistories: the exact residency counters of every segment
-//    are the memo key, and every report value is a pure function of them,
-//    so a memo hit is the bit pattern a fresh solve would produce);
-//  * each block buffers its distinct values plus a uint16_t index per
-//    cell, and the blocks are then folded in ascending cell order by
-//    replaying values[index[cell]] through the single accumulation fold.
+//  * HistoryTable keys every cell of the state on its exact residency
+//    counters in every segment, `(ones_time, total_time)` per segment
+//    tracker, and numbers the distinct histories in whole-state
+//    first-seen cell order, with a per-cell index of the narrowest width
+//    that fits (uint8_t, then uint16_t, then uint32_t). Everything a
+//    report computes for a cell (its gathered StressSegment history,
+//    merged duty, unused flag) is a pure function of those integers and
+//    the fixed per-segment environments, so cells with equal keys have
+//    bit-identical values. One table serves both reports of a point.
+//  * ReportEvaluator evaluates each distinct history once: at budget 1 in
+//    one call, above it in fixed kChunk-id chunks claimed as items on the
+//    session-wide work-stealing executor. Each value is a pure function
+//    of its history, so the values are bit-identical for any budget.
+//  * the reports then fold in ascending cell order, replaying
+//    values[index[cell]] (HistoryTable::for_each) through unit-weight
+//    Welford adds; order-free integer tallies (histogram bins, optimal
+//    and unused counts) are counted per distinct id or per region.
 //
 // The fold therefore sees exactly the sequence of (cell, value) pairs the
 // single-threaded per-cell loop produced, which makes the reports
@@ -31,27 +38,74 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "aging/duty_cycle.hpp"
-#include "aging/duty_memo.hpp"
 #include "util/executor.hpp"
 
 namespace dnnlife::aging {
 
-/// One evaluated block: its distinct values and, per cell of the block,
-/// the position of the cell's value among them.
-template <class Value>
-struct BlockValues {
-  std::vector<Value> values;
-  std::vector<std::uint16_t> index;
+/// The distinct cell histories of one evaluated state, plus a per-cell
+/// index into them. Immutable once built; borrows nothing, but is only
+/// meaningful together with the segments it was built from.
+class HistoryTable {
+ public:
+  /// Key every cell of `segments` (one pass, serial). Validates the
+  /// segments like the reports do (check_segments).
+  explicit HistoryTable(std::span<const EnvironmentSegmentView> segments);
+
+  std::size_t cell_count() const noexcept { return cells_; }
+  /// Number of distinct histories.
+  std::size_t size() const noexcept { return firsts_.size(); }
+  /// The first cell of each distinct history, indexed by id; ids are
+  /// numbered in ascending order of these cells.
+  std::span<const std::size_t> firsts() const noexcept { return firsts_; }
+  /// Bytes per cell of the index: 1, 2 or 4.
+  std::size_t index_bytes() const noexcept {
+    return std::visit([](const auto& index) { return sizeof index[0]; },
+                      index_);
+  }
+  /// The id of `cell`'s history.
+  std::uint32_t id(std::size_t cell) const {
+    DNNLIFE_EXPECTS(cell < cells_, "cell out of range");
+    return std::visit(
+        [cell](const auto& index) -> std::uint32_t { return index[cell]; },
+        index_);
+  }
+
+  /// visit(cell, id) for every cell of [begin, end), in ascending order.
+  template <class Visit>
+  void for_each(std::size_t begin, std::size_t end, Visit&& visit) const {
+    DNNLIFE_EXPECTS(begin <= end && end <= cells_, "cell range out of range");
+    std::visit(
+        [&](const auto& index) {
+          for (std::size_t cell = begin; cell < end; ++cell)
+            visit(cell, static_cast<std::uint32_t>(index[cell]));
+        },
+        index_);
+  }
+
+  /// Reject a table built from a different shape of state.
+  void check_matches(std::span<const EnvironmentSegmentView> segments) const {
+    DNNLIFE_EXPECTS(segments.size() == segments_ &&
+                        segments.front().tracker->cell_count() == cells_,
+                    "history table was built for a different state");
+  }
+
+ private:
+  std::size_t cells_;
+  std::size_t segments_;
+  std::vector<std::size_t> firsts_;
+  std::variant<std::vector<std::uint8_t>, std::vector<std::uint16_t>,
+               std::vector<std::uint32_t>>
+      index_;
 };
 
-/// Runs blocked per-cell evaluations on the session executor and folds the
-/// results in cell order. One evaluator is one concurrency budget; reports
-/// pass AgingReportOptions::threads (0 = hardware concurrency). A whole
-/// report fan-out is ONE item submission (one heap allocation,
-/// O(min(blocks, budget)) deque pushes), so nothing stops a suite from
+/// Runs the distinct-history evaluation of one report on the session
+/// executor. One evaluator is one concurrency budget; reports pass
+/// AgingReportOptions::threads (0 = hardware concurrency). A whole
+/// fan-out is ONE item submission, so nothing stops a suite from
 /// evaluating many reports concurrently under their budgets.
 class ReportEvaluator {
  public:
@@ -60,118 +114,53 @@ class ReportEvaluator {
 
   unsigned threads() const noexcept { return threads_; }
 
-  /// Cells per block: the unit of scheduling and of memoisation. Large
-  /// enough to amortise a virtual batch call and give the per-block memo
-  /// real repetition to exploit (real trackers repeat each distinct
-  /// history across many cells), small enough that the block's key table
-  /// and scratch stay within L2 and that a per-cell index fits uint16_t.
-  static constexpr std::size_t kBlockCells = 4096;
-  static_assert(kBlockCells <= 65536, "block index must fit uint16_t");
+  /// Distinct histories per item above budget 1: enough to amortise a
+  /// virtual batch call and an executor claim.
+  static constexpr std::size_t kChunk = 512;
 
-  /// Evaluate every cell in [0, cell_count) block by block and call
-  /// `fold(cell, value)` in ascending cell order. `make_eval()` is invoked
-  /// once per claimed block (serially: once), so the functor can own
-  /// scratch buffers without sharing them across threads, and returns a
-  /// functor invoked as `eval(begin, end, out)` for the block of cells
-  /// [begin, end): `out.values` arrives empty and `out.index` sized
-  /// end - begin; the functor appends the block's values and sets
-  /// out.index[i] to the position of cell begin + i's value. Value is the
-  /// per-cell result the fold consumes. Block evaluation must equal
-  /// per-cell evaluation for every cell (a pure function of the cell's
-  /// history), blocks are fixed, and the fold replays in ascending cell
-  /// order — so reports are bit-identical for any budget. At budget 1 (or
-  /// a single block) each block is folded as soon as it is evaluated, with
-  /// one reused block buffer.
-  template <class Value, class MakeEval, class Fold>
-  void run_blocks(std::size_t cell_count, MakeEval&& make_eval,
-                  Fold&& fold) const {
-    if (cell_count == 0) return;
-    const std::size_t blocks = (cell_count + kBlockCells - 1) / kBlockCells;
-    const auto evaluate = [cell_count](auto& eval, std::size_t block,
-                                       BlockValues<Value>& out) {
-      const std::size_t begin = block * kBlockCells;
-      const std::size_t end = std::min(cell_count, begin + kBlockCells);
-      out.values.clear();
-      out.index.resize(end - begin);
-      eval(begin, end, out);
-      DNNLIFE_EXPECTS(out.values.size() <= end - begin,
-                      "a block has at most one value per cell");
-    };
-    const auto replay = [&fold](std::size_t block,
-                                const BlockValues<Value>& out) {
-      const std::size_t begin = block * kBlockCells;
-      for (std::size_t i = 0; i < out.index.size(); ++i)
-        fold(begin + i, out.values[out.index[i]]);
-    };
-    if (threads_ <= 1 || blocks == 1) {
-      auto eval = make_eval();
-      BlockValues<Value> out;
-      for (std::size_t block = 0; block < blocks; ++block) {
-        evaluate(eval, block, out);
-        replay(block, out);
-      }
-      return;
+  /// values[id] for every id in [0, count). `make_eval()` is invoked once
+  /// per claimed chunk (budget 1: once), so the functor can own scratch
+  /// buffers without sharing them across threads, and returns a functor
+  /// invoked as `eval(begin, end, out)` that sets out[i] to the value of
+  /// id begin + i. At budget 1 (or one chunk) that is a single call over
+  /// [0, count); above it, fixed kChunk-id chunks run as items. Each value
+  /// must be a pure function of its id's history, so the result is
+  /// bit-identical for any budget.
+  template <class Value, class MakeEval>
+  std::vector<Value> evaluate(std::size_t count, MakeEval&& make_eval) const {
+    std::vector<Value> values(count);
+    const std::size_t chunks = (count + kChunk - 1) / kChunk;
+    if (threads_ <= 1 || chunks <= 1) {
+      if (count != 0) make_eval()(std::size_t{0}, count, std::span(values));
+      return values;
     }
-    std::vector<BlockValues<Value>> buffers(blocks);
-    {
-      util::TaskGroup group;
-      group.submit_items(blocks, threads_, [&](std::size_t block) {
-        auto eval = make_eval();
-        evaluate(eval, block, buffers[block]);
-      });
-      group.wait();
-    }
-    for (std::size_t block = 0; block < blocks; ++block)
-      replay(block, buffers[block]);
+    util::TaskGroup group;
+    group.submit_items(chunks, threads_, [&](std::size_t chunk) {
+      const std::size_t begin = chunk * kChunk;
+      const std::size_t end = std::min(count, begin + kChunk);
+      make_eval()(begin, end, std::span(values).subspan(begin, end - begin));
+    });
+    group.wait();
+    return values;
   }
 
  private:
   unsigned threads_;
 };
 
-/// The exact-history memo of one block: groups the block's cells by their
-/// residency counters in every segment, `(ones_time, total_time)` per
-/// segment tracker. Everything a report computes for a cell (its gathered
-/// StressSegment history, merged duty, unused flag) is a pure function of
-/// those integers and the fixed per-segment environments, so cells with
-/// equal keys have bit-identical values.
-class BlockHistories {
- public:
-  /// Key the cells [begin, end) against `segments`: index[i] becomes the
-  /// id of cell begin + i's history, ids numbered in first-seen order.
-  /// Returns the first cell of each distinct history, indexed by id.
-  std::span<const std::size_t> scan(
-      std::span<const EnvironmentSegmentView> segments, std::size_t begin,
-      std::size_t end, std::span<std::uint16_t> index) {
-    const std::size_t words = segments.size();
-    table_.reset(end - begin, words);
-    columns_.clear();
-    for (const EnvironmentSegmentView& segment : segments)
-      columns_.push_back({segment.tracker->ones_time().data(),
-                          segment.tracker->total_time().data()});
-    key_.resize(words);
-    firsts_.clear();
-    for (std::size_t cell = begin; cell < end; ++cell) {
-      for (std::size_t s = 0; s < words; ++s)
-        key_[s] = std::uint64_t{columns_[s].ones[cell]} << 32 |
-                  columns_[s].total[cell];
-      const detail::ExactKeyTable::Lookup lookup = table_.insert(key_.data());
-      if (lookup.inserted) firsts_.push_back(cell);
-      index[cell - begin] = static_cast<std::uint16_t>(lookup.id);
-    }
-    return firsts_;
+/// fold(begin, end, region) over the region partition `tags` of a
+/// `cell_count`-cell memory, in cell order (region = the tag's index);
+/// one call over every cell with region == tags.size() when untagged.
+template <class Fold>
+void for_each_region(std::size_t cell_count,
+                     const std::vector<CellRegion>& tags, Fold&& fold) {
+  if (tags.empty()) {
+    fold(std::size_t{0}, cell_count, tags.size());
+    return;
   }
-
- private:
-  struct Columns {
-    const std::uint32_t* ones;
-    const std::uint32_t* total;
-  };
-
-  detail::ExactKeyTable table_;
-  std::vector<Columns> columns_;
-  std::vector<std::uint64_t> key_;
-  std::vector<std::size_t> firsts_;
-};
+  for (std::size_t r = 0; r < tags.size(); ++r)
+    fold(static_cast<std::size_t>(tags[r].cell_begin),
+         static_cast<std::size_t>(tags[r].cell_end), r);
+}
 
 }  // namespace dnnlife::aging

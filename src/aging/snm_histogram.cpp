@@ -37,160 +37,13 @@ std::string AgingReport::to_string() const {
 
 namespace {
 
-/// Single-pass report bookkeeping shared by the single-segment and the
-/// multi-segment timeline paths: region tags are a sorted partition of
-/// the cells, so the per-region breakdown fills in the same pass that
-/// accumulates the whole-memory statistics. The two paths differ only in
-/// how a cell's (duty, snm, optimal-reference) triple is produced.
-class ReportBuilder {
- public:
-  ReportBuilder(std::size_t cell_count, const std::vector<CellRegion>& tags,
-                const AgingReportOptions& options)
-      : report_{util::Histogram(options.hist_lo, options.hist_hi,
-                                options.hist_bins),
-                {}, {}, cell_count, 0, 0.0, {}},
-        options_(options), tags_(tags),
-        region_optimal_(tags.size(), 0), region_used_(tags.size(), 0) {
-    report_.regions.reserve(tags.size());
-    for (const CellRegion& tag : tags)
-      report_.regions.push_back(RegionAging{
-          tag.name, static_cast<std::size_t>(tag.cell_end - tag.cell_begin), 0,
-          {}, {}, 0.0});
-  }
-
-  /// Cells must be visited in order, exactly once each.
-  void add_unused(std::size_t cell) {
-    advance_region(cell);
-    ++report_.unused_cells;
-    if (region_ < tags_.size()) ++report_.regions[region_].unused_cells;
-  }
-
-  void add_cell(std::size_t cell, double duty, double snm, double optimal) {
-    advance_region(cell);
-    ++used_;
-    report_.snm_histogram.add(snm);
-    report_.snm_stats.add(snm);
-    report_.duty_stats.add(duty);
-    const bool is_optimal = snm <= optimal + options_.optimal_tolerance;
-    if (is_optimal) ++optimal_cells_;
-    if (region_ < tags_.size()) {
-      RegionAging& breakdown = report_.regions[region_];
-      breakdown.snm_stats.add(snm);
-      breakdown.duty_stats.add(duty);
-      ++region_used_[region_];
-      if (is_optimal) ++region_optimal_[region_];
-    }
-  }
-
-  AgingReport finish() {
-    report_.fraction_optimal =
-        used_ == 0 ? 0.0
-                   : static_cast<double>(optimal_cells_) /
-                         static_cast<double>(used_);
-    for (std::size_t r = 0; r < report_.regions.size(); ++r) {
-      report_.regions[r].fraction_optimal =
-          region_used_[r] == 0 ? 0.0
-                               : static_cast<double>(region_optimal_[r]) /
-                                     static_cast<double>(region_used_[r]);
-    }
-    return std::move(report_);
-  }
-
- private:
-  void advance_region(std::size_t cell) {
-    while (region_ < tags_.size() && cell >= tags_[region_].cell_end)
-      ++region_;
-  }
-
-  AgingReport report_;
-  AgingReportOptions options_;
-  const std::vector<CellRegion>& tags_;
-  std::vector<std::uint64_t> region_optimal_;
-  std::vector<std::uint64_t> region_used_;
-  std::uint64_t optimal_cells_ = 0;
-  std::uint64_t used_ = 0;
-  std::size_t region_ = 0;
-};
-
-/// Per-history evaluation result, buffered per block between the parallel
-/// evaluation and the in-order accumulation fold.
+/// One distinct history's aging outcome: what the in-order fold replays
+/// per cell, with the optimal flag decided once per history.
 struct CellAging {
   double duty = 0.0;
   double snm = 0.0;
-  double optimal = 0.0;
   bool used = false;
-};
-
-/// Blocked evaluation state of the single-operating-point aging report:
-/// gather the duties of the block's distinct used histories, run the
-/// batched forward curve (hoisted time powers per block), scatter back.
-/// degradation_batch is bit-identical to the per-cell calls, so this
-/// changes no report value.
-struct BatchedAgingEval {
-  std::span<const EnvironmentSegmentView> segment;
-  const DeviceAgingModel& model;
-  double years;
-  double optimal;
-  BlockHistories histories;
-  std::vector<double> duties;
-  std::vector<double> snm;
-
-  void operator()(std::size_t begin, std::size_t end,
-                  BlockValues<CellAging>& out) {
-    const DutyCycleTracker& tracker = *segment.front().tracker;
-    const std::span<const std::size_t> firsts =
-        histories.scan(segment, begin, end, out.index);
-    duties.clear();
-    for (const std::size_t cell : firsts)
-      if (!tracker.is_unused(cell)) duties.push_back(tracker.duty(cell));
-    snm.resize(duties.size());
-    model.degradation_batch(duties, years, segment.front().environment, snm);
-    std::size_t next = 0;
-    for (const std::size_t cell : firsts) {
-      if (tracker.is_unused(cell)) {
-        out.values.emplace_back();
-      } else {
-        out.values.push_back({duties[next], snm[next], optimal, true});
-        ++next;
-      }
-    }
-  }
-};
-
-/// Blocked evaluation state of the multi-segment timeline report. The
-/// balanced reference depends on each cell's residency weights, so every
-/// distinct history composes its own pair of timelines; the gathered
-/// stress history and its balanced-duty twin are scratch buffers reused
-/// across the block's histories.
-struct TimelineAgingEval {
-  std::span<const EnvironmentSegmentView> segments;
-  const DeviceAgingModel& model;
-  double years;
-  BlockHistories histories;
-  std::vector<StressSegment> history;
-  std::vector<StressSegment> balanced;
-
-  void operator()(std::size_t begin, std::size_t end,
-                  BlockValues<CellAging>& out) {
-    for (const std::size_t cell :
-         histories.scan(segments, begin, end, out.index)) {
-      const CellResidency residency =
-          gather_cell_segments(segments, cell, history);
-      if (residency.total == 0) {
-        out.values.emplace_back();
-        continue;
-      }
-      const double duty = static_cast<double>(residency.ones) /
-                          static_cast<double>(residency.total);
-      const double snm = model.degradation_on_timeline(history, years);
-      // The minimum achievable degradation for *this* history: balanced
-      // duty under the same environment exposure.
-      balanced = history;
-      for (StressSegment& segment : balanced) segment.duty = 0.5;
-      const double optimal = model.degradation_on_timeline(balanced, years);
-      out.values.push_back({duty, snm, optimal, true});
-    }
-  }
+  bool optimal = false;
 };
 
 }  // namespace
@@ -198,40 +51,134 @@ struct TimelineAgingEval {
 AgingReport make_aging_report(std::span<const EnvironmentSegmentView> segments,
                               const DeviceAgingModel& model,
                               const AgingReportOptions& options) {
+  return make_aging_report(segments, HistoryTable(segments), model, options);
+}
+
+AgingReport make_aging_report(std::span<const EnvironmentSegmentView> segments,
+                              const HistoryTable& histories,
+                              const DeviceAgingModel& model,
+                              const AgingReportOptions& options) {
   check_segments(segments);
-  const DutyCycleTracker& first = *segments.front().tracker;
-  ReportBuilder builder(first.cell_count(), first.regions(), options);
-  const auto fold = [&builder](std::size_t cell, const CellAging& value) {
-    if (value.used)
-      builder.add_cell(cell, value.duty, value.snm, value.optimal);
-    else
-      builder.add_unused(cell);
-  };
+  histories.check_matches(segments);
+  const std::span<const std::size_t> firsts = histories.firsts();
+  const double years = options.years;
+  const double tolerance = options.optimal_tolerance;
   const ReportEvaluator evaluator(options.threads);
+  std::vector<CellAging> values;
   if (segments.size() == 1) {
     // One segment is the single-operating-point evaluation under that
     // segment's environment (a used cell's gathered history is exactly
     // one segment at the tracker duty, and degradation_on_timeline
-    // short-circuits it to degradation(), bit-identically) — take the
-    // batched path.
-    const double optimal =
-        model.degradation(0.5, options.years, segments.front().environment);
-    evaluator.run_blocks<CellAging>(
-        first.cell_count(),
-        [&] {
-          return BatchedAgingEval{segments, model, options.years, optimal,
-                                  {},       {},    {}};
-        },
-        fold);
+    // short-circuits it to degradation(), bit-identically): gather the
+    // duties of the distinct used histories, run the batched forward
+    // curve, scatter back. degradation_batch is bit-identical to the
+    // per-cell calls, so this changes no report value.
+    const DutyCycleTracker& tracker = *segments.front().tracker;
+    const EnvironmentSpec& env = segments.front().environment;
+    const double optimal = model.degradation(0.5, years, env);
+    values = evaluator.evaluate<CellAging>(firsts.size(), [&] {
+      return [&, duties = std::vector<double>(), snm = std::vector<double>()](
+                 std::size_t begin, std::size_t end,
+                 std::span<CellAging> out) mutable {
+        duties.clear();
+        for (std::size_t id = begin; id < end; ++id)
+          if (!tracker.is_unused(firsts[id]))
+            duties.push_back(tracker.duty(firsts[id]));
+        snm.resize(duties.size());
+        model.degradation_batch(duties, years, env, snm);
+        std::size_t next = 0;
+        for (std::size_t id = begin; id < end; ++id) {
+          if (tracker.is_unused(firsts[id])) continue;
+          out[id - begin] = {duties[next], snm[next], true,
+                             snm[next] <= optimal + tolerance};
+          ++next;
+        }
+      };
+    });
   } else {
-    evaluator.run_blocks<CellAging>(
-        first.cell_count(),
-        [&] {
-          return TimelineAgingEval{segments, model, options.years, {}, {}, {}};
-        },
-        fold);
+    // Every distinct history composes its own pair of timelines: the
+    // balanced reference depends on the history's residency weights. The
+    // gathered history and its balanced-duty twin are scratch buffers.
+    values = evaluator.evaluate<CellAging>(firsts.size(), [&] {
+      return [&, history = std::vector<StressSegment>(),
+              balanced = std::vector<StressSegment>()](
+                 std::size_t begin, std::size_t end,
+                 std::span<CellAging> out) mutable {
+        for (std::size_t id = begin; id < end; ++id) {
+          const CellResidency residency =
+              gather_cell_segments(segments, firsts[id], history);
+          if (residency.total == 0) continue;
+          const double snm = model.degradation_on_timeline(history, years);
+          // The minimum achievable degradation for *this* history:
+          // balanced duty under the same environment exposure.
+          balanced = history;
+          for (StressSegment& segment : balanced) segment.duty = 0.5;
+          const double optimal =
+              model.degradation_on_timeline(balanced, years);
+          out[id - begin] = {static_cast<double>(residency.ones) /
+                                 static_cast<double>(residency.total),
+                             snm, true, snm <= optimal + tolerance};
+        }
+      };
+    });
   }
-  return builder.finish();
+
+  // The in-order fold: Welford adds per used cell, in ascending cell order
+  // (the per-cell loop's exact sequence); histogram and optimal/unused
+  // tallies are integer counts, order-free and exact.
+  const std::vector<CellRegion>& tags = segments.front().tracker->regions();
+  AgingReport report{util::Histogram(options.hist_lo, options.hist_hi,
+                                     options.hist_bins),
+                     {}, {}, histories.cell_count(), 0, 0.0, {}};
+  report.regions.reserve(tags.size());
+  std::vector<std::uint64_t> occurrences(values.size(), 0);
+  std::uint64_t optimal_cells = 0;
+  const auto fraction = [](std::uint64_t optimal, std::size_t used) {
+    return used == 0 ? 0.0
+                     : static_cast<double>(optimal) / static_cast<double>(used);
+  };
+  for_each_region(histories.cell_count(), tags, [&](std::size_t begin,
+                                                    std::size_t end,
+                                                    std::size_t r) {
+    const bool tagged = r < tags.size();
+    // Local accumulators: nothing the occurrence counters alias, so the
+    // Welford state can stay in registers.
+    util::RunningStats snm = report.snm_stats;
+    util::RunningStats duty = report.duty_stats;
+    util::RunningStats region_snm;
+    util::RunningStats region_duty;
+    std::uint64_t optimal = 0;
+    std::size_t unused = 0;
+    histories.for_each(begin, end, [&](std::size_t, std::uint32_t id) {
+      const CellAging& cell = values[id];
+      if (!cell.used) {
+        ++unused;
+        return;
+      }
+      ++occurrences[id];
+      optimal += cell.optimal;
+      snm.add(cell.snm);
+      duty.add(cell.duty);
+      if (tagged) {
+        region_snm.add(cell.snm);
+        region_duty.add(cell.duty);
+      }
+    });
+    report.snm_stats = snm;
+    report.duty_stats = duty;
+    report.unused_cells += unused;
+    optimal_cells += optimal;
+    if (tagged)
+      report.regions.push_back(RegionAging{
+          tags[r].name, end - begin, unused, region_snm, region_duty,
+          fraction(optimal, end - begin - unused)});
+  });
+  for (std::size_t id = 0; id < values.size(); ++id)
+    if (occurrences[id] != 0)
+      report.snm_histogram.add(values[id].snm, occurrences[id]);
+  report.fraction_optimal =
+      fraction(optimal_cells, report.total_cells - report.unused_cells);
+  return report;
 }
 
 }  // namespace dnnlife::aging

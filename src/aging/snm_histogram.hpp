@@ -14,6 +14,8 @@
 
 namespace dnnlife::aging {
 
+class HistoryTable;
+
 /// Aging outcome of one named memory region (see CellRegion): the
 /// whole-memory statistics restricted to the region's cell range.
 struct RegionAging {
@@ -54,10 +56,9 @@ struct AgingReportOptions {
   /// cells here read as "around 10.8%" in Fig. 9/11 terms).
   double optimal_tolerance = 2.0;
   /// Report-evaluation budget on the session executor (0 = hardware
-  /// concurrency). Results are bit-identical for any value: model
-  /// evaluation runs per 4096-cell block, once per distinct cell history,
-  /// and accumulation replays in cell order (see
-  /// aging/report_evaluator.hpp).
+  /// concurrency). Results are bit-identical for any value: the model is
+  /// evaluated once per distinct cell history of the whole state, and
+  /// accumulation replays in cell order (see aging/report_evaluator.hpp).
   unsigned threads = 1;
 };
 
@@ -69,8 +70,17 @@ struct AgingReportOptions {
 /// is a one-segment timeline: `EnvironmentSegmentView{&tracker, env}`
 /// evaluates every cell at its tracker duty in the fixed environment
 /// `env`. Owned segments borrow through segment_views(); views of shared
-/// (cached) tracker state fold to byte-identical reports.
+/// (cached) tracker state fold to byte-identical reports. Builds the
+/// state's HistoryTable and calls the overload below.
 AgingReport make_aging_report(std::span<const EnvironmentSegmentView> segments,
+                              const DeviceAgingModel& model,
+                              const AgingReportOptions& options = {});
+
+/// The same report over a prebuilt history table of `segments` (see
+/// aging/report_evaluator.hpp), so that one table serves both reports of
+/// a point.
+AgingReport make_aging_report(std::span<const EnvironmentSegmentView> segments,
+                              const HistoryTable& histories,
                               const DeviceAgingModel& model,
                               const AgingReportOptions& options = {});
 

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "aging/report_evaluator.hpp"
 #include "core/policy_engine.hpp"
 #include "core/sim_cache.hpp"
 #include "core/sim_store.hpp"
@@ -528,13 +529,13 @@ ScenarioResult evaluate_scenario(const ScenarioSpec& spec,
   for (std::size_t i = 0; i < environments.size(); ++i)
     views.push_back(aging::EnvironmentSegmentView{&state.segment_trackers[i],
                                                   environments[i]});
-  result.report = make_aging_report(
-      std::span<const aging::EnvironmentSegmentView>(views), *model, report);
+  // One history table serves both reports: the state is keyed once.
+  const aging::HistoryTable histories(views);
+  result.report = make_aging_report(views, histories, *model, report);
   const aging::LifetimeModel lifetime(model, spec.lifetime);
   check_deadline(options);
-  result.lifetime = make_lifetime_report(
-      std::span<const aging::EnvironmentSegmentView>(views), lifetime,
-      spec.threads);
+  result.lifetime =
+      make_lifetime_report(views, histories, lifetime, spec.threads);
   return result;
 }
 

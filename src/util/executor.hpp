@@ -36,14 +36,14 @@
 //
 // Determinism: the executor schedules, it never decomposes. Every work
 // partition is fixed by its caller before submission and never by the
-// worker count: report folds cut cells into fixed 4096-cell blocks (a
-// function of the cell count alone; see aging/report_evaluator.hpp) and
-// submit them as items, while shard fan-outs such as the fast simulator's
-// row commit use util::shard_range over the *budget*. Per-shard RNG
-// derivation is untouched, results land in disjoint slots, and folds
-// replay in fixed block or shard order — so reports, sweeps and summaries
-// are bit-identical for ANY worker count and budget (pinned by goldens in
-// tests/test_executor.cpp and tests/test_report_evaluator.cpp).
+// worker count: reports cut their distinct histories into fixed chunks
+// (see aging/report_evaluator.hpp) and submit them as items, while shard
+// fan-outs such as the fast simulator's row commit use util::shard_range
+// over the *budget*. Per-shard RNG derivation is untouched, results land
+// in disjoint slots, and folds replay in fixed cell or shard order — so
+// reports, sweeps and summaries are bit-identical for ANY worker count and
+// budget (pinned by goldens in tests/test_executor.cpp and
+// tests/test_report_evaluator.cpp).
 #pragma once
 
 #include <atomic>

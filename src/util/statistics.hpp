@@ -1,6 +1,7 @@
 // Streaming and batch summary statistics.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -10,7 +11,26 @@ namespace dnnlife::util {
 /// Welford-style streaming accumulator for mean/variance/min/max.
 class RunningStats {
  public:
-  void add(double value, std::uint64_t weight = 1) noexcept;
+  /// Add `value` `weight` times (weighted Welford update; weight 0 is a
+  /// no-op).
+  void add(double value, std::uint64_t weight) noexcept;
+
+  /// Add `value` once: the weighted update at weight 1, inline for the
+  /// per-cell report folds. `w / total` with w = 1 is `1.0 / total` and
+  /// `* w` is exact, so both overloads produce the same bits.
+  void add(double value) noexcept {
+    if (count_ == 0) {
+      min_ = value;
+      max_ = value;
+    } else {
+      min_ = std::min(min_, value);
+      max_ = std::max(max_, value);
+    }
+    const double delta = value - mean_;
+    mean_ += delta * (1.0 / (static_cast<double>(count_) + 1.0));
+    m2_ += delta * (value - mean_);
+    ++count_;
+  }
 
   std::uint64_t count() const noexcept { return count_; }
   double mean() const noexcept { return count_ == 0 ? 0.0 : mean_; }

@@ -241,33 +241,37 @@ TEST(Executor, NestedFanOutStress) {
 // ---- determinism across executor sizes ---------------------------------------
 
 TEST(Executor, ReportEvaluatorFoldIsInvariantAcrossExecutorSizes) {
-  // The determinism argument of the whole PR in miniature: the fold replay
+  // The determinism argument in miniature: the history-table replay
   // (ReportEvaluator) must produce the identical sequence for any executor
-  // size, because the block partition depends only on the cell count and
-  // the fold replays blocks in cell order. Spans two full blocks plus a
-  // ragged tail, so the budget-4 run really fans out. Uses the
-  // session executor via configure_session — legal here because the
-  // session is idle between runs.
-  const auto fold_hash = [] {
+  // size, because each value is a pure function of its history and the
+  // fold replays values[index[cell]] in cell order. 1500 distinct
+  // histories span three evaluation chunks, so the budget-4 run really
+  // fans out. Uses the session executor via configure_session — legal
+  // here because the session is idle between runs.
+  const std::size_t cells = 3 * aging::ReportEvaluator::kChunk + 1000;
+  aging::DutyCycleTracker tracker(cells);
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    tracker.ones_time()[cell] = static_cast<std::uint32_t>(cell % 1500);
+    tracker.total_time()[cell] = 2000;
+  }
+  const aging::EnvironmentSegmentView segment{&tracker, {}};
+  const aging::HistoryTable table({&segment, 1});
+  const auto fold_hash = [&] {
     aging::ReportEvaluator evaluator(4);  // fixed budget — NOT the variable
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    evaluator.run_blocks<std::uint64_t>(
-        2 * aging::ReportEvaluator::kBlockCells + 1000,
-        [] {
-          return [](std::size_t begin, std::size_t end,
-                    aging::BlockValues<std::uint64_t>& out) {
-            for (std::size_t cell = begin; cell < end; ++cell) {
-              out.index[cell - begin] =
-                  static_cast<std::uint16_t>(out.values.size());
-              out.values.push_back(static_cast<std::uint64_t>(cell) *
-                                   2654435761u);
-            }
+    const std::vector<std::uint64_t> values =
+        evaluator.evaluate<std::uint64_t>(table.size(), [&] {
+          return [&](std::size_t begin, std::size_t end,
+                     std::span<std::uint64_t> out) {
+            for (std::size_t id = begin; id < end; ++id)
+              out[id - begin] =
+                  static_cast<std::uint64_t>(table.firsts()[id]) * 2654435761u;
           };
-        },
-        [&hash](std::size_t cell, std::uint64_t value) {
-          hash ^= cell * 0x9e3779b97f4a7c15ULL + value;
-          hash *= 0x100000001b3ULL;
         });
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    table.for_each(0, cells, [&](std::size_t cell, std::uint32_t id) {
+      hash ^= cell * 0x9e3779b97f4a7c15ULL + values[id];
+      hash *= 0x100000001b3ULL;
+    });
     return hash;
   };
   Executor::configure_session(1);

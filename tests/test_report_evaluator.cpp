@@ -1,4 +1,4 @@
-// Tests for the shardable report-evaluation pipeline and the Newton
+// Tests for the history-table report-evaluation pipeline and the Newton
 // lifetime inversion.
 //
 //  * Hash-pinned golden reports for all four built-in aging models at 1, 2
@@ -10,21 +10,28 @@
 //    safeguarded Newton inversion replaced blind bisection there, so those
 //    hashes pin the Newton results and a separate test bounds the
 //    Newton-vs-bisection difference at ulp scale.
-//  * Exact-history memo tests: per-cell and whole-report bit identity with
-//    a per-cell reference loop over repeated, unused and 4096-all-distinct
-//    histories, and budget invariance when the distinct histories cluster
-//    in the first quarter of the cells.
+//  * History-table tests: whole-state first-seen numbering, index
+//    widening (uint8_t to uint16_t to uint32_t), exactly one model
+//    evaluation per distinct used history per report, and per-cell and
+//    whole-report bit identity with a per-cell reference loop over
+//    repeated, unused and all-distinct histories (beyond 65,536 of them
+//    too), with budget invariance when the distinct histories cluster in
+//    the first quarter of the cells.
 //  * Solver tests: Newton agreement with the legacy bisection, a pinned
 //    iteration-count budget (~10 evaluations vs bisection's ~50+), and the
 //    finite-difference default of degradation_slope against the analytic
 //    overrides.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -242,65 +249,76 @@ TEST_F(ReportEvaluatorGolden, RegionBreakdownIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ReportEvaluator, BlockedRunFoldsEveryCellInOrderForAnyShardCount) {
-  // run_blocks spans several kBlockCells blocks plus a ragged tail; the
-  // fold must still see every cell exactly once, in order, with the value
-  // its block's index points at. The block stores its values in reverse
-  // cell order, so an index replay that ignored the index would fail.
-  const std::size_t cells = 2 * ReportEvaluator::kBlockCells + 613;
+TEST(ReportEvaluator, EvaluatesEveryIdExactlyOnceForAnyBudget) {
+  // evaluate() spans several kChunk chunks plus a ragged tail; every id
+  // must be evaluated exactly once and land at its own position. Budget 1
+  // makes one functor and one call over every id.
+  const std::size_t count = 3 * ReportEvaluator::kChunk + 613;
   for (const unsigned threads : {1u, 2u, 3u, 8u, 64u}) {
-    std::vector<std::size_t> order;
-    ReportEvaluator(threads).run_blocks<std::size_t>(
-        cells,
-        [&] {
-          return [](std::size_t begin, std::size_t end,
-                    BlockValues<std::size_t>& out) {
-            ASSERT_TRUE(out.values.empty());
-            ASSERT_EQ(out.index.size(), end - begin);
-            for (std::size_t cell = end; cell-- > begin;) {
-              out.index[cell - begin] =
-                  static_cast<std::uint16_t>(out.values.size());
-              out.values.push_back(cell * 3 + 1);
+    std::vector<std::atomic<int>> evaluations(count);
+    std::atomic<int> functors{0};
+    std::atomic<int> calls{0};
+    const std::vector<std::size_t> values =
+        ReportEvaluator(threads).evaluate<std::size_t>(count, [&] {
+          ++functors;
+          return [&](std::size_t begin, std::size_t end,
+                     std::span<std::size_t> out) {
+            ++calls;
+            ASSERT_EQ(out.size(), end - begin);
+            for (std::size_t id = begin; id < end; ++id) {
+              ++evaluations[id];
+              out[id - begin] = id * 3 + 1;
             }
           };
-        },
-        [&](std::size_t cell, std::size_t value) {
-          EXPECT_EQ(value, cell * 3 + 1);
-          order.push_back(cell);
         });
-    ASSERT_EQ(order.size(), cells) << threads << " threads";
-    for (std::size_t i = 0; i < cells; ++i) EXPECT_EQ(order[i], i);
+    ASSERT_EQ(values.size(), count) << threads << " threads";
+    for (std::size_t id = 0; id < count; ++id) {
+      EXPECT_EQ(evaluations[id].load(), 1) << id;
+      EXPECT_EQ(values[id], id * 3 + 1) << id;
+    }
+    if (threads == 1) {
+      EXPECT_EQ(functors.load(), 1);
+      EXPECT_EQ(calls.load(), 1);
+    } else {
+      EXPECT_EQ(calls.load(), static_cast<int>((count + ReportEvaluator::kChunk -
+                                                1) /
+                                               ReportEvaluator::kChunk))
+          << threads << " threads";
+    }
   }
+  EXPECT_TRUE(ReportEvaluator(4).evaluate<int>(0, [] {
+    return [](std::size_t, std::size_t, std::span<int>) { FAIL(); };
+  }).empty());
 }
 
 TEST(ReportEvaluator, FoldsEveryCellInOrderForAnyShardCount) {
-  // Cell counts not divisible by any budget below, within one block and
-  // across six; each block shares one value between the cells of equal
-  // cell * cell % 7, so the replay must resolve repeated indices.
+  // Cell counts within one chunk of histories and across several; cells
+  // of equal cell * cell % 7 share one history, so the replay must
+  // resolve repeated ids to the value of their history.
   for (const std::size_t cells :
-       {std::size_t{37}, 5 * ReportEvaluator::kBlockCells + 37}) {
+       {std::size_t{37}, 5 * ReportEvaluator::kChunk + 37}) {
+    DutyCycleTracker tracker(cells);
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+      tracker.ones_time()[cell] = static_cast<std::uint32_t>(cell * cell % 7);
+      tracker.total_time()[cell] = 7;
+    }
+    const EnvironmentSegmentView segment{&tracker, kNominal};
+    const HistoryTable table({&segment, 1});
+    ASSERT_EQ(table.size(), 4u);  // the squares mod 7: 0, 1, 2, 4
     for (const unsigned threads : {1u, 2u, 3u, 8u, 64u}) {
-      std::vector<std::size_t> order;
-      ReportEvaluator(threads).run_blocks<std::size_t>(
-          cells,
-          [&] {
-            return [](std::size_t begin, std::size_t end,
-                      BlockValues<std::size_t>& out) {
-              std::vector<int> slot(7, -1);
-              for (std::size_t cell = begin; cell < end; ++cell) {
-                int& id = slot[cell * cell % 7];
-                if (id < 0) {
-                  id = static_cast<int>(out.values.size());
-                  out.values.push_back(cell * cell % 7);
-                }
-                out.index[cell - begin] = static_cast<std::uint16_t>(id);
-              }
+      const std::vector<std::size_t> values =
+          ReportEvaluator(threads).evaluate<std::size_t>(table.size(), [&] {
+            return [&](std::size_t begin, std::size_t end,
+                       std::span<std::size_t> out) {
+              for (std::size_t id = begin; id < end; ++id)
+                out[id - begin] = tracker.ones_time()[table.firsts()[id]];
             };
-          },
-          [&](std::size_t cell, std::size_t value) {
-            EXPECT_EQ(value, cell * cell % 7);
-            order.push_back(cell);
           });
+      std::vector<std::size_t> order;
+      table.for_each(0, cells, [&](std::size_t cell, std::uint32_t id) {
+        EXPECT_EQ(values[id], cell * cell % 7);
+        order.push_back(cell);
+      });
       ASSERT_EQ(order.size(), cells) << threads << " threads";
       for (std::size_t i = 0; i < cells; ++i) EXPECT_EQ(order[i], i);
     }
@@ -309,14 +327,15 @@ TEST(ReportEvaluator, FoldsEveryCellInOrderForAnyShardCount) {
 
 // ---- exact-history memo -----------------------------------------------------
 
-constexpr std::size_t kBlock = ReportEvaluator::kBlockCells;
+/// The span of history_trackers()' all-distinct prefix and of each of its
+/// two repeating spans.
+constexpr std::size_t kBlock = 4096;
 
 /// Two segment trackers over 2 * kBlock + 1500 cells carrying every kind
-/// of history the block memo must get right:
-///  * block 0: kBlock all-distinct histories (the uint16_t index bound);
-///  * blocks 1 and 2: 13 histories repeated inside each block and across
-///    the two blocks, among them cells unused in segment a only, in
-///    segment b only, and in both.
+/// of history the history table must get right:
+///  * cells [0, kBlock): all-distinct histories (beyond a uint8_t index);
+///  * the rest: 13 histories repeated all the way through, among them
+///    cells unused in segment a only, in segment b only, and in both.
 std::pair<DutyCycleTracker, DutyCycleTracker> history_trackers() {
   const std::size_t cells = 2 * kBlock + 1500;
   DutyCycleTracker a(cells);
@@ -454,27 +473,64 @@ void expect_bit_identical(const std::vector<double>& actual,
         << expected[i];
 }
 
-TEST(ReportEvaluatorMemo, BlockHistoriesNumberDistinctKeysInFirstSeenOrder) {
+TEST(HistoryTable, NumbersDistinctHistoriesInWholeStateFirstSeenOrder) {
   const auto [a, b] = history_trackers();
   const std::vector<EnvironmentSegmentView> segments = {{&a, kNominal},
                                                         {&b, hot(85.0)}};
-  BlockHistories histories;
-  std::vector<std::uint16_t> index(kBlock);
-  // Block 0: every history distinct, so every cell is its own first.
-  std::span<const std::size_t> firsts =
-      histories.scan(segments, 0, kBlock, index);
-  ASSERT_EQ(firsts.size(), kBlock);
-  for (std::size_t i = 0; i < kBlock; ++i) {
-    EXPECT_EQ(index[i], i);
-    EXPECT_EQ(firsts[i], i);
+  const HistoryTable table(segments);
+  ASSERT_EQ(table.cell_count(), a.cell_count());
+  // The all-distinct prefix: every cell is its own first, then the 13
+  // repeating histories, numbered by first appearance across the state.
+  ASSERT_EQ(table.size(), kBlock + 13);
+  EXPECT_EQ(table.index_bytes(), 2u);
+  const std::span<const std::size_t> firsts = table.firsts();
+  for (std::size_t cell = 0; cell < a.cell_count(); ++cell) {
+    const std::uint32_t id = table.id(cell);
+    ASSERT_LT(id, table.size());
+    if (cell < kBlock + 13) {
+      EXPECT_EQ(id, cell);
+      EXPECT_EQ(firsts[id], cell);
+    } else {
+      EXPECT_EQ(id, table.id(cell - 13)) << cell;
+    }
   }
-  // Block 1: the 13 repeating histories, numbered by first appearance.
-  firsts = histories.scan(segments, kBlock, 2 * kBlock, index);
-  ASSERT_EQ(firsts.size(), 13u);
-  for (std::size_t i = 0; i < kBlock; ++i) {
-    ASSERT_LT(index[i], firsts.size());
-    EXPECT_EQ(firsts[index[i]] % 13, (kBlock + i) % 13);
-    EXPECT_EQ(index[i], i < 13 ? i : index[i - 13]);
+  // One segment: the prefix's segment-a histories are still distinct, and
+  // the repeating part has one history per distinct segment-a counter
+  // pair (j = 7 and j = 11 are both unused there).
+  const HistoryTable single({segments.data(), 1});
+  EXPECT_EQ(single.size(), kBlock + 12);
+  std::vector<std::uint32_t> visited;
+  single.for_each(kBlock, kBlock + 26, [&](std::size_t cell, std::uint32_t id) {
+    EXPECT_EQ(cell, kBlock + visited.size());
+    visited.push_back(id);
+  });
+  ASSERT_EQ(visited.size(), 26u);
+  for (std::size_t i = 0; i < 13; ++i) EXPECT_EQ(visited[i + 13], visited[i]);
+  // A table answers only for the state shape it was built from.
+  const LifetimeModel lifetime;
+  EXPECT_THROW(make_aging_report(segments, single, lifetime.model()),
+               std::invalid_argument);
+  EXPECT_THROW(make_lifetime_report({segments.data(), 1}, table, lifetime),
+               std::invalid_argument);
+}
+
+TEST(HistoryTable, IndexWidensWithTheDistinctCount) {
+  // 256 distinct histories fit a uint8_t index; the 257th widens it, and
+  // every id keyed before the widening survives it.
+  for (const std::size_t distinct : {std::size_t{1}, std::size_t{256},
+                                     std::size_t{257}}) {
+    const std::size_t cells = 3 * distinct + 5;
+    DutyCycleTracker tracker(cells);
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+      tracker.ones_time()[cell] = static_cast<std::uint32_t>(cell % distinct);
+      tracker.total_time()[cell] = 1000;
+    }
+    const EnvironmentSegmentView segment{&tracker, kNominal};
+    const HistoryTable table({&segment, 1});
+    ASSERT_EQ(table.size(), distinct);
+    EXPECT_EQ(table.index_bytes(), distinct <= 256 ? 1u : 2u);
+    for (std::size_t cell = 0; cell < cells; ++cell)
+      ASSERT_EQ(table.id(cell), cell % distinct) << cell;
   }
 }
 
@@ -576,6 +632,197 @@ TEST(ReportEvaluatorMemo, SkewedDistinctHistoriesIdenticalAcrossBudgets) {
       expect_bit_identical(
           lifetime_fields(make_lifetime_report(segments, lifetime, threads)),
           serial_life, what + " lifetime");
+    }
+  }
+}
+
+/// A built-in model that counts the evaluations the reports ask of it
+/// (atomic: the reports call it from executor workers above budget 1).
+class CountingModel : public DeviceAgingModel {
+ public:
+  explicit CountingModel(std::shared_ptr<const DeviceAgingModel> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string_view name() const noexcept override { return inner_->name(); }
+  double reference_years() const noexcept override {
+    return inner_->reference_years();
+  }
+  double degradation(double duty, double years,
+                     const EnvironmentSpec& env) const override {
+    ++degradations;
+    return inner_->degradation(duty, years, env);
+  }
+  double years_to_reach(double duty, double target,
+                        const EnvironmentSpec& env) const override {
+    ++inversions;
+    return inner_->years_to_reach(duty, target, env);
+  }
+  void years_to_reach_batch(std::span<const double> duties, double target,
+                            const EnvironmentSpec& env, std::span<double> out,
+                            BatchSolveStats* stats) const override {
+    batched_inversions += duties.size();
+    inner_->years_to_reach_batch(duties, target, env, out, stats);
+  }
+  void degradation_batch(std::span<const double> duties, double years,
+                         const EnvironmentSpec& env, std::span<double> out,
+                         BatchSolveStats* stats) const override {
+    batched_degradations += duties.size();
+    inner_->degradation_batch(duties, years, env, out, stats);
+  }
+  double degradation_on_timeline(std::span<const StressSegment> timeline,
+                                 double years) const override {
+    ++timelines;
+    return inner_->degradation_on_timeline(timeline, years);
+  }
+  double years_to_failure(std::span<const StressSegment> timeline,
+                          double threshold) const override {
+    ++failures;
+    return inner_->years_to_failure(timeline, threshold);
+  }
+
+  void clear() {
+    degradations = inversions = batched_inversions = batched_degradations =
+        timelines = failures = 0;
+  }
+
+  mutable std::atomic<std::uint64_t> degradations{0};
+  mutable std::atomic<std::uint64_t> inversions{0};
+  mutable std::atomic<std::uint64_t> batched_inversions{0};
+  mutable std::atomic<std::uint64_t> batched_degradations{0};
+  mutable std::atomic<std::uint64_t> timelines{0};
+  mutable std::atomic<std::uint64_t> failures{0};
+
+ private:
+  std::shared_ptr<const DeviceAgingModel> inner_;
+};
+
+/// The number of distinct used histories of `segments`, counted the
+/// plain way: a set of every used cell's residency counters.
+std::size_t distinct_used_histories(
+    std::span<const EnvironmentSegmentView> segments) {
+  std::set<std::vector<std::uint32_t>> keys;
+  for (std::size_t cell = 0; cell < segments.front().tracker->cell_count();
+       ++cell) {
+    std::vector<std::uint32_t> key;
+    std::uint32_t total = 0;
+    for (const EnvironmentSegmentView& segment : segments) {
+      key.push_back(segment.tracker->ones_time()[cell]);
+      key.push_back(segment.tracker->total_time()[cell]);
+      total += segment.tracker->total_time()[cell];
+    }
+    if (total != 0) keys.insert(std::move(key));
+  }
+  return keys.size();
+}
+
+TEST(HistoryTable, EachReportEvaluatesEachDistinctUsedHistoryOnce) {
+  // The repeating histories recur all through the state, so any scheme
+  // that keys less than the whole state evaluates them more than once.
+  const auto [a, b] = history_trackers();
+  const std::vector<EnvironmentSegmentView> timeline = {{&a, hot(45.0)},
+                                                        {&b, hot(85.0)}};
+  const auto model = std::make_shared<CountingModel>(
+      make_aging_model(kDefaultAgingModel));
+  const LifetimeModel lifetime(model);
+  for (const std::size_t segment_count : {std::size_t{1}, std::size_t{2}}) {
+    const std::span<const EnvironmentSegmentView> segments(timeline.data(),
+                                                           segment_count);
+    const std::uint64_t distinct = distinct_used_histories(segments);
+    ASSERT_GT(distinct, 13u);
+    for (const unsigned threads : {1u, 4u}) {
+      const std::string what = std::to_string(segment_count) +
+                               " segment(s), budget " + std::to_string(threads);
+      AgingReportOptions options;
+      options.threads = threads;
+      model->clear();
+      make_aging_report(segments, *model, options);
+      if (segment_count == 1) {
+        EXPECT_EQ(model->batched_degradations.load(), distinct) << what;
+        EXPECT_EQ(model->degradations.load(), 1u) << what;  // the optimum
+        EXPECT_EQ(model->timelines.load(), 0u) << what;
+      } else {
+        // The history and its balanced twin.
+        EXPECT_EQ(model->timelines.load(), 2 * distinct) << what;
+        EXPECT_EQ(model->batched_degradations.load(), 0u) << what;
+      }
+      model->clear();
+      make_lifetime_report(segments, lifetime, threads);
+      if (segment_count == 1) {
+        EXPECT_EQ(model->batched_inversions.load(), distinct) << what;
+        EXPECT_EQ(model->failures.load(), 0u) << what;
+      } else {
+        EXPECT_EQ(model->failures.load(), distinct) << what;
+        EXPECT_EQ(model->batched_inversions.load(), 0u) << what;
+      }
+      // Only the best and worst cases are solved outside the table.
+      EXPECT_EQ(model->inversions.load(), 2u) << what;
+    }
+  }
+}
+
+TEST(HistoryTable, WideIndexReportsMatchThePerCellReference) {
+  // More distinct histories than a uint16_t index holds, then repeats in
+  // scrambled order, plus cells unused in one segment or both.
+  constexpr std::size_t kDistinct = 70000;
+  const std::size_t cells = kDistinct + 30000;
+  DutyCycleTracker a(cells);
+  DutyCycleTracker b(cells);
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    const std::size_t source =
+        cell < kDistinct ? cell : cell * 7919 % kDistinct;
+    const auto s = static_cast<std::uint32_t>(source);
+    if (source % 1000 != 999) {
+      a.ones_time()[cell] = s;
+      a.total_time()[cell] = s + 1000;
+    }
+    if (source % 500 != 0) {
+      b.ones_time()[cell] = s % 301;
+      b.total_time()[cell] = 300;
+    }
+  }
+  const std::vector<EnvironmentSegmentView> timeline = {{&a, hot(45.0)},
+                                                        {&b, hot(85.0)}};
+  const LifetimeModel lifetime(make_aging_model(kDefaultAgingModel));
+  for (const std::size_t segment_count : {std::size_t{1}, std::size_t{2}}) {
+    const std::span<const EnvironmentSegmentView> segments(timeline.data(),
+                                                           segment_count);
+    // Ids in whole-state first-seen order, counted the plain way.
+    const HistoryTable table(segments);
+    EXPECT_EQ(table.index_bytes(), 4u);
+    std::map<std::vector<std::uint32_t>, std::uint32_t> first_seen;
+    std::size_t mismatches = 0;
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+      std::vector<std::uint32_t> key;
+      for (const EnvironmentSegmentView& segment : segments) {
+        key.push_back(segment.tracker->ones_time()[cell]);
+        key.push_back(segment.tracker->total_time()[cell]);
+      }
+      const auto [it, inserted] = first_seen.emplace(
+          std::move(key), static_cast<std::uint32_t>(first_seen.size()));
+      if (inserted && table.firsts()[it->second] != cell) ++mismatches;
+      if (table.id(cell) != it->second) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << segment_count << " segment(s)";
+    ASSERT_EQ(table.size(), first_seen.size());
+    ASSERT_GT(table.size(), 65536u);
+
+    AgingReportOptions options;
+    const std::vector<ReferenceCell> reference =
+        reference_cells(segments, lifetime, options.years);
+    const std::vector<double> aging_fields =
+        reference_aging_fields(reference, options);
+    const std::vector<double> life_fields =
+        reference_lifetime_fields(reference, lifetime);
+    for (const unsigned threads : {1u, 2u, 4u, 0u}) {
+      const std::string what = std::to_string(segment_count) +
+                               " segment(s), budget " + std::to_string(threads);
+      options.threads = threads;
+      expect_bit_identical(
+          report_fields(make_aging_report(segments, lifetime.model(), options)),
+          aging_fields, what + " aging");
+      expect_bit_identical(
+          lifetime_fields(make_lifetime_report(segments, lifetime, threads)),
+          life_fields, what + " lifetime");
     }
   }
 }

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 
 #include "util/csv.hpp"
@@ -102,6 +106,34 @@ TEST(RunningStats, WeightedAddMatchesRepeated) {
   repeated.add(5.0);
   EXPECT_NEAR(weighted.mean(), repeated.mean(), 1e-12);
   EXPECT_NEAR(weighted.variance(), repeated.variance(), 1e-12);
+}
+
+TEST(RunningStats, UnitAddMatchesWeightOneBitForBit) {
+  // The inline unit-weight add the report folds use must be the weighted
+  // update at weight 1, bit for bit, and weight 0 must stay a no-op.
+  std::mt19937_64 rng(20240917);
+  RunningStats unit;
+  RunningStats weighted;
+  for (int i = 0; i < 10000; ++i) {
+    const double value =
+        std::ldexp(static_cast<double>(rng() >> 11), -53) * 40.0 - 7.0;
+    unit.add(value);
+    weighted.add(value, 1);
+    weighted.add(-1e300, 0);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(unit.mean()),
+              std::bit_cast<std::uint64_t>(weighted.mean()))
+        << i;
+  }
+  EXPECT_EQ(unit.count(), weighted.count());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(unit.variance()),
+            std::bit_cast<std::uint64_t>(weighted.variance()));
+  EXPECT_EQ(unit.min(), weighted.min());
+  EXPECT_EQ(unit.max(), weighted.max());
+  RunningStats empty;
+  empty.add(3.0, 0);
+  EXPECT_EQ(empty.count(), 0u);
+  EXPECT_EQ(empty.min(), 0.0);
+  EXPECT_EQ(empty.max(), 0.0);
 }
 
 TEST(RunningStats, MergeMatchesCombined) {
