@@ -160,24 +160,11 @@ std::string sweep_spec() {
 int main(int argc, char** argv) {
   unsigned threads = 0;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value_of = [&](const char* name) -> const char* {
-      const std::string prefix = std::string("--") + name + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size() : nullptr;
-    };
-    if (const char* value = value_of("threads")) {
-      if (!util::parse_unsigned_flag(value, threads)) {
-        std::cerr << "--threads expects a number, got '" << value << "'\n";
-        return 1;
-      }
-    } else if (const char* value = value_of("json")) {
-      json_path = value;
-    } else {
-      std::cerr << "usage: bench_executor [--threads=N] [--json=PATH]\n";
-      return 1;
-    }
-  }
+  util::FlagTable flags("bench_executor");
+  flags.add(util::unsigned_flag("threads", threads,
+                               "session executor workers (0 = hardware)"))
+      .add(util::text_flag("json", "PATH", json_path, "results as JSON"));
+  if (!flags.parse(argc, argv)) return 1;
   util::Executor::configure_session(threads);
   const unsigned workers = util::Executor::session().workers();
   benchutil::print_heading("Session executor vs legacy thread pool");

@@ -54,24 +54,11 @@ int main(int argc, char** argv) {
   using namespace dnnlife;
   unsigned threads = 1;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value_of = [&](const char* name) -> const char* {
-      const std::string prefix = std::string("--") + name + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size() : nullptr;
-    };
-    if (const char* value = value_of("threads")) {
-      if (!util::parse_unsigned_flag(value, threads)) {
-        std::cerr << "--threads expects a number, got '" << value << "'\n";
-        return 1;
-      }
-    } else if (const char* value = value_of("json")) {
-      json_path = value;
-    } else {
-      std::cerr << "usage: bench_lifetime_batch [--threads=N] [--json=PATH]\n";
-      return 1;
-    }
-  }
+  util::FlagTable flags("bench_lifetime_batch");
+  flags.add(util::unsigned_flag("threads", threads,
+                               "report-evaluation threads"))
+      .add(util::text_flag("json", "PATH", json_path, "results as JSON"));
+  if (!flags.parse(argc, argv)) return 1;
 
   constexpr std::size_t kCells = 128 * 1024;
   constexpr std::uint32_t kDistinct = 997;

@@ -71,24 +71,10 @@ int main(int argc, char** argv) {
   using namespace dnnlife;
   unsigned jobs = 1;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value_of = [&](const char* name) -> const char* {
-      const std::string prefix = std::string("--") + name + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size() : nullptr;
-    };
-    if (const char* value = value_of("jobs")) {
-      if (!util::parse_unsigned_flag(value, jobs)) {
-        std::cerr << "--jobs expects a number, got '" << value << "'\n";
-        return 1;
-      }
-    } else if (const char* value = value_of("json")) {
-      json_path = value;
-    } else {
-      std::cerr << "usage: bench_sweep_cache [--jobs=N] [--json=PATH]\n";
-      return 1;
-    }
-  }
+  util::FlagTable flags("bench_sweep_cache");
+  flags.add(util::unsigned_flag("jobs", jobs, "concurrent-point budget"))
+      .add(util::text_flag("json", "PATH", json_path, "results as JSON"));
+  if (!flags.parse(argc, argv)) return 1;
   benchutil::print_heading(
       "Cross-point simulation reuse (12-point environment grid)");
 

@@ -13,8 +13,10 @@
 //   --vdd=V              supply voltage relative to nominal (default 1.0)
 //   --activity=A         fraction of lifetime under stress (default 1.0)
 //   --csv=PATH           export the per-region lifetime breakdown as CSV
-// Defaults: custom_mnist int8-symmetric npu 100.
+// Defaults: custom_mnist int8-symmetric npu 100. Unknown names, numbers
+// with trailing garbage and negative inference counts exit 1.
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,28 +24,9 @@
 #include "aging/model_registry.hpp"
 #include "core/experiment.hpp"
 #include "core/fast_simulator.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-dnnlife::quant::WeightFormat parse_format(const std::string& name) {
-  using dnnlife::quant::WeightFormat;
-  if (name == "float32") return WeightFormat::kFloat32;
-  if (name == "int8-symmetric") return WeightFormat::kInt8Symmetric;
-  if (name == "int8-asymmetric") return WeightFormat::kInt8Asymmetric;
-  throw std::invalid_argument("unknown format: " + name);
-}
-
-bool flag_value(const std::string& arg, const std::string& name,
-                std::string& value) {
-  const std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  value = arg.substr(prefix.size());
-  return true;
-}
-
-}  // namespace
 
 int run_audit(int argc, char** argv) {
   using namespace dnnlife;
@@ -51,36 +34,31 @@ int run_audit(int argc, char** argv) {
 
   core::ExperimentConfig config;
   std::string csv_path;
-  std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (flag_value(arg, "aging-model", value)) {
-      config.aging_model = value;
-    } else if (flag_value(arg, "temperature", value)) {
-      config.environment.temperature_c = std::stod(value);
-    } else if (flag_value(arg, "vdd", value)) {
-      config.environment.vdd = std::stod(value);
-    } else if (flag_value(arg, "activity", value)) {
-      config.environment.activity_scale = std::stod(value);
-    } else if (flag_value(arg, "csv", value)) {
-      csv_path = value;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "unknown flag " << arg << "\n";
-      return 1;
-    } else {
-      positional.push_back(arg);
-    }
-  }
-  config.network = positional.size() > 0 ? positional[0] : "custom_mnist";
-  config.format =
-      parse_format(positional.size() > 1 ? positional[1] : "int8-symmetric");
-  const std::string hardware = positional.size() > 2 ? positional[2] : "npu";
-  config.hardware = hardware == "baseline" ? core::HardwareKind::kBaseline
-                                           : core::HardwareKind::kTpuNpu;
-  config.inferences = positional.size() > 3
-                          ? static_cast<unsigned>(std::stoul(positional[3]))
-                          : 100;
+  util::FlagTable flags("example_aging_audit",
+                        "[network] [format] [hardware] [inferences]", 4);
+  flags.add(util::text_flag("aging-model", "NAME", config.aging_model,
+                            "registered device-aging model"))
+      .add(util::real_flag("temperature", "C",
+                           config.environment.temperature_c, "temperature [°C]"))
+      .add(util::real_flag("vdd", "V", config.environment.vdd, "relative vdd"))
+      .add(util::real_flag("activity", "A", config.environment.activity_scale,
+                           "fraction of lifetime under stress"))
+      .add(util::text_flag("csv", "PATH", csv_path, "per-region CSV"));
+  if (!flags.parse(argc, argv)) return 1;
+  std::vector<std::string> args = flags.positionals();
+  const std::vector<std::string> defaults = {"custom_mnist", "int8-symmetric",
+                                             "npu", "100"};
+  args.insert(args.end(), defaults.begin() + args.size(), defaults.end());
+  config.network = args[0];
+  config.format = quant::weight_format_from_string(args[1]);
+  if (args[2] != "baseline" && args[2] != "npu")
+    throw std::invalid_argument("unknown hardware '" + args[2] +
+                                "' (expected baseline or npu)");
+  config.hardware = args[2] == "baseline" ? core::HardwareKind::kBaseline
+                                          : core::HardwareKind::kTpuNpu;
+  if (!util::parse_unsigned_flag(args[3], config.inferences))
+    throw std::invalid_argument("inferences expects a number, got '" +
+                                args[3] + "'");
   // Fail flag mistakes before the (expensive) workbench build.
   aging::AgingModelRegistry::instance().check(config.aging_model);
   aging::validate_environment(config.environment);

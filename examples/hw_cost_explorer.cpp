@@ -3,17 +3,23 @@
 //
 // Usage: hw_cost_explorer [width] (default 64; must be a power of two)
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "hw/synthesis.hpp"
 #include "hw/wde_modules.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run_explorer(int argc, char** argv) {
   using namespace dnnlife;
-  const unsigned width = argc > 1
-                             ? static_cast<unsigned>(std::stoul(argv[1]))
-                             : 64u;
+  util::FlagTable flags("example_hw_cost_explorer", "[width]", 1);
+  if (!flags.parse(argc, argv)) return 1;
+  unsigned width = 64;
+  if (!flags.positionals().empty() &&
+      !util::parse_unsigned_flag(flags.positionals().front(), width))
+    throw std::invalid_argument("width expects a number, got '" +
+                                flags.positionals().front() + "'");
 
   std::cout << "WDE design-space at " << width << "-bit width\n\n";
   util::Table table({"design", "delay [ps]", "power [nW]", "area [cells]",
@@ -54,4 +60,13 @@ int main(int argc, char** argv) {
                                 1)
             << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run_explorer(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

@@ -7,20 +7,21 @@
 //   --aging-model=NAME    device model from the AgingModelRegistry
 //   --phase-temp=IDX:C    temperature [°C] of phase IDX (repeatable)
 //   --jobs=N              simulation/report concurrency budget (0 =
-//                         hardware concurrency; overrides the document's
-//                         "threads"). A budget on the shared session
-//                         executor, not a thread count
+//                         hardware concurrency, at most 1024; overrides
+//                         the document's "threads"). A budget on the
+//                         shared session executor, not a thread count
 //   --executor-threads=N  size the process-wide executor (default: the
 //                         DNNLIFE_EXECUTOR_THREADS environment variable,
-//                         else hardware concurrency); results are
-//                         bit-identical for any value
+//                         else hardware concurrency; at most 4096);
+//                         results are bit-identical for any value
 //   --csv=PATH            export the per-region lifetime breakdown as CSV
 //   --sim-cache-mb=N      duty-state cache budget in MiB (0 disables, the
-//                         default). A single run simulates each spec once,
-//                         so the cache only pays off when the runner is
-//                         invoked as a library-style harness; the flag
-//                         exists mainly to exercise the cache-aware
-//                         run_scenario path and print its counters
+//                         default; at most 1048576). A single run
+//                         simulates each spec once, so the cache only pays
+//                         off when the runner is invoked as a
+//                         library-style harness; the flag exists mainly to
+//                         exercise the cache-aware run_scenario path and
+//                         print its counters
 //   --sim-store=DIR       content-addressed disk store of committed duty
 //                         state (see README "Simulation reuse"): the run
 //                         probes DIR/<fingerprint>.simstate before
@@ -29,6 +30,9 @@
 //                         sweep sharing the directory — skip simulation.
 //                         Reports are byte-identical either way; a store
 //                         stats line prints at the end
+//
+// Path and name values must be non-empty; a flag given twice keeps its
+// last value (--phase-temp accumulates). At most one scenario file.
 //
 // Without a file it runs a built-in thermal scenario: a TPU-like NPU
 // alternating between the custom MNIST net (cool, batch duty) and AlexNet
@@ -53,8 +57,6 @@
 
 namespace {
 
-using dnnlife::util::flag_value;
-
 constexpr const char* kDefaultScenario = R"json({
   "name": "hybrid-hot-cold",
   "hardware": "tpu-like-npu",
@@ -78,85 +80,42 @@ constexpr const char* kDefaultScenario = R"json({
 
 int main(int argc, char** argv) {
   using namespace dnnlife;
-  std::string text = kDefaultScenario;
-  bool have_file = false;
   std::string aging_model_override;
   std::string csv_path;
-  std::optional<unsigned> jobs;
-  std::optional<unsigned> executor_threads;
+  unsigned jobs = 0;
+  unsigned executor_threads = 0;
   unsigned sim_cache_mb = 0;
   std::string sim_store_dir;
   std::vector<std::pair<std::size_t, double>> phase_temps;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (flag_value(arg, "aging-model", value)) {
-      aging_model_override = value;
-    } else if (flag_value(arg, "jobs", value)) {
-      unsigned parsed = 0;
-      if (!util::parse_unsigned_flag(value, parsed)) {
-        std::cerr << "--jobs expects a number, got '" << value << "'\n";
-        return 1;
-      }
-      if (parsed > 1024) {
-        std::cerr << "--jobs=" << parsed
-                  << " exceeds the per-scenario budget bound of 1024; it is "
-                     "a concurrency budget on the shared executor — use "
-                     "--executor-threads to size the actual workers\n";
-        return 1;
-      }
-      jobs = parsed;
-    } else if (flag_value(arg, "executor-threads", value)) {
-      unsigned parsed = 0;
-      if (!util::parse_unsigned_flag(value, parsed) || parsed > 4096) {
-        std::cerr << "--executor-threads expects a worker count in 0..4096 "
-                     "(0 = hardware concurrency), got '" << value << "'\n";
-        return 1;
-      }
-      executor_threads = parsed;
-    } else if (flag_value(arg, "phase-temp", value)) {
-      const std::size_t colon = value.find(':');
-      unsigned index = 0;
-      double celsius = 0.0;
-      if (colon == std::string::npos ||
-          !util::parse_unsigned_flag(value.substr(0, colon), index) ||
-          !util::parse_double_flag(value.substr(colon + 1), celsius)) {
-        std::cerr << "--phase-temp expects IDX:CELSIUS, got '" << value
-                  << "'\n";
-        return 1;
-      }
-      phase_temps.emplace_back(index, celsius);
-    } else if (flag_value(arg, "csv", value)) {
-      csv_path = value;
-    } else if (flag_value(arg, "sim-cache-mb", value)) {
-      unsigned parsed = 0;
-      if (!util::parse_unsigned_flag(value, parsed) || parsed > (1u << 20)) {
-        std::cerr << "--sim-cache-mb expects a MiB budget in 0..1048576 "
-                     "(0 disables), got '" << value << "'\n";
-        return 1;
-      }
-      sim_cache_mb = parsed;
-    } else if (flag_value(arg, "sim-store", value)) {
-      if (value.empty()) {
-        std::cerr << "--sim-store expects a directory path\n";
-        return 1;
-      }
-      sim_store_dir = value;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "unknown flag " << arg << "\n";
+  util::FlagTable flags("example_scenario_runner", "[scenario.json]", 1);
+  flags.add(util::text_flag("aging-model", "NAME", aging_model_override,
+                            "registered device-aging model"))
+      .add({.name = "phase-temp", .metavar = "IDX:C",
+            .help = "temperature [°C] of phase IDX (repeatable)",
+            .expects = "IDX:CELSIUS", .apply = [&](const std::string& value) {
+              const std::size_t colon = value.find(':');
+              unsigned index = 0;
+              double celsius = 0.0;
+              if (colon == std::string::npos ||
+                  !util::parse_unsigned_flag(value.substr(0, colon), index) ||
+                  !util::parse_double_flag(value.substr(colon + 1), celsius))
+                return false;
+              phase_temps.emplace_back(index, celsius);
+              return true;
+            }})
+      .add(util::unsigned_flag("jobs", jobs, "concurrency budget", 1024))
+      .add(util::executor_threads_flag(executor_threads))
+      .add(util::text_flag("csv", "PATH", csv_path, "per-region CSV"))
+      .add(util::sim_cache_mb_flag(sim_cache_mb))
+      .add(util::sim_store_flag(sim_store_dir));
+  if (!flags.parse(argc, argv)) return 1;
+  std::string text = kDefaultScenario;
+  if (!flags.positionals().empty()) {
+    try {
+      text = util::read_file(flags.positionals().front());
+    } catch (const std::exception& error) {
+      std::cerr << "scenario file: " << error.what() << "\n";
       return 1;
-    } else if (have_file) {
-      std::cerr << "at most one scenario file may be given (got '" << arg
-                << "' after another positional argument)\n";
-      return 1;
-    } else {
-      try {
-        text = util::read_file(arg);
-      } catch (const std::exception& error) {
-        std::cerr << "scenario file: " << error.what() << "\n";
-        return 1;
-      }
-      have_file = true;
     }
   }
 
@@ -185,9 +144,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (jobs.has_value()) spec.threads = *jobs;
-  if (executor_threads.has_value())
-    util::Executor::configure_session(*executor_threads);
+  if (flags.seen("jobs")) spec.threads = jobs;
+  if (flags.seen("executor-threads"))
+    util::Executor::configure_session(executor_threads);
   std::cout << "scenario: " << spec.name << " ("
             << core::to_string(spec.hardware) << ", "
             << quant::to_string(spec.format) << ", model " << spec.aging_model

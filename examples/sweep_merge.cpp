@@ -24,6 +24,7 @@
 // byte-identical to the unsharded run's (wall clocks are the only
 // nondeterministic field; CI diffs the two).
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -36,36 +37,25 @@
 
 namespace {
 
-using dnnlife::util::flag_value;
 using dnnlife::util::read_file;
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace dnnlife;
-  std::vector<std::string> inputs;
   std::string csv_path;
   std::string json_path;
   core::MergeOptions merge_options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (flag_value(arg, "csv", value)) {
-      csv_path = value;
-    } else if (flag_value(arg, "json", value)) {
-      json_path = value;
-    } else if (arg == "--allow-partial") {
-      merge_options.allow_partial = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "unknown flag " << arg << "\n";
-      return 1;
-    } else {
-      inputs.push_back(arg);
-    }
-  }
+  util::FlagTable flags("example_sweep_merge",
+                        "<shard.json | shard.journal>...", SIZE_MAX);
+  flags.add(util::text_flag("csv", "PATH", csv_path, "merged summary as CSV"))
+      .add(util::text_flag("json", "PATH", json_path, "merged summary as JSON"))
+      .add(util::switch_flag("allow-partial", merge_options.allow_partial,
+                             "accept an incomplete shard set (exit 3)"));
+  if (!flags.parse(argc, argv)) return 1;
+  const std::vector<std::string>& inputs = flags.positionals();
   if (inputs.empty()) {
-    std::cerr << "usage: example_sweep_merge <shard.json | shard.journal>... "
-                 "[--csv=PATH] [--json=PATH] [--allow-partial]\n";
+    std::cerr << flags.usage();
     return 1;
   }
 

@@ -10,7 +10,11 @@
 //                    axes; see README "Distributed sweeps") instead of
 //                    loading scenario files
 //   --materialize=DIR  with --spec: write the generated documents as
-//                    per-point JSON files into DIR and exit
+//                    per-point JSON files into DIR and exit. It runs
+//                    nothing, so it cannot be combined with --shard
+//                    (other than 1/1), --csv, --json, --journal, --resume,
+//                    --inject-fault, --executor-threads, --sim-cache-mb,
+//                    --sim-store or --sim-store-mb
 //   --shard=K/N      run only shard K of N (every N-th scenario of the
 //                    stable suite order, 1-based); the summary records the
 //                    manifest so example_sweep_merge can reassemble shards
@@ -18,14 +22,14 @@
 //                    concurrency). A budget, not a pool size: all jobs
 //                    share the one session executor
 //   --threads=N      per-scenario simulation/report concurrency budget
-//                    (default 0 = keep each document's own "threads").
-//                    Also a budget on the shared executor — jobs x threads
+//                    (default 0 = keep each document's own "threads"; at
+//                    most 1024). Also a budget on the shared executor — jobs x threads
 //                    no longer oversubscribes the machine
 //   --executor-threads=N
 //                    size the process-wide work-stealing executor that all
 //                    jobs and per-scenario budgets share (default: the
 //                    DNNLIFE_EXECUTOR_THREADS environment variable, else
-//                    hardware concurrency). The ONLY knob that changes the
+//                    hardware concurrency; at most 4096). The ONLY knob that changes the
 //                    worker-thread count; results are bit-identical for
 //                    any value
 //   --journal=PATH   append every completed point to a crash-durable JSONL
@@ -38,18 +42,20 @@
 //                    schedulers can always pass --resume.
 //   --retries=N      extra attempts per failed/timed-out scenario
 //                    (default 0; each attempt starts from a fresh spec)
-//   --deadline=SEC   soft per-attempt deadline on the monotonic clock: an
-//                    attempt that exceeds it stops at its next stage
-//                    boundary (payload build, simulation, aging report,
-//                    lifetime report) and is recorded as status "timeout"
+//   --deadline=SEC   soft per-attempt deadline (SEC > 0) on the monotonic
+//                    clock: an attempt that exceeds it stops at its next
+//                    stage boundary (payload build, simulation, aging
+//                    report, lifetime report) and is recorded as status
+//                    "timeout"
 //   --sim-cache-mb=N enable content-addressed simulation reuse with an
-//                    N-MB duty-state cache (0 = off, the default): points
-//                    whose specs share a simulation fingerprint (same
-//                    write stream — e.g. an environment/aging-model grid
-//                    over one workload) simulate once and share the
-//                    committed tracker state. Summaries stay
-//                    byte-identical (--omit-timing) to cache-off runs; a
-//                    cache stats line prints at the end
+//                    N-MB duty-state cache (0 = off, the default; at most
+//                    1048576): points whose specs share a simulation
+//                    fingerprint (same write stream — e.g. an
+//                    environment/aging-model grid over one workload)
+//                    simulate once and share the committed tracker
+//                    state. Summaries stay byte-identical (--omit-timing)
+//                    to cache-off runs; a cache stats line prints at the
+//                    end
 //   --sim-store=DIR  content-addressed disk tier under the cache: memory
 //                    misses probe DIR/<fingerprint>.simstate before
 //                    simulating, and fresh simulations are durably
@@ -61,14 +67,17 @@
 //                    Summaries stay byte-identical to store-off runs; a
 //                    store stats line prints at the end
 //   --sim-store-mb=N byte budget for the store directory (default 0 =
-//                    unbounded): after each publish, committed entries
-//                    are evicted oldest-first until the store fits.
-//                    Requires --sim-store
+//                    unbounded; at most 1048576): after each publish,
+//                    committed entries are evicted oldest-first until the
+//                    store fits. Requires --sim-store
 //   --csv=PATH       write the per-scenario summary as CSV
 //   --json=PATH      write the per-scenario summary + aggregate as JSON
 //   --omit-timing    drop wall-clock fields from CSV/JSON so summaries of
 //                    identical sweeps are byte-comparable across runs
 //   --quiet          suppress per-scenario progress lines
+//
+// Path values (--spec, --materialize, --journal, --sim-store, --csv,
+// --json) must be non-empty. A flag given twice keeps its last value.
 //
 // Hidden (test/CI only):
 //   --inject-fault=INDEX:KIND[:SECONDS]
@@ -88,6 +97,7 @@
 // naturally.
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -108,7 +118,6 @@
 
 namespace {
 
-using dnnlife::util::flag_value;
 using dnnlife::util::read_file;
 
 bool parse_shard(const std::string& text, dnnlife::core::SuiteShard& shard) {
@@ -130,7 +139,8 @@ struct FaultInjection {
   double seconds = 0.3;  // kDelay only
 };
 
-bool parse_inject_fault(const std::string& text, FaultInjection& out) {
+bool parse_inject_fault(const std::string& text,
+                        std::optional<FaultInjection>& out) {
   const std::size_t colon = text.find(':');
   if (colon == std::string::npos) return false;
   unsigned index = 0;
@@ -146,12 +156,11 @@ bool parse_inject_fault(const std::string& text, FaultInjection& out) {
       return false;
     kind.resize(second_colon);
   }
-  out.index = index;
-  out.seconds = seconds;
-  if (kind == "throw") out.kind = FaultInjection::Kind::kThrow;
-  else if (kind == "delay") out.kind = FaultInjection::Kind::kDelay;
-  else if (kind == "exit") out.kind = FaultInjection::Kind::kExit;
-  else return false;
+  FaultInjection fault{index, FaultInjection::Kind::kThrow, seconds};
+  if (kind == "delay") fault.kind = FaultInjection::Kind::kDelay;
+  else if (kind == "exit") fault.kind = FaultInjection::Kind::kExit;
+  else if (kind != "throw") return false;
+  out = fault;
   return true;
 }
 
@@ -159,11 +168,9 @@ bool parse_inject_fault(const std::string& text, FaultInjection& out) {
 
 int main(int argc, char** argv) {
   using namespace dnnlife;
-  std::vector<std::string> inputs;
   unsigned jobs = 0;  // hardware concurrency
   unsigned threads_per_scenario = 0;
   unsigned executor_threads = 0;  // DNNLIFE_EXECUTOR_THREADS, else hardware
-  bool executor_threads_set = false;
   std::string csv_path;
   std::string json_path;
   std::string spec_path;
@@ -175,154 +182,67 @@ int main(int argc, char** argv) {
   std::optional<FaultInjection> inject;
   core::SuiteShard shard;
   unsigned sim_cache_mb = 0;
-  bool sim_cache_set = false;
   std::string sim_store_dir;
   unsigned sim_store_mb = 0;
-  bool sim_store_mb_set = false;
   bool omit_timing = false;
   bool quiet = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (flag_value(arg, "jobs", value)) {
-      if (!util::parse_unsigned_flag(value, jobs)) {
-        std::cerr << "--jobs expects a number, got '" << value << "'\n";
-        return 1;
-      }
-    } else if (flag_value(arg, "threads", value)) {
-      if (!util::parse_unsigned_flag(value, threads_per_scenario)) {
-        std::cerr << "--threads expects a number, got '" << value << "'\n";
-        return 1;
-      }
-      if (threads_per_scenario > 1024) {
-        std::cerr << "--threads=" << threads_per_scenario
-                  << " exceeds the per-scenario budget bound of 1024 (the "
-                     "scenario documents' own limit); remember it is a "
-                     "concurrency budget on the shared executor, not a "
-                     "thread count — use --executor-threads to size the "
-                     "actual workers\n";
-        return 1;
-      }
-    } else if (flag_value(arg, "executor-threads", value)) {
-      if (!util::parse_unsigned_flag(value, executor_threads) ||
-          executor_threads > 4096) {
-        std::cerr << "--executor-threads expects a worker count in 0..4096 "
-                     "(0 = hardware concurrency), got '" << value << "'\n";
-        return 1;
-      }
-      executor_threads_set = true;
-    } else if (flag_value(arg, "journal", value)) {
-      journal_path = value;
-    } else if (arg == "--resume") {
-      resume = true;
-    } else if (flag_value(arg, "retries", value)) {
-      if (!util::parse_unsigned_flag(value, retries)) {
-        std::cerr << "--retries expects a number, got '" << value << "'\n";
-        return 1;
-      }
-    } else if (flag_value(arg, "deadline", value)) {
-      if (!util::parse_double_flag(value, deadline_seconds) ||
-          deadline_seconds <= 0.0) {
-        std::cerr << "--deadline expects a positive number of seconds, got '"
-                  << value << "'\n";
-        return 1;
-      }
-    } else if (flag_value(arg, "inject-fault", value)) {
-      FaultInjection fault;
-      if (!parse_inject_fault(value, fault)) {
-        std::cerr << "--inject-fault expects INDEX:{throw,delay,exit}"
-                     "[:SECONDS], got '" << value << "'\n";
-        return 1;
-      }
-      inject = fault;
-    } else if (flag_value(arg, "shard", value)) {
-      if (!parse_shard(value, shard)) {
-        std::cerr << "--shard expects K/N with 1 <= K <= N, got '" << value
-                  << "'\n";
-        return 1;
-      }
-    } else if (flag_value(arg, "sim-cache-mb", value)) {
-      if (!util::parse_unsigned_flag(value, sim_cache_mb) ||
-          sim_cache_mb > 1u << 20) {
-        std::cerr << "--sim-cache-mb expects a cache budget in MB "
-                     "(0 disables, max 1048576), got '" << value << "'\n";
-        return 1;
-      }
-      sim_cache_set = true;
-    } else if (flag_value(arg, "sim-store", value)) {
-      if (value.empty()) {
-        std::cerr << "--sim-store expects a directory path\n";
-        return 1;
-      }
-      sim_store_dir = value;
-    } else if (flag_value(arg, "sim-store-mb", value)) {
-      if (!util::parse_unsigned_flag(value, sim_store_mb) ||
-          sim_store_mb > 1u << 20) {
-        std::cerr << "--sim-store-mb expects a store budget in MB "
-                     "(0 = unbounded, max 1048576), got '" << value << "'\n";
-        return 1;
-      }
-      sim_store_mb_set = true;
-    } else if (flag_value(arg, "spec", value)) {
-      spec_path = value;
-    } else if (flag_value(arg, "materialize", value)) {
-      materialize_dir = value;
-    } else if (flag_value(arg, "csv", value)) {
-      csv_path = value;
-    } else if (flag_value(arg, "json", value)) {
-      json_path = value;
-    } else if (arg == "--omit-timing") {
-      omit_timing = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "unknown flag " << arg << "\n";
-      return 1;
-    } else {
-      inputs.push_back(arg);
-    }
-  }
-  const bool from_spec = !spec_path.empty();
+  util::FlagTable flags("example_sweep_runner", "<dir | scenario.json...>",
+                        SIZE_MAX);
+  flags
+      .add(util::text_flag("spec", "FILE", spec_path,
+                           "generate the suite from a sweep spec"))
+      .add(util::text_flag("materialize", "DIR", materialize_dir,
+                           "write the spec's documents into DIR and exit"))
+      .add({.name = "shard", .metavar = "K/N", .help = "run only shard K of N",
+            .expects = "K/N with 1 <= K <= N",
+            .apply = [&](const std::string& v) {
+              return parse_shard(v, shard);
+            },
+            .inert = [&] { return shard.count == 1; }})
+      .add(util::unsigned_flag("jobs", jobs,
+                               "concurrent-scenario budget (0 = hardware)"))
+      .add(util::unsigned_flag("threads", threads_per_scenario,
+                               "per-scenario budget (0 = the document's)",
+                               1024))
+      .add(util::executor_threads_flag(executor_threads))
+      .add(util::text_flag("journal", "PATH", journal_path,
+                           "append completed points to a durable journal"))
+      .add(util::switch_flag("resume", resume,
+                             "skip and replay the points the journal holds"))
+      .add(util::unsigned_flag("retries", retries,
+                               "extra attempts per failed point"))
+      .add(util::real_flag("deadline", "SEC", deadline_seconds,
+                           "soft per-attempt deadline in seconds", true))
+      .add(util::sim_cache_mb_flag(sim_cache_mb))
+      .add(util::sim_store_flag(sim_store_dir))
+      .add(util::unsigned_flag("sim-store-mb", sim_store_mb,
+                               "store budget in MB (0 = unbounded)", 1u << 20))
+      .add(util::text_flag("csv", "PATH", csv_path, "write the summary as CSV"))
+      .add(util::text_flag("json", "PATH", json_path,
+                           "write the summary as JSON"))
+      .add(util::switch_flag("omit-timing", omit_timing,
+                             "drop wall clocks from the summaries"))
+      .add(util::switch_flag("quiet", quiet, "no per-scenario progress lines"))
+      .add({.name = "inject-fault", .metavar = "INDEX:KIND[:SECONDS]",
+            .expects = "INDEX:{throw,delay,exit}[:SECONDS]",
+            .apply = [&](const std::string& v) {
+              return parse_inject_fault(v, inject);
+            },
+            .hidden = true})
+      .require("materialize", "spec")
+      // Materialisation writes the whole grid and runs nothing, so any of
+      // these would be silently ignored.
+      .exclude("materialize",
+               {"shard", "csv", "json", "journal", "resume", "inject-fault",
+                "executor-threads", "sim-cache-mb", "sim-store",
+                "sim-store-mb"})
+      .require("sim-store-mb", "sim-store")
+      .require("resume", "journal");
+  if (!flags.parse(argc, argv)) return 1;
+  const std::vector<std::string>& inputs = flags.positionals();
+  const bool from_spec = flags.seen("spec");
   if (from_spec == !inputs.empty()) {
-    std::cerr << "usage: example_sweep_runner <dir | scenario.json...> "
-                 "[--shard=K/N] [--jobs=N] [--threads=N] "
-                 "[--executor-threads=N] [--journal=PATH] [--resume] "
-                 "[--retries=N] [--deadline=SEC] [--sim-cache-mb=N] "
-                 "[--sim-store=DIR] [--sim-store-mb=N] "
-                 "[--csv=PATH] [--json=PATH] [--omit-timing] [--quiet]\n"
-                 "   or: example_sweep_runner --spec=SWEEP.json "
-                 "[--materialize=DIR] [same flags]\n"
-                 "--jobs and --threads are concurrency budgets on one "
-                 "shared executor;\n--executor-threads sizes its workers "
-                 "(default $DNNLIFE_EXECUTOR_THREADS, else hardware)\n";
-    return 1;
-  }
-  if (!materialize_dir.empty() && !from_spec) {
-    std::cerr << "--materialize requires --spec\n";
-    return 1;
-  }
-  if (!materialize_dir.empty() &&
-      (shard.count > 1 || !csv_path.empty() || !json_path.empty() ||
-       !journal_path.empty() || resume || inject.has_value() ||
-       executor_threads_set || sim_cache_set || !sim_store_dir.empty() ||
-       sim_store_mb_set)) {
-    // Materialisation writes the whole grid and runs nothing, so a shard
-    // selection, summary path, journal, simulation cache or store would
-    // be silently ignored — reject the contradiction instead.
-    std::cerr << "--materialize only writes the documents; it cannot be "
-                 "combined with --shard, --csv, --json, --journal, "
-                 "--resume, --inject-fault, --executor-threads, "
-                 "--sim-cache-mb, --sim-store or --sim-store-mb\n";
-    return 1;
-  }
-  if (sim_store_mb_set && sim_store_dir.empty()) {
-    std::cerr << "--sim-store-mb bounds a store directory; pass "
-                 "--sim-store=DIR to name it\n";
-    return 1;
-  }
-  if (resume && journal_path.empty()) {
-    std::cerr << "--resume replays a journal; pass --journal=PATH to name "
-                 "the journal to continue\n";
+    std::cerr << flags.usage();
     return 1;
   }
   if (!journal_path.empty() && !resume) {
@@ -398,7 +318,7 @@ int main(int argc, char** argv) {
   // Size the shared executor exactly once, before anything submits to it.
   // Without the flag, first use sizes it from DNNLIFE_EXECUTOR_THREADS or
   // the hardware count.
-  if (executor_threads_set)
+  if (flags.seen("executor-threads"))
     util::Executor::configure_session(executor_threads);
 
   const unsigned resolved_jobs =
@@ -414,7 +334,7 @@ int main(int argc, char** argv) {
             << (resolved_jobs == 1 ? "" : "s");
   if (threads_per_scenario != 0)
     std::cout << ", " << threads_per_scenario << " threads each";
-  if (executor_threads_set)
+  if (flags.seen("executor-threads"))
     std::cout << ", " << util::Executor::session().workers()
               << " executor workers";
   if (retries != 0)

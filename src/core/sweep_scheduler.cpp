@@ -235,7 +235,6 @@ void SweepScheduler::Impl::run_point(PointState& state) {
     state.fingerprint = simulation_fingerprint(entry.spec);
   outcome.fingerprint = state.fingerprint;
   const auto start = std::chrono::steady_clock::now();
-  const unsigned max_attempts = 1 + options.retries;
   RunScenarioOptions run_options;
   run_options.sim_cache = options.sim_cache;
   run_options.sim_store = options.sim_store;
@@ -258,7 +257,7 @@ void SweepScheduler::Impl::run_point(PointState& state) {
     last = execute_attempt(spec, outcome.index, attempt,
                            options.soft_deadline_seconds, options.fault_hook,
                            run_options);
-    if (last.ok || attempt >= max_attempts) break;
+    if (last.ok || attempt > options.retries) break;
   }
   outcome.ok = last.ok;
   outcome.timed_out = last.timed_out;

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sweep_merge.hpp"
@@ -278,6 +279,21 @@ TEST_F(SweepKillResume, FlagGuardsRejectContradictions) {
           "--journal=" + (dir_ / "j.journal").string()};
   EXPECT_EQ(run_runner(args, err), 1);
   EXPECT_NE(slurp(err).find("--materialize"), std::string::npos);
+
+  // Rules and bounds: each invocation exits 1 naming the flag at fault.
+  const std::string spec = "--spec=" + spec_.string();
+  const std::vector<std::pair<std::vector<std::string>, std::string>> bad = {
+      {{spec, "--sim-store-mb=8"}, "--sim-store-mb"},
+      {{spec, "--materialize=" + (dir_ / "out").string(), "--sim-cache-mb=8"},
+       "--materialize"},
+      {{spec, "--jobs=4x"}, "--jobs"},
+      {{spec, "--deadline=0"}, "--deadline"},
+      {{spec, "--shard=3/2"}, "--shard"},
+  };
+  for (const auto& [bad_args, flag] : bad) {
+    EXPECT_EQ(run_runner(bad_args, err), 1) << flag;
+    EXPECT_NE(slurp(err).find(flag), std::string::npos) << slurp(err);
+  }
 
   // A fresh --journal refuses to overwrite an existing non-empty file.
   const fs::path existing = dir_ / "existing.journal";

@@ -4,11 +4,13 @@
 // with a golden FNV-1a hash so a future scheduling change that silently
 // reorders aggregation fails loudly. Also covers future-like Handles,
 // journal replay handles, duplicate-index rejection, and reentrant
-// submission from a progress callback (the adaptive-grid pattern).
+// submission from a progress callback (the adaptive-grid pattern), and
+// the retry budget at its upper edge.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -138,6 +140,24 @@ TEST(SweepScheduler, TakeOutcomeMovesTheResultOut) {
   EXPECT_TRUE(taken.ok) << taken.error;
   EXPECT_TRUE(handle.done());
   scheduler.wait_all();
+}
+
+TEST(SweepScheduler, MaximalRetryBudgetDoesNotWrap) {
+  // retries = UINT_MAX must mean "retry until success", not wrap the
+  // attempt limit to zero and give up after the first failure.
+  const ScenarioSuite suite = matrix_suite();
+  SweepScheduler::Options options;
+  options.threads_per_scenario = 1;
+  options.retries = std::numeric_limits<unsigned>::max();
+  options.fault_hook = [](const SuiteFaultContext& context) {
+    if (context.attempt <= 2) throw std::runtime_error("injected");
+  };
+  SweepScheduler scheduler(options);
+  SweepScheduler::Handle handle = scheduler.submit(suite.entries()[0], 0);
+  scheduler.wait_all();
+  const SuiteOutcome& outcome = handle.outcome();
+  EXPECT_TRUE(outcome.ok) << outcome.error;
+  EXPECT_EQ(outcome.attempts, 3u);
 }
 
 TEST(SweepScheduler, ProgressCallbackMaySubmitTheNextPoints) {
