@@ -20,11 +20,14 @@
 //                    manifest so example_sweep_merge can reassemble shards
 //   --jobs=N         concurrent-scenario budget (default 0 = hardware
 //                    concurrency). A budget, not a pool size: all jobs
-//                    share the one session executor
+//                    share the one session executor, and slots no point
+//                    holds (a short shard, points parked on a shared
+//                    payload build) are lent to the running points
 //   --threads=N      per-scenario simulation/report concurrency budget
 //                    (default 0 = keep each document's own "threads"; at
-//                    most 1024). Also a budget on the shared executor — jobs x threads
-//                    no longer oversubscribes the machine
+//                    most 1024). Each stage gets it plus N per idle job
+//                    slot, up to the executor's workers; a budget on the
+//                    shared executor, so it never adds worker threads
 //   --executor-threads=N
 //                    size the process-wide work-stealing executor that all
 //                    jobs and per-scenario budgets share (default: the

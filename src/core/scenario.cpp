@@ -380,6 +380,15 @@ void check_deadline(const RunScenarioOptions& options) {
     throw DeadlineExceeded();
 }
 
+/// A stage boundary that runs work: check the deadline, then return the
+/// stage's thread budget.
+unsigned stage_budget(const ScenarioSpec& spec,
+                      const RunScenarioOptions& options) {
+  check_deadline(options);
+  return options.stage_threads ? options.stage_threads(spec.threads)
+                               : spec.threads;
+}
+
 /// Simulate the spec's write stream end-to-end and commit the duty state:
 /// build one stream per distinct network (hardware config shared, so all
 /// phases target the same physical memory), resolve the region → policy
@@ -400,12 +409,11 @@ std::shared_ptr<const SimulationState> simulate_scenario(
     if (options.lookup_encoded_rows)
       rows = options.lookup_encoded_rows(rows_key(spec, phase.network));
     if (!rows) {
-      check_deadline(options);
+      const unsigned threads = stage_budget(spec, options);
       const dnn::Network network = dnn::make_network(phase.network);
       const dnn::WeightStreamer streamer(network);
       const quant::WeightWordCodec codec(streamer, spec.format);
-      rows = sim::EncodedRows::build(codec, scenario_dataflow(spec),
-                                     spec.threads);
+      rows = sim::EncodedRows::build(codec, scenario_dataflow(spec), threads);
       if (options.publish_encoded_rows) options.publish_encoded_rows(rows);
     }
     weight_bits = rows->bits();
@@ -453,9 +461,8 @@ std::shared_ptr<const SimulationState> simulate_scenario(
                                    phase.inferences, phase.environment});
 
   WorkloadOptions workload;
-  workload.threads = spec.threads;
   workload.use_reference_simulator = spec.use_reference_simulator;
-  check_deadline(options);
+  workload.threads = stage_budget(spec, options);
   PhasedWorkloadResult phased =
       simulate_workload_phased(phases, table, workload);
   auto state = std::make_shared<SimulationState>();
@@ -503,11 +510,10 @@ ScenarioResult evaluate_scenario(const ScenarioSpec& spec,
       aging::make_aging_model(spec.aging_model, spec.snm,
                               spec.aging_model_params);
   // The scenario's thread budget covers report evaluation too: the
-  // per-cell model solves shard across the same worker count the
-  // simulation used (bit-identical for any value).
+  // per-cell model solves shard across the stage's budget (bit-identical
+  // for any value).
   aging::AgingReportOptions report = spec.report;
-  report.threads = spec.threads;
-  check_deadline(options);
+  report.threads = stage_budget(spec, options);
   if (state.segment_trackers.empty()) {
     // Every phase dormant: an all-unused report, no lifetime to solve.
     // The zero tracker is not cached — it rebuilds from the shape.
@@ -533,9 +539,8 @@ ScenarioResult evaluate_scenario(const ScenarioSpec& spec,
   const aging::HistoryTable histories(views);
   result.report = make_aging_report(views, histories, *model, report);
   const aging::LifetimeModel lifetime(model, spec.lifetime);
-  check_deadline(options);
-  result.lifetime =
-      make_lifetime_report(views, histories, lifetime, spec.threads);
+  result.lifetime = make_lifetime_report(views, histories, lifetime,
+                                         stage_budget(spec, options));
   return result;
 }
 

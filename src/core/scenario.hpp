@@ -149,6 +149,11 @@ struct RunScenarioOptions {
   /// uses it to release siblings waiting for the same key.
   std::function<void(std::shared_ptr<const sim::EncodedRows>)>
       publish_encoded_rows;
+  /// Thread budget of each stage that runs work (each payload build, the
+  /// duty simulation, each report), asked with the spec's `threads` at its
+  /// boundary. Null keeps `threads`; results are bit-identical for any
+  /// answer. The SweepScheduler lends idle admission slots through it.
+  std::function<unsigned(unsigned)> stage_threads;
   /// Soft deadline: once it has passed, the run throws DeadlineExceeded at
   /// its next stage boundary — entry, each payload build, the duty
   /// simulation, the aging report, the lifetime report. A running stage is

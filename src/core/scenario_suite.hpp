@@ -101,12 +101,12 @@ struct SuiteFaultContext {
 using SuiteFaultHook = std::function<void(const SuiteFaultContext&)>;
 
 struct SuiteRunOptions {
-  /// Concurrent scenario jobs (0 = hardware concurrency, clamped to the
-  /// suite size).
+  /// Admission budget: scenarios in flight at once (0 = hardware
+  /// concurrency), passed on unclamped; see SweepScheduler::Options.
   unsigned jobs = 0;
-  /// Override every spec's own `threads` (simulation + report evaluation)
-  /// with this budget; 0 keeps the per-document values. With J jobs in
-  /// flight a budget of hardware/J keeps the machine exactly subscribed.
+  /// Override every spec's own `threads` (simulation + report evaluation);
+  /// 0 keeps the per-document values. Each stage's floor: idle admission
+  /// slots add to it (see SweepScheduler::stage_threads).
   unsigned threads_per_scenario = 0;
   /// Run only this shard's selection of the suite.
   SuiteShard shard;

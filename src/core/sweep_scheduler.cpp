@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <stdexcept>
@@ -238,8 +239,13 @@ void SweepScheduler::Impl::run_point(PointState& state) {
   RunScenarioOptions run_options;
   run_options.sim_cache = options.sim_cache;
   run_options.sim_store = options.sim_store;
+  // Attempts run inline, so the callbacks never outlive this task.
+  run_options.stage_threads = [this](unsigned own) {
+    const std::lock_guard<std::recursive_mutex> lock(mutex);
+    return SweepScheduler::stage_threads(own, jobs, in_flight,
+                                         executor->workers());
+  };
   if (!state.row_keys.empty()) {
-    // Attempts run inline, so the callbacks never outlive this task.
     run_options.lookup_encoded_rows = [this, &state](const std::string& key) {
       return lookup_rows(state, key);
     };
@@ -541,6 +547,17 @@ std::size_t SweepScheduler::submitted() const {
 std::size_t SweepScheduler::completed() const {
   const std::lock_guard<std::recursive_mutex> lock(impl_->mutex);
   return impl_->fresh_completed;
+}
+
+unsigned SweepScheduler::stage_threads(unsigned own, unsigned jobs,
+                                       unsigned in_flight,
+                                       unsigned workers) noexcept {
+  if (own == 0) return 0;
+  const std::uint64_t idle = jobs > in_flight ? jobs - in_flight : 0;
+  // At most (2^32 - 1) × 2^32, so the product cannot wrap 64 bits.
+  const std::uint64_t lent = std::uint64_t{own} * (idle + 1);
+  return static_cast<unsigned>(
+      std::min<std::uint64_t>(lent, std::max(own, workers)));
 }
 
 SweepScheduler::RowsStats SweepScheduler::rows_stats() const {

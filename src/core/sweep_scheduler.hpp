@@ -31,6 +31,18 @@
 // simulations, so it is freed before evaluation as in a private run.
 // Points that never simulate (cache or store hits) never wait on a key.
 //
+// Work-conserving budgets: parked points hold no admission slot. At each
+// stage boundary run_scenario asks for the stage's budget
+// (RunScenarioOptions::stage_threads) and gets stage_threads(): its own
+// `threads` plus `threads` per slot nobody holds. So a shared build runs
+// on the slots of the siblings parked on it, and a single-flight leader's
+// simulation on those of its parked siblings. Borrowed slots are not
+// reserved: a point admitted later still takes its own slot, so budgets
+// may briefly add up past `jobs` × `threads`; the executor's fixed worker
+// count is the hard bound, and no result depends on a budget. With no
+// lent-budget bookkeeping, a failed or timed-out borrower has nothing to
+// hand back.
+//
 // Soft deadlines are cooperative: every attempt runs inline on the pool,
 // deadline or not, and run_scenario stops a late one at its next stage
 // boundary. A timed-out builder or fingerprint leader hands its key over
@@ -59,11 +71,11 @@ class SweepScheduler {
  public:
   struct Options {
     /// Admission budget: points in flight at once (0 = hardware
-    /// concurrency). A budget, not a pool size — the actual parallelism
-    /// comes from the shared executor's workers.
+    /// concurrency). A budget, not a pool size: slots no point holds are
+    /// lent to the running points' stages (see stage_threads).
     unsigned jobs = 0;
-    /// Override every spec's own `threads` budget (simulation + report
-    /// evaluation); 0 keeps the per-document values.
+    /// Override every spec's own `threads`, the floor of each stage's
+    /// budget (see stage_threads); 0 keeps the per-document values.
     unsigned threads_per_scenario = 0;
     /// Extra attempts after a failed or timed-out attempt (0 = fail fast).
     unsigned retries = 0;
@@ -183,6 +195,13 @@ class SweepScheduler {
   std::size_t completed() const;
 
   RowsStats rows_stats() const;
+
+  /// The budget of one stage of a point whose own budget is `own`, with
+  /// `in_flight` of `jobs` admission slots held: own × (1 + idle slots),
+  /// computed without wrapping, capped at max(own, workers) and never
+  /// below own. An own budget of 0 (hardware) stays 0.
+  static unsigned stage_threads(unsigned own, unsigned jobs,
+                                unsigned in_flight, unsigned workers) noexcept;
 
  private:
   struct Impl;

@@ -4,7 +4,8 @@
 // timed-out builder hands the key to a parked sibling, and points that
 // never simulate (store hits) never wait on a key. Records stay
 // byte-identical to private, unshared runs, with or without a soft
-// deadline.
+// deadline, and when parked siblings lend their admission slots to the
+// build.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -190,6 +191,56 @@ TEST(RowSharing, FailedBuilderPromotesASiblingThatBuildsOnce) {
     const SweepScheduler::RowsStats stats = scheduler.rows_stats();
     EXPECT_EQ(stats.builds, 1u);
     EXPECT_EQ(stats.held, 0u);
+  }
+}
+
+// Eleven siblings park on one key, so the builder's stages borrow their
+// idle admission slots. A builder that throws holds no lent budget to
+// hand back: the promoted sibling builds on whatever slots are idle then.
+TEST(RowSharing, ParkedSiblingsLendTheirSlotsToTheBuild) {
+  constexpr std::size_t kPoints = 12;
+  std::vector<ScenarioSpec> specs;
+  for (std::uint64_t seed = 0; seed < kPoints; ++seed)
+    specs.push_back(point_spec(seed));
+  SweepScheduler::Options options;
+  options.threads_per_scenario = 1;
+  std::vector<std::string> serial;
+  {
+    options.jobs = 1;
+    SweepScheduler scheduler(options);
+    std::vector<SweepScheduler::Handle> handles;
+    for (const ScenarioSpec& spec : specs)
+      handles.push_back(scheduler.submit(spec));
+    scheduler.wait_all();
+    for (std::size_t i = 0; i < kPoints; ++i) {
+      serial.push_back(suite_record_json(handles[i].record(), false));
+      EXPECT_EQ(serial.back(), private_record(specs[i], i));
+    }
+  }
+  for (const BuilderEnd end : {BuilderEnd::kBuilds, BuilderEnd::kThrows}) {
+    const bool throws = end == BuilderEnd::kThrows;
+    SCOPED_TRACE(throws ? "builder throws" : "builder builds");
+    HeldBuilder builder;
+    options.jobs = 4;
+    options.fault_hook = builder.hook(end);
+    SweepScheduler scheduler(options);
+    std::vector<SweepScheduler::Handle> handles;
+    for (const ScenarioSpec& spec : specs)
+      handles.push_back(scheduler.submit(spec));
+    EXPECT_EQ(scheduler.rows_stats().parks, kPoints - 1);
+    builder.release();
+    scheduler.wait_all();
+    const SweepScheduler::RowsStats stats = scheduler.rows_stats();
+    EXPECT_EQ(stats.builds, 1u);
+    EXPECT_EQ(stats.held, 0u);
+    if (!throws) {
+      EXPECT_EQ(stats.parks, kPoints - 1);
+    }
+    EXPECT_EQ(handles[0].outcome().ok, !throws);
+    for (std::size_t i = throws ? 1 : 0; i < kPoints; ++i) {
+      ASSERT_TRUE(handles[i].outcome().ok) << handles[i].outcome().error;
+      EXPECT_EQ(suite_record_json(handles[i].record(), false), serial[i]);
+    }
   }
 }
 

@@ -1,10 +1,14 @@
 // Tests for the declarative scenario layer: the JSON reader, strict spec
-// parsing, end-to-end scenario runs (hybrid regions, multi-phase) and the
-// soft deadline's stage-boundary checks.
+// parsing, end-to-end scenario runs (hybrid regions, multi-phase), the
+// soft deadline's stage-boundary checks and the per-stage thread budgets
+// asked at those same boundaries.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "core/sim_cache.hpp"
@@ -412,6 +416,145 @@ TEST(ScenarioDeadline, DeadlineDuringPayloadBuildStopsBeforeSimulation) {
   EXPECT_TRUE(built);
   EXPECT_EQ(options.sim_cache->stats().misses, 1u);
   EXPECT_EQ(options.sim_cache->stats().inserts, 0u);
+}
+
+// ---- stage budgets -----------------------------------------------------------
+
+/// Two environments (two duty segments) over one network, two regions.
+ScenarioSpec two_segment_scenario() {
+  return parse_scenario(R"json({
+    "hardware": "tpu-like-npu",
+    "npu": {"array_dim": 32, "fifo_tiles": 2},
+    "aging_model": "arrhenius-nbti",
+    "phases": [
+      {"network": "custom_mnist", "inferences": 4,
+       "environment": {"temperature_c": 85}},
+      {"network": "custom_mnist", "inferences": 2}
+    ],
+    "regions": [
+      {"name": "hot", "rows": 0.25, "policy": {"kind": "dnn-life"}},
+      {"name": "cold", "rows": 0.75, "policy": {"kind": "inversion"}}
+    ]
+  })json");
+}
+
+/// Every number of a result, bit for bit.
+std::string result_bits(const ScenarioResult& result) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  const auto stats = [&out](const util::RunningStats& s) {
+    out << s.count() << ' ' << s.mean() << ' ' << s.variance() << ' '
+        << s.min() << ' ' << s.max() << '\n';
+  };
+  const aging::AgingReport& report = result.report;
+  out << report.total_cells << ' ' << report.unused_cells << ' '
+      << report.fraction_optimal << '\n';
+  stats(report.snm_stats);
+  stats(report.duty_stats);
+  for (std::size_t bin = 0; bin < report.snm_histogram.bin_count(); ++bin)
+    out << report.snm_histogram.count_in_bin(bin) << ' ';
+  out << '\n';
+  for (const aging::RegionAging& region : report.regions) {
+    out << region.name << ' ' << region.fraction_optimal << '\n';
+    stats(region.snm_stats);
+    stats(region.duty_stats);
+  }
+  if (result.lifetime) {
+    out << result.lifetime->device_lifetime_years << ' '
+        << result.lifetime->improvement_over_worst_case << ' '
+        << result.lifetime->fraction_of_ideal << '\n';
+    stats(result.lifetime->cell_lifetime);
+    for (const aging::RegionLifetime& region : result.lifetime->regions) {
+      out << region.name << ' ' << region.device_lifetime_years << '\n';
+      stats(region.cell_lifetime);
+    }
+  }
+  return out.str();
+}
+
+/// Logs, in order, every stage-budget request of a run with options() —
+/// "budget" before the duty state reached the options' cache,
+/// "budget+cached" after — and every payload publish, keeping the last
+/// published artifact. Each request is answered with `answer`.
+struct StageLog {
+  StageLog() = default;
+  StageLog(const StageLog&) = delete;  // the callbacks hold its address
+  StageLog& operator=(const StageLog&) = delete;
+
+  std::vector<std::string> events;
+  std::shared_ptr<const sim::EncodedRows> published;
+
+  RunScenarioOptions options(unsigned answer) {
+    RunScenarioOptions options;
+    options.sim_cache = std::make_shared<SimCache>(std::size_t{1} << 26);
+    options.stage_threads = [this, answer,
+                             cache = options.sim_cache.get()](unsigned own) {
+      EXPECT_EQ(own, 1u);  // the spec's own threads
+      events.push_back(cache->stats().inserts == 0 ? "budget"
+                                                   : "budget+cached");
+      return answer;
+    };
+    options.publish_encoded_rows =
+        [this](std::shared_ptr<const sim::EncodedRows> rows) {
+          events.push_back("publish");
+          published = std::move(rows);
+        };
+    return options;
+  }
+};
+
+// One network, two phases: one build. The build's budget comes before its
+// publish, the duty simulation's before the state is committed, and both
+// reports' after; the lifetime report is last (a dormant run, below, has
+// no lifetime report and asks one budget less).
+TEST(ScenarioStageBudget, AskedOncePerBuildThenSimulationThenEachReport) {
+  StageLog log;
+  run_scenario(two_segment_scenario(), log.options(1));
+  EXPECT_EQ(log.events,
+            (std::vector<std::string>{"budget", "publish", "budget",
+                                      "budget+cached", "budget+cached"}));
+
+  // Prebuilt payloads: nothing is built, so no build budget is asked.
+  StageLog prebuilt;
+  RunScenarioOptions options = prebuilt.options(1);
+  options.lookup_encoded_rows = [&log](const std::string&) {
+    return log.published;
+  };
+  run_scenario(two_segment_scenario(), options);
+  EXPECT_EQ(prebuilt.events, (std::vector<std::string>{
+                                 "budget", "budget+cached", "budget+cached"}));
+
+  StageLog dormant;
+  ScenarioSpec spec = two_segment_scenario();
+  for (ScenarioPhaseSpec& phase : spec.phases) phase.inferences = 0;
+  EXPECT_FALSE(run_scenario(spec, dormant.options(1)).lifetime.has_value());
+  EXPECT_EQ(dormant.events, (std::vector<std::string>{
+                                "budget", "publish", "budget", "budget+cached"}));
+}
+
+TEST(ScenarioStageBudget, CacheHitAsksOnlyForTheReportBudgets) {
+  StageLog log;
+  const RunScenarioOptions options = log.options(1);
+  run_scenario(two_segment_scenario(), options);
+  log.events.clear();
+  run_scenario(two_segment_scenario(), options);
+  EXPECT_EQ(options.sim_cache->stats().hits, 1u);
+  EXPECT_EQ(log.events,
+            (std::vector<std::string>{"budget+cached", "budget+cached"}));
+}
+
+// Budgets move wall time only: any answer (0 = hardware) gives the same
+// bits as the plain run, with or without the callback.
+TEST(ScenarioStageBudget, ResultsAreBitIdenticalForAnyAnswer) {
+  const std::string plain = result_bits(run_scenario(two_segment_scenario()));
+  for (const unsigned answer : {1u, 3u, 0u}) {
+    SCOPED_TRACE(::testing::Message() << "stage budget " << answer);
+    StageLog log;
+    EXPECT_EQ(result_bits(run_scenario(two_segment_scenario(),
+                                       log.options(answer))),
+              plain);
+    EXPECT_EQ(log.events.size(), 5u);
+  }
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // with a golden FNV-1a hash so a future scheduling change that silently
 // reorders aggregation fails loudly. Also covers future-like Handles,
 // journal replay handles, duplicate-index rejection, and reentrant
-// submission from a progress callback (the adaptive-grid pattern), and
-// the retry budget at its upper edge.
+// submission from a progress callback (the adaptive-grid pattern), the
+// retry budget at its upper edge, and the stage-budget lending rule.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -158,6 +158,35 @@ TEST(SweepScheduler, MaximalRetryBudgetDoesNotWrap) {
   const SuiteOutcome& outcome = handle.outcome();
   EXPECT_TRUE(outcome.ok) << outcome.error;
   EXPECT_EQ(outcome.attempts, 3u);
+}
+
+// ---- stage budgets -----------------------------------------------------------
+
+TEST(SweepScheduler, StageThreadsLendIdleAdmissionSlots) {
+  constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+  // Idle slots are lent: one of four slots held, three lent.
+  EXPECT_EQ(SweepScheduler::stage_threads(1, 4, 1, 4), 4u);
+  EXPECT_EQ(SweepScheduler::stage_threads(2, 4, 2, 16), 6u);
+  // Full admission lends nothing.
+  EXPECT_EQ(SweepScheduler::stage_threads(1, 4, 4, 4), 1u);
+  EXPECT_EQ(SweepScheduler::stage_threads(3, 1, 1, 64), 3u);
+  // An own budget of 0 (hardware) stays 0.
+  EXPECT_EQ(SweepScheduler::stage_threads(0, 4, 1, 4), 0u);
+  // The executor's workers cap the loan, but never the own budget.
+  EXPECT_EQ(SweepScheduler::stage_threads(1, 12, 1, 4), 4u);
+  EXPECT_EQ(SweepScheduler::stage_threads(3, 4, 1, 4), 4u);
+  EXPECT_EQ(SweepScheduler::stage_threads(8, 4, 1, 4), 8u);
+  // own x (jobs + 1) would wrap 32 bits; the product saturates instead.
+  EXPECT_EQ(SweepScheduler::stage_threads(1024, kMax, 0, kMax), kMax);
+  EXPECT_EQ(SweepScheduler::stage_threads(2, kMax, 1, kMax), kMax);
+  EXPECT_EQ(SweepScheduler::stage_threads(1024, kMax, 0, 4), 1024u);
+  // Never below own, whatever the slots and workers.
+  for (const unsigned own : {1u, 2u, 7u, 1024u, kMax})
+    for (const unsigned jobs : {1u, 4u, kMax})
+      for (const unsigned in_flight : {0u, 1u, 4u, kMax})
+        for (const unsigned workers : {1u, 4u, kMax})
+          EXPECT_GE(SweepScheduler::stage_threads(own, jobs, in_flight, workers),
+                    own);
 }
 
 TEST(SweepScheduler, ProgressCallbackMaySubmitTheNextPoints) {
