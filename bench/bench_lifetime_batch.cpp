@@ -1,11 +1,12 @@
-// Batched vs per-cell lifetime inversion across the registered models.
+// Lifetime and aging reports vs the per-cell lifetime solve across the
+// registered models.
 //
 // One synthetic tracker with the counter-ratio duty repetition real
 // memories produce (128Ki cells, ~1000 distinct ratios), evaluated three
-// ways per model: the pre-batching per-cell solver loop (the reference
-// cost make_lifetime_report used to pay), the lifetime report and the
-// aging report. Each report keys the state into its history table and
-// evaluates every distinct history once (one batched call at budget 1).
+// ways per model: the per-cell solver loop (one years_to_reach per used
+// cell, the cost make_lifetime_report paid before memoisation), the
+// lifetime report and the aging report. Each report keys the state into
+// its history table and evaluates every distinct history once.
 //
 // A second, two-segment case times the multi-environment (timeline)
 // reports: 128Ki cells whose hot quarter carries all-distinct stress
@@ -19,10 +20,10 @@
 //   bench_lifetime_batch [--threads=N] [--json=PATH]
 //
 // --threads sets the report concurrency budget (default 1 — the
-// per-cell/batched comparison is cleanest single-threaded; results are
+// per-cell/report comparison is cleanest single-threaded; results are
 // bit-identical for any value). --json writes the timings plus the
-// duty-kernel variant — CI gates the batched single-segment seconds
-// against bench/bench_throughput_reference.json (pre-batching baselines),
+// duty-kernel variant — CI gates the one-segment lifetime report seconds
+// against bench/bench_throughput_reference.json (per-cell baselines),
 // failing on a >2x regression.
 #include <chrono>
 #include <cmath>
@@ -91,7 +92,7 @@ int main(int argc, char** argv) {
   const std::size_t timeline_distinct_histories =
       aging::HistoryTable(timeline).size();
 
-  benchutil::print_heading("Batched vs per-cell lifetime inversion");
+  benchutil::print_heading("Lifetime reports vs per-cell lifetime solves");
   std::cout << "cells: " << kCells << " (" << kDistinct
             << " distinct duty ratios), duty kernel: "
             << util::duty_kernel_variant() << ", threads: " << threads << "\n";
@@ -107,7 +108,7 @@ int main(int argc, char** argv) {
   };
   std::vector<ModelTiming> timings;
   util::Table out({"model", "histories", "per-cell [s]",
-                   "batched lifetime [s]", "batched aging [s]", "speedup"});
+                   "lifetime report [s]", "aging report [s]", "speedup"});
   util::Table timeline_out({"model", "histories", "per-cell [s]",
                             "timeline lifetime [s]", "timeline aging [s]",
                             "speedup"});
@@ -120,8 +121,8 @@ int main(int argc, char** argv) {
     ModelTiming timing;
     timing.model = name;
 
-    // The pre-batching reference: one scalar inversion per used cell —
-    // exactly the inner loop make_lifetime_report ran before memoisation.
+    // The per-cell reference: one scalar inversion per used cell — the
+    // inner loop make_lifetime_report ran before memoisation.
     const auto per_cell_start = std::chrono::steady_clock::now();
     double min_years = std::numeric_limits<double>::infinity();
     for (std::size_t cell = 0; cell < kCells; ++cell) {
@@ -137,7 +138,7 @@ int main(int argc, char** argv) {
         make_lifetime_report({&single, 1}, lifetime_model, threads);
     timing.lifetime_seconds = seconds_since(lifetime_start);
     if (lifetime.device_lifetime_years != min_years) {
-      std::cerr << "batched/per-cell mismatch for " << name << "\n";
+      std::cerr << "report/per-cell mismatch for " << name << "\n";
       return 1;
     }
 
@@ -190,8 +191,8 @@ int main(int argc, char** argv) {
     timings.push_back(timing);
   }
   std::cout << out.to_string();
-  std::cout << "speedup = per-cell seconds / batched lifetime seconds (one\n"
-               "evaluation per distinct history + hoisted model constants).\n";
+  std::cout << "speedup = per-cell seconds / lifetime report seconds (one\n"
+               "evaluation per distinct history).\n";
   std::cout << "\ntwo-segment timeline (" << kCells
             << " cells, distinct hot quarter, repeated cold remainder):\n"
             << timeline_out.to_string()

@@ -221,9 +221,9 @@ void BM_BitDistributionAnalysis(benchmark::State& state) {
 BENCHMARK(BM_BitDistributionAnalysis)->Unit(benchmark::kMillisecond);
 
 // A realistic report workload: 64Ki cells with ~1000 distinct duty ratios
-// (the repetition profile duty memoisation exploits). Arg selects the
-// model: 0 = calibrated-nbti (closed-form inversion), 1 = pbti-hci
-// (batched Newton).
+// (the repetition profile the report history table exploits). Arg selects
+// the model: 0 = calibrated-nbti (closed-form inversion), 1 = pbti-hci
+// (Newton inversion, one per distinct history).
 aging::DutyCycleTracker make_report_tracker() {
   constexpr std::size_t kCells = 64 * 1024;
   aging::DutyCycleTracker tracker(kCells);

@@ -71,28 +71,6 @@ double DeviceAgingModel::years_to_reach(double duty, double target,
       target, reference_years());
 }
 
-void DeviceAgingModel::years_to_reach_batch(std::span<const double> duties,
-                                            double target,
-                                            const EnvironmentSpec& env,
-                                            std::span<double> out,
-                                            BatchSolveStats* stats) const {
-  // Generic fallback: the scalar solver per distinct duty, repeats served
-  // from the memo. Bit-identical to the per-cell loop by construction.
-  detail::solve_batch_memoised(duties, out, stats, [&](double duty) {
-    return years_to_reach(duty, target, env);
-  });
-}
-
-void DeviceAgingModel::degradation_batch(std::span<const double> duties,
-                                         double years,
-                                         const EnvironmentSpec& env,
-                                         std::span<double> out,
-                                         BatchSolveStats* stats) const {
-  detail::solve_batch_memoised(duties, out, stats, [&](double duty) {
-    return degradation(duty, years, env);
-  });
-}
-
 double DeviceAgingModel::degradation_on_timeline(
     std::span<const StressSegment> timeline, double years) const {
   const TimelineScan scan = scan_timeline(timeline);
@@ -174,39 +152,6 @@ double PowerLawDeviceModel::years_to_reach(double duty, double target,
   if (at_reference <= 0.0) return std::numeric_limits<double>::infinity();
   return t_ref_years_ *
          std::pow(target / at_reference, 1.0 / time_exponent_);
-}
-
-void PowerLawDeviceModel::years_to_reach_batch(std::span<const double> duties,
-                                               double target,
-                                               const EnvironmentSpec& env,
-                                               std::span<double> out,
-                                               BatchSolveStats* stats) const {
-  DNNLIFE_EXPECTS(target >= 0.0, "negative degradation target");
-  // Hoisting 1/beta out of the loop produces the same double the scalar
-  // path divides out per call, so the per-duty pow() is bit-identical to
-  // years_to_reach.
-  const double inv_beta = 1.0 / time_exponent_;
-  detail::solve_batch_memoised(duties, out, stats, [&](double duty) {
-    if (target <= 0.0) return 0.0;
-    const double at_reference = amplitude(duty, env);
-    if (at_reference <= 0.0) return std::numeric_limits<double>::infinity();
-    return t_ref_years_ * std::pow(target / at_reference, inv_beta);
-  });
-}
-
-void PowerLawDeviceModel::degradation_batch(std::span<const double> duties,
-                                            double years,
-                                            const EnvironmentSpec& env,
-                                            std::span<double> out,
-                                            BatchSolveStats* stats) const {
-  DNNLIFE_EXPECTS(years >= 0.0, "negative time");
-  // One time-power for the whole batch; the remaining per-distinct-duty
-  // work is the amplitude evaluation. Same factor, same product order as
-  // degradation() — bit-identical.
-  const double t_factor = std::pow(years / t_ref_years_, time_exponent_);
-  detail::solve_batch_memoised(duties, out, stats, [&](double duty) {
-    return amplitude(duty, env) * t_factor;
-  });
 }
 
 double PowerLawDeviceModel::degradation_on_timeline(
@@ -325,22 +270,16 @@ PbtiHciDeviceModel::Terms PbtiHciDeviceModel::amplitude_terms(
   return terms;
 }
 
-double PbtiHciDeviceModel::degradation(double duty, double years,
-                                       const EnvironmentSpec& env) const {
-  DNNLIFE_EXPECTS(years >= 0.0, "negative time");
-  const Terms terms = amplitude_terms(duty, env);
+double PbtiHciDeviceModel::curve(const Terms& terms, double years) const {
   const double t_norm = years / params_.pbti.t_ref_years;
   return terms.scale *
          (terms.pbti * std::pow(t_norm, params_.pbti.time_exponent) +
           terms.hci * std::pow(t_norm, params_.hci_time_exponent));
 }
 
-double PbtiHciDeviceModel::degradation_slope(double duty, double years,
-                                             const EnvironmentSpec& env) const {
-  DNNLIFE_EXPECTS(years >= 0.0, "negative time");
+double PbtiHciDeviceModel::slope(const Terms& terms, double years) const {
   // Term-wise power-law derivative of the two-exponent sum (+inf at t = 0,
   // where both exponents are sublinear — the solver bisects that iterate).
-  const Terms terms = amplitude_terms(duty, env);
   const double t_ref = params_.pbti.t_ref_years;
   const double t_norm = years / t_ref;
   const double b1 = params_.pbti.time_exponent;
@@ -350,65 +289,30 @@ double PbtiHciDeviceModel::degradation_slope(double duty, double years,
           terms.hci * (b2 / t_ref) * std::pow(t_norm, b2 - 1.0));
 }
 
-void PbtiHciDeviceModel::years_to_reach_batch(std::span<const double> duties,
-                                              double target,
-                                              const EnvironmentSpec& env,
-                                              std::span<double> out,
-                                              BatchSolveStats* stats) const {
-  DNNLIFE_EXPECTS(target >= 0.0, "negative degradation target");
-  const double t_ref = params_.pbti.t_ref_years;
-  const double b1 = params_.pbti.time_exponent;
-  const double b2 = params_.hci_time_exponent;
-  // Batched Newton: amplitude_terms() is evaluated once per *distinct*
-  // duty and the curve/slope closures reuse it across the whole iteration
-  // — the per-evaluation stress/Arrhenius/vdd pow() work of the scalar
-  // path collapses to the distinct-duty count. The closures compute the
-  // exact expressions of degradation() / degradation_slope() on the same
-  // double-valued terms, so invert_monotone walks an identical iterate
-  // sequence and the batch is bit-identical to years_to_reach.
-  detail::solve_batch_memoised(duties, out, stats, [&](double duty) {
-    if (target <= 0.0) return 0.0;
-    const Terms terms = amplitude_terms(duty, env);
-    const auto curve = [&](double years) {
-      const double t_norm = years / t_ref;
-      return terms.scale * (terms.pbti * std::pow(t_norm, b1) +
-                            terms.hci * std::pow(t_norm, b2));
-    };
-    const auto slope = [&](double years) {
-      const double t_norm = years / t_ref;
-      return terms.scale *
-             (terms.pbti * (b1 / t_ref) * std::pow(t_norm, b1 - 1.0) +
-              terms.hci * (b2 / t_ref) * std::pow(t_norm, b2 - 1.0));
-    };
-    util::InvertStats inversion;
-    const double years =
-        util::invert_monotone(curve, slope, target, reference_years(),
-                              &inversion);
-    if (stats != nullptr) {
-      stats->curve_evaluations +=
-          static_cast<std::uint64_t>(inversion.evaluations);
-      stats->slope_evaluations +=
-          static_cast<std::uint64_t>(inversion.slope_evaluations);
-    }
-    return years;
-  });
+double PbtiHciDeviceModel::degradation(double duty, double years,
+                                       const EnvironmentSpec& env) const {
+  DNNLIFE_EXPECTS(years >= 0.0, "negative time");
+  return curve(amplitude_terms(duty, env), years);
 }
 
-void PbtiHciDeviceModel::degradation_batch(std::span<const double> duties,
-                                           double years,
-                                           const EnvironmentSpec& env,
-                                           std::span<double> out,
-                                           BatchSolveStats* stats) const {
+double PbtiHciDeviceModel::degradation_slope(double duty, double years,
+                                             const EnvironmentSpec& env) const {
   DNNLIFE_EXPECTS(years >= 0.0, "negative time");
-  // Both time-powers hoisted; per-distinct-duty work is amplitude_terms()
-  // alone. Same factors, same sum/product order as degradation().
-  const double t_norm = years / params_.pbti.t_ref_years;
-  const double p1 = std::pow(t_norm, params_.pbti.time_exponent);
-  const double p2 = std::pow(t_norm, params_.hci_time_exponent);
-  detail::solve_batch_memoised(duties, out, stats, [&](double duty) {
-    const Terms terms = amplitude_terms(duty, env);
-    return terms.scale * (terms.pbti * p1 + terms.hci * p2);
-  });
+  return slope(amplitude_terms(duty, env), years);
+}
+
+double PbtiHciDeviceModel::years_to_reach(double duty, double target,
+                                          const EnvironmentSpec& env) const {
+  DNNLIFE_EXPECTS(target >= 0.0, "negative degradation target");
+  if (target <= 0.0) return 0.0;
+  // The generic solve with amplitude_terms() hoisted out of the iteration:
+  // curve() and slope() are degradation() and degradation_slope() on the
+  // same terms, so invert_monotone walks the identical iterate sequence.
+  const Terms terms = amplitude_terms(duty, env);
+  return util::invert_monotone(
+      [&](double years) { return curve(terms, years); },
+      [&](double years) { return slope(terms, years); }, target,
+      reference_years());
 }
 
 // ---- dual BTI as a device model ----------------------------------------------

@@ -28,7 +28,6 @@
 #include <span>
 #include <string_view>
 
-#include "aging/duty_memo.hpp"
 #include "aging/environment.hpp"
 
 namespace dnnlife::aging {
@@ -95,29 +94,6 @@ class DeviceAgingModel {
   virtual double years_to_reach(double duty, double target,
                                 const EnvironmentSpec& env) const;
 
-  /// Batched Newton lifetime inversion: out[i] = years_to_reach(duties[i],
-  /// target, env) for a batch of cells sharing one model and environment.
-  /// The default loops the scalar solver over each *distinct* duty and
-  /// serves repeats from a memo (aging/duty_memo.hpp); the power-law
-  /// family and the pbti-hci two-exponent model override it with real
-  /// batched implementations that amortise curve/slope evaluation across
-  /// the batch. Always bit-identical to the per-cell solver — this is what
-  /// a one-segment report drives with the duties of the state's distinct
-  /// histories (aging/report_evaluator.hpp).
-  /// `out.size()` must equal `duties.size()`.
-  virtual void years_to_reach_batch(std::span<const double> duties,
-                                    double target, const EnvironmentSpec& env,
-                                    std::span<double> out,
-                                    BatchSolveStats* stats = nullptr) const;
-
-  /// Batched forward evaluation: out[i] = degradation(duties[i], years,
-  /// env). Same memoisation/override structure and bit-identity contract
-  /// as years_to_reach_batch; drives the batched aging-report fold.
-  virtual void degradation_batch(std::span<const double> duties, double years,
-                                 const EnvironmentSpec& env,
-                                 std::span<double> out,
-                                 BatchSolveStats* stats = nullptr) const;
-
   /// Degradation after `years` of the piecewise-constant stress history
   /// `timeline` (segment weights are normalised to lifetime shares;
   /// zero-weight segments are skipped; composition is equivalent-time, in
@@ -161,15 +137,6 @@ class PowerLawDeviceModel : public DeviceAgingModel {
                            const EnvironmentSpec& env) const final;
   double years_to_reach(double duty, double target,
                         const EnvironmentSpec& env) const final;
-  /// Batched closed-form inversion: the per-duty solve is one pow() once
-  /// 1/beta is hoisted out of the loop — no Newton iteration at all.
-  void years_to_reach_batch(std::span<const double> duties, double target,
-                            const EnvironmentSpec& env, std::span<double> out,
-                            BatchSolveStats* stats = nullptr) const final;
-  /// Batched forward curve with the (t / t_ref)^beta factor hoisted.
-  void degradation_batch(std::span<const double> duties, double years,
-                         const EnvironmentSpec& env, std::span<double> out,
-                         BatchSolveStats* stats = nullptr) const final;
   double degradation_on_timeline(std::span<const StressSegment> timeline,
                                  double years) const final;
   double years_to_failure(std::span<const StressSegment> timeline,
@@ -240,7 +207,7 @@ class ArrheniusNbtiDeviceModel final : public CalibratedNbtiDeviceModel {
 /// duty-cycle contrast; the HCI component is driven by switching activity,
 /// not duty, and follows a steeper time exponent than reaction-diffusion
 /// BTI. Two time exponents make the total a non-power-law — this model
-/// exercises the generic bracketing inversion and equivalent-time
+/// exercises the safeguarded Newton inversion and the equivalent-time
 /// composition paths of DeviceAgingModel.
 class PbtiHciDeviceModel final : public DeviceAgingModel {
  public:
@@ -271,18 +238,11 @@ class PbtiHciDeviceModel final : public DeviceAgingModel {
   /// smooth and convex in its inverse, so Newton converges quadratically.
   double degradation_slope(double duty, double years,
                            const EnvironmentSpec& env) const override;
-  /// Batched Newton: one amplitude_terms() evaluation per *distinct* duty,
-  /// with the curve/slope closures built on the hoisted terms — the Newton
-  /// iterate sequence is identical to the scalar years_to_reach, so the
-  /// results are bit-identical while the per-cell trigonometric/pow work
-  /// collapses to the distinct-duty count.
-  void years_to_reach_batch(std::span<const double> duties, double target,
-                            const EnvironmentSpec& env, std::span<double> out,
-                            BatchSolveStats* stats = nullptr) const override;
-  /// Batched forward curve with both (t / t_ref)^b time powers hoisted.
-  void degradation_batch(std::span<const double> duties, double years,
-                         const EnvironmentSpec& env, std::span<double> out,
-                         BatchSolveStats* stats = nullptr) const override;
+  /// The generic safeguarded Newton solve with amplitude_terms() evaluated
+  /// once per solve instead of once per iterate; bit-identical to
+  /// DeviceAgingModel::years_to_reach.
+  double years_to_reach(double duty, double target,
+                        const EnvironmentSpec& env) const override;
 
   const Params& params() const noexcept { return params_; }
 
@@ -294,6 +254,9 @@ class PbtiHciDeviceModel final : public DeviceAgingModel {
     double hci = 0.0;    ///< HCI amplitude at t_ref [percent]
   };
   Terms amplitude_terms(double duty, const EnvironmentSpec& env) const;
+  /// degradation() and degradation_slope() at `years` on given terms.
+  double curve(const Terms& terms, double years) const;
+  double slope(const Terms& terms, double years) const;
 
   Params params_;
   double alpha_;

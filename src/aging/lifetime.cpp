@@ -79,47 +79,19 @@ LifetimeReport make_lifetime_report(
   histories.check_matches(segments);
   const std::span<const std::size_t> firsts = histories.firsts();
   const ReportEvaluator evaluator(threads);
-  std::vector<CellLifetime> values;
-  if (segments.size() == 1) {
-    // A one-segment timeline is the single-operating-point solve (the
-    // same shortcut DeviceAgingModel::years_to_failure takes per cell,
-    // since each used cell's gathered history is exactly one
-    // positive-weight segment at the tracker duty): gather the duties of
-    // the distinct used histories, run the batched inversion, scatter
-    // back. years_to_reach_batch is bit-identical to the per-cell solver,
-    // so this changes no report value.
-    const DutyCycleTracker& tracker = *segments.front().tracker;
-    values = evaluator.evaluate<CellLifetime>(firsts.size(), [&] {
-      return [&, duties = std::vector<double>(), years = std::vector<double>()](
-                 std::size_t begin, std::size_t end,
-                 std::span<CellLifetime> out) mutable {
-        duties.clear();
-        for (std::size_t id = begin; id < end; ++id)
-          if (!tracker.is_unused(firsts[id]))
-            duties.push_back(tracker.duty(firsts[id]));
-        years.resize(duties.size());
-        model.model().years_to_reach_batch(
-            duties, model.params().snm_failure_threshold,
-            segments.front().environment, years);
-        std::size_t next = 0;
-        for (std::size_t id = begin; id < end; ++id)
-          if (!tracker.is_unused(firsts[id]))
-            out[id - begin] = {years[next++], true};
-      };
-    });
-  } else {
-    // One years_to_failure per distinct history; the gathered stress
-    // history is a scratch buffer.
-    values = evaluator.evaluate<CellLifetime>(firsts.size(), [&] {
-      return [&, history = std::vector<StressSegment>()](
-                 std::size_t begin, std::size_t end,
-                 std::span<CellLifetime> out) mutable {
-        for (std::size_t id = begin; id < end; ++id)
-          if (gather_cell_segments(segments, firsts[id], history).total != 0)
-            out[id - begin] = {model.years_to_failure(history), true};
-      };
-    });
-  }
+  // One years_to_failure per distinct history; the gathered stress history
+  // is a scratch buffer. A one-segment history short-circuits to the
+  // single-operating-point solve inside the model.
+  const std::vector<CellLifetime> values =
+      evaluator.evaluate<CellLifetime>(firsts.size(), [&] {
+        return [&, history = std::vector<StressSegment>()](
+                   std::size_t begin, std::size_t end,
+                   std::span<CellLifetime> out) mutable {
+          for (std::size_t id = begin; id < end; ++id)
+            if (gather_cell_segments(segments, firsts[id], history).total != 0)
+              out[id - begin] = {model.years_to_failure(history), true};
+        };
+      });
 
   // The in-order fold: one unit-weight Welford add per used cell and
   // region, in ascending cell order. A RunningStats min is the running

@@ -22,7 +22,10 @@
 //  * ReportEvaluator evaluates each distinct history once: at budget 1 in
 //    one call, above it in fixed kChunk-id chunks claimed as items on the
 //    session-wide work-stealing executor. Each value is a pure function
-//    of its history, so the values are bit-identical for any budget.
+//    of its history, so the values are bit-identical for any budget. Both
+//    reports take one path for any segment count: gather the history's
+//    StressSegment timeline and call the model's timeline entry points,
+//    which short-circuit a single segment to the plain formula.
 //  * the reports then fold in ascending cell order, replaying
 //    values[index[cell]] (HistoryTable::for_each) through unit-weight
 //    Welford adds; order-free integer tallies (histogram bins, optimal
@@ -114,8 +117,8 @@ class ReportEvaluator {
 
   unsigned threads() const noexcept { return threads_; }
 
-  /// Distinct histories per item above budget 1: enough to amortise a
-  /// virtual batch call and an executor claim.
+  /// Distinct histories per item above budget 1: enough to amortise an
+  /// executor claim.
   static constexpr std::size_t kChunk = 512;
 
   /// values[id] for every id in [0, count). `make_eval()` is invoked once

@@ -64,64 +64,33 @@ AgingReport make_aging_report(std::span<const EnvironmentSegmentView> segments,
   const double years = options.years;
   const double tolerance = options.optimal_tolerance;
   const ReportEvaluator evaluator(options.threads);
-  std::vector<CellAging> values;
-  if (segments.size() == 1) {
-    // One segment is the single-operating-point evaluation under that
-    // segment's environment (a used cell's gathered history is exactly
-    // one segment at the tracker duty, and degradation_on_timeline
-    // short-circuits it to degradation(), bit-identically): gather the
-    // duties of the distinct used histories, run the batched forward
-    // curve, scatter back. degradation_batch is bit-identical to the
-    // per-cell calls, so this changes no report value.
-    const DutyCycleTracker& tracker = *segments.front().tracker;
-    const EnvironmentSpec& env = segments.front().environment;
-    const double optimal = model.degradation(0.5, years, env);
-    values = evaluator.evaluate<CellAging>(firsts.size(), [&] {
-      return [&, duties = std::vector<double>(), snm = std::vector<double>()](
-                 std::size_t begin, std::size_t end,
-                 std::span<CellAging> out) mutable {
-        duties.clear();
-        for (std::size_t id = begin; id < end; ++id)
-          if (!tracker.is_unused(firsts[id]))
-            duties.push_back(tracker.duty(firsts[id]));
-        snm.resize(duties.size());
-        model.degradation_batch(duties, years, env, snm);
-        std::size_t next = 0;
-        for (std::size_t id = begin; id < end; ++id) {
-          if (tracker.is_unused(firsts[id])) continue;
-          out[id - begin] = {duties[next], snm[next], true,
-                             snm[next] <= optimal + tolerance};
-          ++next;
-        }
-      };
-    });
-  } else {
-    // Every distinct history composes its own pair of timelines: the
-    // balanced reference depends on the history's residency weights. The
-    // gathered history and its balanced-duty twin are scratch buffers.
-    values = evaluator.evaluate<CellAging>(firsts.size(), [&] {
-      return [&, history = std::vector<StressSegment>(),
-              balanced = std::vector<StressSegment>()](
-                 std::size_t begin, std::size_t end,
-                 std::span<CellAging> out) mutable {
-        for (std::size_t id = begin; id < end; ++id) {
-          const CellResidency residency =
-              gather_cell_segments(segments, firsts[id], history);
-          if (residency.total == 0) continue;
-          const double snm = model.degradation_on_timeline(history, years);
-          // The minimum achievable degradation for *this* history:
-          // balanced duty under the same environment exposure.
-          balanced = history;
-          for (StressSegment& segment : balanced) segment.duty = 0.5;
-          const double optimal =
-              model.degradation_on_timeline(balanced, years);
-          out[id - begin] = {static_cast<double>(residency.ones) /
-                                 static_cast<double>(residency.total),
-                             snm, true, snm <= optimal + tolerance};
-        }
-      };
-    });
-  }
+  // Every distinct history composes its own pair of timelines: the
+  // balanced reference depends on the history's residency weights. The
+  // gathered history and its balanced-duty twin are scratch buffers. A
+  // one-segment history short-circuits to degradation() inside the model.
+  const std::vector<CellAging> values =
+      evaluator.evaluate<CellAging>(firsts.size(), [&] {
+        return [&, history = std::vector<StressSegment>(),
+                balanced = std::vector<StressSegment>()](
+                   std::size_t begin, std::size_t end,
+                   std::span<CellAging> out) mutable {
+          for (std::size_t id = begin; id < end; ++id) {
+            const CellResidency residency =
+                gather_cell_segments(segments, firsts[id], history);
+            if (residency.total == 0) continue;
+            const double snm = model.degradation_on_timeline(history, years);
+            // The minimum achievable degradation for *this* history:
+            // balanced duty under the same environment exposure.
+            balanced = history;
+            for (StressSegment& segment : balanced) segment.duty = 0.5;
+            const double optimal =
+                model.degradation_on_timeline(balanced, years);
+            out[id - begin] = {static_cast<double>(residency.ones) /
+                                   static_cast<double>(residency.total),
+                               snm, true, snm <= optimal + tolerance};
+          }
+        };
+      });
 
   // The in-order fold: Welford adds per used cell, in ascending cell order
   // (the per-cell loop's exact sequence); histogram and optimal/unused

@@ -2,7 +2,7 @@
 // lifetime inversion.
 //
 //  * Hash-pinned golden reports for all four built-in aging models at 1, 2
-//    and 8 threads, single-segment and timeline paths: parallel
+//    and 8 threads, on one-segment and two-segment states: parallel
 //    evaluation must be bit-identical to the serial loop, and the serial
 //    loop bit-identical to the pre-refactor monolithic one (hashes marked
 //    "pre-refactor" below were captured from the per-cell-loop build).
@@ -18,7 +18,8 @@
 //    too), with budget invariance when the distinct histories cluster in
 //    the first quarter of the cells.
 //  * Solver tests: Newton agreement with the legacy bisection, a pinned
-//    iteration-count budget (~10 evaluations vs bisection's ~50+), and the
+//    iteration-count budget (~10 evaluations vs bisection's ~50+), the
+//    pbti-hci hoisted solver against the generic one bit for bit, and the
 //    finite-difference default of degradation_slope against the analytic
 //    overrides.
 #include <gtest/gtest.h>
@@ -151,7 +152,7 @@ class ReportEvaluatorGolden : public ::testing::Test {
     segments_.push_back(EnvironmentSegmentView{hot_.get(), hot(85.0)});
   }
 
-  /// The cool tracker alone: the single-segment (batched) path.
+  /// The cool tracker alone: a one-segment state.
   std::span<const EnvironmentSegmentView> cool() const {
     return {segments_.data(), 1};
   }
@@ -657,18 +658,6 @@ class CountingModel : public DeviceAgingModel {
     ++inversions;
     return inner_->years_to_reach(duty, target, env);
   }
-  void years_to_reach_batch(std::span<const double> duties, double target,
-                            const EnvironmentSpec& env, std::span<double> out,
-                            BatchSolveStats* stats) const override {
-    batched_inversions += duties.size();
-    inner_->years_to_reach_batch(duties, target, env, out, stats);
-  }
-  void degradation_batch(std::span<const double> duties, double years,
-                         const EnvironmentSpec& env, std::span<double> out,
-                         BatchSolveStats* stats) const override {
-    batched_degradations += duties.size();
-    inner_->degradation_batch(duties, years, env, out, stats);
-  }
   double degradation_on_timeline(std::span<const StressSegment> timeline,
                                  double years) const override {
     ++timelines;
@@ -681,14 +670,11 @@ class CountingModel : public DeviceAgingModel {
   }
 
   void clear() {
-    degradations = inversions = batched_inversions = batched_degradations =
-        timelines = failures = 0;
+    degradations = inversions = timelines = failures = 0;
   }
 
   mutable std::atomic<std::uint64_t> degradations{0};
   mutable std::atomic<std::uint64_t> inversions{0};
-  mutable std::atomic<std::uint64_t> batched_inversions{0};
-  mutable std::atomic<std::uint64_t> batched_degradations{0};
   mutable std::atomic<std::uint64_t> timelines{0};
   mutable std::atomic<std::uint64_t> failures{0};
 
@@ -736,24 +722,11 @@ TEST(HistoryTable, EachReportEvaluatesEachDistinctUsedHistoryOnce) {
       options.threads = threads;
       model->clear();
       make_aging_report(segments, *model, options);
-      if (segment_count == 1) {
-        EXPECT_EQ(model->batched_degradations.load(), distinct) << what;
-        EXPECT_EQ(model->degradations.load(), 1u) << what;  // the optimum
-        EXPECT_EQ(model->timelines.load(), 0u) << what;
-      } else {
-        // The history and its balanced twin.
-        EXPECT_EQ(model->timelines.load(), 2 * distinct) << what;
-        EXPECT_EQ(model->batched_degradations.load(), 0u) << what;
-      }
+      // The history and its balanced twin, for any segment count.
+      EXPECT_EQ(model->timelines.load(), 2 * distinct) << what;
       model->clear();
       make_lifetime_report(segments, lifetime, threads);
-      if (segment_count == 1) {
-        EXPECT_EQ(model->batched_inversions.load(), distinct) << what;
-        EXPECT_EQ(model->failures.load(), 0u) << what;
-      } else {
-        EXPECT_EQ(model->failures.load(), distinct) << what;
-        EXPECT_EQ(model->batched_inversions.load(), 0u) << what;
-      }
+      EXPECT_EQ(model->failures.load(), distinct) << what;
       // Only the best and worst cases are solved outside the table.
       EXPECT_EQ(model->inversions.load(), 2u) << what;
     }
@@ -901,117 +874,27 @@ TEST(NewtonInversion, UnreachableTargetStillReportsInfinity) {
             std::numeric_limits<double>::infinity());
 }
 
-// ---- batched model evaluation ------------------------------------------------
-
-/// A duty list with heavy repetition (the counter-ratio profile real
-/// trackers produce): kDistinct distinct values, each repeated many times.
-std::vector<double> repeated_duties(std::size_t count, std::size_t distinct) {
-  std::vector<double> duties(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    duties[i] = static_cast<double>(i % distinct) /
-                static_cast<double>(distinct);
-  }
-  return duties;
-}
-
-TEST(BatchedEvaluation, MatchesPerCellBitIdenticallyForAllModels) {
-  const std::vector<double> duties = repeated_duties(512, 31);
-  std::vector<double> batched(duties.size());
-  for (const ModelPins& pins : kPins) {
-    const std::shared_ptr<const DeviceAgingModel> model =
-        make_aging_model(pins.model);
-    for (const EnvironmentSpec& env : {kNominal, hot(85.0)}) {
-      model->years_to_reach_batch(duties, 20.0, env, batched);
-      for (std::size_t i = 0; i < duties.size(); ++i)
-        ASSERT_EQ(batched[i], model->years_to_reach(duties[i], 20.0, env))
-            << pins.model << " inversion, duty " << duties[i];
-      model->degradation_batch(duties, 7.0, env, batched);
-      for (std::size_t i = 0; i < duties.size(); ++i)
-        ASSERT_EQ(batched[i], model->degradation(duties[i], 7.0, env))
-            << pins.model << " forward, duty " << duties[i];
-    }
-  }
-}
-
-TEST(BatchedEvaluation, GenericDefaultAlsoMatchesPerCell) {
-  // A model that overrides nothing exercises the memoised default loops.
-  struct OpaqueWrapper final : DeviceAgingModel {
-    PbtiHciDeviceModel inner;
-    std::string_view name() const noexcept override { return "opaque"; }
-    double reference_years() const noexcept override {
-      return inner.reference_years();
-    }
-    double degradation(double duty, double years,
-                       const EnvironmentSpec& env) const override {
-      return inner.degradation(duty, years, env);
-    }
-  };
-  const OpaqueWrapper wrapper;
-  const std::vector<double> duties = repeated_duties(128, 17);
-  std::vector<double> batched(duties.size());
-  wrapper.years_to_reach_batch(duties, 20.0, kNominal, batched);
-  for (std::size_t i = 0; i < duties.size(); ++i)
-    ASSERT_EQ(batched[i], wrapper.years_to_reach(duties[i], 20.0, kNominal));
-  wrapper.degradation_batch(duties, 7.0, kNominal, batched);
-  for (std::size_t i = 0; i < duties.size(); ++i)
-    ASSERT_EQ(batched[i], wrapper.degradation(duties[i], 7.0, kNominal));
-}
-
-TEST(BatchedEvaluation, MemoCountsDistinctSolvesAndHits) {
-  constexpr std::size_t kCells = 1000;
-  constexpr std::size_t kDistinct = 40;
-  const std::vector<double> duties = repeated_duties(kCells, kDistinct);
-  std::vector<double> out(kCells);
-  for (const ModelPins& pins : kPins) {
-    const std::shared_ptr<const DeviceAgingModel> model =
-        make_aging_model(pins.model);
-    BatchSolveStats stats;
-    model->years_to_reach_batch(duties, 20.0, kNominal, out, &stats);
-    EXPECT_EQ(stats.solves, kDistinct) << pins.model;
-    EXPECT_EQ(stats.memo_hits, kCells - kDistinct) << pins.model;
-  }
-}
-
-TEST(BatchedEvaluation, NewtonCurveBudgetIsPerDistinctDutyNotPerCell) {
-  // The batched pbti-hci inversion must spend its Newton curve/slope
-  // evaluations once per *distinct* duty: for a 1000-cell batch with 40
-  // distinct ratios the total budget is 40 solves x the pinned per-solve
-  // budget — ~0.5 curve evaluations per cell, where the per-cell loop
-  // spends ~10. This is the pinned proof the batch does less work per
-  // cell, not just the same work rearranged.
-  constexpr std::size_t kCells = 1000;
-  constexpr std::size_t kDistinct = 40;
-  constexpr int kNewtonEvaluationBudget = 12;
-  constexpr int kNewtonSlopeBudget = 6;
+TEST(NewtonInversion, PbtiHciOverrideMatchesTheGenericSolverBitForBit) {
+  // The pbti-hci override hoists amplitude_terms() out of the iteration;
+  // it must return the generic solver's exact double, including the
+  // target == 0 (0.0) and unreachable (+inf) edges.
   const PbtiHciDeviceModel model;
-  const std::vector<double> duties = repeated_duties(kCells, kDistinct);
-  std::vector<double> out(kCells);
-  BatchSolveStats stats;
-  model.years_to_reach_batch(duties, 20.0, kNominal, out, &stats);
-  EXPECT_EQ(stats.solves, kDistinct);
-  EXPECT_LE(stats.curve_evaluations, kDistinct * kNewtonEvaluationBudget);
-  EXPECT_LE(stats.slope_evaluations, kDistinct * kNewtonSlopeBudget);
-  EXPECT_GT(stats.curve_evaluations, 0u);
-  // Per-cell amortised cost strictly below one Newton solve per cell.
-  EXPECT_LT(static_cast<double>(stats.curve_evaluations) /
-                static_cast<double>(kCells),
-            1.0);
-}
-
-TEST(BatchedEvaluation, EdgeTargetsMatchScalarSemantics) {
-  // target == 0 and unreachable targets must mirror the scalar solver
-  // (0.0 and +inf respectively) through the batched paths.
-  const CalibratedNbtiDeviceModel power_law;
-  const PbtiHciDeviceModel newton;
-  const std::vector<double> duties = {0.2, 0.5, 0.9};
-  std::vector<double> out(duties.size());
-  power_law.years_to_reach_batch(duties, 0.0, kNominal, out);
-  for (const double years : out) EXPECT_EQ(years, 0.0);
   EnvironmentSpec gated;
   gated.activity_scale = 0.0;
-  newton.years_to_reach_batch(duties, 20.0, gated, out);
-  for (const double years : out)
-    EXPECT_EQ(years, std::numeric_limits<double>::infinity());
+  for (const EnvironmentSpec& env : {kNominal, hot(85.0), gated}) {
+    for (const double target : {0.0, 20.0, 35.0}) {
+      for (int step = 0; step <= 64; ++step) {
+        const double duty = step / 64.0;
+        const double hoisted = model.years_to_reach(duty, target, env);
+        const double generic =
+            model.DeviceAgingModel::years_to_reach(duty, target, env);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(hoisted),
+                  std::bit_cast<std::uint64_t>(generic))
+            << "duty " << duty << " target " << target << " at "
+            << env.temperature_c << " C, activity " << env.activity_scale;
+      }
+    }
+  }
 }
 
 TEST(DegradationSlope, FiniteDifferenceDefaultMatchesAnalyticOverrides) {
