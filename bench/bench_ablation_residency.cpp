@@ -5,7 +5,7 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "core/experiment.hpp"
+#include "core/scenario_suite.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -17,23 +17,31 @@ int main() {
 
   util::Table table({"residency", "policy", "mean SNM [%]", "max SNM [%]",
                      "% optimal"});
+  const std::vector<PolicyConfig> policies = {
+      PolicyConfig::none(), PolicyConfig::inversion(),
+      PolicyConfig::dnn_life(0.7, true, 4)};
+  // Residency weighting leaves the payloads alone, so all six points
+  // share one build.
+  std::vector<core::ScenarioSpec> specs;
   for (bool weighted : {false, true}) {
-    core::ExperimentConfig config;
-    config.network = "alexnet";
-    config.format = quant::WeightFormat::kInt8Symmetric;
-    config.hardware = core::HardwareKind::kBaseline;
-    config.baseline.compute_weighted_residency = weighted;
-    config.inferences = 100;
-    const core::Workbench bench(config);
-    for (const auto& policy :
-         {PolicyConfig::none(), PolicyConfig::inversion(),
-          PolicyConfig::dnn_life(0.7, true, 4)}) {
-      const auto report = bench.evaluate(policy);
-      table.add_row({weighted ? "compute-weighted" : "uniform", policy.name(),
-                     util::Table::num(report.snm_stats.mean(), 2),
-                     util::Table::num(report.snm_stats.max(), 2),
-                     util::Table::num(100.0 * report.fraction_optimal, 1)});
-    }
+    core::ScenarioSpec base;
+    base.format = quant::WeightFormat::kInt8Symmetric;
+    base.hardware = core::HardwareKind::kBaseline;
+    base.baseline.compute_weighted_residency = weighted;
+    base.phases = {{"alexnet", 100, {}}};
+    for (core::ScenarioSpec& spec : benchutil::policy_specs(base, policies))
+      specs.push_back(std::move(spec));
+  }
+  const auto results = core::run_specs(specs);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto& report = results[i].report;
+    table.add_row({specs[i].baseline.compute_weighted_residency
+                       ? "compute-weighted"
+                       : "uniform",
+                   specs[i].regions.front().policy.name(),
+                   util::Table::num(report.snm_stats.mean(), 2),
+                   util::Table::num(report.snm_stats.max(), 2),
+                   util::Table::num(100.0 * report.fraction_optimal, 1)});
   }
   std::cout << table.to_string();
   std::cout

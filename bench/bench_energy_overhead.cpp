@@ -5,7 +5,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "core/experiment.hpp"
 #include "core/metadata_store.hpp"
 #include "hw/synthesis.hpp"
 #include "hw/wde_modules.hpp"
@@ -17,12 +16,12 @@ int main() {
   benchutil::print_heading(
       "Energy overhead per inference (baseline accelerator, AlexNet, int8)");
 
-  core::ExperimentConfig config;
-  config.network = "alexnet";
-  config.format = quant::WeightFormat::kInt8Symmetric;
-  config.hardware = core::HardwareKind::kBaseline;
-  const core::Workbench bench(config);
-  const auto& stream = bench.stream();
+  core::ScenarioSpec spec;
+  spec.format = quant::WeightFormat::kInt8Symmetric;
+  spec.hardware = core::HardwareKind::kBaseline;
+  spec.phases = {{"alexnet", 100, {}}};
+  const auto owned_stream = benchutil::make_stream(spec);
+  const sim::WriteStream& stream = *owned_stream;
   const std::uint32_t row_bits = stream.geometry().row_bits;
 
   const sim::EnergyModel energy;

@@ -21,7 +21,6 @@
 #include "aging/lifetime.hpp"
 #include "aging/model_registry.hpp"
 #include "bench_util.hpp"
-#include "core/experiment.hpp"
 #include "core/workload.hpp"
 #include "util/cli.hpp"
 #include "util/executor.hpp"
@@ -50,19 +49,19 @@ int main(int argc, char** argv) {
       "Device lifetime across environment timelines (registered models)");
   std::cout << "report-evaluation threads: " << resolved_threads << "\n";
 
-  core::ExperimentConfig config;
-  config.network = "custom_mnist";
-  config.hardware = core::HardwareKind::kTpuNpu;
+  core::ScenarioSpec spec;
+  spec.hardware = core::HardwareKind::kTpuNpu;
   // A small FIFO keeps the per-cell lifetime solves of the non-power-law
   // PBTI/HCI model (generic safeguarded-Newton inversion) in report
   // territory.
-  config.npu.array_dim = 64;
-  config.npu.fifo_tiles = 2;
-  const core::Workbench bench(config);
+  spec.npu.array_dim = 64;
+  spec.npu.fifo_tiles = 2;
+  spec.phases = {{"custom_mnist", 100, {}}};
+  const auto stream = benchutil::make_stream(spec);
   const auto table = core::RegionPolicyTable::uniform(
-      bench.stream().geometry(), [&] {
+      stream->geometry(), [&] {
         auto policy = core::PolicyConfig::dnn_life(0.7, true, 4);
-        policy.weight_bits = bench.codec().bits();
+        policy.weight_bits = quant::bits_per_weight(spec.format);
         return policy;
       }());
 
@@ -73,12 +72,12 @@ int main(int argc, char** argv) {
   turbo.vdd = 1.15;
   const std::vector<std::pair<std::string, std::vector<core::WorkloadPhase>>>
       timelines = {
-          {"nominal (55C)", {{&bench.stream(), 50}, {&bench.stream(), 50}}},
-          {"half hot (95C)", {{&bench.stream(), 50}, {&bench.stream(), 50, hot}}},
+          {"nominal (55C)", {{stream.get(), 50}, {stream.get(), 50}}},
+          {"half hot (95C)", {{stream.get(), 50}, {stream.get(), 50, hot}}},
           {"always hot (95C)",
-           {{&bench.stream(), 50, hot}, {&bench.stream(), 50, hot}}},
+           {{stream.get(), 50, hot}, {stream.get(), 50, hot}}},
           {"turbo DVFS (85C, 1.15 vdd)",
-           {{&bench.stream(), 50}, {&bench.stream(), 50, turbo}}},
+           {{stream.get(), 50}, {stream.get(), 50, turbo}}},
       };
 
   aging::AgingReportOptions report_options;

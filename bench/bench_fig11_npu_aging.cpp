@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/experiment.hpp"
+#include "core/scenario_suite.hpp"
 #include "util/csv.hpp"
 
 int main() {
@@ -23,25 +23,30 @@ int main() {
       {"DNN-Life with bias balancing (bias = 0.7)",
        PolicyConfig::dnn_life(0.7, /*bias_balancing=*/true, 4)},
   };
+  std::vector<PolicyConfig> configs;
+  for (const auto& [label, policy] : policies) configs.push_back(policy);
 
   util::CsvWriter csv("fig11_summary.csv",
                       {"network", "policy", "mean_snm_pct", "max_snm_pct",
                        "fraction_optimal"});
   for (const std::string name : {"alexnet", "vgg16", "custom_mnist"}) {
-    core::ExperimentConfig config;
-    config.network = name;
-    config.format = quant::WeightFormat::kInt8Symmetric;
-    config.hardware = core::HardwareKind::kTpuNpu;
-    config.inferences = 100;
-    const core::Workbench bench(config);
+    core::ScenarioSpec base;
+    base.format = quant::WeightFormat::kInt8Symmetric;
+    base.hardware = core::HardwareKind::kTpuNpu;
+    base.phases = {{name, 100, {}}};
     std::cout << "\n==================== " << name << " ====================\n";
-    std::cout << "weight FIFO: " << bench.stream().geometry().rows
-              << " rows (4 tiles), tiles/inference = "
-              << bench.stream().blocks_per_inference()
-              << ", writes/slot-row/inference ~ "
-              << bench.stream().blocks_per_inference() / 4 << "\n";
-    for (const auto& [label, policy] : policies) {
-      const auto report = bench.evaluate(policy);
+    {
+      const auto stream = benchutil::make_stream(base);
+      std::cout << "weight FIFO: " << stream->geometry().rows
+                << " rows (4 tiles), tiles/inference = "
+                << stream->blocks_per_inference()
+                << ", writes/slot-row/inference ~ "
+                << stream->blocks_per_inference() / 4 << "\n";
+    }
+    const auto results = core::run_specs(benchutil::policy_specs(base, configs));
+    for (std::size_t i = 0; i < policies.size(); ++i) {
+      const auto& [label, policy] = policies[i];
+      const auto& report = results[i].report;
       benchutil::print_report(label, report);
       csv.add_row({name, policy.name(),
                    util::Table::num(report.snm_stats.mean(), 4),

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/experiment.hpp"
+#include "core/scenario_suite.hpp"
 #include "util/csv.hpp"
 
 int main() {
@@ -30,6 +30,8 @@ int main() {
       {"(6) DNN-Life, bias = 0.7, 4-bit bias balancing",
        PolicyConfig::dnn_life(0.7, /*bias_balancing=*/true, 4)},
   };
+  std::vector<PolicyConfig> configs;
+  for (const auto& [label, policy] : policies) configs.push_back(policy);
 
   util::CsvWriter csv("fig9_summary.csv",
                       {"format", "policy", "mean_snm_pct", "max_snm_pct",
@@ -37,25 +39,23 @@ int main() {
   for (auto format : {quant::WeightFormat::kFloat32,
                       quant::WeightFormat::kInt8Symmetric,
                       quant::WeightFormat::kInt8Asymmetric}) {
-    core::ExperimentConfig config;
-    config.network = "alexnet";
-    config.format = format;
-    config.hardware = core::HardwareKind::kBaseline;
-    config.inferences = 100;
-    const core::Workbench bench(config);
+    core::ScenarioSpec base;
+    base.format = format;
+    base.hardware = core::HardwareKind::kBaseline;
+    base.phases = {{"alexnet", 100, {}}};
     std::cout << "\n==================== " << quant::to_string(format)
               << " ====================\n";
-    std::cout << "memory: " << bench.stream().geometry().rows << " rows x "
-              << bench.stream().geometry().row_bits << " bits, K = "
-              << bench.stream().blocks_per_inference()
-              << " mappings/inference\n";
-    // All six policies share the stream; evaluate them across the
-    // hardware threads (bit-identical to sequential evaluate()).
-    std::vector<PolicyConfig> configs;
-    for (const auto& [label, policy] : policies) configs.push_back(policy);
-    const auto reports = bench.evaluate_all(configs);
+    {
+      const auto stream = benchutil::make_stream(base);
+      std::cout << "memory: " << stream->geometry().rows << " rows x "
+                << stream->geometry().row_bits << " bits, K = "
+                << stream->blocks_per_inference() << " mappings/inference\n";
+    }
+    // The six policies run as one suite: the payloads build once and the
+    // points run concurrently (bit-identical to one run_scenario each).
+    const auto results = core::run_specs(benchutil::policy_specs(base, configs));
     for (std::size_t i = 0; i < policies.size(); ++i) {
-      const auto& report = reports[i];
+      const auto& report = results[i].report;
       benchutil::print_report(policies[i].first, report);
       csv.add_row({quant::to_string(format), policies[i].second.name(),
                    util::Table::num(report.snm_stats.mean(), 4),

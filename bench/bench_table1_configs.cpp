@@ -4,7 +4,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "core/experiment.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -15,18 +14,18 @@ int main() {
   const sim::TpuNpuConfig npu;
 
   // Instantiate both streams to pull derived geometry from the models.
-  core::ExperimentConfig config;
-  config.network = "custom_mnist";
-  config.format = quant::WeightFormat::kInt8Symmetric;
-  config.hardware = core::HardwareKind::kBaseline;
-  const core::Workbench baseline_bench(config);
-  config.hardware = core::HardwareKind::kTpuNpu;
-  const core::Workbench npu_bench(config);
+  core::ScenarioSpec spec;
+  spec.format = quant::WeightFormat::kInt8Symmetric;
+  spec.phases = {{"custom_mnist", 100, {}}};
+  spec.hardware = core::HardwareKind::kBaseline;
+  const auto baseline_stream = benchutil::make_stream(spec);
+  spec.hardware = core::HardwareKind::kTpuNpu;
+  const auto npu_stream = benchutil::make_stream(spec);
 
   util::Table table({"", "Baseline Accelerator", "TPU-like NPU"});
   table.add_row({"weight memory size",
                  std::to_string(baseline.weight_memory_bytes / 1024) + " KB",
-                 std::to_string(npu_bench.stream().geometry().cells() / 8 / 1024) +
+                 std::to_string(npu_stream->geometry().cells() / 8 / 1024) +
                      " KB (4-tile FIFO)"});
   table.add_row({"activation memory size",
                  std::to_string(baseline.activation_memory_bytes / 1024 / 1024) +
@@ -40,8 +39,8 @@ int main() {
                  std::to_string(npu.array_dim) + " x " +
                      std::to_string(npu.array_dim) + " PEs (1 PE = 1 MAC)"});
   table.add_row({"weight-memory rows (int8)",
-                 std::to_string(baseline_bench.stream().geometry().rows),
-                 std::to_string(npu_bench.stream().geometry().rows)});
+                 std::to_string(baseline_stream->geometry().rows),
+                 std::to_string(npu_stream->geometry().rows)});
   table.add_row({"networks", "AlexNet", "AlexNet, VGG-16 and Custom"});
   std::cout << table.to_string();
   std::cout << "\nDerived from the simulator models; matches the paper's\n"

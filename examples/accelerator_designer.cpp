@@ -6,7 +6,8 @@
 #include <iostream>
 #include <string>
 
-#include "core/experiment.hpp"
+#include "core/scenario_suite.hpp"
+#include "dnn/model_zoo.hpp"
 #include "hw/synthesis.hpp"
 #include "hw/wde_modules.hpp"
 #include "util/table.hpp"
@@ -22,32 +23,47 @@ int main(int argc, char** argv) {
   util::Table table({"memory [KB]", "PEs", "mult/PE", "row bits", "K",
                      "no-mitig. mean SNM", "DNN-Life mean SNM",
                      "WDE area [cells]"});
+  const dnn::Network net = dnn::make_network(network);
+  const dnn::WeightStreamer streamer(net);
+  const quant::WeightWordCodec codec(streamer,
+                                     quant::WeightFormat::kInt8Symmetric);
+  // Every design point runs both policies; the whole grid is one suite.
+  std::vector<core::ScenarioSpec> specs;
+  std::vector<std::uint32_t> blocks;
   for (std::uint64_t kb : {32ULL, 128ULL, 512ULL}) {
     for (std::uint32_t pes : {4u, 8u, 16u}) {
-      core::ExperimentConfig config;
-      config.network = network;
-      config.format = quant::WeightFormat::kInt8Symmetric;
-      config.hardware = core::HardwareKind::kBaseline;
-      config.baseline.weight_memory_bytes = kb * 1024;
-      config.baseline.pe_count = pes;
-      config.inferences = 100;
-      const core::Workbench bench(config);
-      const auto none = bench.evaluate(PolicyConfig::none());
-      const auto dnn = bench.evaluate(PolicyConfig::dnn_life(0.5));
-      const std::uint32_t row_bits = bench.stream().geometry().row_bits;
-      const auto wde = hw::synthesize(
-          hw::build_dnnlife_wde(row_bits, 4).netlist, "wde");
-      table.add_row(
-          {util::Table::num(kb), util::Table::num(std::uint64_t{pes}),
-           util::Table::num(std::uint64_t{
-               config.baseline.multipliers_per_pe}),
-           util::Table::num(std::uint64_t{row_bits}),
-           util::Table::num(std::uint64_t{
-               bench.stream().blocks_per_inference()}),
-           util::Table::num(none.snm_stats.mean(), 2),
-           util::Table::num(dnn.snm_stats.mean(), 2),
-           util::Table::num(wde.area_cells, 0)});
+      core::ScenarioSpec spec;
+      spec.format = quant::WeightFormat::kInt8Symmetric;
+      spec.hardware = core::HardwareKind::kBaseline;
+      spec.baseline.weight_memory_bytes = kb * 1024;
+      spec.baseline.pe_count = pes;
+      spec.phases = {{network, 100, {}}};
+      blocks.push_back(
+          sim::BaselineWeightStream(codec, spec.baseline).blocks_per_inference());
+      for (const PolicyConfig& policy :
+           {PolicyConfig::none(), PolicyConfig::dnn_life(0.5)}) {
+        spec.regions = {{"memory", 1.0, policy}};
+        specs.push_back(spec);
+      }
     }
+  }
+  const std::vector<core::ScenarioResult> results = core::run_specs(specs);
+  for (std::size_t point = 0; point < blocks.size(); ++point) {
+    const core::ScenarioSpec& spec = specs[2 * point];
+    const auto& none = results[2 * point].report;
+    const auto& dnn = results[2 * point + 1].report;
+    const std::uint32_t row_bits = results[2 * point].geometry.row_bits;
+    const auto wde = hw::synthesize(
+        hw::build_dnnlife_wde(row_bits, 4).netlist, "wde");
+    table.add_row(
+        {util::Table::num(spec.baseline.weight_memory_bytes / 1024),
+         util::Table::num(std::uint64_t{spec.baseline.pe_count}),
+         util::Table::num(std::uint64_t{spec.baseline.multipliers_per_pe}),
+         util::Table::num(std::uint64_t{row_bits}),
+         util::Table::num(std::uint64_t{blocks[point]}),
+         util::Table::num(none.snm_stats.mean(), 2),
+         util::Table::num(dnn.snm_stats.mean(), 2),
+         util::Table::num(wde.area_cells, 0)});
   }
   std::cout << table.to_string();
   std::cout << "\nTakeaways: DNN-Life holds the optimum (~10.8%) across the\n"

@@ -14,16 +14,16 @@
 //   --activity=A         fraction of lifetime under stress (default 1.0)
 //   --csv=PATH           export the per-region lifetime breakdown as CSV
 // Defaults: custom_mnist int8-symmetric npu 100. Unknown names, numbers
-// with trailing garbage and negative inference counts exit 1.
+// with trailing garbage and negative or zero inference counts exit 1.
 #include <iostream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "aging/lifetime.hpp"
 #include "aging/model_registry.hpp"
-#include "core/experiment.hpp"
-#include "core/fast_simulator.hpp"
+#include "core/scenario_suite.hpp"
+#include "dnn/model_zoo.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
@@ -32,16 +32,17 @@ int run_audit(int argc, char** argv) {
   using namespace dnnlife;
   using core::PolicyConfig;
 
-  core::ExperimentConfig config;
+  core::ScenarioSpec spec;
+  aging::EnvironmentSpec environment;
   std::string csv_path;
   util::FlagTable flags("example_aging_audit",
                         "[network] [format] [hardware] [inferences]", 4);
-  flags.add(util::text_flag("aging-model", "NAME", config.aging_model,
+  flags.add(util::text_flag("aging-model", "NAME", spec.aging_model,
                             "registered device-aging model"))
-      .add(util::real_flag("temperature", "C",
-                           config.environment.temperature_c, "temperature [°C]"))
-      .add(util::real_flag("vdd", "V", config.environment.vdd, "relative vdd"))
-      .add(util::real_flag("activity", "A", config.environment.activity_scale,
+      .add(util::real_flag("temperature", "C", environment.temperature_c,
+                           "temperature [°C]"))
+      .add(util::real_flag("vdd", "V", environment.vdd, "relative vdd"))
+      .add(util::real_flag("activity", "A", environment.activity_scale,
                            "fraction of lifetime under stress"))
       .add(util::text_flag("csv", "PATH", csv_path, "per-region CSV"));
   if (!flags.parse(argc, argv)) return 1;
@@ -49,46 +50,68 @@ int run_audit(int argc, char** argv) {
   const std::vector<std::string> defaults = {"custom_mnist", "int8-symmetric",
                                              "npu", "100"};
   args.insert(args.end(), defaults.begin() + args.size(), defaults.end());
-  config.network = args[0];
-  config.format = quant::weight_format_from_string(args[1]);
+  const std::string& network = args[0];
+  spec.format = quant::weight_format_from_string(args[1]);
   if (args[2] != "baseline" && args[2] != "npu")
     throw std::invalid_argument("unknown hardware '" + args[2] +
                                 "' (expected baseline or npu)");
-  config.hardware = args[2] == "baseline" ? core::HardwareKind::kBaseline
-                                          : core::HardwareKind::kTpuNpu;
-  if (!util::parse_unsigned_flag(args[3], config.inferences))
+  spec.hardware = args[2] == "baseline" ? core::HardwareKind::kBaseline
+                                        : core::HardwareKind::kTpuNpu;
+  unsigned inferences = 0;
+  if (!util::parse_unsigned_flag(args[3], inferences))
     throw std::invalid_argument("inferences expects a number, got '" +
                                 args[3] + "'");
-  // Fail flag mistakes before the (expensive) workbench build.
-  aging::AgingModelRegistry::instance().check(config.aging_model);
-  aging::validate_environment(config.environment);
+  // A dormant phase ages nothing and has no lifetime to audit.
+  if (inferences == 0)
+    throw std::invalid_argument("inferences must be at least 1");
+  // Fail flag mistakes before the (expensive) payload build.
+  aging::AgingModelRegistry::instance().check(spec.aging_model);
+  aging::validate_environment(environment);
+  // One phase: the whole lifetime sits at the audited operating point,
+  // evaluated through the registry-selected model.
+  spec.phases = {{.network = network,
+                  .inferences = inferences,
+                  .environment = environment}};
 
-  std::cout << "Aging audit: " << config.network << ", "
-            << quant::to_string(config.format) << ", "
-            << core::to_string(config.hardware) << ", " << config.inferences
+  std::cout << "Aging audit: " << network << ", "
+            << quant::to_string(spec.format) << ", "
+            << core::to_string(spec.hardware) << ", " << inferences
             << " inferences, 7-year horizon\n"
-            << "model: " << config.aging_model << " @ "
-            << config.environment.temperature_c << "C, "
-            << config.environment.vdd << " vdd, "
-            << config.environment.activity_scale << " activity\n\n";
+            << "model: " << spec.aging_model << " @ "
+            << environment.temperature_c << "C, " << environment.vdd
+            << " vdd, " << environment.activity_scale << " activity\n\n";
 
-  const core::Workbench bench(config);
-  std::cout << "weight memory: " << bench.stream().geometry().rows
-            << " rows x " << bench.stream().geometry().row_bits
-            << " bits; K = " << bench.stream().blocks_per_inference()
-            << " mappings/inference; "
-            << bench.stream().writes_per_inference() << " row writes\n\n";
+  {
+    const dnn::Network net = dnn::make_network(network);
+    const dnn::WeightStreamer streamer(net);
+    const quant::WeightWordCodec codec(streamer, spec.format);
+    std::unique_ptr<sim::WriteStream> stream;
+    if (spec.hardware == core::HardwareKind::kBaseline)
+      stream = std::make_unique<sim::BaselineWeightStream>(codec, spec.baseline);
+    else
+      stream = std::make_unique<sim::NpuWeightStream>(codec, spec.npu);
+    std::cout << "weight memory: " << stream->geometry().rows << " rows x "
+              << stream->geometry().row_bits
+              << " bits; K = " << stream->blocks_per_inference()
+              << " mappings/inference; " << stream->writes_per_inference()
+              << " row writes\n\n";
+  }
 
   const std::vector<PolicyConfig> policies = {
       PolicyConfig::none(),
       PolicyConfig::inversion(),
-      PolicyConfig::barrel_shifter(quant::bits_per_weight(config.format)),
+      PolicyConfig::barrel_shifter(quant::bits_per_weight(spec.format)),
       PolicyConfig::dnn_life(0.5),
       PolicyConfig::dnn_life(0.7, false),
       PolicyConfig::dnn_life(0.7, true, 4),
   };
+  std::vector<core::ScenarioSpec> specs;
+  for (const PolicyConfig& policy : policies) {
+    spec.regions = {{"memory", 1.0, policy}};
+    specs.push_back(spec);
+  }
+  const std::vector<core::ScenarioResult> results = core::run_specs(specs);
 
-  const aging::LifetimeModel lifetime_model(bench.shared_model());
   std::unique_ptr<util::CsvWriter> csv;
   if (!csv_path.empty())
     csv = std::make_unique<util::CsvWriter>(
@@ -100,20 +123,11 @@ int run_audit(int argc, char** argv) {
 
   util::Table table({"policy", "mean SNM [%]", "max SNM [%]", "mean duty",
                      "% optimal", "lifetime [y]", "x worst"});
-  for (const auto& policy : policies) {
-    auto bound = policy;
-    bound.weight_bits = bench.codec().bits();
-    core::FastSimOptions options;
-    options.inferences = config.inferences;
-    options.threads = config.simulator_threads;
-    const auto tracker = core::simulate_fast(bench.stream(), bound, options);
-    // One environment segment: the whole lifetime sits at the audited
-    // operating point, evaluated through the registry-selected model.
-    const aging::EnvironmentSegmentView segment{&tracker, config.environment};
-    const auto report =
-        make_aging_report({&segment, 1}, bench.model(), config.report);
-    const auto lifetime = make_lifetime_report({&segment, 1}, lifetime_model);
-    table.add_row({policy.name(), util::Table::num(report.snm_stats.mean(), 2),
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    const std::string name = policies[i].name();
+    const aging::AgingReport& report = results[i].report;
+    const aging::LifetimeReport& lifetime = *results[i].lifetime;
+    table.add_row({name, util::Table::num(report.snm_stats.mean(), 2),
                    util::Table::num(report.snm_stats.max(), 2),
                    util::Table::num(report.duty_stats.mean(), 3),
                    util::Table::num(100.0 * report.fraction_optimal, 1),
@@ -125,7 +139,7 @@ int run_audit(int argc, char** argv) {
       for (std::size_t r = 0; r < report.regions.size(); ++r) {
         const aging::RegionAging& region = report.regions[r];
         const aging::RegionLifetime& region_lifetime = lifetime.regions[r];
-        csv->add_row({policy.name(), region.name,
+        csv->add_row({name, region.name,
                       std::to_string(region.total_cells),
                       std::to_string(region.unused_cells),
                       util::Table::num(region.snm_stats.mean(), 4),
@@ -141,7 +155,7 @@ int run_audit(int argc, char** argv) {
   std::cout << "\n'% optimal' counts cells within 2 percentage points of the\n"
                "minimum achievable degradation; 'lifetime' is the first-cell\n"
                "failure at the "
-            << lifetime_model.params().snm_failure_threshold
+            << spec.lifetime.snm_failure_threshold
             << "% SNM threshold under the selected model.\n";
   if (csv)
     std::cout << "per-region lifetime breakdown written to " << csv_path

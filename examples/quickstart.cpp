@@ -10,8 +10,8 @@
 #include <iostream>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "core/metadata_store.hpp"
+#include "core/scenario_suite.hpp"
 #include "core/transducer.hpp"
 #include "core/trbg.hpp"
 #include "dnn/inference.hpp"
@@ -101,17 +101,21 @@ int main(int argc, char** argv) {
             << (roundtrip == reference ? "  (outputs identical)" : "  (MISMATCH!)")
             << "\n\n";
 
-  // 4. Aging with and without the selected mitigation.
-  core::ExperimentConfig config;
-  config.network = "custom_mnist";
-  config.format = quant::WeightFormat::kInt8Symmetric;
-  config.hardware = cli_hardware;
-  config.inferences = 100;
+  // 4. Aging with and without the selected mitigation: two scenario points
+  //    that differ only in their whole-memory policy.
+  core::ScenarioSpec unprotected_spec;
+  unprotected_spec.format = quant::WeightFormat::kInt8Symmetric;
+  unprotected_spec.hardware = cli_hardware;
+  unprotected_spec.phases = {{"custom_mnist", 100, {}}};
+  unprotected_spec.regions = {{"memory", 1.0, core::PolicyConfig::none()}};
+  core::ScenarioSpec protected_spec = unprotected_spec;
+  protected_spec.regions = {{"memory", 1.0, cli_policy}};
   std::cout << "aging on " << core::to_string(cli_hardware) << " with "
             << cli_policy.name() << ":\n";
-  const core::Workbench bench(config);
-  const auto unprotected = bench.evaluate(core::PolicyConfig::none());
-  const auto protected_ = bench.evaluate(cli_policy);
+  const std::vector<core::ScenarioResult> results =
+      core::run_specs(std::vector{unprotected_spec, protected_spec});
+  const aging::AgingReport& unprotected = results[0].report;
+  const aging::AgingReport& protected_ = results[1].report;
 
   util::Table table({"", "without mitigation", "with " + cli_policy.name()});
   table.add_row({"mean SNM degradation (7y)",

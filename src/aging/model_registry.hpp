@@ -1,7 +1,7 @@
 // Name-based device-aging-model registry (the aging-side mirror of
-// core::PolicyRegistry): scenario JSON, ExperimentConfig and the example
-// CLIs select degradation physics by name, and external models plug in
-// without touching the report or lifetime layers.
+// core::PolicyRegistry): scenario JSON and the example CLIs select
+// degradation physics by name, and external models plug in without
+// touching the report or lifetime layers.
 #pragma once
 
 #include <functional>

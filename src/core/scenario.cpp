@@ -24,6 +24,23 @@
 
 namespace dnnlife::core {
 
+std::string to_string(HardwareKind kind) {
+  switch (kind) {
+    case HardwareKind::kBaseline: return "baseline-accelerator";
+    case HardwareKind::kTpuNpu: return "tpu-like-npu";
+  }
+  return "unknown";
+}
+
+HardwareKind hardware_kind_from_string(std::string_view name) {
+  for (const HardwareKind kind : {HardwareKind::kBaseline, HardwareKind::kTpuNpu}) {
+    if (name == to_string(kind)) return kind;
+  }
+  throw std::invalid_argument(
+      "unknown hardware kind '" + std::string(name) +
+      "' (expected one of: baseline-accelerator, tpu-like-npu)");
+}
+
 namespace {
 
 using util::JsonValue;

@@ -6,25 +6,40 @@
 // production sweep is a list of specs (or JSON files) instead of bespoke
 // driver code wiring networks, codecs, streams and simulators by hand.
 //
-// Layering: scenario → workbench/workload → policy engine → simulators.
+// Layering: scenario → workload → policy engine → simulators. Every
+// aging report of the benches and examples comes from run_scenario, alone
+// or as a ScenarioSuite point.
 #pragma once
 
 #include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "aging/lifetime.hpp"
 #include "aging/model_registry.hpp"
 #include "aging/snm_histogram.hpp"
-#include "core/experiment.hpp"
 #include "core/region_policy.hpp"
+#include "dnn/weight_gen.hpp"
+#include "quant/word_codec.hpp"
+#include "sim/accelerator.hpp"
 #include "sim/encoded_rows.hpp"
+#include "sim/tpu_npu.hpp"
 
 namespace dnnlife::core {
+
+enum class HardwareKind { kBaseline, kTpuNpu };
+
+std::string to_string(HardwareKind kind);
+
+/// Inverse of to_string(HardwareKind) — round-trips every kind. Throws
+/// std::invalid_argument (listing the valid names) for anything else.
+HardwareKind hardware_kind_from_string(std::string_view name);
 
 /// One lifetime phase: a network run for a number of inferences on the
 /// scenario's hardware, in an operating environment. Zero inferences

@@ -147,6 +147,22 @@ std::vector<SuiteOutcome> ScenarioSuite::run(
   return outcomes;
 }
 
+std::vector<ScenarioResult> run_specs(std::span<const ScenarioSpec> specs,
+                                      const SuiteRunOptions& options) {
+  ScenarioSuite suite;
+  for (const ScenarioSpec& spec : specs)
+    suite.add(SuiteEntry{spec.name + ".json", spec, {}});
+  std::vector<ScenarioResult> results;
+  results.reserve(specs.size());
+  for (SuiteOutcome& outcome : suite.run(options)) {
+    if (!outcome.ok)
+      throw std::runtime_error("scenario '" + outcome.name +
+                               "' failed: " + outcome.error);
+    results.push_back(std::move(*outcome.result));
+  }
+  return results;
+}
+
 namespace {
 
 constexpr double kAbsent = std::numeric_limits<double>::quiet_NaN();

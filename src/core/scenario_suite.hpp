@@ -18,9 +18,8 @@
 // shard summaries into the byte-identical aggregate a single-machine run
 // would have produced.
 //
-// Layering: suite → scenario → workbench/workload → policy engines →
-// simulators. This runner shards across cores; SuiteShard shards across
-// machines.
+// Layering: suite → scenario → workload → policy engines → simulators.
+// This runner shards across cores; SuiteShard shards across machines.
 #pragma once
 
 #include <cstdint>
@@ -184,6 +183,14 @@ class ScenarioSuite {
  private:
   std::vector<SuiteEntry> entries_;
 };
+
+/// Run in-memory specs as one suite (entries "<name>.json" without a
+/// document, so payloads build once per key and points run concurrently)
+/// and return each result in spec order. Throws std::runtime_error naming
+/// the first spec that failed. For callers that print reports, not
+/// summaries.
+std::vector<ScenarioResult> run_specs(std::span<const ScenarioSpec> specs,
+                                      const SuiteRunOptions& options = {});
 
 /// One summary row: the whole-memory metrics of an outcome reduced to the
 /// values the CSV/JSON emitters print. Built either from a live

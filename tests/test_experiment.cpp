@@ -1,47 +1,56 @@
 // End-to-end integration tests of the DNN-Life framework API: scaled-down
-// versions of the paper's Fig. 9 / Fig. 11 experiments, checking the
-// qualitative orderings the paper reports.
+// versions of the paper's Fig. 9 / Fig. 11 experiments, run as one-phase
+// scenarios, checking the qualitative orderings the paper reports.
 #include <gtest/gtest.h>
 
-#include "core/experiment.hpp"
+#include "core/scenario_suite.hpp"
 
 namespace dnnlife::core {
 namespace {
 
-/// Scaled-down baseline experiment (small memory so tests stay fast).
-ExperimentConfig small_baseline(quant::WeightFormat format) {
-  ExperimentConfig config;
-  config.network = "custom_mnist";
-  config.format = format;
-  config.hardware = HardwareKind::kBaseline;
-  config.baseline.weight_memory_bytes = 16 * 1024;
-  config.inferences = 100;
-  return config;
+ScenarioSpec one_phase(quant::WeightFormat format, HardwareKind hardware) {
+  ScenarioSpec spec;
+  spec.format = format;
+  spec.hardware = hardware;
+  spec.phases = {{"custom_mnist", 100, {}}};
+  return spec;
 }
 
-ExperimentConfig npu_config(quant::WeightFormat format) {
-  ExperimentConfig config;
-  config.network = "custom_mnist";
-  config.format = format;
-  config.hardware = HardwareKind::kTpuNpu;
-  config.inferences = 100;
-  return config;
+/// Scaled-down baseline experiment (small memory so tests stay fast).
+ScenarioSpec small_baseline(quant::WeightFormat format) {
+  ScenarioSpec spec = one_phase(format, HardwareKind::kBaseline);
+  spec.baseline.weight_memory_bytes = 16 * 1024;
+  return spec;
+}
+
+ScenarioSpec npu_config(quant::WeightFormat format) {
+  return one_phase(format, HardwareKind::kTpuNpu);
+}
+
+/// The spec's aging report with `policy` over the whole memory.
+aging::AgingReport evaluate(ScenarioSpec spec, const PolicyConfig& policy) {
+  spec.regions = {{"memory", 1.0, policy}};
+  return run_scenario(spec).report;
 }
 
 TEST(Experiment, RunsEndToEnd) {
-  auto config = small_baseline(quant::WeightFormat::kInt8Symmetric);
-  config.policy = PolicyConfig::dnn_life(0.5);
-  const auto report = run_aging_experiment(config);
+  const auto report = evaluate(
+      small_baseline(quant::WeightFormat::kInt8Symmetric),
+      PolicyConfig::dnn_life(0.5));
   EXPECT_EQ(report.total_cells, 16u * 1024 * 8);
   EXPECT_GT(report.snm_stats.mean(), 10.0);
   EXPECT_LT(report.snm_stats.mean(), 27.0);
 }
 
-TEST(Experiment, WorkbenchSharesStreamAcrossPolicies) {
-  const auto config = small_baseline(quant::WeightFormat::kInt8Symmetric);
-  Workbench bench(config);
-  const auto none = bench.evaluate(PolicyConfig::none());
-  const auto dnn = bench.evaluate(PolicyConfig::dnn_life(0.5));
+TEST(Experiment, SuiteSharesStreamAcrossPolicies) {
+  std::vector<ScenarioSpec> specs(
+      2, small_baseline(quant::WeightFormat::kInt8Symmetric));
+  specs[0].regions = {{"memory", 1.0, PolicyConfig::none()}};
+  specs[1].regions = {{"memory", 1.0, PolicyConfig::dnn_life(0.5)}};
+  const std::vector<ScenarioResult> results = run_specs(specs);
+  ASSERT_EQ(results.size(), 2u);
+  const auto& none = results[0].report;
+  const auto& dnn = results[1].report;
   EXPECT_EQ(none.total_cells, dnn.total_cells);
   EXPECT_LE(dnn.snm_stats.mean(), none.snm_stats.mean() + 1e-9);
 }
@@ -52,8 +61,8 @@ TEST(Experiment, DnnLifeAchievesOptimalAgingOnAllFormats) {
   for (auto format : {quant::WeightFormat::kFloat32,
                       quant::WeightFormat::kInt8Symmetric,
                       quant::WeightFormat::kInt8Asymmetric}) {
-    Workbench bench(small_baseline(format));
-    const auto report = bench.evaluate(PolicyConfig::dnn_life(0.5));
+    const auto report =
+        evaluate(small_baseline(format), PolicyConfig::dnn_life(0.5));
     EXPECT_GT(report.fraction_optimal, 0.99)
         << quant::to_string(format);
     EXPECT_LT(report.snm_stats.mean(), 11.6) << quant::to_string(format);
@@ -63,11 +72,11 @@ TEST(Experiment, DnnLifeAchievesOptimalAgingOnAllFormats) {
 TEST(Experiment, BiasedTrbgNeedsBalancing) {
   // Paper Fig. 9 (11) vs (8): bias 0.7 without balancing degrades the
   // mitigation; the 4-bit balancer restores it.
-  Workbench bench(small_baseline(quant::WeightFormat::kInt8Asymmetric));
+  const auto spec = small_baseline(quant::WeightFormat::kInt8Asymmetric);
   const auto without =
-      bench.evaluate(PolicyConfig::dnn_life(0.7, /*bias_balancing=*/false));
+      evaluate(spec, PolicyConfig::dnn_life(0.7, /*bias_balancing=*/false));
   const auto with =
-      bench.evaluate(PolicyConfig::dnn_life(0.7, /*bias_balancing=*/true, 4));
+      evaluate(spec, PolicyConfig::dnn_life(0.7, /*bias_balancing=*/true, 4));
   EXPECT_GT(without.snm_stats.mean(), with.snm_stats.mean() + 0.5);
   EXPECT_GT(with.fraction_optimal, 0.99);
   // Cells whose data is already ~50/50 stay balanced even under a biased
@@ -78,9 +87,9 @@ TEST(Experiment, BiasedTrbgNeedsBalancing) {
 }
 
 TEST(Experiment, NoMitigationIsWorstOnBiasedFormat) {
-  Workbench bench(small_baseline(quant::WeightFormat::kInt8Asymmetric));
-  const auto none = bench.evaluate(PolicyConfig::none());
-  const auto dnn = bench.evaluate(PolicyConfig::dnn_life(0.5));
+  const auto spec = small_baseline(quant::WeightFormat::kInt8Asymmetric);
+  const auto none = evaluate(spec, PolicyConfig::none());
+  const auto dnn = evaluate(spec, PolicyConfig::dnn_life(0.5));
   // Without mitigation a large share of cells sits far from optimal.
   EXPECT_LT(none.fraction_optimal, 0.7);
   EXPECT_GT(none.snm_stats.max(), 20.0);
@@ -90,9 +99,9 @@ TEST(Experiment, NoMitigationIsWorstOnBiasedFormat) {
 TEST(Experiment, BarrelShifterSuboptimalOnAsymmetricFormat) {
   // Paper observation 3: the asymmetric format's average P('1') != 0.5,
   // so rotation cannot balance duty-cycle.
-  Workbench bench(small_baseline(quant::WeightFormat::kInt8Asymmetric));
-  const auto barrel = bench.evaluate(PolicyConfig::barrel_shifter(8));
-  const auto dnn = bench.evaluate(PolicyConfig::dnn_life(0.5));
+  const auto spec = small_baseline(quant::WeightFormat::kInt8Asymmetric);
+  const auto barrel = evaluate(spec, PolicyConfig::barrel_shifter(8));
+  const auto dnn = evaluate(spec, PolicyConfig::dnn_life(0.5));
   EXPECT_GT(barrel.snm_stats.mean(), dnn.snm_stats.mean() + 0.3);
   EXPECT_LT(barrel.fraction_optimal, dnn.fraction_optimal);
 }
@@ -101,9 +110,9 @@ TEST(Experiment, NpuInversionFailsOnCustomNet) {
   // Paper Fig. 11 (3): on the TPU-like NPU the custom net writes each FIFO
   // slot only once or twice per inference, so schedule-driven inversion
   // leaves most cells at extreme duty-cycles.
-  Workbench bench(npu_config(quant::WeightFormat::kInt8Symmetric));
-  const auto inversion = bench.evaluate(PolicyConfig::inversion());
-  const auto dnn = bench.evaluate(PolicyConfig::dnn_life(0.7, true, 4));
+  const auto spec = npu_config(quant::WeightFormat::kInt8Symmetric);
+  const auto inversion = evaluate(spec, PolicyConfig::inversion());
+  const auto dnn = evaluate(spec, PolicyConfig::dnn_life(0.7, true, 4));
   EXPECT_LT(inversion.fraction_optimal, 0.5);
   EXPECT_GT(inversion.snm_stats.max(), 25.0);
   // Paper Fig. 11 (7)-(9): DNN-Life brings every cell near the optimum —
@@ -116,11 +125,11 @@ TEST(Experiment, NpuInversionFailsOnCustomNet) {
 }
 
 TEST(Experiment, NpuDnnLifeBeatsAllBaselines) {
-  Workbench bench(npu_config(quant::WeightFormat::kInt8Symmetric));
-  const auto none = bench.evaluate(PolicyConfig::none());
-  const auto inversion = bench.evaluate(PolicyConfig::inversion());
-  const auto barrel = bench.evaluate(PolicyConfig::barrel_shifter(8));
-  const auto dnn = bench.evaluate(PolicyConfig::dnn_life(0.7, true, 4));
+  const auto spec = npu_config(quant::WeightFormat::kInt8Symmetric);
+  const auto none = evaluate(spec, PolicyConfig::none());
+  const auto inversion = evaluate(spec, PolicyConfig::inversion());
+  const auto barrel = evaluate(spec, PolicyConfig::barrel_shifter(8));
+  const auto dnn = evaluate(spec, PolicyConfig::dnn_life(0.7, true, 4));
   EXPECT_LT(dnn.snm_stats.mean(), none.snm_stats.mean());
   EXPECT_LT(dnn.snm_stats.mean(), inversion.snm_stats.mean());
   EXPECT_LT(dnn.snm_stats.mean(), barrel.snm_stats.mean());
@@ -128,33 +137,24 @@ TEST(Experiment, NpuDnnLifeBeatsAllBaselines) {
 
 TEST(Experiment, ReferenceSimulatorAgreesEndToEnd) {
   auto config = small_baseline(quant::WeightFormat::kInt8Symmetric);
-  config.inferences = 4;
-  config.policy = PolicyConfig::inversion();
+  config.phases.front().inferences = 4;
   config.use_reference_simulator = true;
-  const auto reference = run_aging_experiment(config);
+  const auto reference = evaluate(config, PolicyConfig::inversion());
   config.use_reference_simulator = false;
-  const auto fast = run_aging_experiment(config);
+  const auto fast = evaluate(config, PolicyConfig::inversion());
   EXPECT_NEAR(reference.snm_stats.mean(), fast.snm_stats.mean(), 1e-9);
   EXPECT_NEAR(reference.fraction_optimal, fast.fraction_optimal, 1e-12);
 }
 
 TEST(Experiment, YearsScaleDegradation) {
-  auto config = small_baseline(quant::WeightFormat::kInt8Symmetric);
-  config.policy = PolicyConfig::none();
-  Workbench bench(config);
-  auto short_report = bench.evaluate(PolicyConfig::none());
+  const auto config = small_baseline(quant::WeightFormat::kInt8Symmetric);
+  const auto short_report = evaluate(config, PolicyConfig::none());
   // Change horizon via report options.
   auto cfg2 = config;
   cfg2.report.years = 1.0;
   cfg2.report.hist_lo = 0.0;
-  Workbench bench2(cfg2);
-  const auto one_year = bench2.evaluate(PolicyConfig::none());
+  const auto one_year = evaluate(cfg2, PolicyConfig::none());
   EXPECT_LT(one_year.snm_stats.mean(), short_report.snm_stats.mean());
-}
-
-TEST(Experiment, HardwareKindNames) {
-  EXPECT_EQ(to_string(HardwareKind::kBaseline), "baseline-accelerator");
-  EXPECT_EQ(to_string(HardwareKind::kTpuNpu), "tpu-like-npu");
 }
 
 TEST(Experiment, PluggableAgingModels) {
@@ -162,18 +162,11 @@ TEST(Experiment, PluggableAgingModels) {
   // every registered model can be evaluated against the same duty-cycle
   // data.
   auto config = small_baseline(quant::WeightFormat::kInt8Symmetric);
-  config.inferences = 20;
-  const Workbench bench(config);
+  config.phases.front().inferences = 20;
   for (const std::string& name : aging::AgingModelRegistry::instance().names()) {
-    const auto model = aging::make_aging_model(name);
-    StreamRunOptions options;
-    options.inferences = 20;
-    const auto none =
-        run_policy_on_stream(bench.stream(), PolicyConfig::none(), *model,
-                             config.environment, config.report, options);
-    const auto dnn =
-        run_policy_on_stream(bench.stream(), PolicyConfig::dnn_life(0.5),
-                             *model, config.environment, config.report, options);
+    config.aging_model = name;
+    const auto none = evaluate(config, PolicyConfig::none());
+    const auto dnn = evaluate(config, PolicyConfig::dnn_life(0.5));
     // Duty balancing helps under every device model.
     EXPECT_LE(dnn.snm_stats.mean(), none.snm_stats.mean() + 1e-9) << name;
     EXPECT_LT(dnn.snm_stats.max(), none.snm_stats.max() + 1e-9) << name;
@@ -183,9 +176,8 @@ TEST(Experiment, PluggableAgingModels) {
 TEST(Experiment, NpuFloat32AlsoBalanced) {
   // Fig. 11 uses int8-symmetric; the framework is format-agnostic.
   auto config = npu_config(quant::WeightFormat::kFloat32);
-  config.inferences = 20;
-  const Workbench bench(config);
-  const auto report = bench.evaluate(PolicyConfig::dnn_life(0.5));
+  config.phases.front().inferences = 20;
+  const auto report = evaluate(config, PolicyConfig::dnn_life(0.5));
   EXPECT_LT(report.snm_stats.mean(), 14.0);
   EXPECT_NEAR(report.duty_stats.mean(), 0.5, 0.02);
 }

@@ -5,15 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/fast_simulator.hpp"
 #include "core/scenario.hpp"
 #include "core/sim_cache.hpp"
 #include "core/workload.hpp"
+#include "dnn/model_zoo.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace dnnlife::core {
 namespace {
@@ -177,6 +181,22 @@ TEST(ScenarioParse, HardwareAndFormatNamesRoundTrip) {
                std::invalid_argument);
 }
 
+TEST(ScenarioParse, HardwareKindNames) {
+  EXPECT_EQ(to_string(HardwareKind::kBaseline), "baseline-accelerator");
+  EXPECT_EQ(to_string(HardwareKind::kTpuNpu), "tpu-like-npu");
+  // The example CLIs' short aliases are not hardware kind names; the
+  // error lists the names that are.
+  try {
+    hardware_kind_from_string("baseline");
+    ADD_FAILURE() << "the short alias parsed";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find(
+                  "baseline-accelerator, tpu-like-npu"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 // ---- end-to-end scenario runs ------------------------------------------------
 
 TEST(ScenarioRun, HybridRegionsEndToEnd) {
@@ -205,33 +225,55 @@ TEST(ScenarioRun, HybridRegionsEndToEnd) {
   EXPECT_GT(result.lifetime->device_lifetime_years, 0.0);
 }
 
+/// The weight stream of `spec`'s hardware for `codec`, built by hand.
+std::unique_ptr<sim::WriteStream> direct_stream(
+    const ScenarioSpec& spec, const quant::WeightWordCodec& codec) {
+  if (spec.hardware == HardwareKind::kBaseline)
+    return std::make_unique<sim::BaselineWeightStream>(codec, spec.baseline);
+  return std::make_unique<sim::NpuWeightStream>(codec, spec.npu);
+}
+
 TEST(ScenarioRun, UniformScenarioMatchesDirectWorkload) {
-  const char* json = R"json({
-    "hardware": "baseline-accelerator",
-    "baseline": {"weight_memory_bytes": 16384},
-    "phases": [{"network": "custom_mnist", "inferences": 6}],
-    "regions": [{"name": "memory", "rows": 1.0,
-                 "policy": {"kind": "inversion"}}]
-  })json";
-  const ScenarioResult result = run_scenario(parse_scenario(json));
-  // Same run assembled by hand through the workbench layer.
-  ExperimentConfig config;
-  config.network = "custom_mnist";
-  config.baseline.weight_memory_bytes = 16384;
-  config.inferences = 6;
-  const Workbench bench(config);
-  const std::vector<WorkloadPhase> phases = {
-      WorkloadPhase{&bench.stream(), 6}};
-  const auto tracker = simulate_workload(
-      phases, RegionPolicyTable::uniform(bench.stream().geometry(),
-                                         PolicyConfig::inversion()));
+  // A one-phase, whole-memory scenario is one simulate_fast run on the
+  // stream built by hand, under phase 0's policy seed derive_seed(seed, 1).
+  // Every sweep golden, store entry and summary digest rests on this seed
+  // convention, so it must hold bit for bit.
+  const dnn::Network network = dnn::make_custom_mnist();
+  const dnn::WeightStreamer streamer(network);
+  const quant::WeightWordCodec codec(streamer,
+                                     quant::WeightFormat::kInt8Symmetric);
   const aging::CalibratedNbtiDeviceModel model;
-  const aging::EnvironmentSegmentView segment{&tracker, {}};
-  const auto direct = make_aging_report({&segment, 1}, model);
-  EXPECT_EQ(result.report.total_cells, direct.total_cells);
-  EXPECT_EQ(result.report.unused_cells, direct.unused_cells);
-  EXPECT_DOUBLE_EQ(result.report.duty_stats.mean(), direct.duty_stats.mean());
-  EXPECT_DOUBLE_EQ(result.report.snm_stats.mean(), direct.snm_stats.mean());
+  for (const HardwareKind hardware :
+       {HardwareKind::kBaseline, HardwareKind::kTpuNpu}) {
+    ScenarioSpec spec;
+    spec.hardware = hardware;
+    spec.baseline.weight_memory_bytes = 16384;
+    spec.npu.array_dim = 16;
+    spec.npu.fifo_tiles = 2;
+    spec.phases = {{"custom_mnist", 6, {}}};
+    const auto stream = direct_stream(spec, codec);
+    for (const PolicyConfig& policy :
+         {PolicyConfig::inversion(), PolicyConfig::dnn_life(0.5),
+          PolicyConfig::dnn_life(0.7, true, 4)}) {
+      SCOPED_TRACE(to_string(hardware) + ", " + policy.name());
+      spec.regions = {{"memory", 1.0, policy}};
+      const ScenarioResult result = run_scenario(spec);
+      PolicyConfig phase0 = policy;
+      phase0.seed = util::derive_seed(policy.seed, 1);
+      phase0.weight_bits = codec.bits();
+      const auto tracker = simulate_fast(*stream, phase0, {6});
+      const aging::EnvironmentSegmentView segment{&tracker, {}};
+      const auto direct = make_aging_report({&segment, 1}, model);
+      EXPECT_EQ(result.report.total_cells, direct.total_cells);
+      EXPECT_EQ(result.report.unused_cells, direct.unused_cells);
+      EXPECT_EQ(result.report.duty_stats.mean(), direct.duty_stats.mean());
+      EXPECT_EQ(result.report.snm_stats.mean(), direct.snm_stats.mean());
+      EXPECT_EQ(result.report.snm_stats.variance(),
+                direct.snm_stats.variance());
+      EXPECT_EQ(result.report.snm_stats.max(), direct.snm_stats.max());
+      EXPECT_EQ(result.report.fraction_optimal, direct.fraction_optimal);
+    }
+  }
 }
 
 // ---- environment / aging-model schema ----------------------------------------
@@ -343,16 +385,16 @@ TEST(ScenarioRun, DefaultModelNominalEnvironmentsMatchLegacyNumbers) {
       {"network": "custom_mnist", "inferences": 3}
     ]
   })json";
-  const ScenarioResult result = run_scenario(parse_scenario(json));
-  ExperimentConfig config;
-  config.network = "custom_mnist";
-  config.baseline.weight_memory_bytes = 16384;
-  const Workbench bench(config);
-  const std::vector<WorkloadPhase> phases = {
-      WorkloadPhase{&bench.stream(), 3}, WorkloadPhase{&bench.stream(), 3}};
+  const ScenarioSpec spec = parse_scenario(json);
+  const ScenarioResult result = run_scenario(spec);
+  const dnn::Network network = dnn::make_custom_mnist();
+  const dnn::WeightStreamer streamer(network);
+  const quant::WeightWordCodec codec(streamer, spec.format);
+  const auto stream = direct_stream(spec, codec);
+  const std::vector<WorkloadPhase> phases = {WorkloadPhase{stream.get(), 3},
+                                             WorkloadPhase{stream.get(), 3}};
   const auto tracker = simulate_workload(
-      phases, RegionPolicyTable::uniform(bench.stream().geometry(),
-                                         PolicyConfig{}));
+      phases, RegionPolicyTable::uniform(stream->geometry(), PolicyConfig{}));
   const aging::CalibratedNbtiDeviceModel model;
   const aging::EnvironmentSegmentView segment{&tracker, {}};
   const auto direct = make_aging_report({&segment, 1}, model);

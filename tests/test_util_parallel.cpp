@@ -1,12 +1,10 @@
-// The deterministic shard partition, parallel_for_shards, and the parallel
-// experiment runner (Workbench::evaluate_all vs sequential evaluate).
+// The deterministic shard partition and parallel_for_shards.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "util/executor.hpp"
 
 namespace dnnlife::util {
@@ -50,30 +48,6 @@ TEST(ParallelForShards, PropagatesExceptions) {
                               throw std::invalid_argument("shard failed");
                           }),
       std::invalid_argument);
-}
-
-TEST(WorkbenchEvaluateAll, MatchesSequentialEvaluateBitExactly) {
-  core::ExperimentConfig config;
-  config.network = "custom_mnist";
-  config.baseline.weight_memory_bytes = 8 * 1024;
-  config.inferences = 10;
-  const core::Workbench bench(config);
-  const std::vector<core::PolicyConfig> policies{
-      core::PolicyConfig::none(), core::PolicyConfig::inversion(),
-      core::PolicyConfig::barrel_shifter(8), core::PolicyConfig::dnn_life(0.5)};
-  const auto parallel_reports = bench.evaluate_all(policies, 4);
-  ASSERT_EQ(parallel_reports.size(), policies.size());
-  for (std::size_t i = 0; i < policies.size(); ++i) {
-    const auto sequential = bench.evaluate(policies[i]);
-    EXPECT_EQ(parallel_reports[i].total_cells, sequential.total_cells);
-    EXPECT_EQ(parallel_reports[i].unused_cells, sequential.unused_cells);
-    EXPECT_EQ(parallel_reports[i].duty_stats.mean(),
-              sequential.duty_stats.mean());
-    EXPECT_EQ(parallel_reports[i].snm_stats.mean(),
-              sequential.snm_stats.mean());
-    EXPECT_EQ(parallel_reports[i].fraction_optimal,
-              sequential.fraction_optimal);
-  }
 }
 
 }  // namespace
