@@ -66,26 +66,32 @@ void BM_Int8Encode(benchmark::State& state) {
 BENCHMARK(BM_Int8Encode);
 
 // One cold payload build: every GoogLeNet weight synthesised, quantised
-// and packed for the TPU-like NPU (array 128), under a thread budget.
+// and packed for the TPU-like NPU (array 128), per format (0 float32,
+// 1 int8-symmetric, 2 int8-asymmetric) under a thread budget.
 void BM_EncodeRowsGoogLeNet(benchmark::State& state) {
   const dnn::Network net = dnn::make_googlenet();
   const dnn::WeightStreamer streamer(net);
-  const quant::WeightWordCodec codec(streamer, quant::WeightFormat::kInt8Symmetric);
+  const auto format = static_cast<quant::WeightFormat>(state.range(0));
+  const quant::WeightWordCodec codec(streamer, format);
   sim::TpuNpuConfig config;
   config.array_dim = 128;
-  const auto threads = static_cast<unsigned>(state.range(0));
+  const auto threads = static_cast<unsigned>(state.range(1));
   for (auto _ : state) {
     const auto rows =
         sim::EncodedRows::build(codec, sim::npu_dataflow(config), threads);
     benchmark::DoNotOptimize(rows->row(0).data());
   }
+  state.SetLabel(quant::to_string(format));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(net.total_weights()));
 }
 BENCHMARK(BM_EncodeRowsGoogLeNet)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(4)
+    ->ArgNames({"format", "threads"})
+    ->ArgsProduct(
+        {{static_cast<std::int64_t>(quant::WeightFormat::kInt8Symmetric),
+          static_cast<std::int64_t>(quant::WeightFormat::kInt8Asymmetric),
+          static_cast<std::int64_t>(quant::WeightFormat::kFloat32)},
+         {1, 4}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -13,6 +13,7 @@
 // materialised, and any traversal order sees identical values.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -51,16 +52,68 @@ struct WeightRange {
   double abs_max() const noexcept;
 };
 
+/// What a pass over part of a layer learns about its range: the two
+/// smallest and two largest counter draws (Laplace) or the fold of the
+/// values (Gaussian). Scans of parts merge in any order.
+struct RangeScan {
+  static constexpr std::uint64_t kNoDraw = ~std::uint64_t{0};
+  std::uint64_t low[2] = {kNoDraw, kNoDraw};  ///< smallest draws, ascending
+  std::uint64_t high[2] = {0, 0};              ///< largest draws, descending
+  WeightRange values;                          ///< Gaussian only
+
+  /// Branch-free, so independent scans vectorise.
+  void add_draw(std::uint64_t draw) noexcept {
+    low[1] = std::min(low[1], std::max(low[0], draw));
+    low[0] = std::min(low[0], draw);
+    high[1] = std::max(high[1], std::min(high[0], draw));
+    high[0] = std::max(high[0], draw);
+  }
+  void merge(const RangeScan& other) noexcept;
+};
+
+/// Synthesises the weights of a network. A weight is value_at_draw() of
+/// its layer's 53-bit counter draw m. For Laplace weights that is
+/// non-decreasing in m: the inverse CDF scales each sign half by a
+/// positive constant and the halves meet at 0, the tail factor is positive
+/// on each half, and the float cast rounds monotonically — up to the libm
+/// `log` error, which kDrawGuard bounds. So a Laplace layer's [min, max],
+/// and any monotone function of its values such as an int8 code
+/// (quant::DrawCodes), follows from its draws alone, with no `log` per
+/// weight.
 class WeightStreamer {
  public:
+  /// Draws this far apart never come out of order in value_at_draw(), for
+  /// any `log` error up to about 1,000 ulp (derivation in
+  /// sim/encoded_rows.hpp).
+  static constexpr std::uint64_t kDrawGuard = 1024;
+
   WeightStreamer(const Network& network, WeightGenConfig config = {});
 
   const Network& network() const noexcept { return *network_; }
   const WeightGenConfig& config() const noexcept { return config_; }
 
   /// The value of the global weight index `g` (see Network for ordering).
-  /// The scalar reference: fill() must agree with it bit for bit.
+  /// The scalar reference: fill() and every payload build agree with it.
   float weight(std::uint64_t g) const;
+
+  /// The value of weighted layer `w` at counter draw m =
+  /// layer_rng(w).draw_at(local index): the one copy of the synthesis
+  /// arithmetic, which weight(), fill() and quant::DrawCodes all evaluate.
+  float value_at_draw(std::size_t w, std::uint64_t m) const {
+    const double value =
+        config_.distribution == WeightDistribution::kLaplace
+            ? util::CounterRng::laplace_of_draw(m, scales_[w])
+            : scales_[w] * util::CounterRng::gaussian_of_draw(m);
+    if (config_.tail_asymmetry == 0.0) return static_cast<float>(value);
+    // Skew the two half-distributions, renormalised to keep stddev sigma:
+    // Var[skewed] = sigma^2 * ((1+g)^2 + (1-g)^2) / 2 = sigma^2 (1 + g^2).
+    // An indexed load, not a branch: the sign is a coin flip.
+    return static_cast<float>(value * tail_factor_[value > 0.0]);
+  }
+
+  /// Laplace: the analytic inverse (via exp) of value_at_draw(), a guess
+  /// for exact searches over the draw.
+  double draw_near(std::size_t w, double value) const;
 
   /// Values of weighted layer `w` (index into Network::weighted_layers())
   /// at local indices [local_begin, local_begin + out.size()): element i
@@ -69,10 +122,23 @@ class WeightStreamer {
   void fill(std::size_t w, std::uint64_t local_begin,
             std::span<float> out) const;
 
+  /// The counter generator of weighted layer `w`.
+  const util::CounterRng& layer_rng(std::size_t w) const;
+
   /// Number of weights of weighted layer `w`.
   std::uint64_t layer_weight_count(std::size_t w) const;
 
-  /// [min, max] of weighted layer `w` (one chunked pass, not cached).
+  /// The RangeScan of local indices [begin, begin + count) of layer `w`.
+  RangeScan scan_range(std::size_t w, std::uint64_t begin,
+                       std::uint64_t count) const;
+
+  /// [min, max] of layer `w` from a scan of all of it: for Laplace the
+  /// values at the extreme draws, or a fold of every value when another
+  /// draw lies within kDrawGuard of either. Always equal to a fold of
+  /// weight(g) over the layer.
+  WeightRange range_of(std::size_t w, const RangeScan& scan) const;
+
+  /// range_of(w, scan_range(w, 0, layer_weight_count(w))); not cached.
   WeightRange layer_range(std::size_t w) const;
 
   /// Per-layer Laplace/Gaussian scale parameter (sigma).
@@ -83,6 +149,12 @@ class WeightStreamer {
   WeightGenConfig config_;
   std::vector<util::CounterRng> layer_rngs_;  // one decorrelated stream per layer
   std::vector<double> sigmas_;
+  std::vector<double> scales_;  // Laplace b = sigma / sqrt(2), or sigma
+  double tail_factor_[2] = {1.0, 1.0};  // of values <= 0, and > 0
+
+  /// Fold of the values at local indices [begin, begin + count).
+  WeightRange fold_values(std::size_t w, std::uint64_t begin,
+                          std::uint64_t count) const;
 };
 
 }  // namespace dnnlife::dnn

@@ -1,5 +1,7 @@
 #include "quant/word_codec.hpp"
 
+#include <cmath>
+
 #include "quant/float_bits.hpp"
 #include "util/bitops.hpp"
 
@@ -94,6 +96,73 @@ double WeightWordCodec::decode(std::uint64_t g, std::uint64_t word) const {
     }
   }
   throw std::logic_error("unknown weight format");
+}
+
+DrawCodes::DrawCodes(const dnn::WeightStreamer& streamer, std::size_t w,
+                     const QuantParams& params, std::uint64_t low,
+                     std::uint64_t high)
+    : streamer_(&streamer), w_(w), params_(params) {
+  DNNLIFE_EXPECTS(
+      streamer.config().distribution == dnn::WeightDistribution::kLaplace,
+      "draw thresholds need Laplace weights");
+  DNNLIFE_EXPECTS(low <= high && high < (std::uint64_t{1} << 53),
+                  "draw range outside [0, 2^53)");
+  low_code_ = scalar_code(low);
+  bounds_.push_back(low);
+  const std::int32_t high_code = scalar_code(high);
+  for (std::int32_t code = low_code_ + 1; code <= high_code; ++code)
+    bounds_.push_back(first_reaching(code, bounds_.back(), high));
+  bounds_.push_back(high + 1);
+  buckets_.resize(std::size_t{1} << (53 - kBucketShift));
+  std::size_t k = 0;
+  for (std::size_t bucket = 0; bucket < buckets_.size(); ++bucket) {
+    const std::uint64_t first = std::uint64_t{bucket} << kBucketShift;
+    const std::uint64_t last = first + (std::uint64_t{1} << kBucketShift) - 1;
+    while (k + 2 < bounds_.size() && bounds_[k + 1] <= first) ++k;
+    constexpr std::uint64_t kGuard = dnn::WeightStreamer::kDrawGuard;
+    const bool clear = bounds_[k] + kGuard < first &&
+                       last + kGuard < bounds_[k + 1];
+    buckets_[bucket] = static_cast<std::uint16_t>(
+        clear ? static_cast<std::uint8_t>(low_code_ + static_cast<int>(k))
+              : kMixed + k);
+  }
+}
+
+std::uint64_t DrawCodes::first_reaching(std::int32_t code, std::uint64_t lo,
+                                        std::uint64_t hi) const {
+  if (scalar_code(lo) >= code) return lo;
+  // The smallest float whose code reaches `code`, stepped from the real
+  // boundary; the double midpoint below it is where the cast steps.
+  const double step = static_cast<double>(code - params_.zero_point) - 0.5;
+  float value = static_cast<float>(step * params_.scale);
+  while (quantize(params_, value) >= code)
+    value = std::nextafter(value, -HUGE_VALF);
+  while (quantize(params_, value) < code)
+    value = std::nextafter(value, HUGE_VALF);
+  const double edge =
+      (static_cast<double>(std::nextafter(value, -HUGE_VALF)) + value) / 2.0;
+  const double near = streamer_->draw_near(w_, edge);
+  // Gallop out from the guess until [lo, hi] brackets the step, then
+  // bisect: invariant code(lo) < code <= code(hi).
+  std::uint64_t probe =
+      near <= static_cast<double>(lo) ? lo + 1
+      : near >= static_cast<double>(hi) ? hi
+                                        : static_cast<std::uint64_t>(near);
+  for (std::uint64_t reach = 1; lo + 1 < hi; reach *= 2) {
+    if (scalar_code(probe) >= code) {
+      hi = probe;
+      probe = hi - lo > reach ? hi - reach : lo;
+    } else {
+      lo = probe;
+      probe = hi - lo > reach ? lo + reach : hi;
+    }
+    if (probe == lo || probe == hi) break;
+  }
+  while (lo + 1 < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (scalar_code(mid) >= code ? hi : lo) = mid;
+  }
+  return hi;
 }
 
 }  // namespace dnnlife::quant

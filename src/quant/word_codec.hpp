@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,6 +78,69 @@ class WeightWordCodec {
   mutable std::vector<QuantParams> params_;
 
   const QuantParams& params_for(std::uint64_t g) const;
+};
+
+/// The int8 codes of one Laplace layer as thresholds on its counter draw
+/// m. The code is non-decreasing in m (see sim/encoded_rows.hpp), so over
+/// the layer's draws [low, high] code(m) = code(low) + #{k : T_k <= m},
+/// where T_k is the first draw whose code reaches code(low) + k. Each T_k
+/// is searched out of the scalar arithmetic itself: a guess from
+/// WeightStreamer::draw_near at the float where the code steps, then
+/// bisection on m with value_at_draw() and quantize(). A draw within
+/// kDrawGuard of any T_k, of low or of high takes that scalar path.
+/// word_at() looks m's top bits up in a bucket table: most buckets hold no
+/// threshold and no band and give the word at once.
+class DrawCodes {
+ public:
+  /// Thresholds of weighted layer `w` quantised to int8 by `params`, over
+  /// draws [low, high] (low <= high < 2^53).
+  DrawCodes(const dnn::WeightStreamer& streamer, std::size_t w,
+            const QuantParams& params, std::uint64_t low, std::uint64_t high);
+
+  /// The stored word of draw m in [low, high]: equals encode_word(format,
+  /// params, streamer.value_at_draw(w, m)) for either int8 format.
+  std::uint64_t word_at(std::uint64_t m) const {
+    const std::uint16_t bucket = buckets_[m >> kBucketShift];
+    if (bucket < kMixed) return bucket;  // one code, clear of every band
+    std::size_t k = bucket - kMixed;
+    while (bounds_[k + 1] <= m) ++k;
+    constexpr std::uint64_t kGuard = dnn::WeightStreamer::kDrawGuard;
+    const std::int32_t code =
+        m - bounds_[k] <= kGuard || bounds_[k + 1] - m <= kGuard
+            ? scalar_code(m)
+            : low_code_ + static_cast<std::int32_t>(k);
+    return static_cast<std::uint8_t>(code);
+  }
+
+  /// The code of draw m by the scalar path (int8 code, or uint8 code for
+  /// int8-asymmetric, before the two's-complement store).
+  std::int32_t scalar_code(std::uint64_t m) const {
+    return quantize(params_, streamer_->value_at_draw(w_, m));
+  }
+
+  /// code(low), and T_1..T_K in non-decreasing order.
+  std::int32_t low_code() const noexcept { return low_code_; }
+  std::span<const std::uint64_t> thresholds() const noexcept {
+    return {bounds_.data() + 1, bounds_.size() - 2};
+  }
+
+ private:
+  static constexpr unsigned kBucketShift = 53 - 12;  // 4,096 buckets
+  /// A bucket entry below kMixed is the word of every draw in it; entry
+  /// kMixed + k starts the threshold scan at count k.
+  static constexpr std::uint16_t kMixed = 256;
+
+  const dnn::WeightStreamer* streamer_;  // non-owning
+  std::size_t w_;
+  QuantParams params_;
+  std::int32_t low_code_ = 0;
+  std::vector<std::uint64_t> bounds_;  // low, T_1..T_K, high + 1
+  std::vector<std::uint16_t> buckets_;  // on the top 12 bits of m
+
+  /// The smallest draw in [lo, hi] whose code reaches `code`, given
+  /// code(hi) >= code.
+  std::uint64_t first_reaching(std::int32_t code, std::uint64_t lo,
+                               std::uint64_t hi) const;
 };
 
 }  // namespace dnnlife::quant

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <mutex>
+#include <optional>
 
 #include "util/executor.hpp"
 
@@ -10,15 +12,11 @@ namespace dnnlife::sim {
 
 namespace {
 
-/// Weights per synthesis chunk of the min/max pass, and the most values
-/// one pack tile synthesises.
-constexpr std::uint64_t kChunkWeights = std::uint64_t{1} << 12;
-
-/// A quantised layer of up to this many weights (16 MiB of floats) keeps
-/// its values from the min/max pass for the pack pass. A larger one — only
-/// the big fully-connected layers of AlexNet and VGG16 — is synthesised
-/// again tile by tile, so the transient memory stays bounded.
-constexpr std::uint64_t kKeepWeights = std::uint64_t{1} << 22;
+/// Weights per pass-1 scan item.
+constexpr std::uint64_t kScanWeights = std::uint64_t{1} << 16;
+/// A pass-2 tile holds whole rows of at most ~this many weights (one row
+/// if a row holds more), synthesised into per-tile scratch.
+constexpr std::uint64_t kTileWeights = std::uint64_t{1} << 12;
 
 /// Run fn(i) for every i in [0, n) under a `threads` budget; inline, with
 /// no executor round-trip, at a budget of 1.
@@ -31,6 +29,14 @@ void for_each_index(std::uint64_t n, unsigned threads, const Fn& fn) {
   util::TaskGroup group;
   group.submit_items(n, threads, [&fn](std::size_t i) { fn(i); });
   group.wait();
+}
+
+/// The layer a fan-out item belongs to, given each layer's first item
+/// (non-decreasing, first[0] = 0, one past the last layer at the end).
+std::size_t layer_of_item(const std::vector<std::uint64_t>& first,
+                          std::uint64_t item) {
+  return static_cast<std::size_t>(
+      std::upper_bound(first.begin(), first.end(), item) - first.begin() - 1);
 }
 
 }  // namespace
@@ -74,90 +80,120 @@ std::shared_ptr<const EncodedRows> EncodedRows::build(
       network, key_of(network.name(), streamer.config(), format, dataflow),
       format, dataflow));
   threads = util::resolve_thread_count(threads);
+  const std::size_t layers = network.weighted_layers().size();
   const bool quantised = format != quant::WeightFormat::kFloat32;
+  const bool by_draw =
+      quantised &&
+      streamer.config().distribution == dnn::WeightDistribution::kLaplace;
   const unsigned bits = codec.bits();
+  DNNLIFE_EXPECTS(64 % bits == 0, "a slot must not straddle payload words");
   const std::uint32_t f = dataflow.filters_per_set;
   const std::uint32_t n = dataflow.weights_per_filter_per_row;
-  // Rows per pack tile: a tile synthesises at most ~kChunkWeights values.
   const std::uint64_t tile_rows =
-      std::max<std::uint64_t>(1, kChunkWeights / (std::uint64_t{f} * n));
-  std::vector<float> kept;
-  std::uint64_t row_base = 0;
-  for (std::size_t w = 0; w < network.weighted_layers().size(); ++w) {
-    const LayerRowShape shape(network.layers()[network.weighted_layers()[w]],
-                              dataflow);
-    const std::uint64_t count = streamer.layer_weight_count(w);
-    const std::uint64_t wpf = shape.weights_per_filter;
-    const bool keep = quantised && count <= kKeepWeights;
+      std::max<std::uint64_t>(1, kTileWeights / (std::uint64_t{f} * n));
 
-    // Min/max pass (int8 only): chunk ranges fold in index order.
-    quant::QuantParams params;
-    if (quantised) {
-      if (keep) kept.resize(count);
-      std::vector<dnn::WeightRange> ranges(
-          util::ceil_div(count, kChunkWeights));
-      for_each_index(ranges.size(), threads, [&](std::uint64_t chunk) {
-        const std::uint64_t begin = chunk * kChunkWeights;
-        const std::uint64_t size = std::min(kChunkWeights, count - begin);
-        std::vector<float> scratch(keep ? 0 : size);
-        const std::span<float> values(
-            keep ? kept.data() + begin : scratch.data(), size);
-        streamer.fill(w, begin, values);
-        ranges[chunk].fold(values);
-      });
-      dnn::WeightRange range;
-      for (const dnn::WeightRange& part : ranges) range.merge(part);
-      params = quant::layer_quant_params(format, range);
+  // Pass 1 (int8 only): one fan-out over (layer, chunk) range scans.
+  std::vector<dnn::RangeScan> scans(layers);
+  std::vector<quant::QuantParams> params(layers);
+  if (quantised) {
+    std::vector<std::uint64_t> first(layers + 1, 0);
+    for (std::size_t w = 0; w < layers; ++w)
+      first[w + 1] = first[w] + util::ceil_div(streamer.layer_weight_count(w),
+                                               kScanWeights);
+    std::vector<dnn::RangeScan> parts(first.back());
+    for_each_index(parts.size(), threads, [&](std::uint64_t item) {
+      const std::size_t w = layer_of_item(first, item);
+      const std::uint64_t begin = (item - first[w]) * kScanWeights;
+      parts[item] = streamer.scan_range(
+          w, begin,
+          std::min(kScanWeights, streamer.layer_weight_count(w) - begin));
+    });
+    for (std::size_t w = 0; w < layers; ++w) {
+      for (std::uint64_t item = first[w]; item < first[w + 1]; ++item)
+        scans[w].merge(parts[item]);
+      params[w] = quant::layer_quant_params(format,
+                                            streamer.range_of(w, scans[w]));
     }
+  }
 
-    // Pack pass over (set, row range) tiles: a tile owns whole rows, so
-    // each payload word is written by exactly one shard.
+  // Pass 2: one fan-out over (layer, set, row-tile) items. A tile owns
+  // whole rows, so each payload word is written by exactly one item.
+  std::vector<LayerRowShape> shapes;
+  std::vector<std::uint64_t> first(1, 0);
+  std::vector<std::uint64_t> row_base(1, 0);
+  for (std::size_t w = 0; w < layers; ++w) {
+    shapes.emplace_back(network.layers()[network.weighted_layers()[w]],
+                        dataflow);
+    first.push_back(first.back() +
+                    shapes[w].sets *
+                        util::ceil_div(shapes[w].rows_per_set, tile_rows));
+    row_base.push_back(row_base.back() + shapes[w].rows());
+  }
+  DNNLIFE_ENSURES(row_base.back() == out->rows_,
+                  "row enumeration count mismatch");
+  // A layer's draw thresholds are built by the first item that packs it.
+  std::vector<std::optional<quant::DrawCodes>> codes(by_draw ? layers : 0);
+  std::vector<std::once_flag> codes_once(codes.size());
+  for_each_index(first.back(), threads, [&](std::uint64_t item) {
+    const std::size_t w = layer_of_item(first, item);
+    const LayerRowShape& shape = shapes[w];
+    const std::uint64_t wpf = shape.weights_per_filter;
     const std::uint64_t tiles_per_set =
         util::ceil_div(shape.rows_per_set, tile_rows);
-    for_each_index(shape.sets * tiles_per_set, threads, [&](std::uint64_t tile) {
-      const std::uint64_t set = tile / tiles_per_set;
-      const std::uint64_t r0 = (tile % tiles_per_set) * tile_rows;
-      const std::uint64_t r1 = std::min(shape.rows_per_set, r0 + tile_rows);
-      const std::uint64_t filters =
-          std::min<std::uint64_t>(f, shape.filters - set * f);
-      // Filter i's value at layer-local offset l (within the filter) is
-      // values[i * stride + l - origin].
-      const std::uint64_t lo = r0 * n;
-      const std::uint64_t hi = std::min(r1 * n, wpf);
-      std::vector<float> scratch;
-      const float* values = nullptr;
-      std::uint64_t stride = wpf;
-      std::uint64_t origin = 0;
-      if (keep) {
-        values = kept.data() + set * f * wpf;
-      } else {
-        stride = hi - lo;
-        origin = lo;
-        scratch.resize(filters * stride);
-        for (std::uint64_t i = 0; i < filters; ++i)
-          streamer.fill(w, (set * f + i) * wpf + lo,
-                        std::span<float>(scratch.data() + i * stride, stride));
-        values = scratch.data();
-      }
+    const std::uint64_t set = (item - first[w]) / tiles_per_set;
+    const std::uint64_t r0 = (item - first[w]) % tiles_per_set * tile_rows;
+    const std::uint64_t r1 = std::min(shape.rows_per_set, r0 + tile_rows);
+    const std::uint64_t filters =
+        std::min<std::uint64_t>(f, shape.filters - set * f);
+    // The tile covers offsets [lo, lo + stride) of each filter, which are
+    // contiguous weights: synthesise them filter by filter (draws for int8
+    // Laplace, values otherwise), element (i, l) at i * stride + l - lo.
+    const std::uint64_t lo = r0 * n;
+    const std::uint64_t stride = std::min(r1 * n, wpf) - lo;
+    const auto first_index = [&](std::uint64_t i) {
+      return (set * f + i) * wpf + lo;
+    };
+    // Slot (i, j) of row r holds filter i's weight at offset r * n + j;
+    // word_of(element) encodes it. One flat loop per row: n is 1 on the
+    // NPU.
+    const auto pack = [&](const auto& word_of) {
       for (std::uint64_t r = r0; r < r1; ++r) {
         std::uint64_t* words =
             out->words_.data() +
-            (row_base + set * shape.rows_per_set + r) * out->words_per_row_;
-        for (std::uint64_t i = 0; i < filters; ++i) {
-          for (std::uint32_t j = 0; j < n && r * n + j < wpf; ++j) {
-            const std::uint64_t word = quant::encode_word(
-                format, params, values[i * stride + r * n + j - origin]);
-            const std::uint64_t bit_pos = (i * n + j) * bits;
-            const unsigned shift = bit_pos % 64;
-            words[bit_pos / 64] |= word << shift;
-            if (shift + bits > 64) words[bit_pos / 64 + 1] |= word >> (64 - shift);
+            (row_base[w] + set * shape.rows_per_set + r) * out->words_per_row_;
+        const std::uint64_t used = std::min<std::uint64_t>(n, wpf - r * n);
+        for (std::uint64_t i = 0, j = 0; i < filters;) {
+          const std::uint64_t bit = (i * n + j) * bits;
+          words[bit / 64] |= word_of(i * stride + r * n + j - lo) << (bit % 64);
+          if (++j == used) {
+            j = 0;
+            ++i;
           }
         }
       }
+    };
+    if (by_draw) {
+      std::call_once(codes_once[w], [&] {
+        codes[w].emplace(streamer, w, params[w], scans[w].low[0],
+                         scans[w].high[0]);
+      });
+      std::vector<std::uint64_t> draws(filters * stride);
+      for (std::uint64_t i = 0; i < filters; ++i)
+        streamer.layer_rng(w).draws_at(
+            first_index(i),
+            std::span<std::uint64_t>(draws.data() + i * stride, stride));
+      const quant::DrawCodes& table = *codes[w];
+      pack([&](std::uint64_t k) { return table.word_at(draws[k]); });
+      return;
+    }
+    std::vector<float> values(filters * stride);
+    for (std::uint64_t i = 0; i < filters; ++i)
+      streamer.fill(w, first_index(i),
+                    std::span<float>(values.data() + i * stride, stride));
+    pack([&](std::uint64_t k) {
+      return quant::encode_word(format, params[w], values[k]);
     });
-    row_base += shape.rows();
-  }
-  DNNLIFE_ENSURES(row_base == out->rows_, "row enumeration count mismatch");
+  });
   return out;
 }
 

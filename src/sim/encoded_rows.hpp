@@ -6,6 +6,30 @@
 // depend on (network, weight generation, format, dataflow) alone.
 // EncodedRows is that immutable artifact: every stream with the same key,
 // in any sweep point, replays one copy (see core::SweepScheduler).
+//
+// The build is two fan-outs, whatever the layer count:
+//  * Pass 1 (int8 only) scans (layer, chunk) items for each layer's range:
+//    the two smallest and two largest 53-bit counter draws m of a Laplace
+//    layer (dnn::WeightStreamer::range_of), or the values of a Gaussian.
+//  * Pass 2 packs (layer, set, row-tile) items in dataflow order straight
+//    from the weight index. An int8 Laplace code is code(min draw) +
+//    #{T_k <= m} over the layer's exact thresholds T_k on the draw
+//    (quant::DrawCodes, built by the first item that packs the layer); no
+//    weight is synthesised. float32 and Gaussian int8 tiles synthesise
+//    their values (WeightStreamer::fill) and encode each one.
+// Why counting is exact: every step from m to the code — the inverse CDF,
+// tail factor and float cast, then `/ scale`, lround, zero point and
+// clamp — is monotone non-decreasing and exact or correctly rounded,
+// except the libm `log`. In the negative half x = 1 - 2|u| = (2m + 1)
+// 2^-53 exactly, so a draw step moves log(x) by 2^-52 / x while an ulp of
+// log(x) is at most |log x| 2^-52: a step is >= 1 / (x |log x|) >= e ulp.
+// In the positive half (m + 0.5) rounds to even, so x moves every second
+// draw, by twice as much. Draws kDrawGuard = 1,024 apart are thus over
+// 2,700 ulp apart in exact log(x), and no two `log` results each within
+// 1,000 ulp (glibc: < 1) can come out of order. A draw within that band of
+// a threshold or of the layer's extreme draws takes the scalar path, as
+// does the range of a layer whose second-smallest or second-largest draw
+// lies in the band. So the words equal WeightWordCodec::encode bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +53,11 @@ class EncodedRows {
                             quant::WeightFormat format,
                             DataflowConfig dataflow);
 
-  /// Synthesise, quantise and pack every weight of the codec's network in
-  /// `dataflow` order, sharded over a `threads` budget (0 = hardware; the
-  /// default builds serially).
-  /// Every value is a pure function of (seed, layer, index) and every
-  /// payload word is written by exactly one shard, so the words are
+  /// Encode and pack every weight of the codec's network in `dataflow`
+  /// order (the two passes above), sharded over a `threads` budget (0 =
+  /// hardware; the default builds serially).
+  /// Every code is a pure function of (seed, layer, index) and every
+  /// payload word is written by exactly one item, so the words are
   /// bit-identical for any budget.
   static std::shared_ptr<const EncodedRows> build(
       const quant::WeightWordCodec& codec, DataflowConfig dataflow,

@@ -142,10 +142,8 @@ double inverse_normal_cdf(double p) {
          ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
 }
 
-double CounterRng::gaussian_at(std::uint64_t i) const noexcept {
-  // Map to (0,1) strictly: shift the 53-bit uniform by half a ulp.
-  const double u = (static_cast<double>(bits_at(i) >> 11) + 0.5) * 0x1.0p-53;
-  return inverse_normal_cdf(u);
+double CounterRng::gaussian_of_draw(std::uint64_t draw) noexcept {
+  return inverse_normal_cdf(open_uniform(draw));
 }
 
 }  // namespace dnnlife::util

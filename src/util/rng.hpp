@@ -14,9 +14,11 @@
 // implementations, so results are reproducible across platforms.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "util/check.hpp"
 #include "util/hash.hpp"
@@ -66,34 +68,64 @@ class Xoshiro256ss {
 /// Counter-based generator: value_at(i) = mix(seed, i). Stateless reads.
 class CounterRng {
  public:
-  explicit CounterRng(std::uint64_t seed) noexcept : seed_(seed) {}
+  explicit CounterRng(std::uint64_t seed) noexcept
+      : seed_(seed), key_(splitmix64(seed ^ 0x243f6a8885a308d3ULL)) {}
 
   /// 64 random bits for index `i`.
   std::uint64_t bits_at(std::uint64_t i) const noexcept {
-    return splitmix64(splitmix64(seed_ ^ 0x243f6a8885a308d3ULL) + i);
+    return splitmix64(key_ + i);
+  }
+
+  /// The 53-bit draw of index `i`, in [0, 2^53): every distribution below
+  /// is a function of it alone (the *_of_draw forms).
+  std::uint64_t draw_at(std::uint64_t i) const noexcept {
+    return bits_at(i) >> 11;
+  }
+
+  /// draw_at(first + k) into out[k] for every k: a loop the compiler
+  /// vectorises, for hot paths that read many consecutive draws.
+  void draws_at(std::uint64_t first,
+                std::span<std::uint64_t> out) const noexcept {
+    for (std::size_t k = 0; k < out.size(); ++k) out[k] = draw_at(first + k);
   }
 
   /// Uniform double in [0, 1) for index `i`.
   double double_at(std::uint64_t i) const noexcept {
-    return static_cast<double>(bits_at(i) >> 11) * 0x1.0p-53;
+    return static_cast<double>(draw_at(i)) * 0x1.0p-53;
   }
 
   /// Standard normal for index `i` (inverse-CDF, Acklam approximation).
-  double gaussian_at(std::uint64_t i) const noexcept;
+  double gaussian_at(std::uint64_t i) const noexcept {
+    return gaussian_of_draw(draw_at(i));
+  }
+  static double gaussian_of_draw(std::uint64_t draw) noexcept;
 
-  /// Laplace(0, scale) for index `i` (inverse CDF). Inline: the weight
-  /// synthesis loop runs it once per weight. The sign select is exact —
-  /// (u < 0 ? scale : -scale) equals -scale * sign(u) bit for bit.
+  /// Laplace(0, scale) for index `i` (inverse CDF).
   double laplace_at(std::uint64_t i, double scale) const noexcept {
-    const double u =
-        (static_cast<double>(bits_at(i) >> 11) + 0.5) * 0x1.0p-53 - 0.5;
+    return laplace_of_draw(draw_at(i), scale);
+  }
+
+  /// Laplace(0, scale) of a 53-bit draw; non-decreasing in `draw` up to
+  /// the libm `log` error (see dnn::WeightStreamer::kDrawGuard). The sign
+  /// select is exact — (u < 0 ? scale : -scale) equals -scale * sign(u).
+  static double laplace_of_draw(std::uint64_t draw, double scale) noexcept {
+    const double u = open_uniform(draw) - 0.5;
     return (u < 0 ? scale : -scale) * std::log(1.0 - 2.0 * std::abs(u));
+  }
+
+  /// The draw as a uniform in the open interval (0, 1), shifted by half a
+  /// step. The last draw, 2^53 - 1, maps like 2^53 - 2: its + 0.5 would
+  /// round up to 1 (an infinite Laplace weight, an out-of-domain normal).
+  static double open_uniform(std::uint64_t draw) noexcept {
+    constexpr std::uint64_t kLast = (std::uint64_t{1} << 53) - 2;
+    return (static_cast<double>(std::min(draw, kLast)) + 0.5) * 0x1.0p-53;
   }
 
   std::uint64_t seed() const noexcept { return seed_; }
 
  private:
   std::uint64_t seed_;
+  std::uint64_t key_;  // the seed's mix, hoisted out of bits_at
 };
 
 /// Inverse of the standard normal CDF (Acklam's rational approximation,

@@ -2,6 +2,7 @@
 // interpreter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <vector>
@@ -153,6 +154,82 @@ TEST(WeightStreamer, LayerStatsAreConsistent) {
     scalar.add(streamer.weight(g));
   EXPECT_EQ(range.min, scalar.min());
   EXPECT_EQ(range.max, scalar.max());
+}
+
+// layer_range() reads only the counter draws of a Laplace layer; it must
+// equal the fold of the scalar weights it stands for.
+TEST(WeightStreamer, LayerRangeEqualsFoldOfScalarWeights) {
+  for (const Network& net : {make_custom_mnist(), make_googlenet()}) {
+    for (const double gamma : {0.0, 0.4}) {
+      for (const std::uint64_t seed : {42ULL, 7ULL}) {
+        WeightGenConfig config;
+        config.tail_asymmetry = gamma;
+        config.seed = seed;
+        const WeightStreamer streamer(net, config);
+        for (std::size_t w = 0; w < net.weighted_layers().size(); ++w) {
+          const std::uint64_t base = net.weight_offset(w);
+          double min = streamer.weight(base);
+          double max = min;
+          for (std::uint64_t i = 1; i < streamer.layer_weight_count(w); ++i) {
+            const double value = streamer.weight(base + i);
+            min = std::min(min, value);
+            max = std::max(max, value);
+          }
+          const WeightRange range = streamer.layer_range(w);
+          ASSERT_EQ(range.min, min) << net.name() << " layer " << w
+                                    << " gamma " << gamma << " seed " << seed;
+          ASSERT_EQ(range.max, max) << net.name() << " layer " << w
+                                    << " gamma " << gamma << " seed " << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(WeightStreamer, RangeScansMergeInAnyOrder) {
+  const Network net = make_custom_mnist();
+  const WeightStreamer streamer(net);
+  const std::size_t w = 1;
+  const std::uint64_t count = streamer.layer_weight_count(w);
+  const RangeScan whole = streamer.scan_range(w, 0, count);
+  RangeScan forward;
+  RangeScan backward;
+  for (std::uint64_t begin = 0; begin < count; begin += 1000)
+    forward.merge(streamer.scan_range(
+        w, begin, std::min<std::uint64_t>(1000, count - begin)));
+  for (std::uint64_t end = count; end > 0;) {
+    const std::uint64_t size = std::min<std::uint64_t>(end, 777);
+    end -= size;
+    backward.merge(streamer.scan_range(w, end, size));
+  }
+  for (const RangeScan* scan : {&forward, &backward}) {
+    EXPECT_EQ(scan->low[0], whole.low[0]);
+    EXPECT_EQ(scan->low[1], whole.low[1]);
+    EXPECT_EQ(scan->high[0], whole.high[0]);
+    EXPECT_EQ(scan->high[1], whole.high[1]);
+  }
+  EXPECT_LT(whole.low[0], whole.low[1]);
+  EXPECT_GT(whole.high[0], whole.high[1]);
+}
+
+TEST(WeightStreamer, RangeNearTheGuardBandFallsBackToTheFold) {
+  // A second draw within kDrawGuard of an extreme makes range_of fold every
+  // value instead of trusting the extreme draw; the result is the same.
+  const Network net = make_custom_mnist();
+  const WeightStreamer streamer(net);
+  const std::size_t w = 0;
+  RangeScan scan = streamer.scan_range(w, 0, streamer.layer_weight_count(w));
+  const WeightRange exact = streamer.range_of(w, scan);
+  scan.low[1] = scan.low[0] + WeightStreamer::kDrawGuard;
+  const WeightRange folded = streamer.range_of(w, scan);
+  EXPECT_EQ(folded.min, exact.min);
+  EXPECT_EQ(folded.max, exact.max);
+  // One weight: both extremes are the same draw.
+  const Network one("one", {LayerSpec::fully_connected("fc", 1, 1)});
+  const WeightStreamer single(one);
+  const WeightRange range = single.layer_range(0);
+  EXPECT_EQ(range.min, single.weight(0));
+  EXPECT_EQ(range.max, single.weight(0));
 }
 
 // fill() is the generator the payload build runs on; weight(g) is the

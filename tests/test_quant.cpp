@@ -2,7 +2,10 @@
 // bit-distribution analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "dnn/model_zoo.hpp"
 #include "quant/bit_distribution.hpp"
@@ -152,6 +155,154 @@ TEST_F(CodecTest, Int8WordsFitInEightBits) {
 TEST_F(CodecTest, Float32HasNoQuantParams) {
   WeightWordCodec codec(streamer_, WeightFormat::kFloat32);
   EXPECT_THROW(codec.layer_params(0), std::invalid_argument);
+}
+
+// ---- draw thresholds (the payload build's int8 Laplace path) ---------------
+
+/// The draw codes of layer `w` from the build's inputs: the layer's extreme
+/// draws and the quantisation parameters of its range.
+DrawCodes layer_codes(const dnn::WeightStreamer& streamer, std::size_t w,
+                      WeightFormat format, const dnn::RangeScan& scan) {
+  return DrawCodes(streamer, w,
+                   layer_quant_params(format, streamer.range_of(w, scan)),
+                   scan.low[0], scan.high[0]);
+}
+
+/// Every threshold T_k is exact — the code reaches low_code + k at T_k and
+/// not one draw earlier — and word_at() agrees with the scalar path at the
+/// ends, around every threshold and its guard band, and at `draws`.
+void expect_exact_codes(const DrawCodes& codes, std::uint64_t low,
+                        std::uint64_t high,
+                        const std::vector<std::uint64_t>& draws) {
+  const auto thresholds = codes.thresholds();
+  // A layer's range spans most of the int8 grid (127 codes at least).
+  ASSERT_GE(thresholds.size(), 127u);
+  ASSERT_LE(thresholds.size(), 255u);
+  ASSERT_EQ(codes.scalar_code(low), codes.low_code());
+  ASSERT_EQ(codes.scalar_code(high),
+            codes.low_code() + static_cast<std::int32_t>(thresholds.size()));
+  std::vector<std::uint64_t> probes = draws;
+  probes.push_back(low);
+  probes.push_back(high);
+  constexpr std::uint64_t kGuard = dnn::WeightStreamer::kDrawGuard;
+  for (std::size_t k = 0; k < thresholds.size(); ++k) {
+    const std::uint64_t t = thresholds[k];
+    const auto level = codes.low_code() + static_cast<std::int32_t>(k + 1);
+    ASSERT_GT(t, low);
+    ASSERT_LE(t, high);
+    if (k > 0) {
+      ASSERT_LE(thresholds[k - 1], t);
+    }
+    ASSERT_GE(codes.scalar_code(t), level) << "threshold " << k;
+    ASSERT_LT(codes.scalar_code(t - 1), level) << "threshold " << k;
+    for (const std::uint64_t d :
+         {std::uint64_t{0}, std::uint64_t{1}, kGuard, kGuard + 1, kGuard + 2}) {
+      if (t - low >= d + 1) probes.push_back(t - 1 - d);
+      if (high - t >= d) probes.push_back(t + d);
+    }
+  }
+  for (const std::uint64_t m : {low + kGuard, low + kGuard + 1, high - kGuard,
+                                high - kGuard - 1})
+    if (m >= low && m <= high) probes.push_back(m);
+  for (const std::uint64_t m : probes)
+    ASSERT_EQ(codes.word_at(m),
+              static_cast<std::uint64_t>(
+                  static_cast<std::uint8_t>(codes.scalar_code(m))))
+        << "draw " << m;
+}
+
+void expect_exact_network(const dnn::Network& network,
+                          dnn::WeightGenConfig config = {}) {
+  const dnn::WeightStreamer streamer(network, config);
+  for (std::size_t w = 0; w < network.weighted_layers().size(); ++w) {
+    const dnn::RangeScan scan =
+        streamer.scan_range(w, 0, streamer.layer_weight_count(w));
+    std::vector<std::uint64_t> draws;
+    for (std::uint64_t i = 0;
+         i < std::min<std::uint64_t>(4096, streamer.layer_weight_count(w)); ++i)
+      draws.push_back(streamer.layer_rng(w).draw_at(i));
+    for (const WeightFormat format :
+         {WeightFormat::kInt8Symmetric, WeightFormat::kInt8Asymmetric}) {
+      SCOPED_TRACE(network.name() + " layer " + std::to_string(w) + " " +
+                   to_string(format));
+      expect_exact_codes(layer_codes(streamer, w, format, scan), scan.low[0],
+                         scan.high[0], draws);
+    }
+  }
+}
+
+TEST(DrawCodes, ExactOnEveryCustomMnistLayer) {
+  expect_exact_network(dnn::make_custom_mnist());
+}
+TEST(DrawCodes, ExactOnEveryAlexNetLayer) {
+  expect_exact_network(dnn::make_alexnet());
+}
+TEST(DrawCodes, ExactOnEveryVgg16Layer) {
+  expect_exact_network(dnn::make_vgg16());
+}
+TEST(DrawCodes, ExactOnEveryGoogLeNetLayer) {
+  expect_exact_network(dnn::make_googlenet());
+}
+TEST(DrawCodes, ExactOnEveryResNet152Layer) {
+  expect_exact_network(dnn::make_resnet152());
+}
+
+TEST(DrawCodes, ExactAcrossWeightConfigs) {
+  const dnn::Network network = dnn::make_custom_mnist();
+  dnn::WeightGenConfig symmetric;
+  symmetric.tail_asymmetry = 0.0;
+  dnn::WeightGenConfig narrow;
+  narrow.sigma_scale = 0.5;
+  dnn::WeightGenConfig wide;
+  wide.sigma_scale = 2.0;
+  dnn::WeightGenConfig reseeded;
+  reseeded.seed = 7;
+  for (const dnn::WeightGenConfig& config : {symmetric, narrow, wide, reseeded})
+    expect_exact_network(network, config);
+}
+
+TEST(DrawCodes, OneWeightLayerHasNoThresholds) {
+  const dnn::Network network("one",
+                             {dnn::LayerSpec::fully_connected("fc", 1, 1)});
+  const dnn::WeightStreamer streamer(network);
+  const std::uint64_t draw = streamer.layer_rng(0).draw_at(0);
+  for (const WeightFormat format :
+       {WeightFormat::kInt8Symmetric, WeightFormat::kInt8Asymmetric}) {
+    const DrawCodes codes =
+        layer_codes(streamer, 0, format, streamer.scan_range(0, 0, 1));
+    EXPECT_TRUE(codes.thresholds().empty());
+    EXPECT_EQ(codes.word_at(draw), WeightWordCodec(streamer, format).encode(0));
+  }
+}
+
+TEST(DrawCodes, ExactOverTheWholeDrawRange) {
+  // Draws 0 and 2^53 - 1 are the extreme tails of the inverse CDF, where
+  // one draw step spans many codes.
+  const dnn::Network network = dnn::make_custom_mnist();
+  const dnn::WeightStreamer streamer(network);
+  const std::uint64_t top = (std::uint64_t{1} << 53) - 1;
+  const dnn::WeightRange range{streamer.value_at_draw(0, 0),
+                               streamer.value_at_draw(0, top)};
+  for (const WeightFormat format :
+       {WeightFormat::kInt8Symmetric, WeightFormat::kInt8Asymmetric}) {
+    SCOPED_TRACE(to_string(format));
+    const DrawCodes codes(streamer, 0, layer_quant_params(format, range), 0,
+                          top);
+    expect_exact_codes(codes, 0, top, {1, 2, 3, top - 1, top - 2});
+  }
+  const QuantParams params =
+      layer_quant_params(WeightFormat::kInt8Symmetric, range);
+  EXPECT_THROW(DrawCodes(streamer, 0, params, 0, top + 1),
+               std::invalid_argument);
+}
+
+TEST(DrawCodes, RejectsGaussianWeights) {
+  const dnn::Network network = dnn::make_custom_mnist();
+  dnn::WeightGenConfig config;
+  config.distribution = dnn::WeightDistribution::kGaussian;
+  const dnn::WeightStreamer gaussian(network, config);
+  EXPECT_THROW(DrawCodes(gaussian, 0, QuantParams{}, 0, 1),
+               std::invalid_argument);
 }
 
 TEST_F(CodecTest, DecodeRejectsWideWords) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -256,22 +257,55 @@ TEST(EncodedRows, SharedArtifactReplaysIntoEitherConstructor) {
                std::invalid_argument);
 }
 
-TEST(PayloadOracle, GoogLeNetInt8SymmetricNpuAtBudget4) {
-  const dnn::Network network = dnn::make_googlenet();
+/// Both int8 formats x both dataflows of `network`, each built at every
+/// budget in `budgets`, against the scalar oracle.
+void expect_int8_builds_match_oracle(const dnn::Network& network,
+                                     std::initializer_list<unsigned> budgets) {
   const dnn::WeightStreamer streamer(network);
-  const quant::WeightWordCodec codec(streamer,
-                                     quant::WeightFormat::kInt8Symmetric);
-  TpuNpuConfig config;
-  config.array_dim = 128;
-  config.fifo_tiles = 2;
-  EXPECT_EQ(stream_words(NpuWeightStream(
-                EncodedRows::build(codec, npu_dataflow(config), 4), config)),
-            oracle_words(codec, npu_dataflow(config)));
+  TpuNpuConfig npu;
+  npu.array_dim = 128;
+  const BaselineAcceleratorConfig baseline;
+  for (const quant::WeightFormat format :
+       {quant::WeightFormat::kInt8Symmetric,
+        quant::WeightFormat::kInt8Asymmetric}) {
+    const quant::WeightWordCodec codec(streamer, format);
+    for (const DataflowConfig dataflow :
+         {npu_dataflow(npu), baseline_dataflow(baseline)}) {
+      const std::vector<std::uint64_t> oracle = oracle_words(codec, dataflow);
+      for (const unsigned threads : budgets) {
+        SCOPED_TRACE(network.name() + " " + quant::to_string(format) + " " +
+                     std::to_string(dataflow.filters_per_set) + "x" +
+                     std::to_string(dataflow.weights_per_filter_per_row) +
+                     " at budget " + std::to_string(threads));
+        const auto rows = EncodedRows::build(codec, dataflow, threads);
+        ASSERT_EQ(rows->rows() * rows->words_per_row(), oracle.size());
+        for (std::uint64_t r = 0; r < rows->rows(); ++r) {
+          const auto row = rows->row(r);
+          ASSERT_TRUE(std::equal(row.begin(), row.end(),
+                                 oracle.begin() + r * rows->words_per_row()))
+              << "row " << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(PayloadOracle, GoogLeNetInt8BothFormatsDataflowsAndBudgets) {
+  expect_int8_builds_match_oracle(dnn::make_googlenet(), {1u, 4u});
+}
+
+// The big networks: AlexNet's fully-connected layers are over 4 Mi weights
+// each. Minutes of oracle work, so CI runs it on its own in Release:
+//   dnnlife_tests --gtest_also_run_disabled_tests
+//                 --gtest_filter='PayloadOracle.DISABLED_*'
+TEST(PayloadOracle, DISABLED_AlexNetAndResNet152Int8) {
+  expect_int8_builds_match_oracle(dnn::make_alexnet(), {4u});
+  expect_int8_builds_match_oracle(dnn::make_resnet152(), {4u});
 }
 
 TEST(PayloadOracle, RegeneratesLayersPastTheKeepBuffer) {
-  // One fully-connected layer over 4 Mi weights: the build synthesises it
-  // again in the pack pass instead of keeping its values.
+  // One fully-connected layer over 4 Mi weights, with the float32 fill
+  // path and the int8 draw-threshold path each packing it tile by tile.
   const dnn::Network network("wide_fc",
                              {dnn::LayerSpec::fully_connected("fc", 2049, 2048)});
   ASSERT_GT(network.total_weights(), std::uint64_t{1} << 22);

@@ -166,6 +166,22 @@ TEST(CounterRng, LaplaceVariance) {
   EXPECT_NEAR(sum_sq / n, 2.0 * scale * scale, 0.2);
 }
 
+TEST(CounterRng, EveryDrawGivesAFiniteValue) {
+  // (m + 0.5) of the last draw would round up to 2^53: it maps like the
+  // draw below it instead of to an infinite or out-of-domain value.
+  const std::uint64_t last = (std::uint64_t{1} << 53) - 1;
+  EXPECT_EQ(CounterRng::laplace_of_draw(last, 1.0),
+            CounterRng::laplace_of_draw(last - 1, 1.0));
+  EXPECT_EQ(CounterRng::gaussian_of_draw(last),
+            CounterRng::gaussian_of_draw(last - 1));
+  for (const std::uint64_t draw : {std::uint64_t{0}, last - 1, last}) {
+    EXPECT_TRUE(std::isfinite(CounterRng::laplace_of_draw(draw, 1.0)));
+    EXPECT_TRUE(std::isfinite(CounterRng::gaussian_of_draw(draw)));
+  }
+  EXPECT_LT(CounterRng::laplace_of_draw(0, 1.0), -36.0);
+  EXPECT_GT(CounterRng::laplace_of_draw(last, 1.0), 35.0);
+}
+
 TEST(InverseNormalCdf, MatchesKnownQuantiles) {
   EXPECT_NEAR(inverse_normal_cdf(0.5), 0.0, 1e-9);
   EXPECT_NEAR(inverse_normal_cdf(0.975), 1.959964, 1e-5);
