@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
   constexpr int kSpawns = 100'000;
   const double spawn_seconds = median_seconds([&] {
     util::TaskGroup group(util::Executor::session());
-    for (int i = 0; i < kSpawns; ++i) group.submit(util::Task([] {}));
+    for (int i = 0; i < kSpawns; ++i) group.submit([] {});
     group.wait();
   });
   const double legacy_spawn_seconds = median_seconds([&] {

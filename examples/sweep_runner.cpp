@@ -29,7 +29,7 @@
 //                    slot, up to the executor's workers; a budget on the
 //                    shared executor, so it never adds worker threads
 //   --executor-threads=N
-//                    size the process-wide work-stealing executor that all
+//                    size the process-wide executor that all
 //                    jobs and per-scenario budgets share (default: the
 //                    DNNLIFE_EXECUTOR_THREADS environment variable, else
 //                    hardware concurrency; at most 4096). The ONLY knob that changes the

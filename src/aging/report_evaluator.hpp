@@ -21,7 +21,7 @@
 //    bit-identical values. One table serves both reports of a point.
 //  * ReportEvaluator evaluates each distinct history once: at budget 1 in
 //    one call, above it in fixed kChunk-id chunks claimed as items on the
-//    session-wide work-stealing executor. Each value is a pure function
+//    session-wide executor. Each value is a pure function
 //    of its history, so the values are bit-identical for any budget. Both
 //    reports take one path for any segment count: gather the history's
 //    StressSegment timeline and call the model's timeline entry points,

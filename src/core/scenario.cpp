@@ -44,22 +44,7 @@ HardwareKind hardware_kind_from_string(std::string_view name) {
 namespace {
 
 using util::JsonValue;
-
-/// Reject unknown members so typos fail loudly instead of silently running
-/// the default scenario.
-void check_members(const JsonValue& object, const char* where,
-                   std::initializer_list<std::string_view> known) {
-  for (const auto& [name, _] : object.members()) {
-    bool found = false;
-    for (const std::string_view candidate : known)
-      if (name == candidate) {
-        found = true;
-        break;
-      }
-    if (!found)
-      throw std::invalid_argument("unknown member '" + name + "' in " + where);
-  }
-}
+using util::check_members;
 
 unsigned parse_bounded_uint(const JsonValue& value, const char* what,
                             std::uint64_t max) {
@@ -104,12 +89,10 @@ aging::EnvironmentSpec parse_environment(const JsonValue& object) {
   check_members(object, "environment",
                 {"temperature_c", "vdd", "activity_scale"});
   aging::EnvironmentSpec env;
-  if (const JsonValue* v = object.find("temperature_c"))
-    env.temperature_c = v->as_number_in(-273.0, 1000.0, "temperature_c");
-  if (const JsonValue* v = object.find("vdd"))
-    env.vdd = v->as_number_in(0.05, 10.0, "vdd");
-  if (const JsonValue* v = object.find("activity_scale"))
-    env.activity_scale = v->as_number_in(0.0, 1.0, "activity_scale");
+  for (const EnvParameter& parameter : kEnvParameters)
+    if (const JsonValue* v = object.find(parameter.name))
+      env.*parameter.field =
+          v->as_number_in(parameter.lo, parameter.hi, parameter.name);
   aging::validate_environment(env);
   return env;
 }

@@ -21,6 +21,7 @@
 #include <string_view>
 #include <vector>
 
+#include "aging/environment.hpp"
 #include "aging/lifetime.hpp"
 #include "aging/model_registry.hpp"
 #include "aging/snm_histogram.hpp"
@@ -51,6 +52,22 @@ struct ScenarioPhaseSpec {
   /// Distinct environments keep their own duty-cycle accumulators and the
   /// aging layer integrates degradation across the resulting timeline.
   aging::EnvironmentSpec environment;
+};
+
+/// A phase "environment" member and the range a document may give it.
+/// parse_environment and the sweep generator's environment axes and
+/// jitter read this one table, so a generated document never fails its
+/// own schema check.
+struct EnvParameter {
+  std::string_view name;
+  double lo, hi;
+  double aging::EnvironmentSpec::*field;
+};
+
+inline constexpr EnvParameter kEnvParameters[] = {
+    {"temperature_c", -273.0, 1000.0, &aging::EnvironmentSpec::temperature_c},
+    {"vdd", 0.05, 10.0, &aging::EnvironmentSpec::vdd},
+    {"activity_scale", 0.0, 1.0, &aging::EnvironmentSpec::activity_scale},
 };
 
 /// One memory region and its policy. `row_fraction`s of all regions must

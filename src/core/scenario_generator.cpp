@@ -17,43 +17,15 @@ namespace dnnlife::core {
 namespace {
 
 using util::JsonValue;
+using util::check_members;
 
 constexpr std::string_view kParamsPrefix = "aging_model_params.";
 constexpr std::size_t kMaxPoints = 1'000'000;
-
-/// Environment numerics a grid axis or the jitter block can drive. Bounds
-/// mirror parse_environment in core/scenario.cpp, so a generated document
-/// never fails its own schema check.
-struct EnvParameter {
-  std::string_view name;
-  double lo, hi;
-  double nominal;
-};
-
-constexpr EnvParameter kEnvParameters[] = {
-    {"temperature_c", -273.0, 1000.0, aging::kNominalTemperatureC},
-    {"vdd", 0.05, 10.0, aging::kNominalVdd},
-    {"activity_scale", 0.0, 1.0, 1.0},
-};
 
 const EnvParameter* env_parameter(std::string_view name) {
   for (const EnvParameter& parameter : kEnvParameters)
     if (parameter.name == name) return &parameter;
   return nullptr;
-}
-
-void check_members(const JsonValue& object, const char* where,
-                   std::initializer_list<std::string_view> known) {
-  for (const auto& [name, _] : object.members()) {
-    bool found = false;
-    for (const std::string_view candidate : known)
-      if (name == candidate) {
-        found = true;
-        break;
-      }
-    if (!found)
-      throw std::invalid_argument("unknown member '" + name + "' in " + where);
-  }
 }
 
 /// Render an axis value for names/assignments: strings verbatim, numbers
@@ -313,7 +285,7 @@ std::vector<GeneratedScenario> ScenarioGenerator::generate() const {
           const double u = jitter_rng.double_at(linear * 3 + slot);
           const double offset = (2.0 * u - 1.0) * amplitudes[slot];
           for (JsonValue& phase : phases_of(document, parameter.name)) {
-            double current = parameter.nominal;
+            double current = aging::EnvironmentSpec{}.*parameter.field;
             if (const JsonValue* environment = phase.find("environment"))
               if (const JsonValue* v = environment->find(parameter.name))
                 current = v->as_number();

@@ -5,7 +5,7 @@
 // batch entry point: glob a directory (or take an explicit file list),
 // parse every document strictly up front — a typo fails the load, not the
 // 400th scenario of an overnight sweep — then run the specs through
-// core::SweepScheduler on the session-wide work-stealing executor (jobs
+// core::SweepScheduler on the session-wide executor (jobs
 // and per-scenario threads are concurrency budgets, not pools) and
 // aggregate the outcomes into one CSV / JSON summary. Run-time failures (e.g. a
 // lifetime threshold a model cannot reach) are captured per outcome so

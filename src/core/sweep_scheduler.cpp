@@ -171,8 +171,7 @@ struct SweepScheduler::Impl {
   }
 
   void launch_locked(std::shared_ptr<PointState> state) {
-    group.submit(util::Task(
-        [this, state = std::move(state)] { run_point(*state); }));
+    group.submit([this, state = std::move(state)] { run_point(*state); });
   }
 
   void run_point(PointState& state);

@@ -11,7 +11,7 @@
 // entry points share one execution path.
 //
 // Scheduling: all points run as tasks of one TaskGroup on the process-wide
-// work-stealing executor (util::Executor::session()), never on private
+// executor (util::Executor::session()), never on private
 // threads. `jobs` is an admission budget — at most that many points are in
 // flight; each finishing point launches the next queued one from inside
 // its own task, so the group's pending count covers the whole queue and

@@ -67,7 +67,8 @@ EncodedRows::EncodedRows(const dnn::Network& network, std::string key,
   rows_ = source.total_rows();
   words_per_row_ = static_cast<std::uint32_t>(
       util::ceil_div(std::uint64_t{source.slots_per_row()} * bits(), 64));
-  words_.resize(rows_ * words_per_row_);  // padding slots stay zero
+  words_ = std::make_unique_for_overwrite<std::uint64_t[]>(rows_ *
+                                                          words_per_row_);
 }
 
 std::shared_ptr<const EncodedRows> EncodedRows::build(
@@ -156,11 +157,13 @@ std::shared_ptr<const EncodedRows> EncodedRows::build(
     // Slot (i, j) of row r holds filter i's weight at offset r * n + j;
     // word_of(element) encodes it. One flat loop per row: n is 1 on the
     // NPU.
+    std::uint64_t* const tile_words =
+        out->words_.get() +
+        (row_base[w] + set * shape.rows_per_set + r0) * out->words_per_row_;
+    std::fill_n(tile_words, (r1 - r0) * out->words_per_row_, 0);  // padding too
     const auto pack = [&](const auto& word_of) {
       for (std::uint64_t r = r0; r < r1; ++r) {
-        std::uint64_t* words =
-            out->words_.data() +
-            (row_base[w] + set * shape.rows_per_set + r) * out->words_per_row_;
+        std::uint64_t* words = tile_words + (r - r0) * out->words_per_row_;
         const std::uint64_t used = std::min<std::uint64_t>(n, wpf - r * n);
         for (std::uint64_t i = 0, j = 0; i < filters;) {
           const std::uint64_t bit = (i * n + j) * bits;

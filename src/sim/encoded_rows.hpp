@@ -76,7 +76,7 @@ class EncodedRows {
   /// 64-bit words per row payload; bits above f x N x bits() are zero.
   std::uint32_t words_per_row() const noexcept { return words_per_row_; }
   std::span<const std::uint64_t> row(std::uint64_t index) const noexcept {
-    return {words_.data() + index * words_per_row_, words_per_row_};
+    return {words_.get() + index * words_per_row_, words_per_row_};
   }
 
  private:
@@ -89,7 +89,9 @@ class EncodedRows {
   DataflowConfig dataflow_;
   std::uint64_t rows_ = 0;
   std::uint32_t words_per_row_ = 0;
-  std::vector<std::uint64_t> words_;
+  /// rows_ x words_per_row_ words, allocated uninitialised: each build
+  /// item zeroes the rows it owns before packing into them.
+  std::unique_ptr<std::uint64_t[]> words_;
 };
 
 /// Visit one inference's writes in dataflow order: the row_index-th row

@@ -1,5 +1,6 @@
 #include "util/executor.hpp"
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
@@ -7,316 +8,115 @@
 
 namespace dnnlife::util {
 
-namespace {
-
-inline void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#else
-  std::this_thread::yield();
-#endif
-}
-
-/// Exponential backoff step: short pause bursts first, then scheduler
-/// yields, before the caller finally parks on the condition variable.
-inline void backoff_pause(unsigned round) noexcept {
-  if (round < 5) {
-    for (unsigned i = 0; i < (1u << round); ++i) cpu_relax();
-  } else {
-    std::this_thread::yield();
-  }
-}
-
-constexpr unsigned kBackoffRounds = 10;
-
-/// Chase-Lev-style work-stealing deque of WorkItem pointers (Le et al.,
-/// PPoPP'13). The owner pushes/pops at the bottom; any other thread steals
-/// at the top. Two deliberate deviations from the textbook version:
-///
-///  * seq_cst operations on top/bottom replace the standalone memory
-///    fences — ThreadSanitizer models atomic operations but not
-///    std::atomic_thread_fence, and the TSan CI job is the merge bar for
-///    this pool. The store-load orderings the algorithm needs (owner's
-///    bottom decrement before its top read; thief's top read before its
-///    bottom read) hold under the seq_cst total order.
-///
-///  * grown buffers are retired, not freed: a thief can hold a stale
-///    buffer pointer across a grow, and since grow copies (never moves)
-///    the live range, the stale slot still yields the right item if the
-///    thief's top CAS wins. Retired buffers are freed when the deque dies;
-///    doubling means they sum to less than one peak-sized buffer.
-class StealDeque {
- public:
-  StealDeque() : buffer_(new Buffer(kInitialCapacity)) {}
-
-  ~StealDeque() { delete buffer_.load(std::memory_order_relaxed); }
-
-  StealDeque(const StealDeque&) = delete;
-  StealDeque& operator=(const StealDeque&) = delete;
-
-  /// Owner only.
-  void push(detail::WorkItem* item) {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_acquire);
-    Buffer* buf = buffer_.load(std::memory_order_relaxed);
-    if (b - t > buf->capacity - 1) buf = grow(buf, t, b);
-    buf->slot(b).store(item, std::memory_order_relaxed);
-    bottom_.store(b + 1, std::memory_order_release);
-  }
-
-  /// Owner only; nullptr when empty (or the last item was lost to a thief).
-  detail::WorkItem* pop() {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    Buffer* buf = buffer_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    detail::WorkItem* item = nullptr;
-    if (t <= b) {
-      item = buf->slot(b).load(std::memory_order_relaxed);
-      if (t == b) {
-        // Last element: race the thieves for it via the top CAS.
-        if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                          std::memory_order_relaxed))
-          item = nullptr;
-        bottom_.store(b + 1, std::memory_order_relaxed);
-      }
-    } else {
-      bottom_.store(b + 1, std::memory_order_relaxed);
-    }
-    return item;
-  }
-
-  /// Any thread; nullptr when empty or when the race for the top element
-  /// was lost (callers just move on to the next victim).
-  detail::WorkItem* steal() {
-    std::int64_t t = top_.load(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-    if (t >= b) return nullptr;
-    Buffer* buf = buffer_.load(std::memory_order_acquire);
-    detail::WorkItem* item = buf->slot(t).load(std::memory_order_relaxed);
-    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                      std::memory_order_relaxed))
-      return nullptr;
-    return item;
-  }
-
- private:
-  static constexpr std::int64_t kInitialCapacity = 64;
-
-  struct Buffer {
-    explicit Buffer(std::int64_t capacity)
-        : capacity(capacity),
-          mask(capacity - 1),
-          slots(new std::atomic<detail::WorkItem*>[capacity]) {}
-    std::atomic<detail::WorkItem*>& slot(std::int64_t i) const {
-      return slots[i & mask];
-    }
-    const std::int64_t capacity;
-    const std::int64_t mask;
-    std::unique_ptr<std::atomic<detail::WorkItem*>[]> slots;
-  };
-
-  Buffer* grow(Buffer* old, std::int64_t t, std::int64_t b) {
-    auto* bigger = new Buffer(old->capacity * 2);
-    for (std::int64_t i = t; i < b; ++i)
-      bigger->slot(i).store(old->slot(i).load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
-    buffer_.store(bigger, std::memory_order_release);
-    retired_.emplace_back(old);
-    return bigger;
-  }
-
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::atomic<Buffer*> buffer_;
-  std::vector<std::unique_ptr<Buffer>> retired_;  // owner + destructor only
-};
-
-}  // namespace
-
 struct Executor::Impl {
-  struct Worker {
-    StealDeque deque;
-    std::thread thread;
-  };
+  std::mutex mutex;
+  // Signalled on queued work, on a group draining to zero, and on stop.
+  std::condition_variable wake;
+  // FIFO; an item with several tokens appears once per token.
+  std::deque<detail::WorkItem*> queue;
+  bool stop = false;
+  std::vector<std::thread> threads;
 
-  std::vector<std::unique_ptr<Worker>> workers;
-
-  // External (non-worker) submissions: FIFO injection queue.
-  std::mutex inject_mutex;
-  std::deque<detail::WorkItem*> inject;
-
-  // Parking. `queued` counts pushed-but-not-acquired items; together with
-  // `sleepers` it forms the Dekker-style seq_cst handshake that makes the
-  // sleep/wake path lose no wakeups: a submitter either observes a sleeper
-  // (and notifies under the mutex) or the would-be sleeper observes the
-  // queued item in its predicate and never parks.
-  std::mutex sleep_mutex;
-  std::condition_variable sleep_cv;
-  std::atomic<std::int64_t> queued{0};
-  std::atomic<int> sleepers{0};
-  std::atomic<bool> stop{false};
-
-  detail::WorkItem* acquire(int self);
-  void worker_loop(unsigned index);
-  void wake_sleepers();
-
-  // Worker identity of the calling thread, per executor: lets enqueue()
-  // target the worker's own deque and acquire() skip it as a steal victim.
-  static thread_local Impl* tl_impl;
-  static thread_local unsigned tl_index;
-};
-
-thread_local Executor::Impl* Executor::Impl::tl_impl = nullptr;
-thread_local unsigned Executor::Impl::tl_index = 0;
-
-detail::WorkItem* Executor::Impl::acquire(int self) {
-  if (self >= 0) {
-    if (detail::WorkItem* item = workers[static_cast<std::size_t>(self)]->deque.pop()) {
-      queued.fetch_sub(1, std::memory_order_seq_cst);
-      return item;
-    }
+  /// Under `mutex`: remove and return the oldest queued item of `group`,
+  /// else (or with no group) the front item; nullptr when the queue is
+  /// empty.
+  detail::WorkItem* pop_locked(const TaskGroup* group) {
+    if (queue.empty()) return nullptr;
+    auto it = group == nullptr
+                  ? queue.end()
+                  : std::find_if(queue.begin(), queue.end(),
+                                 [group](const detail::WorkItem* item) {
+                                   return item->group == group;
+                                 });
+    if (it == queue.end()) it = queue.begin();
+    detail::WorkItem* item = *it;
+    queue.erase(it);
+    return item;
   }
-  {
-    const std::lock_guard<std::mutex> lock(inject_mutex);
-    if (!inject.empty()) {
-      detail::WorkItem* item = inject.front();
-      inject.pop_front();
-      queued.fetch_sub(1, std::memory_order_seq_cst);
-      return item;
-    }
-  }
-  const std::size_t n = workers.size();
-  const std::size_t start = self >= 0 ? static_cast<std::size_t>(self) + 1 : 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t victim = (start + i) % n;
-    if (static_cast<std::int64_t>(victim) == self) continue;
-    if (detail::WorkItem* item = workers[victim]->deque.steal()) {
-      queued.fetch_sub(1, std::memory_order_seq_cst);
-      return item;
-    }
-  }
-  return nullptr;
-}
 
-void Executor::Impl::wake_sleepers() {
-  if (sleepers.load(std::memory_order_seq_cst) > 0) {
-    // Empty critical section: serializes with a sleeper between its
-    // predicate check and the actual wait, closing the lost-wakeup window.
-    { const std::lock_guard<std::mutex> lock(sleep_mutex); }
-    sleep_cv.notify_all();
-  }
-}
-
-void Executor::Impl::worker_loop(unsigned index) {
-  tl_impl = this;
-  tl_index = index;
-  unsigned round = 0;
-  for (;;) {
-    if (detail::WorkItem* item = acquire(static_cast<int>(index))) {
+  void worker_loop() {
+    std::unique_lock<std::mutex> lock(mutex);
+    for (;;) {
+      wake.wait(lock, [this] { return stop || !queue.empty(); });
+      if (queue.empty()) return;  // stopping, and drained
+      detail::WorkItem* item = pop_locked(nullptr);
+      lock.unlock();
       item->execute();
-      round = 0;
-      continue;
+      lock.lock();
     }
-    if (round < kBackoffRounds) {
-      backoff_pause(round++);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(sleep_mutex);
-    sleepers.fetch_add(1, std::memory_order_seq_cst);
-    sleep_cv.wait(lock, [this] {
-      return stop.load(std::memory_order_relaxed) ||
-             queued.load(std::memory_order_seq_cst) > 0;
-    });
-    sleepers.fetch_sub(1, std::memory_order_relaxed);
-    if (stop.load(std::memory_order_relaxed) &&
-        queued.load(std::memory_order_seq_cst) == 0)
-      return;
-    round = 0;
   }
-}
+};
 
 Executor::Executor(unsigned threads) : impl_(std::make_unique<Impl>()) {
   const unsigned count = resolve_thread_count(threads);
-  impl_->workers.reserve(count);
+  impl_->threads.reserve(count);
   for (unsigned i = 0; i < count; ++i)
-    impl_->workers.push_back(std::make_unique<Impl::Worker>());
-  // All deques exist before any worker can steal from a sibling.
-  for (unsigned i = 0; i < count; ++i)
-    impl_->workers[i]->thread =
-        std::thread([impl = impl_.get(), i] { impl->worker_loop(i); });
+    impl_->threads.emplace_back([impl = impl_.get()] { impl->worker_loop(); });
 }
 
 Executor::~Executor() {
   {
-    const std::lock_guard<std::mutex> lock(impl_->sleep_mutex);
-    impl_->stop.store(true, std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(impl_->mutex);
+    impl_->stop = true;
   }
-  impl_->sleep_cv.notify_all();
-  for (auto& worker : impl_->workers) worker->thread.join();
+  impl_->wake.notify_all();
+  for (std::thread& thread : impl_->threads) thread.join();
 }
 
 unsigned Executor::workers() const noexcept {
-  return static_cast<unsigned>(impl_->workers.size());
+  return static_cast<unsigned>(impl_->threads.size());
 }
 
 bool Executor::try_help() {
-  Impl& impl = *impl_;
-  const int self =
-      Impl::tl_impl == &impl ? static_cast<int>(Impl::tl_index) : -1;
-  if (detail::WorkItem* item = impl.acquire(self)) {
-    item->execute();
-    return true;
+  detail::WorkItem* item = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(impl_->mutex);
+    item = impl_->pop_locked(nullptr);
   }
-  return false;
+  if (item == nullptr) return false;
+  item->execute();
+  return true;
 }
 
 void Executor::enqueue(detail::WorkItem* item, std::size_t copies) {
-  Impl& impl = *impl_;
-  if (Impl::tl_impl == &impl) {
-    StealDeque& deque = impl.workers[Impl::tl_index]->deque;
-    for (std::size_t i = 0; i < copies; ++i) deque.push(item);
-  } else {
-    const std::lock_guard<std::mutex> lock(impl.inject_mutex);
-    for (std::size_t i = 0; i < copies; ++i) impl.inject.push_back(item);
+  {
+    const std::lock_guard<std::mutex> lock(impl_->mutex);
+    impl_->queue.insert(impl_->queue.end(), copies, item);
   }
-  impl.queued.fetch_add(static_cast<std::int64_t>(copies),
-                        std::memory_order_seq_cst);
-  impl.wake_sleepers();
+  // One copy needs one thread: a woken thread takes any queued item,
+  // except a waiter whose group just drained, and that drain's
+  // notify_completion wakes every parked thread.
+  if (copies == 1)
+    impl_->wake.notify_one();
+  else
+    impl_->wake.notify_all();
 }
 
 void Executor::wait_for(TaskGroup& group) {
   Impl& impl = *impl_;
-  const int self =
-      Impl::tl_impl == &impl ? static_cast<int>(Impl::tl_index) : -1;
-  unsigned round = 0;
-  while (group.pending_.load(std::memory_order_acquire) != 0) {
-    if (detail::WorkItem* item = impl.acquire(self)) {
-      // Help instead of sleeping: this is what makes nested fan-outs on
-      // the shared pool safe — the thread blocked in wait() executes the
-      // very subtasks (or anyone else's) it would otherwise deadlock on.
-      item->execute();
-      round = 0;
-      continue;
-    }
-    if (round < kBackoffRounds) {
-      backoff_pause(round++);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(impl.sleep_mutex);
-    impl.sleepers.fetch_add(1, std::memory_order_seq_cst);
-    impl.sleep_cv.wait(lock, [&] {
-      return group.pending_.load(std::memory_order_seq_cst) == 0 ||
-             impl.queued.load(std::memory_order_seq_cst) > 0;
+  std::unique_lock<std::mutex> lock(impl.mutex);
+  for (;;) {
+    impl.wake.wait(lock, [&] {
+      return group.pending_.load(std::memory_order_acquire) == 0 ||
+             !impl.queue.empty();
     });
-    impl.sleepers.fetch_sub(1, std::memory_order_relaxed);
-    round = 0;
+    if (group.pending_.load(std::memory_order_acquire) == 0) return;
+    // Help instead of sleeping: this is what makes nested fan-outs on the
+    // shared pool safe — the thread blocked in wait() executes the very
+    // subtasks (or anyone else's) it would otherwise deadlock on.
+    detail::WorkItem* item = impl.pop_locked(&group);
+    lock.unlock();
+    item->execute();
+    lock.lock();
   }
 }
 
-void Executor::notify_completion() { impl_->wake_sleepers(); }
+void Executor::notify_completion() {
+  // A waiter checks its group's pending count under the mutex before it
+  // parks, so taking the mutex here orders this wakeup after that check.
+  { const std::lock_guard<std::mutex> lock(impl_->mutex); }
+  impl_->wake.notify_all();
+}
 
 // ---- session singleton -------------------------------------------------------
 
@@ -358,29 +158,28 @@ void Executor::configure_session(unsigned threads) {
 
 // ---- TaskGroup ---------------------------------------------------------------
 
-struct TaskGroup::SingleItem final : detail::WorkItem {
-  SingleItem(TaskGroup* group, Task task)
-      : WorkItem(group), task(std::move(task)) {}
-
-  void execute() override {
+void detail::WorkItem::execute() {
+  for (;;) {
+    const std::uint64_t s = cursor.fetch_add(1, std::memory_order_relaxed);
+    if (s >= shards) break;
+    const auto [begin, end] = shard_range(n, shards, static_cast<unsigned>(s));
+    if (begin == end) continue;
     try {
-      task();
+      run_shard(static_cast<unsigned>(s), begin, end);
     } catch (...) {
       group->record_error(std::current_exception());
     }
-    TaskGroup* const owner = group;
+  }
+  // Shards only run inside token loops, so when the last token retires
+  // every shard has executed: finish the whole item as one group unit.
+  // `this` is dead after the delete; the group pointer is saved first and
+  // not touched again after finish_one (the waiter it wakes may destroy
+  // the group).
+  TaskGroup* const owner = group;
+  if (tokens.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     delete this;
     owner->finish_one();
   }
-
-  Task task;
-};
-
-void TaskGroup::submit(Task task) {
-  DNNLIFE_EXPECTS(static_cast<bool>(task), "empty task");
-  auto* item = new SingleItem(this, std::move(task));
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  executor_->enqueue(item, 1);
 }
 
 void TaskGroup::wait() {

@@ -1,4 +1,4 @@
-// Session-scoped work-stealing executor: one pool for the whole stack.
+// Session-scoped executor: one pool for the whole stack.
 //
 // Every layer of the framework parallelises — suite jobs, the fast
 // simulator's row-parallel commit, report-evaluation blocks, policy
@@ -11,28 +11,18 @@
 // counts become concurrency *budgets* on that shared set.
 //
 // Design:
-//  * Per-worker Chase-Lev-style deques (Le et al., "Correct and Efficient
-//    Work-Stealing for Weak Memory Models"): the owner pushes and pops at
-//    the bottom, idle workers steal from the top. External threads submit
-//    through a small mutex-guarded injection queue. Fences are avoided in
-//    favour of seq_cst operations on the deque indices so the algorithm is
-//    expressible to ThreadSanitizer (CI runs the pool under TSan).
-//  * Steal-on-empty with exponential backoff: a worker that finds nothing
-//    spins through a doubling backoff over its deque, the injection queue
-//    and the other deques, then parks on a condition variable; submission
-//    wakes it (Dekker-style seq_cst handshake on queued/sleeper counters,
-//    so no wakeup is lost).
+//  * One mutex-guarded FIFO of work items and one condition variable. A
+//    worker pops the front item or parks until work arrives. The queue
+//    carries little traffic: every submission is ONE allocation pushed
+//    once per participant token (min(shards, budget, workers + 1)), and
+//    workers claim shards or items from the item's atomic cursor, so a
+//    report fan-out is O(1) allocations and O(min(items, budget)) pushes.
 //  * TaskGroup makes nested fan-outs safe: a thread blocked in
-//    TaskGroup::wait() *runs* pending work (its own deque, the injection
-//    queue, steals) instead of sleeping, so `jobs` scenario tasks can each
-//    fan out shard tasks on the same pool without deadlock — even at one
-//    worker — and without oversubscription.
-//  * Task is a small-buffer-optimised callable (48 inline bytes): the
-//    shard lambdas of the hot paths submit without touching the heap, and
-//    TaskGroup::submit_bulk() / submit_items() share ONE allocation across
-//    a whole shard range or item set (workers claim shards or items from
-//    an atomic cursor), so a report fan-out is O(1) allocations and
-//    O(min(items, budget)) deque pushes.
+//    TaskGroup::wait() *runs* pending work — the oldest queued item of
+//    its own group first, else the front item — and parks only when the
+//    queue is empty, so `jobs` scenario tasks can each fan out shard
+//    tasks on the same pool without deadlock — even at one worker — and
+//    without oversubscription.
 //
 // Determinism: the executor schedules, it never decomposes. Every work
 // partition is fixed by its caller before submission and never by the
@@ -52,7 +42,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -80,121 +69,42 @@ constexpr std::pair<std::uint64_t, std::uint64_t> shard_range(
   return {begin, end};
 }
 
-/// Small-buffer-optimised move-only callable. Callables up to
-/// kInlineBytes that are nothrow-move-constructible live inside the Task
-/// (no heap allocation on the hot submit paths); larger or throwing-move
-/// ones fall back to one heap node. Invoke with operator(); a
-/// default-constructed Task is empty and must not be invoked.
-class Task {
- public:
-  static constexpr std::size_t kInlineBytes = 48;
-
-  Task() noexcept = default;
-
-  template <class Fn,
-            std::enable_if_t<!std::is_same_v<std::decay_t<Fn>, Task>, int> = 0>
-  Task(Fn&& fn) {  // NOLINT(google-explicit-constructor)
-    using Decayed = std::decay_t<Fn>;
-    if constexpr (sizeof(Decayed) <= kInlineBytes &&
-                  alignof(Decayed) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Decayed>) {
-      ::new (static_cast<void*>(storage_)) Decayed(std::forward<Fn>(fn));
-      ops_ = &inline_ops<Decayed>;
-    } else {
-      *reinterpret_cast<Decayed**>(storage_) =
-          new Decayed(std::forward<Fn>(fn));
-      ops_ = &heap_ops<Decayed>;
-    }
-  }
-
-  Task(Task&& other) noexcept { move_from(other); }
-
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
-
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-
-  ~Task() { reset(); }
-
-  explicit operator bool() const noexcept { return ops_ != nullptr; }
-
-  void operator()() {
-    DNNLIFE_EXPECTS(ops_ != nullptr, "invoking an empty task");
-    ops_->invoke(storage_);
-  }
-
- private:
-  struct Ops {
-    void (*invoke)(void*);
-    /// Move-construct into `dst` from `src` and destroy `src`'s payload.
-    void (*relocate)(void* dst, void* src) noexcept;
-    void (*destroy)(void*) noexcept;
-  };
-
-  template <class Fn>
-  static constexpr Ops inline_ops = {
-      [](void* s) { (*std::launder(reinterpret_cast<Fn*>(s)))(); },
-      [](void* dst, void* src) noexcept {
-        Fn* from = std::launder(reinterpret_cast<Fn*>(src));
-        ::new (dst) Fn(std::move(*from));
-        from->~Fn();
-      },
-      [](void* s) noexcept { std::launder(reinterpret_cast<Fn*>(s))->~Fn(); }};
-
-  template <class Fn>
-  static constexpr Ops heap_ops = {
-      [](void* s) { (**reinterpret_cast<Fn**>(s))(); },
-      [](void* dst, void* src) noexcept {
-        *reinterpret_cast<Fn**>(dst) = *reinterpret_cast<Fn**>(src);
-      },
-      [](void* s) noexcept { delete *reinterpret_cast<Fn**>(s); }};
-
-  void move_from(Task& other) noexcept {
-    if (other.ops_ != nullptr) {
-      other.ops_->relocate(storage_, other.storage_);
-      ops_ = std::exchange(other.ops_, nullptr);
-    }
-  }
-
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(storage_);
-      ops_ = nullptr;
-    }
-  }
-
-  alignas(std::max_align_t) std::byte storage_[kInlineBytes];
-  const Ops* ops_ = nullptr;
-};
-
 class TaskGroup;
 
 namespace detail {
 
-/// One schedulable unit in a worker deque or the injection queue. A bulk
-/// item is pushed multiple times (once per token); execute() is then
-/// re-entered concurrently and the implementation manages its own
-/// lifetime and its group's completion accounting.
+/// One submission in the executor queue: fn(shard, begin, end) over [0, n)
+/// cut into `shards` util::shard_range pieces. It is queued once per
+/// token; every thread that pops a token claims shards from `cursor`
+/// until none are left, and the last token to retire deletes the item and
+/// finishes it as one unit of its group. A single task is one shard.
 struct WorkItem {
-  explicit WorkItem(TaskGroup* group) noexcept : group(group) {}
+  WorkItem(TaskGroup* group, std::uint64_t n, unsigned shards,
+           unsigned tokens) noexcept
+      : group(group), n(n), shards(shards), tokens(tokens) {}
   WorkItem(const WorkItem&) = delete;
   WorkItem& operator=(const WorkItem&) = delete;
   virtual ~WorkItem() = default;
-  virtual void execute() = 0;
+
+  /// Run one token: claim and run shards, capturing exceptions in the
+  /// group. `this` may be dead on return.
+  void execute();
+
+  virtual void run_shard(unsigned shard, std::uint64_t begin,
+                         std::uint64_t end) = 0;
+
   TaskGroup* const group;
+  const std::uint64_t n;
+  const unsigned shards;
+  std::atomic<std::uint64_t> cursor{0};
+  std::atomic<unsigned> tokens;
 };
 
 }  // namespace detail
 
-/// Fixed set of worker threads with per-worker work-stealing deques. All
-/// submission goes through TaskGroup; the executor itself only schedules.
-/// One process-wide instance (session()) serves every layer of the stack;
+/// Fixed set of worker threads serving one FIFO. All submission goes
+/// through TaskGroup; the executor itself only schedules. One
+/// process-wide instance (session()) serves every layer of the stack;
 /// constructing private executors is reserved for tests and benches.
 class Executor {
  public:
@@ -204,16 +114,16 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Joins the workers after the queues drain. All TaskGroups submitted to
+  /// Joins the workers after the queue drains. All TaskGroups submitted to
   /// this executor must have completed (their destructors wait).
   ~Executor();
 
   unsigned workers() const noexcept;
 
-  /// Run one pending item, if any, on the calling thread. Blocking waits
-  /// outside TaskGroup::wait() (e.g. SweepScheduler handles) call this in
-  /// a loop so a worker blocked on a future-like handle keeps the pool
-  /// moving instead of deadlocking it. Returns false when no work was
+  /// Run the front queued item, if any, on the calling thread. Blocking
+  /// waits outside TaskGroup::wait() (e.g. SweepScheduler handles) call
+  /// this in a loop so a worker blocked on a future-like handle keeps the
+  /// pool moving instead of deadlocking it. Returns false when no work was
   /// available.
   bool try_help();
 
@@ -232,14 +142,13 @@ class Executor {
  private:
   friend class TaskGroup;
 
-  /// Push `copies` references to `item` (pre-counted in its group). Bulk
-  /// items are pushed once per token; single items once.
+  /// Queue `copies` references to `item` (pre-counted in its group).
   void enqueue(detail::WorkItem* item, std::size_t copies);
 
   /// Run work (or park) until `group` has no pending units left.
   void wait_for(TaskGroup& group);
 
-  /// Wake sleepers after a group completed (its waiters may be parked).
+  /// Wake parked waiters after a group completed.
   void notify_completion();
 
   struct Impl;
@@ -251,13 +160,13 @@ class Executor {
 /// fan-outs on the shared pool cannot deadlock) and rethrows the first
 /// exception any task raised. Reusable after wait(); the destructor waits
 /// for stragglers (discarding errors — call wait() to observe them).
-/// Submission is thread-safe (the pending count is atomic and the queues
-/// are per-worker or locked), and tasks may submit to their own group or
-/// to other groups freely. The one rule: a waiter is only guaranteed to
-/// cover submissions that happened-before its wait() or were made from a
-/// task the group already counted — if pending can transiently drain to
-/// zero while an unrelated thread races a fresh submit in, wait() may
-/// return before that submission (SweepScheduler's admission chain is the
+/// Submission is thread-safe (the pending count is atomic and the queue
+/// is locked), and tasks may submit to their own group or to other
+/// groups freely. The one rule: a waiter is only guaranteed to cover
+/// submissions that happened-before its wait() or were made from a task
+/// the group already counted — if pending can transiently drain to zero
+/// while an unrelated thread races a fresh submit in, wait() may return
+/// before that submission (SweepScheduler's admission chain is the
 /// canonical way to keep the count covered).
 class TaskGroup {
  public:
@@ -271,14 +180,20 @@ class TaskGroup {
     if (pending_.load(std::memory_order_acquire) != 0) executor_->wait_for(*this);
   }
 
-  /// Submit one task. O(1) heap allocations (one work-item node; the
-  /// callable itself is SBO-inlined up to Task::kInlineBytes).
-  void submit(Task task);
+  /// Submit one task: one heap allocation holding the callable.
+  template <class Fn>
+  void submit(Fn&& fn) {
+    submit_bulk_impl(1, 1, 1,
+                     [fn = std::forward<Fn>(fn)](unsigned, std::uint64_t,
+                                                 std::uint64_t) mutable {
+                       fn();
+                     });
+  }
 
   /// Range submission: run fn(shard, begin, end) over [0, n) split into
   /// `shards` contiguous ranges (util::shard_range — the partition is a
   /// pure function of (n, shards), never of the worker count). ONE heap
-  /// allocation and min(shards, workers + 1) deque pushes total; workers
+  /// allocation and min(shards, workers + 1) queue pushes total; workers
   /// claim shards from an atomic cursor, and the submitting thread's
   /// wait() participates. Exceptions are captured per shard (first wins)
   /// and rethrown by wait().
@@ -287,18 +202,6 @@ class TaskGroup {
     DNNLIFE_EXPECTS(shards >= 1, "need at least one shard");
     if (n == 0) return;
     submit_bulk_impl(n, shards, shards, std::forward<Fn>(fn));
-  }
-
-  /// As above, but with a concurrency budget below the shard count: the
-  /// partition stays a pure function of (n, shards) while at most `budget`
-  /// shards run at once.
-  template <class Fn>
-  void submit_bulk(std::uint64_t n, unsigned shards, unsigned budget,
-                   Fn&& fn) {
-    DNNLIFE_EXPECTS(shards >= 1, "need at least one shard");
-    if (n == 0) return;
-    submit_bulk_impl(n, shards, budget == 0 ? shards : budget,
-                     std::forward<Fn>(fn));
   }
 
   /// Item submission under a concurrency budget: run fn(index) for every
@@ -319,9 +222,9 @@ class TaskGroup {
   }
 
   /// Block until every submitted unit finished, running pending pool work
-  /// (own deque, injection queue, steals) while waiting; parks only when
-  /// nothing is runnable. Rethrows the first captured exception and
-  /// resets it, leaving the group reusable.
+  /// (the group's own queued items first) while waiting; parks only when
+  /// the queue is empty. Rethrows the first captured exception and resets
+  /// it, leaving the group reusable.
   void wait();
 
   std::size_t pending() const noexcept {
@@ -332,52 +235,11 @@ class TaskGroup {
   friend class Executor;
   friend struct detail::WorkItem;
 
-  struct BulkItem : detail::WorkItem {
-    BulkItem(TaskGroup* group, std::uint64_t n, unsigned shards,
-             unsigned tokens) noexcept
-        : WorkItem(group), n(n), shards(shards), tokens(tokens) {}
-
-    void execute() final {
-      for (;;) {
-        const std::uint64_t s = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (s >= shards) break;
-        const auto [begin, end] =
-            shard_range(n, shards, static_cast<unsigned>(s));
-        if (begin == end) continue;
-        try {
-          run_shard(static_cast<unsigned>(s), begin, end);
-        } catch (...) {
-          group->record_error(std::current_exception());
-        }
-      }
-      // Shards only run inside token loops, so when the last token
-      // retires every shard has executed: finish the whole bulk as one
-      // group unit. `this` is dead after the delete; the group pointer is
-      // saved first and not touched again after finish_one (the waiter it
-      // wakes may destroy the group).
-      TaskGroup* const owner = group;
-      if (tokens.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        delete this;
-        owner->finish_one();
-      }
-    }
-
-    virtual void run_shard(unsigned shard, std::uint64_t begin,
-                           std::uint64_t end) = 0;
-
-    const std::uint64_t n;
-    const unsigned shards;
-    std::atomic<std::uint64_t> cursor{0};
-    std::atomic<unsigned> tokens;
-  };
-
-  struct SingleItem;
-
   template <class Fn>
-  struct BulkItemOf final : BulkItem {
-    BulkItemOf(TaskGroup* group, std::uint64_t n, unsigned shards,
-               unsigned tokens, Fn fn)
-        : BulkItem(group, n, shards, tokens), fn(std::move(fn)) {}
+  struct ItemOf final : detail::WorkItem {
+    ItemOf(TaskGroup* group, std::uint64_t n, unsigned shards,
+           unsigned tokens, Fn fn)
+        : WorkItem(group, n, shards, tokens), fn(std::move(fn)) {}
     void run_shard(unsigned shard, std::uint64_t begin,
                    std::uint64_t end) override {
       fn(shard, begin, end);
@@ -389,16 +251,16 @@ class TaskGroup {
   void submit_bulk_impl(std::uint64_t n, unsigned shards, unsigned budget,
                         Fn&& fn) {
     const unsigned tokens = token_count(shards, budget);
-    auto* item = new BulkItemOf<std::decay_t<Fn>>(this, n, shards, tokens,
-                                                  std::forward<Fn>(fn));
+    auto* item = new ItemOf<std::decay_t<Fn>>(this, n, shards, tokens,
+                                              std::forward<Fn>(fn));
     pending_.fetch_add(1, std::memory_order_acq_rel);
     executor_->enqueue(item, tokens);
   }
 
-  /// Deque pushes for a bulk: enough tokens that every worker plus the
-  /// waiting submitter can participate, never more than the budget (the
-  /// concurrency cap) or the shard count (idle tokens would be popped and
-  /// retired for nothing).
+  /// Queue pushes for a submission: enough tokens that every worker plus
+  /// the waiting submitter can participate, never more than the budget
+  /// (the concurrency cap) or the shard count (idle tokens would be popped
+  /// and retired for nothing).
   unsigned token_count(unsigned shards, unsigned budget) const noexcept;
 
   void record_error(std::exception_ptr error);

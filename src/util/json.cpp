@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -354,6 +355,13 @@ void JsonValue::push_back(JsonValue element) {
 std::vector<JsonValue>& JsonValue::mutable_items() {
   if (type_ != Type::kArray) type_mismatch(Type::kArray, type_);
   return items_;
+}
+
+void check_members(const JsonValue& object, const char* where,
+                   std::initializer_list<std::string_view> known) {
+  for (const auto& [name, _] : object.members())
+    if (std::find(known.begin(), known.end(), name) == known.end())
+      throw std::invalid_argument("unknown member '" + name + "' in " + where);
 }
 
 }  // namespace dnnlife::util

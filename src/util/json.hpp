@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -86,5 +87,10 @@ class JsonValue {
 
   friend class JsonParser;
 };
+
+/// Reject members of `object` not named in `known`, so typos fail loudly
+/// instead of silently running defaults ("unknown member 'x' in <where>").
+void check_members(const JsonValue& object, const char* where,
+                   std::initializer_list<std::string_view> known);
 
 }  // namespace dnnlife::util

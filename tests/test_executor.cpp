@@ -1,7 +1,7 @@
-// The session-scoped work-stealing executor: Task SBO semantics, TaskGroup
-// completion/exception/reuse, bulk submission (every index exactly once,
-// budget respected), and the load-bearing nested-fan-out property — a
-// thread blocked in TaskGroup::wait() RUNS pending tasks instead of
+// The session-scoped executor: TaskGroup completion/exception/reuse, bulk
+// submission (every index exactly once, budget respected), and the
+// load-bearing nested-fan-out property — a thread blocked in
+// TaskGroup::wait() RUNS pending tasks (its own group's first) instead of
 // sleeping, so fan-outs nested on the same pool cannot deadlock even with
 // a single worker. Ends with a stress test shaped like the sweep stack
 // (jobs that each fan out shard bulks) and an executor-size invariance
@@ -12,7 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <latch>
-#include <numeric>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -24,43 +24,17 @@
 namespace dnnlife::util {
 namespace {
 
-// ---- Task (SBO callable) -----------------------------------------------------
-
-TEST(ExecutorTask, InlineAndHeapCallablesBothInvoke) {
-  int hits = 0;
-  Task small([&hits] { ++hits; });  // 8-byte capture: inline storage
-  EXPECT_TRUE(static_cast<bool>(small));
-  small();
-  EXPECT_EQ(hits, 1);
-
-  std::array<std::uint64_t, 16> payload{};  // 128 bytes: heap fallback
-  payload.fill(7);
-  long long sum = 0;
-  Task big([payload, &sum] {
-    sum = std::accumulate(payload.begin(), payload.end(), 0ll);
-  });
-  big();
-  EXPECT_EQ(sum, 7 * 16);
-}
-
-TEST(ExecutorTask, MoveTransfersTheCallable) {
-  int hits = 0;
-  Task a([&hits] { ++hits; });
-  Task b(std::move(a));
-  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
-  EXPECT_TRUE(static_cast<bool>(b));
-  Task c;
-  c = std::move(b);
-  c();
-  EXPECT_EQ(hits, 1);
-}
+// ---- task lifetime -----------------------------------------------------------
 
 TEST(ExecutorTask, DestroysCapturesExactlyOnce) {
   const auto counter = std::make_shared<int>(0);
   {
-    Task task([counter] { ++*counter; });
-    Task moved(std::move(task));
-    moved();
+    Executor executor(2);
+    TaskGroup group(executor);
+    group.submit([counter] { ++*counter; });
+    group.wait();
+    EXPECT_EQ(counter.use_count(), 1)
+        << "the queued copy must be destroyed once it has run";
   }
   EXPECT_EQ(*counter, 1);
   EXPECT_EQ(counter.use_count(), 1) << "captured copies must be destroyed";
@@ -74,7 +48,7 @@ TEST(Executor, RunsSubmittedTasksToCompletion) {
   std::atomic<int> hits{0};
   TaskGroup group(executor);
   for (int i = 0; i < 100; ++i)
-    group.submit(Task([&hits] { hits.fetch_add(1, std::memory_order_relaxed); }));
+    group.submit([&hits] { hits.fetch_add(1, std::memory_order_relaxed); });
   group.wait();
   EXPECT_EQ(hits.load(), 100);
   EXPECT_EQ(group.pending(), 0u);
@@ -83,11 +57,11 @@ TEST(Executor, RunsSubmittedTasksToCompletion) {
 TEST(Executor, WaitRethrowsFirstExceptionAndGroupStaysUsable) {
   Executor executor(2);
   TaskGroup group(executor);
-  group.submit(Task([] { throw std::runtime_error("boom"); }));
+  group.submit([] { throw std::runtime_error("boom"); });
   EXPECT_THROW(group.wait(), std::runtime_error);
   // The error was consumed; the group is reusable.
   std::atomic<int> hits{0};
-  group.submit(Task([&hits] { ++hits; }));
+  group.submit([&hits] { ++hits; });
   EXPECT_NO_THROW(group.wait());
   EXPECT_EQ(hits.load(), 1);
 }
@@ -165,23 +139,23 @@ TEST(Executor, WorkerBlockedInWaitExecutesSubtasksAtSizeOne) {
   std::set<std::thread::id> inner_threads;
   std::mutex inner_mutex;
   // The test main must not help: a waiter in outer.wait() may run the
-  // outer task itself, or steal inner tasks while the worker runs it, and
+  // outer task itself, or take inner tasks while the worker runs it, and
   // then the subtasks see two threads. Block on a latch the outer task
   // counts down as its last action, so outer.wait() only collects it.
   std::latch outer_done(1);
   TaskGroup outer(executor);
-  outer.submit(Task([&] {
+  outer.submit([&] {
     outer_thread = std::this_thread::get_id();
     TaskGroup inner(executor);
     for (int i = 0; i < 8; ++i)
-      inner.submit(Task([&] {
+      inner.submit([&] {
         inner_hits.fetch_add(1, std::memory_order_relaxed);
         const std::lock_guard<std::mutex> lock(inner_mutex);
         inner_threads.insert(std::this_thread::get_id());
-      }));
+      });
     inner.wait();
     outer_done.count_down();
-  }));
+  });
   outer_done.wait();
   outer.wait();
   EXPECT_EQ(inner_hits.load(), 8);
@@ -197,20 +171,51 @@ TEST(Executor, ExternalWaiterHelpsInsteadOfSleeping) {
   Executor executor(1);
   std::atomic<bool> release{false};
   TaskGroup pin(executor);
-  pin.submit(Task([&release] {
+  pin.submit([&release] {
     while (!release.load(std::memory_order_acquire))
       std::this_thread::yield();
-  }));
+  });
   std::atomic<int> hits{0};
   TaskGroup group(executor);
   for (int i = 0; i < 16; ++i)
-    group.submit(Task([&hits, &release] {
+    group.submit([&hits, &release] {
       if (hits.fetch_add(1, std::memory_order_acq_rel) + 1 == 16)
         release.store(true, std::memory_order_release);
-    }));
+    });
   group.wait();  // the worker is pinned: these 16 ran on THIS thread
   EXPECT_EQ(hits.load(), 16);
   pin.wait();
+}
+
+TEST(Executor, WaiterRunsItsOwnGroupBeforeOlderForeignWork) {
+  // A waiter takes the oldest queued item of its OWN group before older
+  // foreign work: with the single worker held, an external thread waiting
+  // on its group runs its own item and returns, leaving the foreign item
+  // (queued first) untouched for the worker.
+  Executor executor(1);
+  std::latch held(1);
+  std::latch release(1);
+  TaskGroup pin(executor);
+  pin.submit([&] {
+    held.count_down();
+    release.wait();
+  });
+  held.wait();
+  std::atomic<bool> foreign_ran{false};
+  TaskGroup foreign(executor);
+  foreign.submit(
+      [&foreign_ran] { foreign_ran.store(true, std::memory_order_release); });
+  bool own_ran = false;
+  TaskGroup own(executor);
+  own.submit([&own_ran] { own_ran = true; });
+  own.wait();
+  EXPECT_TRUE(own_ran);
+  EXPECT_FALSE(foreign_ran.load(std::memory_order_acquire))
+      << "the waiter must not run older foreign work while its own is queued";
+  release.count_down();
+  pin.wait();
+  foreign.wait();
+  EXPECT_TRUE(foreign_ran.load());
 }
 
 TEST(Executor, NestedFanOutStress) {
@@ -224,7 +229,7 @@ TEST(Executor, NestedFanOutStress) {
     constexpr int kJobs = 12;
     constexpr std::uint64_t kItems = 500;
     for (int j = 0; j < kJobs; ++j)
-      jobs.submit(Task([&executor, &total] {
+      jobs.submit([&executor, &total] {
         TaskGroup inner(executor);
         inner.submit_bulk(kItems, 8,
                           [&](unsigned, std::uint64_t begin, std::uint64_t end) {
@@ -232,7 +237,7 @@ TEST(Executor, NestedFanOutStress) {
                                             std::memory_order_relaxed);
                           });
         inner.wait();
-      }));
+      });
     jobs.wait();
     EXPECT_EQ(total.load(), kJobs * kItems) << workers << " workers";
   }
