@@ -57,7 +57,7 @@ double LifetimeModel::years_to_failure(
 
 namespace {
 
-/// One distinct history's lifetime, replayed per cell by the fold.
+/// One distinct history's lifetime.
 struct CellLifetime {
   double years = 0.0;
   bool used = false;
@@ -93,34 +93,28 @@ LifetimeReport make_lifetime_report(
         };
       });
 
-  // The in-order fold: one unit-weight Welford add per used cell and
-  // region, in ascending cell order. A RunningStats min is the running
-  // `value < min` replacement, so it is the device (and region) lifetime.
+  // The tally fold: each region's (history, cell count) pairs feed exact,
+  // order-free moments, and the whole memory's are the exact sum over the
+  // regions. Their min is the device (and region) lifetime.
   const std::vector<CellRegion>& tags = segments.front().tracker->regions();
   LifetimeReport report;
   report.regions.reserve(tags.size());
-  for_each_region(histories.cell_count(), tags, [&](std::size_t begin,
-                                                    std::size_t end,
-                                                    std::size_t r) {
-    // Local accumulators, so the Welford state can stay in registers.
-    util::RunningStats cells = report.cell_lifetime;
-    util::RunningStats region_cells;
-    const bool tagged = r < tags.size();
-    histories.for_each(begin, end, [&](std::size_t, std::uint32_t id) {
-      const CellLifetime& cell = values[id];
-      if (!cell.used) return;
-      cells.add(cell.years);
-      if (tagged) region_cells.add(cell.years);
-    });
-    report.cell_lifetime = cells;
-    if (tagged)
+  util::ExactMoments cells;
+  for (std::size_t r = 0; r < histories.region_count(); ++r) {
+    util::ExactMoments region_cells;
+    for (const HistoryTable::Tally& tally : histories.tallies(r))
+      if (values[tally.id].used)
+        region_cells.add(values[tally.id].years, tally.cells);
+    cells.add(region_cells);
+    if (r < tags.size()) {
+      const util::RunningStats stats = region_cells.stats();
       report.regions.push_back(RegionLifetime{
-          tags[r].name,
-          region_cells.count() == 0 ? 0.0 : region_cells.min(),
-          region_cells});
-  });
-  DNNLIFE_EXPECTS(report.cell_lifetime.count() != 0,
-                  "no used cells in tracker");
+          tags[r].name, stats.count() == 0 ? 0.0 : stats.min(), stats});
+    }
+  }
+  DNNLIFE_EXPECTS(cells.count() != 0, "no used cells in tracker");
+  report.cell_lifetime = cells.stats();
+  report.never_failing_cells = cells.infinite_count();
   report.device_lifetime_years = report.cell_lifetime.min();
   report.improvement_over_worst_case =
       report.device_lifetime_years / model.worst_case_years();

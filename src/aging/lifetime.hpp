@@ -82,9 +82,21 @@ struct RegionLifetime {
   util::RunningStats cell_lifetime;
 };
 
+/// Mean and variance of `cell_lifetime` (and of each region's) are exact:
+/// the count-weighted sums over the distinct histories are summed without
+/// rounding and rounded once (util::ExactMoments), so they do not depend
+/// on cell order, thread count, shard split or history numbering, and the
+/// mean is within 1 ulp of exact. A used cell that never reaches the
+/// failure threshold (e.g. never stressed) has a `+inf` lifetime. Those
+/// cells stay out of the sums and are counted in `never_failing_cells`;
+/// when there is at least one, the mean and the variance are `+inf` (and
+/// so is the device lifetime when every used cell is such a cell), never
+/// NaN.
 struct LifetimeReport {
   double device_lifetime_years = 0.0;  ///< min over used cells
   util::RunningStats cell_lifetime;    ///< distribution over used cells
+  /// Used cells whose lifetime is `+inf`.
+  std::size_t never_failing_cells = 0;
   /// device lifetime / worst-case (duty 0/1, nominal environment) lifetime.
   double improvement_over_worst_case = 0.0;
   /// device lifetime / best-case (duty 0.5, *nominal* environment)

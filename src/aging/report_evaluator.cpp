@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
-#include <type_traits>
+#include <utility>
 
 namespace dnnlife::aging {
 
@@ -93,16 +92,6 @@ class ExactKeyTable {
   std::size_t mask_ = 15;
 };
 
-/// `narrow`'s ids in a wider index with room for `cells` (the narrow one
-/// is freed on return).
-template <class Wide, class Narrow>
-std::vector<Wide> widened(std::vector<Narrow> narrow, std::size_t cells) {
-  std::vector<Wide> wide;
-  wide.reserve(cells);
-  wide.assign(narrow.begin(), narrow.end());
-  return wide;
-}
-
 }  // namespace
 
 HistoryTable::HistoryTable(std::span<const EnvironmentSegmentView> segments)
@@ -116,36 +105,50 @@ HistoryTable::HistoryTable(std::span<const EnvironmentSegmentView> segments)
   for (const EnvironmentSegmentView& segment : segments)
     columns.push_back({segment.tracker->ones_time().data(),
                        segment.tracker->total_time().data()});
+  // The regions' cell ranges: the tags partition the cells, in order.
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  for (const CellRegion& tag : segments.front().tracker->regions()) {
+    ranges.emplace_back(tag.cell_begin, tag.cell_end);
+    region_ends_.push_back(static_cast<std::size_t>(tag.cell_end));
+  }
+  if (ranges.empty()) ranges.emplace_back(0, cells_);
   ExactKeyTable keys(segments_);
   std::vector<std::uint64_t> key(segments_);
-  std::size_t cell = 0;
-  // Append the ids of the cells from `cell` on to `index`, and keep it once
-  // every cell is keyed. Stops (false) at the first cell whose id does not
-  // fit the index; that cell is keyed again, as a hit, into the wider one.
-  // Indices are reserved, not zero-filled, so an index only touches the
-  // pages it fills: a widening costs the cells keyed so far, not a whole
-  // narrow index.
-  const auto scan = [&](auto& index) {
-    using Index = typename std::decay_t<decltype(index)>::value_type;
-    for (; cell < cells_; ++cell) {
+  // counts[id] is the number of cells of the current region keyed to id so
+  // far; a region's first cell of an id appends its tally, and the region's
+  // end settles every tally it appended and zeroes those counts again.
+  std::vector<std::uint64_t> counts;
+  offsets_.push_back(0);
+  for (const auto& [begin, end] : ranges) {
+    const std::size_t first_tally = tallies_.size();
+    for (std::size_t cell = begin; cell < end; ++cell) {
       for (std::size_t s = 0; s < segments_; ++s)
         key[s] = std::uint64_t{columns[s].ones[cell]} << 32 |
                  columns[s].total[cell];
       const ExactKeyTable::Lookup lookup = keys.insert(key.data());
-      if (lookup.inserted) firsts_.push_back(cell);
-      if (lookup.id > std::numeric_limits<Index>::max()) return false;
-      index.push_back(static_cast<Index>(lookup.id));
+      if (lookup.inserted) {
+        firsts_.push_back(cell);
+        counts.push_back(0);
+      }
+      if (counts[lookup.id]++ == 0) tallies_.push_back({lookup.id, 0});
     }
-    index_ = std::move(index);
-    return true;
-  };
-  std::vector<std::uint8_t> index8;
-  index8.reserve(cells_);
-  if (scan(index8)) return;
-  auto index16 = widened<std::uint16_t>(std::move(index8), cells_);
-  if (scan(index16)) return;
-  auto index32 = widened<std::uint32_t>(std::move(index16), cells_);
-  scan(index32);
+    for (std::size_t t = first_tally; t < tallies_.size(); ++t)
+      tallies_[t].cells = std::exchange(counts[tallies_[t].id], 0);
+    offsets_.push_back(tallies_.size());
+  }
+}
+
+void HistoryTable::check_matches(
+    std::span<const EnvironmentSegmentView> segments) const {
+  const std::vector<CellRegion>& tags = segments.front().tracker->regions();
+  DNNLIFE_EXPECTS(segments.size() == segments_ &&
+                      segments.front().tracker->cell_count() == cells_ &&
+                      tags.size() == region_ends_.size() &&
+                      std::equal(tags.begin(), tags.end(), region_ends_.begin(),
+                                 [](const CellRegion& tag, std::size_t end) {
+                                   return tag.cell_end == end;
+                                 }),
+                  "history table was built for a different state");
 }
 
 }  // namespace dnnlife::aging

@@ -2,46 +2,46 @@
 // evaluation over it.
 //
 // make_aging_report / make_lifetime_report evaluate the model for every
-// cell of a memory, feeding accumulators that own the RunningStats /
-// histogram / per-region breakdown. The expensive part — per-cell model
-// evaluation, up to a full Newton lifetime solve per cell — is massively
-// repetitive: a committed state holds few distinct cell histories (tens
-// to tens of thousands across up to millions of cells). The cheap part,
-// statistical accumulation, is order-sensitive (Welford updates do not
-// commute bitwise). The pipeline splits the two:
+// cell of a memory. The expensive part, per-cell model evaluation (up to a
+// full Newton lifetime solve per cell), is massively repetitive: a
+// committed state holds few distinct cell histories (tens to tens of
+// thousands across up to millions of cells). So is the statistics part:
+// the reports only need the distribution of values over the cells, which
+// is a short list of distinct values with cell counts. The pipeline works
+// on that list:
 //
 //  * HistoryTable keys every cell of the state on its exact residency
 //    counters in every segment, `(ones_time, total_time)` per segment
-//    tracker, and numbers the distinct histories in whole-state
-//    first-seen cell order, with a per-cell index of the narrowest width
-//    that fits (uint8_t, then uint16_t, then uint32_t). Everything a
-//    report computes for a cell (its gathered StressSegment history,
-//    merged duty, unused flag) is a pure function of those integers and
-//    the fixed per-segment environments, so cells with equal keys have
-//    bit-identical values. One table serves both reports of a point.
+//    tracker, numbers the distinct histories in whole-state first-seen
+//    cell order, and tallies one cell count per (region, history) in the
+//    same single pass, region by region. It keeps no per-cell index.
+//    Everything a report computes for a cell (its gathered StressSegment
+//    history, merged duty, unused flag) is a pure function of those
+//    integers and the fixed per-segment environments, so cells with equal
+//    keys have bit-identical values. One table serves both reports of a
+//    point.
 //  * ReportEvaluator evaluates each distinct history once: at budget 1 in
 //    one call, above it in fixed kChunk-id chunks claimed as items on the
-//    session-wide executor. Each value is a pure function
-//    of its history, so the values are bit-identical for any budget. Both
-//    reports take one path for any segment count: gather the history's
-//    StressSegment timeline and call the model's timeline entry points,
-//    which short-circuit a single segment to the plain formula.
-//  * the reports then fold in ascending cell order, replaying
-//    values[index[cell]] (HistoryTable::for_each) through unit-weight
-//    Welford adds; order-free integer tallies (histogram bins, optimal
-//    and unused counts) are counted per distinct id or per region.
+//    session-wide executor. Each value is a pure function of its history,
+//    so the values are bit-identical for any budget. Both reports take one
+//    path for any segment count: gather the history's StressSegment
+//    timeline and call the model's timeline entry points, which
+//    short-circuit a single segment to the plain formula.
+//  * the reports then fold over each region's (history, cell count)
+//    tallies and never touch per-cell data. Histogram bins, optimal and
+//    unused counts are integer counts; min, max and the lifetimes (a
+//    minimum) are order-free; mean and variance come from exact sums
+//    (util::ExactMoments), rounded once, and the whole memory's sums are
+//    the exact sums of its regions'.
 //
-// The fold therefore sees exactly the sequence of (cell, value) pairs the
-// single-threaded per-cell loop produced, which makes the reports
-// bit-identical to it for ANY budget and ANY executor size, the invariant
-// the rest of the framework already holds (see util/executor.hpp).
+// Every report field is therefore independent of cell order, thread
+// count, executor size, shard split and history numbering.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <variant>
 #include <vector>
 
 #include "aging/duty_cycle.hpp"
@@ -49,13 +49,21 @@
 
 namespace dnnlife::aging {
 
-/// The distinct cell histories of one evaluated state, plus a per-cell
-/// index into them. Immutable once built; borrows nothing, but is only
-/// meaningful together with the segments it was built from.
+/// The distinct cell histories of one evaluated state, and how many cells
+/// of each region hold each of them. Immutable once built; borrows
+/// nothing, but is only meaningful together with the segments it was
+/// built from.
 class HistoryTable {
  public:
-  /// Key every cell of `segments` (one pass, serial). Validates the
-  /// segments like the reports do (check_segments).
+  /// The cells of one region that hold history `id`.
+  struct Tally {
+    std::uint32_t id;
+    std::uint64_t cells;
+  };
+
+  /// Key every cell of `segments` (one pass, serial, region by region)
+  /// and tally it. Validates the segments like the reports do
+  /// (check_segments).
   explicit HistoryTable(std::span<const EnvironmentSegmentView> segments);
 
   std::size_t cell_count() const noexcept { return cells_; }
@@ -64,45 +72,30 @@ class HistoryTable {
   /// The first cell of each distinct history, indexed by id; ids are
   /// numbered in ascending order of these cells.
   std::span<const std::size_t> firsts() const noexcept { return firsts_; }
-  /// Bytes per cell of the index: 1, 2 or 4.
-  std::size_t index_bytes() const noexcept {
-    return std::visit([](const auto& index) { return sizeof index[0]; },
-                      index_);
-  }
-  /// The id of `cell`'s history.
-  std::uint32_t id(std::size_t cell) const {
-    DNNLIFE_EXPECTS(cell < cells_, "cell out of range");
-    return std::visit(
-        [cell](const auto& index) -> std::uint32_t { return index[cell]; },
-        index_);
+  /// The regions of the tracker tags, in cell order; one region of every
+  /// cell when untagged.
+  std::size_t region_count() const noexcept { return offsets_.size() - 1; }
+  /// Region `region`'s tallies: each distinct history of the region once,
+  /// with its cell count (the counts sum to the region's cell count).
+  std::span<const Tally> tallies(std::size_t region) const {
+    DNNLIFE_EXPECTS(region < region_count(), "region out of range");
+    return std::span(tallies_).subspan(
+        offsets_[region], offsets_[region + 1] - offsets_[region]);
   }
 
-  /// visit(cell, id) for every cell of [begin, end), in ascending order.
-  template <class Visit>
-  void for_each(std::size_t begin, std::size_t end, Visit&& visit) const {
-    DNNLIFE_EXPECTS(begin <= end && end <= cells_, "cell range out of range");
-    std::visit(
-        [&](const auto& index) {
-          for (std::size_t cell = begin; cell < end; ++cell)
-            visit(cell, static_cast<std::uint32_t>(index[cell]));
-        },
-        index_);
-  }
-
-  /// Reject a table built from a different shape of state.
-  void check_matches(std::span<const EnvironmentSegmentView> segments) const {
-    DNNLIFE_EXPECTS(segments.size() == segments_ &&
-                        segments.front().tracker->cell_count() == cells_,
-                    "history table was built for a different state");
-  }
+  /// Reject a table built from a different shape of state or region
+  /// partition.
+  void check_matches(std::span<const EnvironmentSegmentView> segments) const;
 
  private:
   std::size_t cells_;
   std::size_t segments_;
+  /// The cell_end of each tagged region (empty when untagged).
+  std::vector<std::size_t> region_ends_;
   std::vector<std::size_t> firsts_;
-  std::variant<std::vector<std::uint8_t>, std::vector<std::uint16_t>,
-               std::vector<std::uint32_t>>
-      index_;
+  std::vector<Tally> tallies_;
+  /// Region r's tallies are [offsets_[r], offsets_[r + 1]).
+  std::vector<std::size_t> offsets_;
 };
 
 /// Runs the distinct-history evaluation of one report on the session
@@ -150,20 +143,5 @@ class ReportEvaluator {
  private:
   unsigned threads_;
 };
-
-/// fold(begin, end, region) over the region partition `tags` of a
-/// `cell_count`-cell memory, in cell order (region = the tag's index);
-/// one call over every cell with region == tags.size() when untagged.
-template <class Fold>
-void for_each_region(std::size_t cell_count,
-                     const std::vector<CellRegion>& tags, Fold&& fold) {
-  if (tags.empty()) {
-    fold(std::size_t{0}, cell_count, tags.size());
-    return;
-  }
-  for (std::size_t r = 0; r < tags.size(); ++r)
-    fold(static_cast<std::size_t>(tags[r].cell_begin),
-         static_cast<std::size_t>(tags[r].cell_end), r);
-}
 
 }  // namespace dnnlife::aging

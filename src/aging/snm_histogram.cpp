@@ -37,8 +37,8 @@ std::string AgingReport::to_string() const {
 
 namespace {
 
-/// One distinct history's aging outcome: what the in-order fold replays
-/// per cell, with the optimal flag decided once per history.
+/// One distinct history's aging outcome, with the optimal flag decided
+/// once per history.
 struct CellAging {
   double duty = 0.0;
   double snm = 0.0;
@@ -92,59 +92,50 @@ AgingReport make_aging_report(std::span<const EnvironmentSegmentView> segments,
         };
       });
 
-  // The in-order fold: Welford adds per used cell, in ascending cell order
-  // (the per-cell loop's exact sequence); histogram and optimal/unused
-  // tallies are integer counts, order-free and exact.
+  // The tally fold: each region's (history, cell count) pairs feed exact,
+  // order-free moments (util::ExactMoments), and the whole memory's are
+  // the exact sum over the regions; histogram and optimal/unused tallies
+  // are integer counts.
   const std::vector<CellRegion>& tags = segments.front().tracker->regions();
   AgingReport report{util::Histogram(options.hist_lo, options.hist_hi,
                                      options.hist_bins),
                      {}, {}, histories.cell_count(), 0, 0.0, {}};
   report.regions.reserve(tags.size());
-  std::vector<std::uint64_t> occurrences(values.size(), 0);
+  util::ExactMoments snm;
+  util::ExactMoments duty;
   std::uint64_t optimal_cells = 0;
-  const auto fraction = [](std::uint64_t optimal, std::size_t used) {
+  const auto fraction = [](std::uint64_t optimal, std::uint64_t used) {
     return used == 0 ? 0.0
                      : static_cast<double>(optimal) / static_cast<double>(used);
   };
-  for_each_region(histories.cell_count(), tags, [&](std::size_t begin,
-                                                    std::size_t end,
-                                                    std::size_t r) {
-    const bool tagged = r < tags.size();
-    // Local accumulators: nothing the occurrence counters alias, so the
-    // Welford state can stay in registers.
-    util::RunningStats snm = report.snm_stats;
-    util::RunningStats duty = report.duty_stats;
-    util::RunningStats region_snm;
-    util::RunningStats region_duty;
+  for (std::size_t r = 0; r < histories.region_count(); ++r) {
+    util::ExactMoments region_snm;
+    util::ExactMoments region_duty;
     std::uint64_t optimal = 0;
-    std::size_t unused = 0;
-    histories.for_each(begin, end, [&](std::size_t, std::uint32_t id) {
-      const CellAging& cell = values[id];
+    std::uint64_t unused = 0;
+    for (const HistoryTable::Tally& tally : histories.tallies(r)) {
+      const CellAging& cell = values[tally.id];
       if (!cell.used) {
-        ++unused;
-        return;
+        unused += tally.cells;
+        continue;
       }
-      ++occurrences[id];
-      optimal += cell.optimal;
-      snm.add(cell.snm);
-      duty.add(cell.duty);
-      if (tagged) {
-        region_snm.add(cell.snm);
-        region_duty.add(cell.duty);
-      }
-    });
-    report.snm_stats = snm;
-    report.duty_stats = duty;
+      if (cell.optimal) optimal += tally.cells;
+      report.snm_histogram.add(cell.snm, tally.cells);
+      region_snm.add(cell.snm, tally.cells);
+      region_duty.add(cell.duty, tally.cells);
+    }
+    snm.add(region_snm);
+    duty.add(region_duty);
     report.unused_cells += unused;
     optimal_cells += optimal;
-    if (tagged)
+    if (r < tags.size())
       report.regions.push_back(RegionAging{
-          tags[r].name, end - begin, unused, region_snm, region_duty,
-          fraction(optimal, end - begin - unused)});
-  });
-  for (std::size_t id = 0; id < values.size(); ++id)
-    if (occurrences[id] != 0)
-      report.snm_histogram.add(values[id].snm, occurrences[id]);
+          tags[r].name, unused + region_snm.count(), unused,
+          region_snm.stats(), region_duty.stats(),
+          fraction(optimal, region_snm.count())});
+  }
+  report.snm_stats = snm.stats();
+  report.duty_stats = duty.stats();
   report.fraction_optimal =
       fraction(optimal_cells, report.total_cells - report.unused_cells);
   return report;

@@ -27,7 +27,13 @@ struct RegionAging {
   double fraction_optimal = 0.0;
 };
 
-/// One evaluated configuration's aging outcome.
+/// One evaluated configuration's aging outcome. The means and variances
+/// (here and per region) are exact: the count-weighted sums over the
+/// distinct histories are summed without rounding and rounded once
+/// (util::ExactMoments). The mean is within 1 ulp of the exact mean of
+/// the used cells, the variance is the population variance about that
+/// rounded mean, and neither depends on cell order, thread count, shard
+/// split or history numbering.
 struct AgingReport {
   util::Histogram snm_histogram;  ///< % of cells per SNM-degradation bin
   util::RunningStats snm_stats;   ///< over cells (percent units)
@@ -57,8 +63,9 @@ struct AgingReportOptions {
   double optimal_tolerance = 2.0;
   /// Report-evaluation budget on the session executor (0 = hardware
   /// concurrency). Results are bit-identical for any value: the model is
-  /// evaluated once per distinct cell history of the whole state, and
-  /// accumulation replays in cell order (see aging/report_evaluator.hpp).
+  /// evaluated once per distinct cell history of the whole state, and the
+  /// statistics fold over per-region history counts with exact sums (see
+  /// aging/report_evaluator.hpp).
   unsigned threads = 1;
 };
 

@@ -30,9 +30,9 @@
 // (see aging/report_evaluator.hpp) and submit them as items, while shard
 // fan-outs such as the fast simulator's row commit use util::shard_range
 // over the *budget*. Per-shard RNG derivation is untouched, results land
-// in disjoint slots, and folds replay in fixed cell or shard order — so
-// reports, sweeps and summaries are bit-identical for ANY worker count and
-// budget (pinned by goldens in tests/test_executor.cpp and
+// in disjoint slots, and folds run in fixed shard order or are exact and
+// order-free — so reports, sweeps and summaries are bit-identical for ANY
+// worker count and budget (pinned by goldens in tests/test_executor.cpp and
 // tests/test_report_evaluator.cpp).
 #pragma once
 

@@ -66,7 +66,7 @@ TEST(WeightStreamer, EmpiricalSigmaMatchesTarget) {
   WeightStreamer streamer(net, config);
   util::RunningStats stats;
   for (std::uint64_t g = 0; g < net.total_weights(); ++g)
-    stats.add(streamer.weight(g));
+    stats.add(streamer.weight(g), 1);
   EXPECT_NEAR(stats.mean(), 0.0, 1e-3);
   EXPECT_NEAR(stats.stddev(), streamer.layer_sigma(0), 5e-4);
 }
@@ -80,7 +80,7 @@ TEST(WeightStreamer, GaussianDistributionOption) {
   util::RunningStats stats;
   double kurtosis_acc = 0.0;
   for (std::uint64_t g = 0; g < net.total_weights(); ++g)
-    stats.add(streamer.weight(g));
+    stats.add(streamer.weight(g), 1);
   for (std::uint64_t g = 0; g < net.total_weights(); ++g) {
     const double z = (streamer.weight(g) - stats.mean()) / stats.stddev();
     kurtosis_acc += z * z * z * z;
@@ -130,7 +130,7 @@ TEST(WeightStreamer, LaplaceIsHeavyTailed) {
   WeightStreamer streamer(net);  // Laplace default
   util::RunningStats stats;
   for (std::uint64_t g = 0; g < net.total_weights(); ++g)
-    stats.add(streamer.weight(g));
+    stats.add(streamer.weight(g), 1);
   double kurtosis_acc = 0.0;
   for (std::uint64_t g = 0; g < net.total_weights(); ++g) {
     const double z = (streamer.weight(g) - stats.mean()) / stats.stddev();
@@ -151,7 +151,7 @@ TEST(WeightStreamer, LayerStatsAreConsistent) {
   // The chunked pass agrees with a scalar fold over weight(g).
   util::RunningStats scalar;
   for (std::uint64_t g = 0; g < streamer.layer_weight_count(0); ++g)
-    scalar.add(streamer.weight(g));
+    scalar.add(streamer.weight(g), 1);
   EXPECT_EQ(range.min, scalar.min());
   EXPECT_EQ(range.max, scalar.max());
 }

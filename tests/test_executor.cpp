@@ -246,13 +246,13 @@ TEST(Executor, NestedFanOutStress) {
 // ---- determinism across executor sizes ---------------------------------------
 
 TEST(Executor, ReportEvaluatorFoldIsInvariantAcrossExecutorSizes) {
-  // The determinism argument in miniature: the history-table replay
-  // (ReportEvaluator) must produce the identical sequence for any executor
-  // size, because each value is a pure function of its history and the
-  // fold replays values[index[cell]] in cell order. 1500 distinct
-  // histories span three evaluation chunks, so the budget-4 run really
-  // fans out. Uses the session executor via configure_session — legal
-  // here because the session is idle between runs.
+  // The determinism argument in miniature: the distinct-history values
+  // (ReportEvaluator) and the fold over the history table's tallies must
+  // be identical for any executor size, because each value is a pure
+  // function of its history and the tallies are fixed by the table.
+  // 1500 distinct histories span three evaluation chunks, so the budget-4
+  // run really fans out. Uses the session executor via configure_session
+  // — legal here because the session is idle between runs.
   const std::size_t cells = 3 * aging::ReportEvaluator::kChunk + 1000;
   aging::DutyCycleTracker tracker(cells);
   for (std::size_t cell = 0; cell < cells; ++cell) {
@@ -273,10 +273,10 @@ TEST(Executor, ReportEvaluatorFoldIsInvariantAcrossExecutorSizes) {
           };
         });
     std::uint64_t hash = 0xcbf29ce484222325ULL;
-    table.for_each(0, cells, [&](std::size_t cell, std::uint32_t id) {
-      hash ^= cell * 0x9e3779b97f4a7c15ULL + values[id];
+    for (const aging::HistoryTable::Tally& tally : table.tallies(0)) {
+      hash ^= tally.cells * 0x9e3779b97f4a7c15ULL + values[tally.id];
       hash *= 0x100000001b3ULL;
-    });
+    }
     return hash;
   };
   Executor::configure_session(1);

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "aging/lifetime.hpp"
+#include "aging/model_registry.hpp"
 
 namespace dnnlife::aging {
 namespace {
@@ -87,6 +91,52 @@ TEST(LifetimeReport, RejectsEmptyTracker) {
   const EnvironmentSegmentView segment{&tracker, {}};
   EXPECT_THROW(make_lifetime_report({&segment, 1}, LifetimeModel{}),
                std::invalid_argument);
+}
+
+TEST(LifetimeReport, NeverFailingCellsMakeTheMeanInfiniteNotNan) {
+  // Cells written only during a fully power-gated segment are used but
+  // never stressed: an infinite lifetime. One, some and all of them.
+  const LifetimeModel model(make_aging_model("arrhenius-nbti"));
+  EnvironmentSpec gated;
+  gated.activity_scale = 0.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::size_t never_failing : {1u, 3u, 6u}) {
+    DutyCycleTracker off(6);
+    DutyCycleTracker on(6);
+    for (std::size_t cell = 0; cell < 6; ++cell) {
+      off.add_total_time(cell, 10);
+      off.add_ones_time(cell, cell);
+      if (cell >= never_failing) {
+        on.add_total_time(cell, 10);
+        on.add_ones_time(cell, 9);
+      }
+    }
+    off.set_regions({CellRegion{"gated-only", 0, 1}, CellRegion{"rest", 1, 6}});
+    on.set_regions(off.regions());
+    const std::vector<EnvironmentSegmentView> segments = {{&off, gated},
+                                                          {&on, {}}};
+    const LifetimeReport report = make_lifetime_report(segments, model);
+    const std::string what = std::to_string(never_failing) + " never failing";
+    EXPECT_EQ(report.never_failing_cells, never_failing) << what;
+    EXPECT_EQ(report.cell_lifetime.count(), 6u) << what;
+    EXPECT_EQ(report.cell_lifetime.mean(), inf) << what;
+    EXPECT_EQ(report.cell_lifetime.variance(), inf) << what;
+    EXPECT_EQ(report.cell_lifetime.max(), inf) << what;
+    EXPECT_EQ(report.regions[0].device_lifetime_years, inf) << what;
+    EXPECT_EQ(report.regions[0].cell_lifetime.mean(), inf) << what;
+    if (never_failing < 6) {
+      EXPECT_TRUE(std::isfinite(report.device_lifetime_years)) << what;
+      EXPECT_EQ(report.device_lifetime_years, report.cell_lifetime.min());
+    } else {
+      EXPECT_EQ(report.device_lifetime_years, inf);
+      EXPECT_EQ(report.fraction_of_ideal, inf);
+    }
+    if (never_failing == 1) {
+      // The region without such cells keeps finite, exact moments.
+      EXPECT_TRUE(std::isfinite(report.regions[1].cell_lifetime.mean()));
+      EXPECT_TRUE(std::isfinite(report.regions[1].cell_lifetime.variance()));
+    }
+  }
 }
 
 // ---- dual BTI ---------------------------------------------------------------

@@ -159,7 +159,7 @@ TEST_P(DutyConcentration, SpreadShrinksWithSqrtN) {
   policy.seed = 0xfeedULL + inferences;
   const auto tracker = core::simulate_fast(stream, policy, {inferences});
   util::RunningStats duty;
-  for (std::size_t cell = 0; cell < 64; ++cell) duty.add(tracker.duty(cell));
+  for (std::size_t cell = 0; cell < 64; ++cell) duty.add(tracker.duty(cell), 1);
   // Mean near 0.5; per-cell deviation bounded by ~5 binomial sigmas.
   EXPECT_NEAR(duty.mean(), 0.5, 0.2);
   const double sigma = std::sqrt(0.25 / inferences);
