@@ -94,17 +94,6 @@ void AgingModelRegistry::add(const std::string& name,
   factories_.emplace_back(name, std::move(factory));
 }
 
-void AgingModelRegistry::add(const std::string& name,
-                             LegacyDeviceModelFactory factory) {
-  DNNLIFE_EXPECTS(factory != nullptr, "aging-model factory must not be null");
-  add(name, [name, factory = std::move(factory)](
-                const SnmParams& snm, const AgingModelParams& params) {
-    ModelParamReader reader(params, name);
-    reader.finish();  // a pre-parameter factory exposes no knobs
-    return factory(snm);
-  });
-}
-
 bool AgingModelRegistry::contains(const std::string& name) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return std::any_of(factories_.begin(), factories_.end(),

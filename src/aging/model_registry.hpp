@@ -52,12 +52,6 @@ class ModelParamReader {
 using DeviceModelFactory = std::function<std::unique_ptr<DeviceAgingModel>(
     const SnmParams&, const AgingModelParams&)>;
 
-/// Pre-parameter factory shape, still accepted by add(): the registry
-/// wraps it and rejects any non-empty parameter block (the model exposes
-/// no knobs).
-using LegacyDeviceModelFactory =
-    std::function<std::unique_ptr<DeviceAgingModel>(const SnmParams&)>;
-
 /// Thread-safe name → factory registry. The built-in models are
 /// pre-registered: "calibrated-nbti" (default), "arrhenius-nbti",
 /// "pbti-hci" and "dual-bti".
@@ -67,9 +61,6 @@ class AgingModelRegistry {
 
   /// Register a factory; throws std::invalid_argument on duplicate names.
   void add(const std::string& name, DeviceModelFactory factory);
-  /// Parameter-oblivious registration: the model accepts no
-  /// "aging_model_params" keys (any non-empty block throws at creation).
-  void add(const std::string& name, LegacyDeviceModelFactory factory);
 
   bool contains(const std::string& name) const;
   std::vector<std::string> names() const;

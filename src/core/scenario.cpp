@@ -556,10 +556,6 @@ std::vector<std::string> encoded_rows_keys(const ScenarioSpec& spec) {
   return keys;
 }
 
-ScenarioResult run_scenario(const ScenarioSpec& spec) {
-  return run_scenario(spec, RunScenarioOptions{});
-}
-
 ScenarioResult run_scenario(const ScenarioSpec& spec,
                             const RunScenarioOptions& options) {
   DNNLIFE_EXPECTS(!spec.phases.empty(), "scenario needs at least one phase");

@@ -123,12 +123,6 @@ struct ScenarioResult {
   std::optional<aging::LifetimeReport> lifetime;
 };
 
-/// Run the scenario end-to-end: build the per-network streams (hardware
-/// config shared, so all phases target the same physical memory), resolve
-/// the region table, simulate the phased workload and report aging per
-/// region.
-ScenarioResult run_scenario(const ScenarioSpec& spec);
-
 class SimCache;  // core/sim_cache.hpp
 
 /// The canonical simulation fingerprint of a spec: a stable 32-hex-char
@@ -199,9 +193,12 @@ struct RunScenarioOptions {
 /// distinct phase network, in first-use order.
 std::vector<std::string> encoded_rows_keys(const ScenarioSpec& spec);
 
-/// Cache-aware run_scenario. With a null cache and store this is exactly
-/// the plain overload.
+/// Run the scenario end-to-end: build the per-network streams (hardware
+/// config shared, so all phases target the same physical memory), resolve
+/// the region table, simulate the phased workload and report aging per
+/// region. With a sim cache or store in `options` the simulation is reused
+/// by fingerprint; results are identical either way.
 ScenarioResult run_scenario(const ScenarioSpec& spec,
-                            const RunScenarioOptions& options);
+                            const RunScenarioOptions& options = {});
 
 }  // namespace dnnlife::core

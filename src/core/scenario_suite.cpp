@@ -125,17 +125,8 @@ std::vector<SuiteOutcome> ScenarioSuite::run(
   // an admission budget on the shared session executor, not a pool size —
   // scenario jobs, their fast-sim commits and their report evaluations all
   // share the same workers.
-  SweepScheduler::Options scheduler_options;
-  scheduler_options.jobs = options.jobs;
-  scheduler_options.threads_per_scenario = options.threads_per_scenario;
-  scheduler_options.retries = options.retries;
-  scheduler_options.soft_deadline_seconds = options.soft_deadline_seconds;
-  scheduler_options.fault_hook = options.fault_hook;
-  scheduler_options.journal = options.journal;
-  scheduler_options.progress = options.progress;
+  SweepScheduler::Options scheduler_options = options;  // all but the shard
   scheduler_options.expected_total = selection.size();
-  scheduler_options.sim_cache = options.sim_cache;
-  scheduler_options.sim_store = options.sim_store;
   SweepScheduler scheduler(std::move(scheduler_options));
   std::vector<SweepScheduler::Handle> handles;
   handles.reserve(selection.size());

@@ -22,6 +22,7 @@
 // This runner shards across cores; SuiteShard shards across machines.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -99,16 +100,16 @@ struct SuiteFaultContext {
 /// leave it empty.
 using SuiteFaultHook = std::function<void(const SuiteFaultContext&)>;
 
-struct SuiteRunOptions {
-  /// Admission budget: scenarios in flight at once (0 = hardware
-  /// concurrency), passed on unclamped; see SweepScheduler::Options.
+/// The settings of a sweep, defined once: SweepScheduler::Options is this
+/// struct, and SuiteRunOptions adds the shard.
+struct SweepOptions {
+  /// Admission budget: points in flight at once (0 = hardware
+  /// concurrency). A budget, not a pool size: slots no point holds are
+  /// lent to the running points' stages (see SweepScheduler::stage_threads).
   unsigned jobs = 0;
-  /// Override every spec's own `threads` (simulation + report evaluation);
-  /// 0 keeps the per-document values. Each stage's floor: idle admission
-  /// slots add to it (see SweepScheduler::stage_threads).
+  /// Override every spec's own `threads` (simulation + report evaluation),
+  /// the floor of each stage's budget; 0 keeps the per-document values.
   unsigned threads_per_scenario = 0;
-  /// Run only this shard's selection of the suite.
-  SuiteShard shard;
   /// Extra attempts after a failed or timed-out attempt (0 = fail fast).
   /// Every attempt starts from a fresh copy of the parsed spec, so no
   /// state leaks between attempts; the outcome records the attempts used.
@@ -122,27 +123,40 @@ struct SuiteRunOptions {
   double soft_deadline_seconds = 0.0;
   /// Fault-injection hook for tests and `sweep_runner --inject-fault`.
   SuiteFaultHook fault_hook;
-  /// Durable result journal (core/sweep_journal.hpp). When set, indices the
-  /// journal already holds are skipped and every freshly completed outcome
-  /// is appended (flushed record by record), so a killed process leaves a
-  /// resumable prefix. The journal header must match this suite and shard;
-  /// run() throws std::invalid_argument otherwise.
+  /// Durable result journal (core/sweep_journal.hpp). Every fresh outcome
+  /// is appended (flushed record by record) before it is announced, so a
+  /// killed process leaves a resumable prefix; already-journaled indices
+  /// are skipped by ScenarioSuite::run and come back from
+  /// SweepScheduler::submit as replayed Handles. ScenarioSuite::run
+  /// throws std::invalid_argument unless the journal header matches its
+  /// suite and shard; the scheduler does not know what sweep the journal
+  /// belongs to.
   SweepJournal* journal = nullptr;
-  /// Invoked after each scenario finishes. Serialized internally, so a CLI
-  /// can print from it without locking; must not throw.
+  /// Invoked after each fresh point finishes. Serialized internally, so a
+  /// CLI can print from it without locking; must not throw.
   std::function<void(const SuiteProgress&)> progress;
+  /// Progress denominator. 0 means "count submissions so far" — right
+  /// for open-ended adaptive use; ScenarioSuite::run sets its selection's
+  /// size.
+  std::size_t expected_total = 0;
   /// Shared duty-state cache (core/sim_cache.hpp): points whose specs
   /// share a simulation fingerprint simulate once and evaluate against
-  /// the shared tracker state, with single-flight dedup under
-  /// concurrency. Null disables reuse. Summaries are byte-identical
-  /// either way (--omit-timing).
+  /// the shared tracker state (see SweepScheduler's claims). Null disables
+  /// reuse. Summaries are byte-identical either way (--omit-timing).
+  /// Shared with the caller, who keeps it (and its counters) across runs.
   std::shared_ptr<SimCache> sim_cache;
-  /// Disk tier under the cache (core/sim_store.hpp): memory misses probe
-  /// the store directory and fresh simulations are durably published to
-  /// it, so re-runs, resumed crashes and sibling shards pointed at one
-  /// shared directory reuse committed duty state across processes. Null
-  /// disables the tier. Summaries are byte-identical either way.
+  /// Disk tier under the cache (core/sim_store.hpp), with or without a
+  /// memory cache: memory misses probe the store directory and fresh
+  /// simulations are durably published to it, so re-runs, resumed crashes
+  /// and sibling shards pointed at one shared directory reuse committed
+  /// duty state across processes. Null disables the tier. Shared like the
+  /// cache; summaries are byte-identical either way.
   std::shared_ptr<SimStore> sim_store;
+};
+
+struct SuiteRunOptions : SweepOptions {
+  /// Run only this shard's selection of the suite.
+  SuiteShard shard;
 };
 
 class ScenarioSuite {

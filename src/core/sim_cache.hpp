@@ -21,8 +21,8 @@
 //    (--sim-cache-mb); insert is first-wins, so concurrent computers of
 //    the same fingerprint converge on one canonical state.
 //  - Single-flight (one *simulation* per fingerprint under concurrency)
-//    is the SweepScheduler's job — its admission chain parks queued
-//    same-fingerprint siblings behind the first submitter; the cache only
+//    is the SweepScheduler's job — its fingerprint claims park
+//    same-fingerprint siblings behind the first claimant; the cache only
 //    stores and counts.
 //
 // Determinism: evaluating against cached tracker state is byte-identical

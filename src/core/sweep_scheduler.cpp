@@ -8,7 +8,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -78,15 +77,12 @@ struct SweepScheduler::PointState {
   /// store is active (run_point fills it in lazily otherwise, for the
   /// record).
   std::string fingerprint;
-  /// True while this point owns its fingerprint group: it simulates, and
-  /// same-fingerprint submissions park behind it until it completes.
-  bool leads = false;
-  /// Row-payload sharing (guarded by the scheduler mutex): the keys a
-  /// simulating point needs, the artifacts it holds until its simulation
-  /// takes them, and the keys it builds itself.
-  std::vector<std::string> row_keys;
+  /// Claims (guarded by the scheduler mutex): whether the point runs as a
+  /// hit and needs no payload, the keys it holds claimed, and the
+  /// published payloads it holds until its simulation takes them.
+  bool hit = false;
+  std::vector<std::string> claims;
   std::vector<std::shared_ptr<const sim::EncodedRows>> rows;
-  std::vector<std::string> building;
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -176,15 +172,17 @@ struct SweepScheduler::Impl {
 
   void run_point(PointState& state);
 
-  // Row-payload sharing; every *_locked member runs under `mutex`.
-  void mark_simulating_locked(const std::shared_ptr<PointState>& state);
-  bool acquire_rows_locked(const std::shared_ptr<PointState>& state);
-  void release_rows_locked(const std::string& key);
+  bool reuse() const {
+    return options.sim_cache != nullptr || options.sim_store != nullptr;
+  }
+
+  // Claims; every *_locked member runs under `mutex`.
+  bool acquire_locked(const std::shared_ptr<PointState>& state);
+  void release_locked(const std::string& key, bool hits);
   std::shared_ptr<const sim::EncodedRows> lookup_rows(PointState& state,
                                                       const std::string& key);
   void publish_rows(PointState& state,
                     std::shared_ptr<const sim::EncodedRows> rows);
-  void finish_rows_locked(PointState& state);
   void top_up_locked();
 
   Options options;
@@ -199,22 +197,18 @@ struct SweepScheduler::Impl {
   mutable std::recursive_mutex mutex;
   std::deque<std::shared_ptr<PointState>> queue;
   std::unordered_map<std::size_t, SuiteRecord> replay;
-  // Single-flight bookkeeping (sim_cache and/or sim_store): fingerprints
-  // currently owned by a leading point, and the same-fingerprint siblings
-  // parked off the queue until their group's entry is committed.
-  std::unordered_set<std::string> leaders;
-  std::unordered_map<std::string, std::vector<std::shared_ptr<PointState>>>
-      parked;
-  // Row-payload sharing, per sim::EncodedRows key: the artifact — weak,
-  // because only points yet to simulate and running streams own it, so it
-  // is freed before evaluation as in a private run — whether a claimant is
-  // building it, and the points parked on that build.
-  struct RowsEntry {
+  // One claim per key: a simulation fingerprint (hex digits only) or a
+  // sim::EncodedRows key (always holds a '|'), so the two never collide.
+  // A payload claim keeps its published artifact — weak, because only
+  // points yet to simulate and running streams own it, so it is freed
+  // before evaluation as in a private run.
+  struct Claim {
+    bool payload = false;
+    bool claimed = false;
     std::weak_ptr<const sim::EncodedRows> rows;
-    bool building = false;
     std::vector<std::shared_ptr<PointState>> parked;
   };
-  std::unordered_map<std::string, RowsEntry> rows_pool;
+  std::unordered_map<std::string, Claim> claims;
   RowsStats rows_stats;
   unsigned in_flight = 0;
   std::size_t fresh_submitted = 0;
@@ -244,7 +238,7 @@ void SweepScheduler::Impl::run_point(PointState& state) {
     return SweepScheduler::stage_threads(own, jobs, in_flight,
                                          executor->workers());
   };
-  if (!state.row_keys.empty()) {
+  if (!state.hit) {
     run_options.lookup_encoded_rows = [this, &state](const std::string& key) {
       return lookup_rows(state, key);
     };
@@ -305,35 +299,19 @@ void SweepScheduler::Impl::run_point(PointState& state) {
       progress.outcome = &*state.outcome;
       options.progress(progress);
     }
-    // Single-flight release: this point led its fingerprint group. On
-    // success the shared entry is committed — every parked sibling goes
-    // to the queue front (in submission order) to evaluate against it.
-    // On failure the entry may not exist, so the first sibling is
-    // promoted to leader (queue front, fingerprint stays owned) and the
-    // rest wait on — one simulation per fingerprint survives failures.
-    // Releases happen inside this still-counted task, so wait_all()'s
-    // group.wait() covers released points with no extra machinery.
-    if (state.leads) {
-      const auto found = parked.find(state.fingerprint);
-      if (found == parked.end()) {
-        leaders.erase(state.fingerprint);
-      } else if (point_ok) {
-        for (auto sibling = found->second.rbegin();
-             sibling != found->second.rend(); ++sibling)
-          queue.push_front(std::move(*sibling));
-        parked.erase(found);
-        leaders.erase(state.fingerprint);
-      } else {
-        std::shared_ptr<PointState> promoted =
-            std::move(found->second.front());
-        found->second.erase(found->second.begin());
-        if (found->second.empty()) parked.erase(found);
-        promoted->leads = true;
-        mark_simulating_locked(promoted);
-        if (acquire_rows_locked(promoted)) queue.push_front(std::move(promoted));
-      }
-    }
-    finish_rows_locked(state);
+    // Release this point's claims, its fingerprint last, so that a
+    // sibling taking a failed leader's fingerprint over finds its payload
+    // keys free. Releases happen inside this still-counted task, so
+    // wait_all()'s group.wait() covers released points with no extra
+    // machinery.
+    for (auto key = state.claims.rbegin(); key != state.claims.rend(); ++key)
+      release_locked(*key, point_ok && *key == state.fingerprint);
+    state.claims.clear();
+    state.rows.clear();
+    std::erase_if(claims, [](const auto& claim) {
+      return !claim.second.claimed && claim.second.parked.empty() &&
+             claim.second.rows.expired();
+    });
     // Admission chain: the next queued point is launched from inside this
     // still-counted task, so the group's pending count never drops to
     // zero while queued work remains. The top-up re-fills the admission
@@ -360,48 +338,63 @@ void SweepScheduler::Impl::top_up_locked() {
   }
 }
 
-/// Mark `state` as a point that will simulate: it needs the row payloads
-/// of every phase network.
-void SweepScheduler::Impl::mark_simulating_locked(
+/// Claim every key `state` needs, or — when another point holds any of
+/// them — park on that key holding nothing, to try again once it is
+/// released. With a reuse tier the fingerprint comes first: a committed
+/// one makes the point a hit that needs no key. All-or-nothing, so a
+/// claimant never waits on anyone: no thread ever blocks on a claim, and
+/// claims cannot form a cycle.
+bool SweepScheduler::Impl::acquire_locked(
     const std::shared_ptr<PointState>& state) {
-  state->row_keys = encoded_rows_keys(state->entry.spec);
-}
-
-/// Take every built key of a simulating point and claim the others, or —
-/// when any key is being built by another point — park on it holding
-/// nothing, to be re-acquired once that build publishes or fails.
-/// All-or-nothing, so a claimant never waits on anyone: no thread ever
-/// blocks on a build, and claims cannot form a cycle.
-bool SweepScheduler::Impl::acquire_rows_locked(
-    const std::shared_ptr<PointState>& state) {
-  for (const std::string& key : state->row_keys) {
-    const auto found = rows_pool.find(key);
-    if (found != rows_pool.end() && found->second.building) {
-      found->second.parked.push_back(state);
-      ++rows_stats.parks;
+  const auto claimed = [this](const std::string& key) {
+    const auto found = claims.find(key);
+    return found != claims.end() && found->second.claimed ? &found->second
+                                                          : nullptr;
+  };
+  const std::string& fingerprint = state->fingerprint;
+  if (reuse() && !state->hit && claimed(fingerprint) == nullptr)
+    state->hit = (options.sim_cache != nullptr &&
+                  options.sim_cache->contains(fingerprint)) ||
+                 (options.sim_store != nullptr &&
+                  options.sim_store->contains(fingerprint));
+  if (state->hit) return true;
+  std::vector<std::string> keys = encoded_rows_keys(state->entry.spec);
+  if (reuse()) keys.insert(keys.begin(), fingerprint);
+  for (const std::string& key : keys) {
+    if (Claim* claim = claimed(key)) {
+      claim->parked.push_back(state);
+      if (claim->payload) ++rows_stats.parks;
       return false;
     }
   }
-  for (const std::string& key : state->row_keys) {
-    RowsEntry& entry = rows_pool[key];
-    if (auto rows = entry.rows.lock()) {
+  for (std::string& key : keys) {
+    Claim& claim = claims[key];
+    claim.payload = key != fingerprint;
+    if (auto rows = claim.rows.lock()) {
       state->rows.push_back(std::move(rows));
     } else {
-      entry.building = true;
-      state->building.push_back(key);
+      claim.claimed = true;
+      state->claims.push_back(std::move(key));
     }
   }
   return true;
 }
 
-/// Re-acquire the points parked on `key` in submission order; the ready
-/// ones go to the queue front, ahead of later submissions.
-void SweepScheduler::Impl::release_rows_locked(const std::string& key) {
+/// Release `key` and re-acquire the points parked on it in submission
+/// order; the ready ones go to the queue front, ahead of later
+/// submissions. `hits` releases the fingerprint of a leader that
+/// succeeded: its siblings run as hits against the committed entry.
+void SweepScheduler::Impl::release_locked(const std::string& key,
+                                          bool hits) {
+  Claim& claim = claims.at(key);
+  claim.claimed = false;
   std::vector<std::shared_ptr<PointState>> waiting =
-      std::exchange(rows_pool.at(key).parked, {});
+      std::exchange(claim.parked, {});
   std::vector<std::shared_ptr<PointState>> ready;
-  for (std::shared_ptr<PointState>& point : waiting)
-    if (acquire_rows_locked(point)) ready.push_back(std::move(point));
+  for (std::shared_ptr<PointState>& point : waiting) {
+    if (hits) point->hit = true;
+    if (acquire_locked(point)) ready.push_back(std::move(point));
+  }
   for (auto point = ready.rbegin(); point != ready.rend(); ++point)
     queue.push_front(std::move(*point));
 }
@@ -419,41 +412,22 @@ std::shared_ptr<const sim::EncodedRows> SweepScheduler::Impl::lookup_rows(
     state.rows.erase(held);
     return rows;
   }
-  const auto found = rows_pool.find(key);
-  return found == rows_pool.end() ? nullptr : found->second.rows.lock();
+  const auto found = claims.find(key);
+  return found == claims.end() ? nullptr : found->second.rows.lock();
 }
 
 void SweepScheduler::Impl::publish_rows(
     PointState& state, std::shared_ptr<const sim::EncodedRows> rows) {
   const std::lock_guard<std::recursive_mutex> lock(mutex);
   const auto claimed =
-      std::find(state.building.begin(), state.building.end(), rows->key());
-  if (claimed == state.building.end()) return;  // a private build
-  state.building.erase(claimed);
-  RowsEntry& entry = rows_pool.at(rows->key());
-  entry.rows = rows;
-  entry.building = false;
+      std::find(state.claims.begin(), state.claims.end(), rows->key());
+  if (claimed == state.claims.end()) return;  // a private build
+  state.claims.erase(claimed);
+  claims.at(rows->key()).rows = rows;
   ++rows_stats.builds;
   // Released siblings launch from inside this still-counted task.
-  release_rows_locked(rows->key());
+  release_locked(rows->key(), false);
   top_up_locked();
-}
-
-/// A point finished: hand its unbuilt claims to parked siblings (one of
-/// them claims the key, exactly as a failed fingerprint leader promotes a
-/// sibling), drop the holds its simulation never took, and forget keys
-/// whose artifact is gone and that nobody builds or waits for.
-void SweepScheduler::Impl::finish_rows_locked(PointState& state) {
-  for (const std::string& key : state.building) {
-    rows_pool.at(key).building = false;
-    release_rows_locked(key);
-  }
-  state.building.clear();
-  state.rows.clear();
-  std::erase_if(rows_pool, [](const auto& entry) {
-    return !entry.second.building && entry.second.parked.empty() &&
-           entry.second.rows.expired();
-  });
 }
 
 SweepScheduler::SweepScheduler(Options options)
@@ -484,35 +458,9 @@ SweepScheduler::Handle SweepScheduler::submit_locked(SuiteEntry entry,
     return Handle(std::move(state));
   }
   ++impl_->fresh_submitted;
-  if (impl_->options.sim_cache != nullptr ||
-      impl_->options.sim_store != nullptr) {
-    // Single-flight grouping: the first point of a fingerprint whose
-    // entry is not committed in any tier yet leads (it simulates, and
-    // with a store, durably publishes); later same-fingerprint
-    // submissions park behind it and are released — straight to cache or
-    // store hits — when it completes. Already-committed fingerprints run
-    // normally (eviction before they run just costs a redundant
-    // simulation, caught by the cache's first-wins insert / the store's
-    // atomic rename).
+  if (impl_->reuse())
     state->fingerprint = simulation_fingerprint(state->entry.spec);
-    if (impl_->leaders.contains(state->fingerprint)) {
-      impl_->parked[state->fingerprint].push_back(state);
-      return Handle(std::move(state));
-    }
-    const bool committed =
-        (impl_->options.sim_cache != nullptr &&
-         impl_->options.sim_cache->contains(state->fingerprint)) ||
-        (impl_->options.sim_store != nullptr &&
-         impl_->options.sim_store->contains(state->fingerprint));
-    if (!committed) {
-      impl_->leaders.insert(state->fingerprint);
-      state->leads = true;
-      impl_->mark_simulating_locked(state);
-    }
-  } else {
-    impl_->mark_simulating_locked(state);
-  }
-  if (!impl_->acquire_rows_locked(state)) return Handle(std::move(state));
+  if (!impl_->acquire_locked(state)) return Handle(std::move(state));
   if (impl_->in_flight < impl_->jobs) {
     ++impl_->in_flight;
     impl_->launch_locked(state);
@@ -562,7 +510,9 @@ unsigned SweepScheduler::stage_threads(unsigned own, unsigned jobs,
 SweepScheduler::RowsStats SweepScheduler::rows_stats() const {
   const std::lock_guard<std::recursive_mutex> lock(impl_->mutex);
   RowsStats stats = impl_->rows_stats;
-  stats.held = impl_->rows_pool.size();
+  stats.held = static_cast<std::size_t>(
+      std::count_if(impl_->claims.begin(), impl_->claims.end(),
+                    [](const auto& claim) { return claim.second.payload; }));
   return stats;
 }
 

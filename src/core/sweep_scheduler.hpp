@@ -19,34 +19,40 @@
 // completion *help* the executor (run pending tasks) instead of sleeping,
 // so polling a handle from a worker cannot deadlock the pool.
 //
-// Row-payload sharing: every point that simulates needs the packed row
-// payloads (sim::EncodedRows) of its phase networks, and points of one
-// sweep often share them — a policy or region grid over one network,
-// format and hardware dataflow. The first such point claims the key and
-// builds it; later ones park off the queue (not counted against `jobs`)
-// and are released the moment the builder publishes the artifact, before
-// its own simulation runs. If the builder fails first, a parked sibling
-// claims the key instead. No thread ever blocks on a build. An artifact is
-// owned only by points yet to simulate against it and by running
-// simulations, so it is freed before evaluation as in a private run.
-// Points that never simulate (cache or store hits) never wait on a key.
+// Claims: before a point runs it claims keys in one claim table, all or
+// nothing. With a sim cache or store the first key is its simulation
+// fingerprint: a committed fingerprint makes the point a hit that needs
+// nothing more. A point that will simulate also needs the packed row
+// payloads (sim::EncodedRows) of its phase networks, keyed by network,
+// format and hardware dataflow, which points of one sweep often share.
+// The first claimant of a key runs (it simulates, or builds and publishes
+// the payload); a later one that finds any of its keys claimed parks on
+// it holding nothing, off the queue and without an admission slot. A
+// payload key is released when it is published or when its claimant
+// finishes; a fingerprint when its leader finishes. A release re-admits
+// the parked points, in submission order, to the queue front. The
+// siblings of a leader that succeeded run as hits against its committed
+// entry; after a failure they claim again, so the first one takes the key
+// over and the rest park on it. No thread ever blocks on a claim. An
+// artifact is owned only by points yet to simulate against it and by
+// running simulations, so it is freed before evaluation as in a private
+// run.
 //
 // Work-conserving budgets: parked points hold no admission slot. At each
 // stage boundary run_scenario asks for the stage's budget
 // (RunScenarioOptions::stage_threads) and gets stage_threads(): its own
-// `threads` plus `threads` per slot nobody holds. So a shared build runs
-// on the slots of the siblings parked on it, and a single-flight leader's
-// simulation on those of its parked siblings. Borrowed slots are not
-// reserved: a point admitted later still takes its own slot, so budgets
-// may briefly add up past `jobs` × `threads`; the executor's fixed worker
-// count is the hard bound, and no result depends on a budget. With no
-// lent-budget bookkeeping, a failed or timed-out borrower has nothing to
-// hand back.
+// `threads` plus `threads` per slot nobody holds. So a shared build, or a
+// fingerprint leader's simulation, runs on the slots of the points parked
+// on its claims. Borrowed slots are not reserved: a point admitted later
+// still takes its own slot, so budgets may briefly add up past `jobs` ×
+// `threads`; the executor's fixed worker count is the hard bound, and no
+// result depends on a budget. With no lent-budget bookkeeping, a failed
+// or timed-out borrower has nothing to hand back.
 //
 // Soft deadlines are cooperative: every attempt runs inline on the pool,
 // deadline or not, and run_scenario stops a late one at its next stage
-// boundary. A timed-out builder or fingerprint leader hands its key over
-// like any failed point, and nothing it touched outlives the attempt.
+// boundary. A timed-out claimant releases its keys like any failed point,
+// and nothing it touched outlives the attempt.
 //
 // Journal integration matches the suite runner: fresh outcomes are
 // appended (flushed) before they are announced, and submitting an index
@@ -69,55 +75,13 @@ namespace dnnlife::core {
 
 class SweepScheduler {
  public:
-  struct Options {
-    /// Admission budget: points in flight at once (0 = hardware
-    /// concurrency). A budget, not a pool size: slots no point holds are
-    /// lent to the running points' stages (see stage_threads).
-    unsigned jobs = 0;
-    /// Override every spec's own `threads`, the floor of each stage's
-    /// budget (see stage_threads); 0 keeps the per-document values.
-    unsigned threads_per_scenario = 0;
-    /// Extra attempts after a failed or timed-out attempt (0 = fail fast).
-    unsigned retries = 0;
-    /// Soft per-attempt deadline in seconds (0 = none); see
-    /// SuiteRunOptions::soft_deadline_seconds. Each attempt passes it to
-    /// run_scenario as RunScenarioOptions::deadline.
-    double soft_deadline_seconds = 0.0;
-    /// Fault-injection hook (tests, sweep_runner --inject-fault).
-    SuiteFaultHook fault_hook;
-    /// Durable result journal. Fresh outcomes are appended before being
-    /// announced; already-journaled indices come back as replayed Handles.
-    /// Header validation against a suite stays the caller's duty
-    /// (ScenarioSuite::run does it) — the scheduler does not know what
-    /// sweep the journal belongs to.
-    SweepJournal* journal = nullptr;
-    /// Invoked after each fresh point finishes; serialized internally.
-    std::function<void(const SuiteProgress&)> progress;
-    /// Progress denominator. 0 means "count submissions so far" — right
-    /// for open-ended adaptive use; batch callers pass their plan size.
-    std::size_t expected_total = 0;
-    /// Shared duty-state cache (see core/sim_cache.hpp). Non-null enables
-    /// content-addressed simulation reuse: points run through the
-    /// cache-aware run_scenario, and the admission chain groups queued
-    /// points by simulation fingerprint — while one point of a group
-    /// simulates, its siblings are parked off the queue and only released
-    /// once the shared entry is committed (single-flight: exactly one
-    /// simulation per distinct fingerprint, even at full concurrency).
-    /// Shared with the caller, who keeps it (and its counters) across
-    /// schedulers; the scheduler's copy goes when the scheduler does.
-    std::shared_ptr<SimCache> sim_cache;
-    /// Disk tier under the cache (core/sim_store.hpp). Non-null also
-    /// enables the single-flight grouping above (with or without a
-    /// memory cache): the leader of a fingerprint group durably
-    /// publishes its entry before its siblings are released, so even
-    /// store-only runs — and sibling shards sharing the directory —
-    /// simulate each distinct stream once. Shared like the cache.
-    std::shared_ptr<SimStore> sim_store;
-  };
+  /// Every sweep setting, shared with SuiteRunOptions (which adds only
+  /// the shard); see core/scenario_suite.hpp.
+  using Options = SweepOptions;
 
   struct PointState;
 
-  /// Row-payload sharing counters.
+  /// Row-payload claim counters (fingerprint claims are not counted).
   struct RowsStats {
     std::size_t builds = 0;  ///< artifacts built and published by points
     std::size_t parks = 0;   ///< times a point parked on an in-flight build

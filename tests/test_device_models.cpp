@@ -253,13 +253,13 @@ TEST(AgingModelRegistry, CustomModelsPlugIn) {
     }
   };
   auto& registry = AgingModelRegistry::instance();
-  if (!registry.contains("test-frozen"))
-    registry.add("test-frozen",
-                 [](const SnmParams&) { return std::make_unique<FrozenModel>(); });
-  EXPECT_THROW(registry.add("test-frozen", [](const SnmParams&) {
+  const DeviceModelFactory factory = [](const SnmParams&,
+                                        const AgingModelParams& params) {
+    ModelParamReader(params, "test-frozen").finish();
     return std::make_unique<FrozenModel>();
-  }),
-               std::invalid_argument);
+  };
+  if (!registry.contains("test-frozen")) registry.add("test-frozen", factory);
+  EXPECT_THROW(registry.add("test-frozen", factory), std::invalid_argument);
   const auto model = make_aging_model("test-frozen");
   EXPECT_DOUBLE_EQ(model->degradation(0.1, 7.0, {}), 12.5);
   EXPECT_DOUBLE_EQ(model->degradation(0.9, 7.0, {}), 12.5);

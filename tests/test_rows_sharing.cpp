@@ -2,7 +2,9 @@
 // same (network, format, dataflow) share one sim::EncodedRows build. The
 // first claims the key, later ones park until it publishes, a failed or
 // timed-out builder hands the key to a parked sibling, and points that
-// never simulate (store hits) never wait on a key. Records stay
+// never simulate (store hits) never wait on a key. Fingerprint
+// single-flight follows the same rule: a failed leader hands its
+// fingerprint to a parked sibling that simulates once. Records stay
 // byte-identical to private, unshared runs, with or without a soft
 // deadline, and when parked siblings lend their admission slots to the
 // build.
@@ -18,6 +20,7 @@
 
 #include "core/scenario.hpp"
 #include "core/scenario_suite.hpp"
+#include "core/sim_cache.hpp"
 #include "core/sim_store.hpp"
 #include "core/sweep_scheduler.hpp"
 
@@ -241,6 +244,62 @@ TEST(RowSharing, ParkedSiblingsLendTheirSlotsToTheBuild) {
       ASSERT_TRUE(handles[i].outcome().ok) << handles[i].outcome().error;
       EXPECT_EQ(suite_record_json(handles[i].record(), false), serial[i]);
     }
+  }
+}
+
+// Four points of one fingerprint: point 0 claims it and fails, the first
+// parked sibling takes the claim over and simulates once, and the other
+// two evaluate against the entry it committed to the store or the cache.
+TEST(RowSharing, FailedFingerprintLeaderPromotesASiblingThatSimulatesOnce) {
+  std::vector<ScenarioSpec> specs;
+  for (std::size_t i = 0; i < 4; ++i) {
+    specs.push_back(point_spec(0));
+    specs.back().name = "sibling" + std::to_string(i);
+  }
+  for (const bool store_tier : {true, false}) {
+    SCOPED_TRACE(store_tier ? "sim store" : "sim cache");
+    const fs::path dir = temp_dir("dnnlife_rows_sharing_promote");
+    SweepScheduler::Options options;
+    options.jobs = 4;
+    options.threads_per_scenario = 1;
+    options.retries = 0;
+    options.fault_hook = [](const SuiteFaultContext& context) {
+      if (context.index == 0)
+        throw std::runtime_error("injected leader failure");
+    };
+    if (store_tier)
+      options.sim_store =
+          std::make_shared<SimStore>(SimStore::Options{dir.string(), 0});
+    else
+      options.sim_cache = std::make_shared<SimCache>(std::size_t{1} << 26);
+    SweepScheduler scheduler(options);
+    std::vector<SweepScheduler::Handle> handles;
+    for (const ScenarioSpec& spec : specs)
+      handles.push_back(scheduler.submit(spec));
+    scheduler.wait_all();
+    EXPECT_FALSE(handles[0].outcome().ok);
+    for (std::size_t i = 1; i < handles.size(); ++i) {
+      ASSERT_TRUE(handles[i].outcome().ok) << handles[i].outcome().error;
+      EXPECT_EQ(handles[i].outcome().fingerprint,
+                handles[0].outcome().fingerprint);
+      EXPECT_EQ(suite_record_json(handles[i].record(), false),
+                private_record(specs[i], i));
+    }
+    if (store_tier) {
+      const SimStoreStats stats = options.sim_store->stats();
+      EXPECT_EQ(stats.misses, 1u);
+      EXPECT_EQ(stats.publishes, 1u);
+      EXPECT_EQ(stats.hits, 2u);
+    } else {
+      const SimCacheStats stats = options.sim_cache->stats();
+      EXPECT_EQ(stats.misses, 1u);
+      EXPECT_EQ(stats.inserts, 1u);
+      EXPECT_EQ(stats.hits, 2u);
+    }
+    const SweepScheduler::RowsStats rows = scheduler.rows_stats();
+    EXPECT_EQ(rows.builds, 1u);
+    EXPECT_EQ(rows.held, 0u);
+    fs::remove_all(dir);
   }
 }
 

@@ -290,13 +290,15 @@ TEST(ScenarioModelParams, LegacyFactoriesRejectParams) {
   };
   auto& registry = AgingModelRegistry::instance();
   if (!registry.contains("test-flat"))
-    registry.add("test-flat", [](const SnmParams&) {
+    registry.add("test-flat", [](const SnmParams&,
+                                 const AgingModelParams& params) {
+      ModelParamReader(params, "test-flat").finish();
       return std::make_unique<FlatModel>();
     });
   EXPECT_NO_THROW(make_aging_model("test-flat"));
   try {
     make_aging_model("test-flat", SnmParams{}, {{"knob", 1.0}});
-    FAIL() << "legacy factory accepted params";
+    FAIL() << "a knob-free factory accepted params";
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find("knob"), std::string::npos);
   }
