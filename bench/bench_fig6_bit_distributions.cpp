@@ -2,8 +2,9 @@
 // weights of AlexNet and VGG-16 in the three representation formats
 // (float32, int8 symmetric, int8 asymmetric).
 //
-// Weights are the synthetic pre-trained tensors (see DESIGN.md); the paper
-// reports the same qualitative profiles: float32 mantissa ~0.5 with
+// Weights are synthetic stand-ins for the pre-trained tensors (zero-centred
+// Laplace, fan-in-scaled; see src/dnn/weight_gen.hpp); the paper reports
+// the same qualitative profiles: float32 mantissa ~0.5 with
 // strongly patterned exponent bits, int8-symmetric flat near 0.5,
 // int8-asymmetric biased with average != 0.5.
 #include <iostream>

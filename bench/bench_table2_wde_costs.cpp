@@ -1,8 +1,8 @@
 // Table II: delay / power / area of the three 64-bit Write Data Encoders,
 // from the structural gate-level cost model (substitute for the paper's
-// Cadence Genus + TSMC 65 nm flow; see DESIGN.md). Absolute numbers differ
-// from the paper's library, the ordering and magnitude ratios are the
-// reproduced result.
+// proprietary Cadence Genus + TSMC 65 nm flow; see src/hw/cell_library.hpp).
+// Absolute numbers differ from the paper's library, the ordering and
+// magnitude ratios are the reproduced result.
 #include <iostream>
 
 #include "bench_util.hpp"

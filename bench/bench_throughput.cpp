@@ -34,13 +34,6 @@ void BM_XoshiroNext(benchmark::State& state) {
 }
 BENCHMARK(BM_XoshiroNext);
 
-void BM_CounterRngGaussian(benchmark::State& state) {
-  util::CounterRng rng(1);
-  std::uint64_t i = 0;
-  for (auto _ : state) benchmark::DoNotOptimize(rng.gaussian_at(i++));
-}
-BENCHMARK(BM_CounterRngGaussian);
-
 void BM_WeightStream(benchmark::State& state) {
   const dnn::Network net = dnn::make_custom_mnist();
   const dnn::WeightStreamer streamer(net);

@@ -56,7 +56,4 @@ aging::DutyCycleTracker simulate_fast(const sim::WriteStream& stream,
                                       const PolicyConfig& policy,
                                       const FastSimOptions& options);
 
-// sample_binomial, historically declared here, lives with the DNN-Life
-// aggregation plan in core/policy_engine.hpp (included transitively).
-
 }  // namespace dnnlife::core

@@ -32,7 +32,6 @@ void RangeScan::merge(const RangeScan& other) noexcept {
     high[1] = std::max(high[1], std::min(high[0], draw));
     high[0] = std::max(high[0], draw);
   }
-  values.merge(other.values);
 }
 
 WeightStreamer::WeightStreamer(const Network& network, WeightGenConfig config)
@@ -53,9 +52,7 @@ WeightStreamer::WeightStreamer(const Network& network, WeightGenConfig config)
     const double fan_in = static_cast<double>(layer.fan_in());
     sigmas_.push_back(config_.sigma_scale * std::sqrt(2.0 / fan_in));
     // Laplace with stddev sigma has scale b = sigma / sqrt(2).
-    scales_.push_back(config_.distribution == WeightDistribution::kLaplace
-                          ? sigmas_.back() / std::sqrt(2.0)
-                          : sigmas_.back());
+    scales_.push_back(sigmas_.back() / std::sqrt(2.0));
   }
 }
 
@@ -66,8 +63,6 @@ float WeightStreamer::weight(std::uint64_t g) const {
 }
 
 double WeightStreamer::draw_near(std::size_t w, double value) const {
-  DNNLIFE_EXPECTS(config_.distribution == WeightDistribution::kLaplace,
-                  "draw_near inverts the Laplace draw only");
   // value = b log(2m + 1) 2^-53 below zero, -b log(2 - (2m + 1) 2^-52)
   // above, both before the tail factor.
   const double scaled =
@@ -100,10 +95,6 @@ RangeScan WeightStreamer::scan_range(std::size_t w, std::uint64_t begin,
   DNNLIFE_EXPECTS(begin + count <= layer_weight_count(w),
                   "scan range past the end of the layer");
   RangeScan scan;
-  if (config_.distribution == WeightDistribution::kGaussian) {
-    scan.values = fold_values(w, begin, count);
-    return scan;
-  }
   // Eight interleaved scans over batches of draws, laid out so that both
   // loops vectorise; they merge at the end.
   constexpr std::size_t kLanes = 8;
@@ -130,13 +121,12 @@ RangeScan WeightStreamer::scan_range(std::size_t w, std::uint64_t begin,
     for (; k < size; ++k) scan.add_draw(draws[k]);
   }
   for (std::size_t j = 0; j < kLanes; ++j)
-    scan.merge({{low0[j], low1[j]}, {high0[j], high1[j]}, {}});
+    scan.merge({{low0[j], low1[j]}, {high0[j], high1[j]}});
   return scan;
 }
 
 WeightRange WeightStreamer::range_of(std::size_t w,
                                      const RangeScan& scan) const {
-  if (config_.distribution == WeightDistribution::kGaussian) return scan.values;
   DNNLIFE_EXPECTS(scan.low[0] <= scan.high[0], "range of an empty scan");
   // Another draw near an extreme could, through a libm `log` error, hold
   // the extreme value instead: fold the values (vanishingly rare; the

@@ -1,10 +1,10 @@
 // Synthetic "pre-trained" weight generation.
 //
-// Substitution (see DESIGN.md): the paper analyses pre-trained ImageNet
-// models; offline we synthesise weights whose *distribution* matches what
-// training produces — zero-centred, sharply peaked, fan-in-scaled spread.
-// Trained CNN weight tensors are well modelled by a Laplacian (default) or
-// Gaussian; either reproduces the paper's Fig. 6 per-bit-probability
+// Substitution: the paper analyses pre-trained ImageNet models, which are
+// not available offline, so we synthesise weights whose *distribution*
+// matches what training produces — zero-centred, sharply peaked,
+// fan-in-scaled spread. Trained CNN weight tensors are well modelled by a
+// Laplacian, which reproduces the paper's Fig. 6 per-bit-probability
 // profiles (mantissa ~ 0.5, exponent strongly biased, int8-symmetric ~ 0.5,
 // int8-asymmetric biased).
 //
@@ -24,10 +24,7 @@
 
 namespace dnnlife::dnn {
 
-enum class WeightDistribution { kGaussian, kLaplace };
-
 struct WeightGenConfig {
-  WeightDistribution distribution = WeightDistribution::kLaplace;
   std::uint64_t seed = 42;
   /// Spread multiplier on top of the He-style sqrt(2 / fan_in) scale.
   double sigma_scale = 1.0;
@@ -53,13 +50,12 @@ struct WeightRange {
 };
 
 /// What a pass over part of a layer learns about its range: the two
-/// smallest and two largest counter draws (Laplace) or the fold of the
-/// values (Gaussian). Scans of parts merge in any order.
+/// smallest and two largest counter draws. Scans of parts merge in any
+/// order.
 struct RangeScan {
   static constexpr std::uint64_t kNoDraw = ~std::uint64_t{0};
   std::uint64_t low[2] = {kNoDraw, kNoDraw};  ///< smallest draws, ascending
   std::uint64_t high[2] = {0, 0};              ///< largest draws, descending
-  WeightRange values;                          ///< Gaussian only
 
   /// Branch-free, so independent scans vectorise.
   void add_draw(std::uint64_t draw) noexcept {
@@ -72,14 +68,13 @@ struct RangeScan {
 };
 
 /// Synthesises the weights of a network. A weight is value_at_draw() of
-/// its layer's 53-bit counter draw m. For Laplace weights that is
-/// non-decreasing in m: the inverse CDF scales each sign half by a
-/// positive constant and the halves meet at 0, the tail factor is positive
-/// on each half, and the float cast rounds monotonically — up to the libm
-/// `log` error, which kDrawGuard bounds. So a Laplace layer's [min, max],
-/// and any monotone function of its values such as an int8 code
-/// (quant::DrawCodes), follows from its draws alone, with no `log` per
-/// weight.
+/// its layer's 53-bit counter draw m, which is non-decreasing in m: the
+/// Laplace inverse CDF scales each sign half by a positive constant and the
+/// halves meet at 0, the tail factor is positive on each half, and the
+/// float cast rounds monotonically — up to the libm `log` error, which
+/// kDrawGuard bounds. So a layer's [min, max], and any monotone function of
+/// its values such as an int8 code (quant::DrawCodes), follows from its
+/// draws alone, with no `log` per weight.
 class WeightStreamer {
  public:
   /// Draws this far apart never come out of order in value_at_draw(), for
@@ -100,10 +95,7 @@ class WeightStreamer {
   /// layer_rng(w).draw_at(local index): the one copy of the synthesis
   /// arithmetic, which weight(), fill() and quant::DrawCodes all evaluate.
   float value_at_draw(std::size_t w, std::uint64_t m) const {
-    const double value =
-        config_.distribution == WeightDistribution::kLaplace
-            ? util::CounterRng::laplace_of_draw(m, scales_[w])
-            : scales_[w] * util::CounterRng::gaussian_of_draw(m);
+    const double value = util::CounterRng::laplace_of_draw(m, scales_[w]);
     if (config_.tail_asymmetry == 0.0) return static_cast<float>(value);
     // Skew the two half-distributions, renormalised to keep stddev sigma:
     // Var[skewed] = sigma^2 * ((1+g)^2 + (1-g)^2) / 2 = sigma^2 (1 + g^2).
@@ -111,8 +103,8 @@ class WeightStreamer {
     return static_cast<float>(value * tail_factor_[value > 0.0]);
   }
 
-  /// Laplace: the analytic inverse (via exp) of value_at_draw(), a guess
-  /// for exact searches over the draw.
+  /// The analytic inverse (via exp) of value_at_draw(), a guess for exact
+  /// searches over the draw.
   double draw_near(std::size_t w, double value) const;
 
   /// Values of weighted layer `w` (index into Network::weighted_layers())
@@ -132,16 +124,16 @@ class WeightStreamer {
   RangeScan scan_range(std::size_t w, std::uint64_t begin,
                        std::uint64_t count) const;
 
-  /// [min, max] of layer `w` from a scan of all of it: for Laplace the
-  /// values at the extreme draws, or a fold of every value when another
-  /// draw lies within kDrawGuard of either. Always equal to a fold of
-  /// weight(g) over the layer.
+  /// [min, max] of layer `w` from a scan of all of it: the values at the
+  /// extreme draws, or a fold of every value when another draw lies within
+  /// kDrawGuard of either. Always equal to a fold of weight(g) over the
+  /// layer.
   WeightRange range_of(std::size_t w, const RangeScan& scan) const;
 
   /// range_of(w, scan_range(w, 0, layer_weight_count(w))); not cached.
   WeightRange layer_range(std::size_t w) const;
 
-  /// Per-layer Laplace/Gaussian scale parameter (sigma).
+  /// Per-layer weight standard deviation sigma_scale * sqrt(2 / fan_in).
   double layer_sigma(std::size_t w) const;
 
  private:
@@ -149,7 +141,7 @@ class WeightStreamer {
   WeightGenConfig config_;
   std::vector<util::CounterRng> layer_rngs_;  // one decorrelated stream per layer
   std::vector<double> sigmas_;
-  std::vector<double> scales_;  // Laplace b = sigma / sqrt(2), or sigma
+  std::vector<double> scales_;  // Laplace b = sigma / sqrt(2)
   double tail_factor_[2] = {1.0, 1.0};  // of values <= 0, and > 0
 
   /// Fold of the values at local indices [begin, begin + count).

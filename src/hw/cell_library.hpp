@@ -1,10 +1,10 @@
 // Standard-cell library for the structural hardware cost model.
 //
-// Substitution (see DESIGN.md): the paper synthesises its transducers with
-// Cadence Genus on TSMC 65 nm. We model a small 65 nm-class cell library
-// with consistent per-cell area (NAND2-equivalents), propagation delay,
-// leakage and per-output-toggle switching energy, which preserves the
-// *relative* costs Table II reports.
+// Substitution: the paper synthesises its transducers with Cadence Genus
+// on TSMC 65 nm, a proprietary flow and library that cannot be shipped. We
+// model a small 65 nm-class cell library with consistent per-cell area
+// (NAND2-equivalents), propagation delay, leakage and per-output-toggle
+// switching energy, which preserves the *relative* costs Table II reports.
 //
 // The TRBG is a macro-cell: the paper realises it as a 5-stage ring
 // oscillator plus a sampling flop; a free-running ring inside a gate-level

@@ -102,9 +102,6 @@ DrawCodes::DrawCodes(const dnn::WeightStreamer& streamer, std::size_t w,
                      const QuantParams& params, std::uint64_t low,
                      std::uint64_t high)
     : streamer_(&streamer), w_(w), params_(params) {
-  DNNLIFE_EXPECTS(
-      streamer.config().distribution == dnn::WeightDistribution::kLaplace,
-      "draw thresholds need Laplace weights");
   DNNLIFE_EXPECTS(low <= high && high < (std::uint64_t{1} << 53),
                   "draw range outside [0, 2^53)");
   low_code_ = scalar_code(low);

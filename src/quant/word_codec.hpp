@@ -80,8 +80,8 @@ class WeightWordCodec {
   const QuantParams& params_for(std::uint64_t g) const;
 };
 
-/// The int8 codes of one Laplace layer as thresholds on its counter draw
-/// m. The code is non-decreasing in m (see sim/encoded_rows.hpp), so over
+/// The int8 codes of one layer as thresholds on its counter draw m. The
+/// code is non-decreasing in m (see sim/encoded_rows.hpp), so over
 /// the layer's draws [low, high] code(m) = code(low) + #{k : T_k <= m},
 /// where T_k is the first draw whose code reaches code(low) + k. Each T_k
 /// is searched out of the scalar arithmetic itself: a guess from

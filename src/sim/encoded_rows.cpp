@@ -47,8 +47,7 @@ std::string EncodedRows::key_of(const std::string& network,
                                 DataflowConfig dataflow) {
   char text[160];
   std::snprintf(
-      text, sizeof text, "|%d|%llu|%016llx|%016llx|%s|%u|%u",
-      static_cast<int>(weights.distribution),
+      text, sizeof text, "|%llu|%016llx|%016llx|%s|%u|%u",
       static_cast<unsigned long long>(weights.seed),
       static_cast<unsigned long long>(
           std::bit_cast<std::uint64_t>(weights.sigma_scale)),
@@ -83,9 +82,6 @@ std::shared_ptr<const EncodedRows> EncodedRows::build(
   threads = util::resolve_thread_count(threads);
   const std::size_t layers = network.weighted_layers().size();
   const bool quantised = format != quant::WeightFormat::kFloat32;
-  const bool by_draw =
-      quantised &&
-      streamer.config().distribution == dnn::WeightDistribution::kLaplace;
   const unsigned bits = codec.bits();
   DNNLIFE_EXPECTS(64 % bits == 0, "a slot must not straddle payload words");
   const std::uint32_t f = dataflow.filters_per_set;
@@ -133,7 +129,7 @@ std::shared_ptr<const EncodedRows> EncodedRows::build(
   DNNLIFE_ENSURES(row_base.back() == out->rows_,
                   "row enumeration count mismatch");
   // A layer's draw thresholds are built by the first item that packs it.
-  std::vector<std::optional<quant::DrawCodes>> codes(by_draw ? layers : 0);
+  std::vector<std::optional<quant::DrawCodes>> codes(quantised ? layers : 0);
   std::vector<std::once_flag> codes_once(codes.size());
   for_each_index(first.back(), threads, [&](std::uint64_t item) {
     const std::size_t w = layer_of_item(first, item);
@@ -147,8 +143,8 @@ std::shared_ptr<const EncodedRows> EncodedRows::build(
     const std::uint64_t filters =
         std::min<std::uint64_t>(f, shape.filters - set * f);
     // The tile covers offsets [lo, lo + stride) of each filter, which are
-    // contiguous weights: synthesise them filter by filter (draws for int8
-    // Laplace, values otherwise), element (i, l) at i * stride + l - lo.
+    // contiguous weights: synthesise them filter by filter (draws for int8,
+    // values for float32), element (i, l) at i * stride + l - lo.
     const std::uint64_t lo = r0 * n;
     const std::uint64_t stride = std::min(r1 * n, wpf) - lo;
     const auto first_index = [&](std::uint64_t i) {
@@ -175,7 +171,7 @@ std::shared_ptr<const EncodedRows> EncodedRows::build(
         }
       }
     };
-    if (by_draw) {
+    if (quantised) {
       std::call_once(codes_once[w], [&] {
         codes[w].emplace(streamer, w, params[w], scans[w].low[0],
                          scans[w].high[0]);

@@ -9,14 +9,14 @@
 //
 // The build is two fan-outs, whatever the layer count:
 //  * Pass 1 (int8 only) scans (layer, chunk) items for each layer's range:
-//    the two smallest and two largest 53-bit counter draws m of a Laplace
-//    layer (dnn::WeightStreamer::range_of), or the values of a Gaussian.
+//    the two smallest and two largest 53-bit counter draws m of the layer
+//    (dnn::WeightStreamer::range_of).
 //  * Pass 2 packs (layer, set, row-tile) items in dataflow order straight
-//    from the weight index. An int8 Laplace code is code(min draw) +
-//    #{T_k <= m} over the layer's exact thresholds T_k on the draw
+//    from the weight index. An int8 code is code(min draw) + #{T_k <= m}
+//    over the layer's exact thresholds T_k on the draw
 //    (quant::DrawCodes, built by the first item that packs the layer); no
-//    weight is synthesised. float32 and Gaussian int8 tiles synthesise
-//    their values (WeightStreamer::fill) and encode each one.
+//    weight is synthesised. float32 tiles synthesise their values
+//    (WeightStreamer::fill) and encode each one.
 // Why counting is exact: every step from m to the code — the inverse CDF,
 // tail factor and float cast, then `/ scale`, lround, zero point and
 // clamp — is monotone non-decreasing and exact or correctly rounded,

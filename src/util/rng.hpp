@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <span>
 
-#include "util/check.hpp"
 #include "util/hash.hpp"
 
 namespace dnnlife::util {
@@ -52,13 +51,6 @@ class Xoshiro256ss {
   /// Standard normal via Box-Muller (caches the second deviate).
   double next_gaussian() noexcept;
 
-  /// Laplace(0, scale) via inverse CDF.
-  double next_laplace(double scale) noexcept;
-
-  /// Binomial(n, p) draw. Exact (sum of Bernoullis) for small n, normal
-  /// approximation with continuity correction and clamping for large n.
-  std::uint64_t next_binomial(std::uint64_t n, double p) noexcept;
-
  private:
   std::array<std::uint64_t, 4> state_{};
   double cached_gaussian_ = 0.0;
@@ -69,15 +61,15 @@ class Xoshiro256ss {
 class CounterRng {
  public:
   explicit CounterRng(std::uint64_t seed) noexcept
-      : seed_(seed), key_(splitmix64(seed ^ 0x243f6a8885a308d3ULL)) {}
+      : key_(splitmix64(seed ^ 0x243f6a8885a308d3ULL)) {}
 
   /// 64 random bits for index `i`.
   std::uint64_t bits_at(std::uint64_t i) const noexcept {
     return splitmix64(key_ + i);
   }
 
-  /// The 53-bit draw of index `i`, in [0, 2^53): every distribution below
-  /// is a function of it alone (the *_of_draw forms).
+  /// The 53-bit draw of index `i`, in [0, 2^53): double_at() and
+  /// laplace_of_draw() are functions of it alone.
   std::uint64_t draw_at(std::uint64_t i) const noexcept {
     return bits_at(i) >> 11;
   }
@@ -94,17 +86,6 @@ class CounterRng {
     return static_cast<double>(draw_at(i)) * 0x1.0p-53;
   }
 
-  /// Standard normal for index `i` (inverse-CDF, Acklam approximation).
-  double gaussian_at(std::uint64_t i) const noexcept {
-    return gaussian_of_draw(draw_at(i));
-  }
-  static double gaussian_of_draw(std::uint64_t draw) noexcept;
-
-  /// Laplace(0, scale) for index `i` (inverse CDF).
-  double laplace_at(std::uint64_t i, double scale) const noexcept {
-    return laplace_of_draw(draw_at(i), scale);
-  }
-
   /// Laplace(0, scale) of a 53-bit draw; non-decreasing in `draw` up to
   /// the libm `log` error (see dnn::WeightStreamer::kDrawGuard). The sign
   /// select is exact — (u < 0 ? scale : -scale) equals -scale * sign(u).
@@ -115,22 +96,15 @@ class CounterRng {
 
   /// The draw as a uniform in the open interval (0, 1), shifted by half a
   /// step. The last draw, 2^53 - 1, maps like 2^53 - 2: its + 0.5 would
-  /// round up to 1 (an infinite Laplace weight, an out-of-domain normal).
+  /// round up to 1 (an infinite Laplace weight).
   static double open_uniform(std::uint64_t draw) noexcept {
     constexpr std::uint64_t kLast = (std::uint64_t{1} << 53) - 2;
     return (static_cast<double>(std::min(draw, kLast)) + 0.5) * 0x1.0p-53;
   }
 
-  std::uint64_t seed() const noexcept { return seed_; }
-
  private:
-  std::uint64_t seed_;
   std::uint64_t key_;  // the seed's mix, hoisted out of bits_at
 };
-
-/// Inverse of the standard normal CDF (Acklam's rational approximation,
-/// relative error < 1.15e-9). `p` must lie in (0, 1).
-double inverse_normal_cdf(double p);
 
 /// Derive a child seed from a parent seed and a stream label, so that
 /// independent modules (layers, rows, policies) get decorrelated streams.

@@ -71,29 +71,9 @@ TEST(WeightStreamer, EmpiricalSigmaMatchesTarget) {
   EXPECT_NEAR(stats.stddev(), streamer.layer_sigma(0), 5e-4);
 }
 
-TEST(WeightStreamer, GaussianDistributionOption) {
-  Network net("wide", {LayerSpec::fully_connected("fc", 128, 512)});
-  WeightGenConfig config;
-  config.distribution = WeightDistribution::kGaussian;
-  config.tail_asymmetry = 0.0;
-  WeightStreamer streamer(net, config);
-  util::RunningStats stats;
-  double kurtosis_acc = 0.0;
-  for (std::uint64_t g = 0; g < net.total_weights(); ++g)
-    stats.add(streamer.weight(g), 1);
-  for (std::uint64_t g = 0; g < net.total_weights(); ++g) {
-    const double z = (streamer.weight(g) - stats.mean()) / stats.stddev();
-    kurtosis_acc += z * z * z * z;
-  }
-  const double kurtosis =
-      kurtosis_acc / static_cast<double>(net.total_weights());
-  // Gaussian kurtosis ~3; Laplace ~6.
-  EXPECT_NEAR(kurtosis, 3.0, 0.5);
-}
-
 TEST(WeightStreamer, TailAsymmetrySkewsRangeNotSign) {
   Network net("wide", {LayerSpec::fully_connected("fc", 256, 1024)});
-  WeightStreamer streamer(net);  // default gamma = 0.3
+  WeightStreamer streamer(net);  // default gamma = 0.4
   std::uint64_t positive = 0;
   for (std::uint64_t g = 0; g < net.total_weights(); ++g)
     positive += streamer.weight(g) > 0 ? 1u : 0u;
@@ -247,17 +227,13 @@ void expect_fill_matches_weight(const WeightStreamer& streamer, std::size_t w,
 
 TEST(WeightStreamer, FillMatchesScalarWeightEverywhere) {
   const Network net = make_custom_mnist();
-  for (const WeightDistribution distribution :
-       {WeightDistribution::kLaplace, WeightDistribution::kGaussian}) {
-    for (const double gamma : {0.0, 0.4}) {
-      WeightGenConfig config;
-      config.distribution = distribution;
-      config.tail_asymmetry = gamma;
-      const WeightStreamer streamer(net, config);
-      for (std::size_t w = 0; w < net.weighted_layers().size(); ++w)
-        expect_fill_matches_weight(streamer, w, 0,
-                                   streamer.layer_weight_count(w));
-    }
+  for (const double gamma : {0.0, 0.4}) {
+    WeightGenConfig config;
+    config.tail_asymmetry = gamma;
+    const WeightStreamer streamer(net, config);
+    for (std::size_t w = 0; w < net.weighted_layers().size(); ++w)
+      expect_fill_matches_weight(streamer, w, 0,
+                                 streamer.layer_weight_count(w));
   }
 }
 

@@ -6,6 +6,7 @@
 // no-crash half of the contract real teeth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -131,11 +132,22 @@ TEST(JsonRoundTrip, NumberReprIsShortestAndExact) {
   EXPECT_EQ(json_number_repr(0.5), "0.5");
   EXPECT_EQ(json_number_repr(-0.25), "-0.25");
   EXPECT_EQ(json_number_repr(0.0), "0");
+  // Signed Laplace values: both signs, magnitudes over many decades.
+  const CounterRng rng(1234);
+  int negative = 0;
+  double smallest = std::numeric_limits<double>::infinity();
+  double largest = 0.0;
   for (std::uint64_t seed = 0; seed < 2000; ++seed) {
-    const double value = CounterRng(1234).gaussian_at(seed) * 1e6;
+    const double value = CounterRng::laplace_of_draw(rng.draw_at(seed), 1e6);
     const std::string repr = json_number_repr(value);
     EXPECT_EQ(JsonValue::parse(repr).as_number(), value) << repr;
+    negative += value < 0.0 ? 1 : 0;
+    smallest = std::min(smallest, std::abs(value));
+    largest = std::max(largest, std::abs(value));
   }
+  EXPECT_GT(negative, 500);
+  EXPECT_LT(negative, 1500);
+  EXPECT_GT(largest / smallest, 1e4);
 }
 
 TEST(JsonRoundTrip, WriterRejectsNonFiniteNumbers) {

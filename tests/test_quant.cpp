@@ -296,15 +296,6 @@ TEST(DrawCodes, ExactOverTheWholeDrawRange) {
                std::invalid_argument);
 }
 
-TEST(DrawCodes, RejectsGaussianWeights) {
-  const dnn::Network network = dnn::make_custom_mnist();
-  dnn::WeightGenConfig config;
-  config.distribution = dnn::WeightDistribution::kGaussian;
-  const dnn::WeightStreamer gaussian(network, config);
-  EXPECT_THROW(DrawCodes(gaussian, 0, QuantParams{}, 0, 1),
-               std::invalid_argument);
-}
-
 TEST_F(CodecTest, DecodeRejectsWideWords) {
   WeightWordCodec codec(streamer_, WeightFormat::kInt8Symmetric);
   EXPECT_THROW(codec.decode(0, 0x1ffu), std::invalid_argument);
