@@ -119,12 +119,11 @@ std::vector<SuiteOutcome> ScenarioSuite::run(
   outcomes.reserve(selection.size());
   if (selection.empty()) return outcomes;
 
-  // The batch runner is a thin loop over the incremental scheduler: submit
-  // the shard's selection, wait, collect in suite order (each handle owns
-  // its slot, so completion order cannot reorder the outcomes). `jobs` is
-  // an admission budget on the shared session executor, not a pool size —
-  // scenario jobs, their fast-sim commits and their report evaluations all
-  // share the same workers.
+  // Submit the shard's selection to the scheduler, wait, collect in suite
+  // order (each handle owns its slot, so completion order cannot reorder
+  // the outcomes). `jobs` is an admission budget on the shared session
+  // executor, not a pool size — scenario jobs, their fast-sim commits and
+  // their report evaluations all share the same workers.
   SweepScheduler::Options scheduler_options = options;  // all but the shard
   scheduler_options.expected_total = selection.size();
   SweepScheduler scheduler(std::move(scheduler_options));

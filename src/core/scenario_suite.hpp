@@ -126,18 +126,18 @@ struct SweepOptions {
   /// Durable result journal (core/sweep_journal.hpp). Every fresh outcome
   /// is appended (flushed record by record) before it is announced, so a
   /// killed process leaves a resumable prefix; already-journaled indices
-  /// are skipped by ScenarioSuite::run and come back from
-  /// SweepScheduler::submit as replayed Handles. ScenarioSuite::run
-  /// throws std::invalid_argument unless the journal header matches its
-  /// suite and shard; the scheduler does not know what sweep the journal
+  /// are skipped by ScenarioSuite::run, and SweepScheduler::submit throws
+  /// std::invalid_argument on one. ScenarioSuite::run also throws
+  /// std::invalid_argument unless the journal header matches its suite
+  /// and shard; the scheduler does not know what sweep the journal
   /// belongs to.
   SweepJournal* journal = nullptr;
-  /// Invoked after each fresh point finishes. Serialized internally, so a
-  /// CLI can print from it without locking; must not throw.
+  /// Invoked after each point finishes. Serialized internally, so a CLI
+  /// can print from it without locking; must not throw and must not call
+  /// into the scheduler.
   std::function<void(const SuiteProgress&)> progress;
-  /// Progress denominator. 0 means "count submissions so far" — right
-  /// for open-ended adaptive use; ScenarioSuite::run sets its selection's
-  /// size.
+  /// Progress denominator. 0 means the points submitted so far;
+  /// ScenarioSuite::run sets its selection's size.
   std::size_t expected_total = 0;
   /// Shared duty-state cache (core/sim_cache.hpp): points whose specs
   /// share a simulation fingerprint simulate once and evaluate against

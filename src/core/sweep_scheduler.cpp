@@ -1,8 +1,8 @@
 #include "core/sweep_scheduler.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -65,14 +65,12 @@ AttemptOutcome execute_attempt(const ScenarioSpec& spec,
 
 }  // namespace
 
-/// Shared state behind a Handle. `done` flips exactly once, under `mutex`,
-/// after outcome/record are in place; readers that saw done under the
-/// mutex (or via a blocking wait) may then read both without it.
+/// Shared state behind a Handle. `done` is stored (release) once the
+/// outcome is in place and announced; take_outcome() loads it (acquire)
+/// before it touches the outcome.
 struct SweepScheduler::PointState {
   std::size_t index = 0;
   SuiteEntry entry;
-  bool replayed = false;
-  util::Executor* executor = nullptr;
   /// Simulation fingerprint, computed at submit time when a sim cache or
   /// store is active (run_point fills it in lazily otherwise, for the
   /// record).
@@ -84,70 +82,20 @@ struct SweepScheduler::PointState {
   std::vector<std::string> claims;
   std::vector<std::shared_ptr<const sim::EncodedRows>> rows;
 
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
+  std::atomic<bool> done{false};
   std::optional<SuiteOutcome> outcome;
-  std::optional<SuiteRecord> record;
-
-  void wait_done() {
-    // Help the executor while blocked: a pool worker polling a handle
-    // keeps draining tasks (possibly the very point it waits for), so
-    // handle waits cannot deadlock the pool; the short timed wait covers
-    // the window where no work is available but the point is mid-flight.
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        if (done) return;
-      }
-      if (executor != nullptr && executor->try_help()) continue;
-      std::unique_lock<std::mutex> lock(mutex);
-      if (cv.wait_for(lock, std::chrono::milliseconds(1),
-                      [this] { return done; }))
-        return;
-    }
-  }
 };
 
-std::size_t SweepScheduler::Handle::index() const {
-  DNNLIFE_EXPECTS(state_ != nullptr, "empty sweep handle");
-  return state_->index;
-}
-
-bool SweepScheduler::Handle::replayed() const {
-  DNNLIFE_EXPECTS(state_ != nullptr, "empty sweep handle");
-  return state_->replayed;
-}
-
-bool SweepScheduler::Handle::done() const {
-  DNNLIFE_EXPECTS(state_ != nullptr, "empty sweep handle");
-  const std::lock_guard<std::mutex> lock(state_->mutex);
-  return state_->done;
-}
-
-const SuiteOutcome& SweepScheduler::Handle::outcome() const {
-  DNNLIFE_EXPECTS(state_ != nullptr, "empty sweep handle");
-  if (state_->replayed)
-    throw std::logic_error(
-        "sweep point " + std::to_string(state_->index) +
-        " was replayed from the journal; it has a record() but no outcome");
-  state_->wait_done();
-  DNNLIFE_EXPECTS(state_->outcome.has_value(), "finished point lost its outcome");
-  return *state_->outcome;
-}
-
 SuiteOutcome SweepScheduler::Handle::take_outcome() {
-  outcome();  // blocks + validates; afterwards nothing else writes the state
+  if (state_ == nullptr) throw std::logic_error("empty sweep handle");
+  const std::string point = "sweep point " + std::to_string(state_->index);
+  if (!state_->done.load(std::memory_order_acquire))
+    throw std::logic_error(point + " has not finished; call wait_all() first");
+  if (!state_->outcome)
+    throw std::logic_error("the outcome of " + point + " was already taken");
   SuiteOutcome taken = std::move(*state_->outcome);
   state_->outcome.reset();
   return taken;
-}
-
-const SuiteRecord& SweepScheduler::Handle::record() const {
-  DNNLIFE_EXPECTS(state_ != nullptr, "empty sweep handle");
-  state_->wait_done();
-  DNNLIFE_EXPECTS(state_->record.has_value(), "finished point lost its record");
-  return *state_->record;
 }
 
 struct SweepScheduler::Impl {
@@ -155,16 +103,7 @@ struct SweepScheduler::Impl {
       : options(std::move(options)),
         executor(&util::Executor::session()),
         jobs(util::resolve_thread_count(this->options.jobs)),
-        group(*executor) {
-    if (this->options.journal != nullptr) {
-      // Records recovered at journal-open time; submissions of these
-      // indices replay instead of executing. Records appended by THIS
-      // scheduler are deliberately absent — resubmitting an index it
-      // already ran is a caller bug and is rejected in submit().
-      for (const SuiteRecord& record : this->options.journal->replayed())
-        replay.emplace(record.index, record);
-    }
-  }
+        group(*executor) {}
 
   void launch_locked(std::shared_ptr<PointState> state) {
     group.submit([this, state = std::move(state)] { run_point(*state); });
@@ -188,15 +127,12 @@ struct SweepScheduler::Impl {
   Options options;
   util::Executor* executor;
   unsigned jobs;
-  util::TaskGroup group;
 
-  // Recursive: the progress callback runs under it (serialized, like the
-  // old suite runner) and is explicitly allowed to submit() the next
-  // adaptive points reentrantly. It must not block on handles or
-  // wait_all() — that would stall every other finishing point.
-  mutable std::recursive_mutex mutex;
+  // Guards everything below but the group. The progress callback runs
+  // under it (serialized, like the suite runner's), so it must not call
+  // into the scheduler. No locked path runs executor work.
+  mutable std::mutex mutex;
   std::deque<std::shared_ptr<PointState>> queue;
-  std::unordered_map<std::size_t, SuiteRecord> replay;
   // One claim per key: a simulation fingerprint (hex digits only) or a
   // sim::EncodedRows key (always holds a '|'), so the two never collide.
   // A payload claim keeps its published artifact — weak, because only
@@ -211,9 +147,12 @@ struct SweepScheduler::Impl {
   std::unordered_map<std::string, Claim> claims;
   RowsStats rows_stats;
   unsigned in_flight = 0;
-  std::size_t fresh_submitted = 0;
-  std::size_t fresh_completed = 0;
-  std::size_t next_index = 0;
+  std::size_t submitted = 0;
+  std::size_t completed = 0;
+
+  // Declared last, so destroyed first: ~TaskGroup waits for the points
+  // still queued or running, whose tails read every member above.
+  util::TaskGroup group;
 };
 
 void SweepScheduler::Impl::run_point(PointState& state) {
@@ -234,7 +173,7 @@ void SweepScheduler::Impl::run_point(PointState& state) {
   run_options.sim_store = options.sim_store;
   // Attempts run inline, so the callbacks never outlive this task.
   run_options.stage_threads = [this](unsigned own) {
-    const std::lock_guard<std::recursive_mutex> lock(mutex);
+    const std::lock_guard<std::mutex> lock(mutex);
     return SweepScheduler::stage_threads(own, jobs, in_flight,
                                          executor->workers());
   };
@@ -266,39 +205,34 @@ void SweepScheduler::Impl::run_point(PointState& state) {
   outcome.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  SuiteRecord record = make_suite_record(outcome);
-  // Durability before reporting: once the handle or the progress callback
-  // announces a point, a crash right after must still find it journaled.
-  // A journal write failure still completes the handle (the outcome is
-  // valid) before the error propagates to wait_all().
+  // Durability before reporting: once the progress callback announces a
+  // point, a crash right after must still find it journaled. A journal
+  // write failure still completes the handle (the outcome is valid)
+  // before the error propagates to wait_all().
   std::exception_ptr journal_error;
   if (options.journal != nullptr) {
     try {
-      options.journal->append(record);
+      options.journal->append(make_suite_record(outcome));
     } catch (...) {
       journal_error = std::current_exception();
     }
   }
   const bool point_ok = outcome.ok;
+  state.outcome = std::move(outcome);
   {
-    const std::lock_guard<std::mutex> lock(state.mutex);
-    state.outcome = std::move(outcome);
-    state.record = std::move(record);
-    state.done = true;
-  }
-  state.cv.notify_all();
-  {
-    const std::lock_guard<std::recursive_mutex> lock(mutex);
-    ++fresh_completed;
+    const std::lock_guard<std::mutex> lock(mutex);
+    ++completed;
     if (options.progress) {
       // Serialized by `mutex`, like the suite runner's progress path.
       SuiteProgress progress;
-      progress.completed = fresh_completed;
-      progress.total = options.expected_total != 0 ? options.expected_total
-                                                   : fresh_submitted;
+      progress.completed = completed;
+      progress.total =
+          options.expected_total != 0 ? options.expected_total : submitted;
       progress.outcome = &*state.outcome;
       options.progress(progress);
     }
+    // After the callback read it, so an early take_outcome cannot race it.
+    state.done.store(true, std::memory_order_release);
     // Release this point's claims, its fingerprint last, so that a
     // sibling taking a failed leader's fingerprint over finds its payload
     // keys free. Releases happen inside this still-counted task, so
@@ -403,7 +337,7 @@ void SweepScheduler::Impl::release_locked(const std::string& key,
 /// stream), else a live pool entry (a retry), else null — build it.
 std::shared_ptr<const sim::EncodedRows> SweepScheduler::Impl::lookup_rows(
     PointState& state, const std::string& key) {
-  const std::lock_guard<std::recursive_mutex> lock(mutex);
+  const std::lock_guard<std::mutex> lock(mutex);
   const auto held =
       std::find_if(state.rows.begin(), state.rows.end(),
                    [&](const auto& rows) { return rows->key() == key; });
@@ -418,7 +352,7 @@ std::shared_ptr<const sim::EncodedRows> SweepScheduler::Impl::lookup_rows(
 
 void SweepScheduler::Impl::publish_rows(
     PointState& state, std::shared_ptr<const sim::EncodedRows> rows) {
-  const std::lock_guard<std::recursive_mutex> lock(mutex);
+  const std::lock_guard<std::mutex> lock(mutex);
   const auto claimed =
       std::find(state.claims.begin(), state.claims.end(), rows->key());
   if (claimed == state.claims.end()) return;  // a private build
@@ -437,64 +371,32 @@ SweepScheduler::~SweepScheduler() {
   // ~Impl runs ~TaskGroup, which waits for stragglers (errors discarded).
 }
 
-SweepScheduler::Handle SweepScheduler::submit_locked(SuiteEntry entry,
-                                                     std::size_t global_index) {
+SweepScheduler::Handle SweepScheduler::submit(SuiteEntry entry,
+                                              std::size_t global_index) {
+  Impl& impl = *impl_;
+  if (impl.options.journal != nullptr &&
+      impl.options.journal->completed(global_index))
+    throw std::invalid_argument("sweep point " + std::to_string(global_index) +
+                                " is already journaled; each index runs once");
   auto state = std::make_shared<PointState>();
   state->index = global_index;
   state->entry = std::move(entry);
-  state->executor = impl_->executor;
-  if (impl_->next_index <= global_index) impl_->next_index = global_index + 1;
-  if (impl_->options.journal != nullptr &&
-      impl_->options.journal->completed(global_index)) {
-    const auto found = impl_->replay.find(global_index);
-    if (found == impl_->replay.end())
-      throw std::invalid_argument(
-          "sweep point " + std::to_string(global_index) +
-          " was already run by this scheduler; each index may be submitted "
-          "once");
-    state->replayed = true;
-    state->done = true;
-    state->record = found->second;
-    return Handle(std::move(state));
-  }
-  ++impl_->fresh_submitted;
-  if (impl_->reuse())
+  if (impl.reuse())
     state->fingerprint = simulation_fingerprint(state->entry.spec);
-  if (!impl_->acquire_locked(state)) return Handle(std::move(state));
-  if (impl_->in_flight < impl_->jobs) {
-    ++impl_->in_flight;
-    impl_->launch_locked(state);
-  } else {
-    impl_->queue.push_back(state);
+  const std::lock_guard<std::mutex> lock(impl.mutex);
+  ++impl.submitted;
+  if (impl.acquire_locked(state)) {
+    if (impl.in_flight < impl.jobs) {
+      ++impl.in_flight;
+      impl.launch_locked(state);
+    } else {
+      impl.queue.push_back(state);
+    }
   }
   return Handle(std::move(state));
 }
 
-SweepScheduler::Handle SweepScheduler::submit(SuiteEntry entry,
-                                              std::size_t global_index) {
-  const std::lock_guard<std::recursive_mutex> lock(impl_->mutex);
-  return submit_locked(std::move(entry), global_index);
-}
-
-SweepScheduler::Handle SweepScheduler::submit(ScenarioSpec spec) {
-  SuiteEntry entry;
-  entry.path = "<" + spec.name + ">";
-  entry.spec = std::move(spec);
-  const std::lock_guard<std::recursive_mutex> lock(impl_->mutex);
-  return submit_locked(std::move(entry), impl_->next_index);
-}
-
 void SweepScheduler::wait_all() { impl_->group.wait(); }
-
-std::size_t SweepScheduler::submitted() const {
-  const std::lock_guard<std::recursive_mutex> lock(impl_->mutex);
-  return impl_->fresh_submitted;
-}
-
-std::size_t SweepScheduler::completed() const {
-  const std::lock_guard<std::recursive_mutex> lock(impl_->mutex);
-  return impl_->fresh_completed;
-}
 
 unsigned SweepScheduler::stage_threads(unsigned own, unsigned jobs,
                                        unsigned in_flight,
@@ -508,7 +410,7 @@ unsigned SweepScheduler::stage_threads(unsigned own, unsigned jobs,
 }
 
 SweepScheduler::RowsStats SweepScheduler::rows_stats() const {
-  const std::lock_guard<std::recursive_mutex> lock(impl_->mutex);
+  const std::lock_guard<std::mutex> lock(impl_->mutex);
   RowsStats stats = impl_->rows_stats;
   stats.held = static_cast<std::size_t>(
       std::count_if(impl_->claims.begin(), impl_->claims.end(),

@@ -1,23 +1,18 @@
-// Incremental sweep execution on the session executor.
+// Batch sweep execution on the session executor.
 //
-// ScenarioSuite::run is batch-shaped: hand it every point up front, get
-// every outcome back at the end. The adaptive-grid work the ROADMAP calls
-// for needs the opposite: decide the NEXT points from the outcomes of the
-// first ones, while earlier points are still running. SweepScheduler is
-// that surface — a long-lived object wrapping scenario execution
-// (retry/soft-deadline/fault-hook/journal machinery included) that accepts
-// point submissions at any time and hands back a future-like Handle per
-// point. ScenarioSuite::run is now a thin batch loop over it, so both
-// entry points share one execution path.
+// A sweep is a batch of independent points (policy x network x hardware,
+// as in the paper's Figs. 9 and 11). SweepScheduler runs one: submit
+// every point, wait_all(), then take each point's outcome from its
+// Handle. It wraps scenario execution with the retry, soft-deadline,
+// fault-hook and journal machinery; ScenarioSuite::run is a batch loop
+// over it, so every sweep shares one execution path.
 //
 // Scheduling: all points run as tasks of one TaskGroup on the process-wide
 // executor (util::Executor::session()), never on private
 // threads. `jobs` is an admission budget — at most that many points are in
 // flight; each finishing point launches the next queued one from inside
 // its own task, so the group's pending count covers the whole queue and
-// wait_all() needs no extra bookkeeping. Handles that are waited on before
-// completion *help* the executor (run pending tasks) instead of sleeping,
-// so polling a handle from a worker cannot deadlock the pool.
+// wait_all() needs no extra bookkeeping.
 //
 // Claims: before a point runs it claims keys in one claim table, all or
 // nothing. With a sim cache or store the first key is its simulation
@@ -56,20 +51,14 @@
 //
 // Journal integration matches the suite runner: fresh outcomes are
 // appended (flushed) before they are announced, and submitting an index
-// the journal already holds yields an immediately-done "replayed" Handle
-// carrying the journal's record — callers distinguish the two with
-// Handle::replayed().
+// the journal already holds, recovered at open or appended by this
+// scheduler, throws: completed work is never redone.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 
 #include "core/scenario_suite.hpp"
-
-namespace dnnlife::util {
-class Executor;
-}
 
 namespace dnnlife::core {
 
@@ -88,35 +77,16 @@ class SweepScheduler {
     std::size_t held = 0;    ///< keys alive, being built or waited for
   };
 
-  /// Future-like view of one submitted point. Copyable (shared state);
-  /// outcome()/record() block until the point finished, running pending
-  /// executor work while they wait.
+  /// One submitted point. Copyable (shared state); its outcome is taken
+  /// once, after wait_all().
   class Handle {
    public:
     Handle() = default;
 
-    bool valid() const noexcept { return state_ != nullptr; }
-    std::size_t index() const;
-
-    /// True when this submission was satisfied from the journal instead of
-    /// being executed. Replayed handles carry a record() but no outcome().
-    bool replayed() const;
-
-    /// Non-blocking completion poll.
-    bool done() const;
-
-    /// The executed outcome (blocks until done, helping the executor).
-    /// Throws std::logic_error on a replayed handle — the journal stores
-    /// summary records, not full scenario results.
-    const SuiteOutcome& outcome() const;
-
-    /// Move the outcome out (same blocking/throwing rules as outcome()).
-    /// The handle stays done() but its outcome is gone afterwards.
+    /// Move the finished point's outcome out. Throws std::logic_error on
+    /// an empty handle, before the point finished, or when the outcome
+    /// was already taken.
     SuiteOutcome take_outcome();
-
-    /// The summary record: the journal's for replayed handles, freshly
-    /// built for executed ones. Blocks until done.
-    const SuiteRecord& record() const;
 
    private:
     friend class SweepScheduler;
@@ -134,29 +104,16 @@ class SweepScheduler {
   /// swallowing errors — call wait_all() to observe them).
   ~SweepScheduler();
 
-  /// Submit the scenario at `global_index` of its suite. Thread-safe, and
-  /// legal while earlier points are running — including from a progress
-  /// callback or another point's task. Each index may be submitted once
-  /// per scheduler; an index the journal completed *before this session*
-  /// returns a replayed Handle instead of executing.
+  /// Submit the scenario at `global_index` of its suite; each index once.
+  /// Throws std::invalid_argument when the journal already holds the
+  /// index. Not to be called from a running point or the progress
+  /// callback.
   Handle submit(SuiteEntry entry, std::size_t global_index);
 
-  /// Convenience for generated points (the adaptive-grid path): assigns
-  /// the next unused global index itself and synthesises the entry from
-  /// the spec's name.
-  Handle submit(ScenarioSpec spec);
-
-  /// Block until every submitted point has finished (helping the executor
-  /// while blocked); rethrows the first infrastructure error any point
-  /// task raised (scenario *failures* are outcomes, not exceptions).
-  /// Callers must not race fresh submit() calls against wait_all() from
-  /// other threads — points submitted from running tasks are always
-  /// covered, external threads submitting concurrently are not.
+  /// Block until every submitted point has finished (running executor
+  /// work while blocked); rethrows the first infrastructure error any
+  /// point task raised (scenario *failures* are outcomes, not exceptions).
   void wait_all();
-
-  /// Fresh (non-replayed) points submitted / finished so far.
-  std::size_t submitted() const;
-  std::size_t completed() const;
 
   RowsStats rows_stats() const;
 
@@ -169,7 +126,6 @@ class SweepScheduler {
 
  private:
   struct Impl;
-  Handle submit_locked(SuiteEntry entry, std::size_t global_index);
   std::unique_ptr<Impl> impl_;
 };
 

@@ -19,10 +19,4 @@ TiledRowSource::TiledRowSource(const dnn::Network& network, DataflowConfig confi
     total_rows_ += LayerRowShape(network.layers()[layer], config_).rows();
 }
 
-void TiledRowSource::for_each_row(
-    const std::function<void(std::uint64_t, std::span<const std::int64_t>)>&
-        visit) const {
-  visit_rows(visit);
-}
-
 }  // namespace dnnlife::sim

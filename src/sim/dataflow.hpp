@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -54,15 +53,11 @@ class TiledRowSource {
   /// Total rows one inference streams through the weight memory.
   std::uint64_t total_rows() const noexcept { return total_rows_; }
 
-  /// Visit rows in dataflow order. `slots[j]` is the global weight index in
-  /// slot j, or -1 for a padding slot (stored as zero bits).
-  void for_each_row(
-      const std::function<void(std::uint64_t row_index,
-                               std::span<const std::int64_t> slots)>& visit) const;
-
-  /// Statically-dispatched variant of for_each_row (same enumeration). It
-  /// is the reference row order: the payload oracle tests pack rows from
-  /// it and compare them with sim::EncodedRows.
+  /// Visit rows in dataflow order: visit(row_index, slots), where
+  /// `slots[j]` is the global weight index in slot j, or -1 for a padding
+  /// slot (stored as zero bits). It is the reference row order: the
+  /// payload oracle tests pack rows from it and compare them with
+  /// sim::EncodedRows.
   template <class Visitor>
   void visit_rows(Visitor&& visit) const {
     const std::uint32_t f = config_.filters_per_set;

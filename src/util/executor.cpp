@@ -17,11 +17,9 @@ struct Executor::Impl {
   bool stop = false;
   std::vector<std::thread> threads;
 
-  /// Under `mutex`: remove and return the oldest queued item of `group`,
-  /// else (or with no group) the front item; nullptr when the queue is
-  /// empty.
+  /// Under `mutex`, on a non-empty queue: remove and return the oldest
+  /// queued item of `group`, else (or with no group) the front item.
   detail::WorkItem* pop_locked(const TaskGroup* group) {
-    if (queue.empty()) return nullptr;
     auto it = group == nullptr
                   ? queue.end()
                   : std::find_if(queue.begin(), queue.end(),
@@ -65,17 +63,6 @@ Executor::~Executor() {
 
 unsigned Executor::workers() const noexcept {
   return static_cast<unsigned>(impl_->threads.size());
-}
-
-bool Executor::try_help() {
-  detail::WorkItem* item = nullptr;
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    item = impl_->pop_locked(nullptr);
-  }
-  if (item == nullptr) return false;
-  item->execute();
-  return true;
 }
 
 void Executor::enqueue(detail::WorkItem* item, std::size_t copies) {

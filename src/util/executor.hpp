@@ -120,13 +120,6 @@ class Executor {
 
   unsigned workers() const noexcept;
 
-  /// Run the front queued item, if any, on the calling thread. Blocking
-  /// waits outside TaskGroup::wait() (e.g. SweepScheduler handles) call
-  /// this in a loop so a worker blocked on a future-like handle keeps the
-  /// pool moving instead of deadlocking it. Returns false when no work was
-  /// available.
-  bool try_help();
-
   /// The process-wide executor every layer submits to. Created on first
   /// use with configure_session()'s thread count, else the
   /// DNNLIFE_EXECUTOR_THREADS environment variable, else the hardware

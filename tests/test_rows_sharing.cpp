@@ -48,6 +48,11 @@ ScenarioSpec point_spec(std::uint64_t seed,
   return spec;
 }
 
+/// The summary record of a finished point, timing omitted.
+std::string record_json(const SuiteOutcome& outcome) {
+  return suite_record_json(make_suite_record(outcome), false);
+}
+
 /// The summary record of a private run_scenario, timing omitted.
 std::string private_record(const ScenarioSpec& spec, std::size_t index) {
   SuiteOutcome outcome;
@@ -57,7 +62,24 @@ std::string private_record(const ScenarioSpec& spec, std::size_t index) {
   outcome.fingerprint = simulation_fingerprint(spec);
   outcome.ok = true;
   outcome.result = run_scenario(spec);
-  return suite_record_json(make_suite_record(outcome), false);
+  return record_json(outcome);
+}
+
+/// Submit `spec` as point `index`, under the path private_record gives it.
+SweepScheduler::Handle submit(SweepScheduler& scheduler, ScenarioSpec spec,
+                              std::size_t index) {
+  std::string path = "<" + spec.name + ">";
+  return scheduler.submit(SuiteEntry{std::move(path), std::move(spec), {}},
+                          index);
+}
+
+/// Every point's outcome, in submission order; call after wait_all().
+std::vector<SuiteOutcome> take_outcomes(
+    std::vector<SweepScheduler::Handle>& handles) {
+  std::vector<SuiteOutcome> outcomes;
+  for (SweepScheduler::Handle& handle : handles)
+    outcomes.push_back(handle.take_outcome());
+  return outcomes;
 }
 
 /// How the held builder (point 0) ends once released.
@@ -111,17 +133,17 @@ TEST(RowSharing, SameKeyPointsBuildOnceAndMatchPrivateRuns) {
     std::vector<SweepScheduler::Handle> handles;
     for (std::uint64_t seed = 0; seed < 4; ++seed) {
       specs.push_back(point_spec(seed));
-      handles.push_back(scheduler.submit(specs.back()));
+      handles.push_back(submit(scheduler, specs.back(), seed));
     }
     builder.release();
     scheduler.wait_all();
     const SweepScheduler::RowsStats stats = scheduler.rows_stats();
     EXPECT_EQ(stats.builds, 1u);
     EXPECT_EQ(stats.parks, 3u);
+    const std::vector<SuiteOutcome> outcomes = take_outcomes(handles);
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      ASSERT_TRUE(handles[i].outcome().ok) << handles[i].outcome().error;
-      EXPECT_EQ(suite_record_json(handles[i].record(), false),
-                private_record(specs[i], i));
+      ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+      EXPECT_EQ(record_json(outcomes[i]), private_record(specs[i], i));
     }
   }
 }
@@ -137,13 +159,15 @@ TEST(RowSharing, InterleavedKeysBuildOncePerKey) {
   SweepScheduler scheduler(options);
   std::vector<SweepScheduler::Handle> handles;
   for (std::uint64_t seed = 0; seed < 4; ++seed)
-    handles.push_back(scheduler.submit(point_spec(
-        seed, seed % 2 == 0 ? quant::WeightFormat::kInt8Symmetric
-                            : quant::WeightFormat::kInt8Asymmetric)));
+    handles.push_back(submit(
+        scheduler,
+        point_spec(seed, seed % 2 == 0 ? quant::WeightFormat::kInt8Symmetric
+                                       : quant::WeightFormat::kInt8Asymmetric),
+        seed));
   builder.release();
   scheduler.wait_all();
-  for (const SweepScheduler::Handle& handle : handles)
-    EXPECT_TRUE(handle.outcome().ok) << handle.outcome().error;
+  for (const SuiteOutcome& outcome : take_outcomes(handles))
+    EXPECT_TRUE(outcome.ok) << outcome.error;
   EXPECT_EQ(scheduler.rows_stats().builds, 2u);
 }
 
@@ -158,8 +182,8 @@ TEST(RowSharing, NothingStaysHeldAfterWaitAll) {
   for (const quant::WeightFormat format :
        {quant::WeightFormat::kInt8Symmetric,
         quant::WeightFormat::kInt8Asymmetric, quant::WeightFormat::kFloat32})
-    for (int repeat = 0; repeat < 2; ++repeat)
-      scheduler.submit(point_spec(seed++, format));
+    for (int repeat = 0; repeat < 2; ++repeat, ++seed)
+      submit(scheduler, point_spec(seed, format), seed);
   EXPECT_EQ(scheduler.rows_stats().held, 3u);
   builder.release();
   scheduler.wait_all();
@@ -184,13 +208,14 @@ TEST(RowSharing, FailedBuilderPromotesASiblingThatBuildsOnce) {
     SweepScheduler scheduler(options);
     std::vector<SweepScheduler::Handle> handles;
     for (std::uint64_t seed = 0; seed < 4; ++seed)
-      handles.push_back(scheduler.submit(point_spec(seed)));
+      handles.push_back(submit(scheduler, point_spec(seed), seed));
     builder.release();
     scheduler.wait_all();
-    EXPECT_FALSE(handles[0].outcome().ok);
-    EXPECT_EQ(handles[0].outcome().timed_out, stalls);
-    for (std::size_t i = 1; i < handles.size(); ++i)
-      EXPECT_TRUE(handles[i].outcome().ok) << handles[i].outcome().error;
+    const std::vector<SuiteOutcome> outcomes = take_outcomes(handles);
+    EXPECT_FALSE(outcomes[0].ok);
+    EXPECT_EQ(outcomes[0].timed_out, stalls);
+    for (std::size_t i = 1; i < outcomes.size(); ++i)
+      EXPECT_TRUE(outcomes[i].ok) << outcomes[i].error;
     const SweepScheduler::RowsStats stats = scheduler.rows_stats();
     EXPECT_EQ(stats.builds, 1u);
     EXPECT_EQ(stats.held, 0u);
@@ -212,11 +237,12 @@ TEST(RowSharing, ParkedSiblingsLendTheirSlotsToTheBuild) {
     options.jobs = 1;
     SweepScheduler scheduler(options);
     std::vector<SweepScheduler::Handle> handles;
-    for (const ScenarioSpec& spec : specs)
-      handles.push_back(scheduler.submit(spec));
+    for (std::size_t i = 0; i < kPoints; ++i)
+      handles.push_back(submit(scheduler, specs[i], i));
     scheduler.wait_all();
+    const std::vector<SuiteOutcome> outcomes = take_outcomes(handles);
     for (std::size_t i = 0; i < kPoints; ++i) {
-      serial.push_back(suite_record_json(handles[i].record(), false));
+      serial.push_back(record_json(outcomes[i]));
       EXPECT_EQ(serial.back(), private_record(specs[i], i));
     }
   }
@@ -228,8 +254,8 @@ TEST(RowSharing, ParkedSiblingsLendTheirSlotsToTheBuild) {
     options.fault_hook = builder.hook(end);
     SweepScheduler scheduler(options);
     std::vector<SweepScheduler::Handle> handles;
-    for (const ScenarioSpec& spec : specs)
-      handles.push_back(scheduler.submit(spec));
+    for (std::size_t i = 0; i < kPoints; ++i)
+      handles.push_back(submit(scheduler, specs[i], i));
     EXPECT_EQ(scheduler.rows_stats().parks, kPoints - 1);
     builder.release();
     scheduler.wait_all();
@@ -239,10 +265,11 @@ TEST(RowSharing, ParkedSiblingsLendTheirSlotsToTheBuild) {
     if (!throws) {
       EXPECT_EQ(stats.parks, kPoints - 1);
     }
-    EXPECT_EQ(handles[0].outcome().ok, !throws);
+    const std::vector<SuiteOutcome> outcomes = take_outcomes(handles);
+    EXPECT_EQ(outcomes[0].ok, !throws);
     for (std::size_t i = throws ? 1 : 0; i < kPoints; ++i) {
-      ASSERT_TRUE(handles[i].outcome().ok) << handles[i].outcome().error;
-      EXPECT_EQ(suite_record_json(handles[i].record(), false), serial[i]);
+      ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+      EXPECT_EQ(record_json(outcomes[i]), serial[i]);
     }
   }
 }
@@ -274,16 +301,15 @@ TEST(RowSharing, FailedFingerprintLeaderPromotesASiblingThatSimulatesOnce) {
       options.sim_cache = std::make_shared<SimCache>(std::size_t{1} << 26);
     SweepScheduler scheduler(options);
     std::vector<SweepScheduler::Handle> handles;
-    for (const ScenarioSpec& spec : specs)
-      handles.push_back(scheduler.submit(spec));
+    for (std::size_t i = 0; i < specs.size(); ++i)
+      handles.push_back(submit(scheduler, specs[i], i));
     scheduler.wait_all();
-    EXPECT_FALSE(handles[0].outcome().ok);
-    for (std::size_t i = 1; i < handles.size(); ++i) {
-      ASSERT_TRUE(handles[i].outcome().ok) << handles[i].outcome().error;
-      EXPECT_EQ(handles[i].outcome().fingerprint,
-                handles[0].outcome().fingerprint);
-      EXPECT_EQ(suite_record_json(handles[i].record(), false),
-                private_record(specs[i], i));
+    const std::vector<SuiteOutcome> outcomes = take_outcomes(handles);
+    EXPECT_FALSE(outcomes[0].ok);
+    for (std::size_t i = 1; i < outcomes.size(); ++i) {
+      ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+      EXPECT_EQ(outcomes[i].fingerprint, outcomes[0].fingerprint);
+      EXPECT_EQ(record_json(outcomes[i]), private_record(specs[i], i));
     }
     if (store_tier) {
       const SimStoreStats stats = options.sim_store->stats();
@@ -314,8 +340,8 @@ TEST(RowSharing, StoreHitsNeverParkOnAKey) {
   {
     // Warm the store with the fingerprints of seeds 0 and 1.
     SweepScheduler warm(options);
-    warm.submit(point_spec(0));
-    warm.submit(point_spec(1));
+    submit(warm, point_spec(0), 0);
+    submit(warm, point_spec(1), 1);
     warm.wait_all();
   }
   {
@@ -326,14 +352,14 @@ TEST(RowSharing, StoreHitsNeverParkOnAKey) {
     held.fault_hook = builder.hook(BuilderEnd::kBuilds);
     SweepScheduler scheduler(held);
     std::vector<SweepScheduler::Handle> handles;
-    handles.push_back(scheduler.submit(point_spec(2)));  // miss, builds
-    handles.push_back(scheduler.submit(point_spec(0)));  // hit
-    handles.push_back(scheduler.submit(point_spec(1)));  // hit
-    handles.push_back(scheduler.submit(point_spec(3)));  // miss, parks
+    handles.push_back(submit(scheduler, point_spec(2), 0));  // miss, builds
+    handles.push_back(submit(scheduler, point_spec(0), 1));  // hit
+    handles.push_back(submit(scheduler, point_spec(1), 2));  // hit
+    handles.push_back(submit(scheduler, point_spec(3), 3));  // miss, parks
     builder.release();
     scheduler.wait_all();
-    for (const SweepScheduler::Handle& handle : handles)
-      EXPECT_TRUE(handle.outcome().ok) << handle.outcome().error;
+    for (const SuiteOutcome& outcome : take_outcomes(handles))
+      EXPECT_TRUE(outcome.ok) << outcome.error;
     const SweepScheduler::RowsStats stats = scheduler.rows_stats();
     EXPECT_EQ(stats.builds, 1u);
     EXPECT_EQ(stats.parks, 1u);
@@ -342,7 +368,7 @@ TEST(RowSharing, StoreHitsNeverParkOnAKey) {
     // All hits: nothing is built and nothing waits.
     SweepScheduler scheduler(options);
     for (std::uint64_t seed = 0; seed < 4; ++seed)
-      scheduler.submit(point_spec(seed));
+      submit(scheduler, point_spec(seed), seed);
     scheduler.wait_all();
     const SweepScheduler::RowsStats stats = scheduler.rows_stats();
     EXPECT_EQ(stats.builds, 0u);

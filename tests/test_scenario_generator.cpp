@@ -14,6 +14,7 @@
 
 #include "core/scenario_generator.hpp"
 #include "core/scenario_suite.hpp"
+#include "util/hash.hpp"
 
 namespace dnnlife::core {
 namespace {
@@ -49,20 +50,11 @@ std::string jitter_spec(std::uint64_t seed) {
          "\"samples\": 3, \"temperature_c\": 5.0, \"vdd\": 0.02}\n}\n";
 }
 
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 std::uint64_t corpus_hash(const std::vector<GeneratedScenario>& points) {
   std::uint64_t hash = 0;
   for (const GeneratedScenario& point : points) {
-    hash = hash * 0x100000001b3ULL ^ fnv1a64(point.name);
-    hash = hash * 0x100000001b3ULL ^ fnv1a64(point.document);
+    hash = hash * 0x100000001b3ULL ^ util::fnv1a64(point.name);
+    hash = hash * 0x100000001b3ULL ^ util::fnv1a64(point.document);
   }
   return hash;
 }

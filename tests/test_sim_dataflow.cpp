@@ -63,7 +63,7 @@ TEST(TiledRowSource, EveryWeightAppearsExactlyOnce) {
   const dnn::Network net = dnn::make_custom_mnist();
   TiledRowSource source(net, DataflowConfig{8, 4});
   std::map<std::int64_t, int> seen;
-  source.for_each_row([&](std::uint64_t, std::span<const std::int64_t> slots) {
+  source.visit_rows([&](std::uint64_t, std::span<const std::int64_t> slots) {
     for (std::int64_t g : slots) {
       if (g >= 0) ++seen[g];
     }
@@ -82,7 +82,7 @@ TEST(TiledRowSource, RowLayoutInterleavesFilters) {
   dnn::Network net("t", {dnn::LayerSpec::fully_connected("fc", 4, 6)});
   TiledRowSource source(net, DataflowConfig{2, 3});
   std::vector<std::vector<std::int64_t>> rows;
-  source.for_each_row([&](std::uint64_t, std::span<const std::int64_t> slots) {
+  source.visit_rows([&](std::uint64_t, std::span<const std::int64_t> slots) {
     rows.emplace_back(slots.begin(), slots.end());
   });
   ASSERT_EQ(rows.size(), 4u);  // 2 sets x 2 rows
@@ -98,7 +98,7 @@ TEST(TiledRowSource, PadsPartialSetsAndFilters) {
   TiledRowSource source(net, DataflowConfig{2, 2});
   std::size_t padding = 0;
   std::size_t real = 0;
-  source.for_each_row([&](std::uint64_t, std::span<const std::int64_t> slots) {
+  source.visit_rows([&](std::uint64_t, std::span<const std::int64_t> slots) {
     for (std::int64_t g : slots) (g < 0 ? padding : real) += 1;
   });
   EXPECT_EQ(real, net.total_weights());

@@ -1,18 +1,20 @@
-// core::SweepScheduler — the incremental half of the sweep stack — plus
-// the PR's headline determinism claim: a sweep summary (timing omitted) is
-// BYTE-identical for every executor size × job budget combination, pinned
-// with a golden FNV-1a hash so a future scheduling change that silently
-// reorders aggregation fails loudly. Also covers future-like Handles,
-// journal replay handles, duplicate-index rejection, and reentrant
-// submission from a progress callback (the adaptive-grid pattern), the
-// retry budget at its upper edge, and the stage-budget lending rule.
+// core::SweepScheduler, the batch sweep path under ScenarioSuite::run,
+// plus the headline determinism claim: a sweep summary (timing omitted)
+// is BYTE-identical for every executor size × job budget combination,
+// pinned with a golden FNV-1a hash so a future scheduling change that
+// silently reorders aggregation fails loudly. Also covers taking outcomes
+// from Handles, journal resumption and rejection of journaled indices,
+// destruction with points still in flight, the retry budget at its upper
+// edge, and the stage-budget lending rule.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/scenario_generator.hpp"
@@ -20,6 +22,7 @@
 #include "core/sweep_journal.hpp"
 #include "core/sweep_scheduler.hpp"
 #include "util/executor.hpp"
+#include "util/hash.hpp"
 
 namespace dnnlife::core {
 namespace {
@@ -56,15 +59,6 @@ ScenarioSuite matrix_suite() {
   return suite;
 }
 
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const unsigned char byte : text) {
-    hash ^= byte;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 fs::path temp_dir(const std::string& name) {
   const fs::path dir = fs::temp_directory_path() / name;
   fs::remove_all(dir);
@@ -72,7 +66,7 @@ fs::path temp_dir(const std::string& name) {
   return dir;
 }
 
-// ---- incremental submission --------------------------------------------------
+// ---- outcomes ----------------------------------------------------------------
 
 TEST(SweepScheduler, IncrementalSubmissionDeliversOutcomes) {
   const ScenarioSuite suite = matrix_suite();
@@ -84,50 +78,12 @@ TEST(SweepScheduler, IncrementalSubmissionDeliversOutcomes) {
   for (std::size_t index = 0; index < 4; ++index)
     handles.push_back(scheduler.submit(suite.entries()[index], index));
   scheduler.wait_all();
-  EXPECT_EQ(scheduler.submitted(), 4u);
-  EXPECT_EQ(scheduler.completed(), 4u);
   for (std::size_t index = 0; index < 4; ++index) {
-    ASSERT_TRUE(handles[index].valid());
-    EXPECT_TRUE(handles[index].done());
-    EXPECT_FALSE(handles[index].replayed());
-    EXPECT_EQ(handles[index].index(), index);
-    const SuiteOutcome& outcome = handles[index].outcome();
+    const SuiteOutcome outcome = handles[index].take_outcome();
     EXPECT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(outcome.index, index);
     EXPECT_EQ(outcome.name, suite.entries()[index].spec.name);
-    EXPECT_EQ(handles[index].record().index, index);
   }
-}
-
-TEST(SweepScheduler, HandleBlocksUntilItsPointFinished) {
-  // outcome() before wait_all(): the handle itself must block (helping
-  // the executor) until its point is done — the future-like contract.
-  const ScenarioSuite suite = matrix_suite();
-  SweepScheduler::Options options;
-  options.jobs = 1;
-  options.threads_per_scenario = 1;
-  SweepScheduler scheduler(options);
-  SweepScheduler::Handle first = scheduler.submit(suite.entries()[0], 0);
-  SweepScheduler::Handle second = scheduler.submit(suite.entries()[1], 1);
-  // With jobs=1 the second point is queued behind the first; waiting on it
-  // exercises the help-while-waiting path through the whole chain.
-  EXPECT_TRUE(second.outcome().ok) << second.outcome().error;
-  EXPECT_TRUE(first.done());
-  scheduler.wait_all();
-}
-
-TEST(SweepScheduler, SpecSubmissionAssignsIndicesItself) {
-  ScenarioGenerator generator = ScenarioGenerator::parse(matrix_spec());
-  std::vector<GeneratedScenario> points = generator.generate();
-  SweepScheduler::Options options;
-  options.threads_per_scenario = 1;
-  SweepScheduler scheduler(options);
-  const SweepScheduler::Handle a = scheduler.submit(points[0].spec);
-  const SweepScheduler::Handle b = scheduler.submit(points[1].spec);
-  scheduler.wait_all();
-  EXPECT_EQ(a.index(), 0u);
-  EXPECT_EQ(b.index(), 1u);
-  EXPECT_TRUE(a.outcome().ok);
-  EXPECT_TRUE(b.outcome().ok);
 }
 
 TEST(SweepScheduler, TakeOutcomeMovesTheResultOut) {
@@ -136,10 +92,12 @@ TEST(SweepScheduler, TakeOutcomeMovesTheResultOut) {
   options.threads_per_scenario = 1;
   SweepScheduler scheduler(options);
   SweepScheduler::Handle handle = scheduler.submit(suite.entries()[0], 0);
-  SuiteOutcome taken = handle.take_outcome();
-  EXPECT_TRUE(taken.ok) << taken.error;
-  EXPECT_TRUE(handle.done());
   scheduler.wait_all();
+  const SuiteOutcome taken = handle.take_outcome();
+  EXPECT_TRUE(taken.ok) << taken.error;
+  EXPECT_THROW(handle.take_outcome(), std::logic_error)
+      << "an outcome is taken once";
+  EXPECT_THROW(SweepScheduler::Handle().take_outcome(), std::logic_error);
 }
 
 TEST(SweepScheduler, MaximalRetryBudgetDoesNotWrap) {
@@ -155,9 +113,37 @@ TEST(SweepScheduler, MaximalRetryBudgetDoesNotWrap) {
   SweepScheduler scheduler(options);
   SweepScheduler::Handle handle = scheduler.submit(suite.entries()[0], 0);
   scheduler.wait_all();
-  const SuiteOutcome& outcome = handle.outcome();
+  const SuiteOutcome outcome = handle.take_outcome();
   EXPECT_TRUE(outcome.ok) << outcome.error;
   EXPECT_EQ(outcome.attempts, 3u);
+}
+
+// Leaving the scope without wait_all(): the destructor waits for the
+// running point and the two queued behind it (distinct payload keys, so
+// none parks) before it frees the queue and claims their tails read.
+TEST(SweepScheduler, DestroyingWithPointsInFlightWaitsForThem) {
+  const ScenarioSuite suite = matrix_suite();
+  std::size_t announced = 0;  // progress is serialized: no lock needed
+  {
+    SweepScheduler::Options options;
+    options.jobs = 1;
+    options.threads_per_scenario = 1;
+    options.fault_hook = [](const SuiteFaultContext& context) {
+      if (context.index == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    };
+    options.progress = [&announced](const SuiteProgress&) { ++announced; };
+    SweepScheduler scheduler(options);
+    const quant::WeightFormat formats[] = {quant::WeightFormat::kInt8Symmetric,
+                                           quant::WeightFormat::kInt8Asymmetric,
+                                           quant::WeightFormat::kFloat32};
+    for (std::size_t index = 0; index < 3; ++index) {
+      SuiteEntry entry = suite.entries()[index];
+      entry.spec.format = formats[index];
+      scheduler.submit(std::move(entry), index);
+    }
+  }
+  EXPECT_EQ(announced, 3u);
 }
 
 // ---- stage budgets -----------------------------------------------------------
@@ -189,38 +175,11 @@ TEST(SweepScheduler, StageThreadsLendIdleAdmissionSlots) {
                     own);
 }
 
-TEST(SweepScheduler, ProgressCallbackMaySubmitTheNextPoints) {
-  // The adaptive-grid pattern the scheduler exists for: outcomes of the
-  // first points decide the next submissions, made directly from the
-  // progress callback while the sweep is live. Submissions from inside a
-  // counted task are covered by wait_all().
-  const ScenarioSuite suite = matrix_suite();
-  SweepScheduler* scheduler = nullptr;
-  std::vector<std::string> finished;  // progress is serialized: no lock needed
-  bool extended = false;
-  SweepScheduler::Options options;
-  options.jobs = 2;
-  options.threads_per_scenario = 1;
-  options.progress = [&](const SuiteProgress& progress) {
-    finished.push_back(progress.outcome->name);
-    if (!extended) {
-      extended = true;
-      scheduler->submit(suite.entries()[2], 2);  // reentrant: adaptive refine
-      scheduler->submit(suite.entries()[3], 3);
-    }
-  };
-  SweepScheduler adaptive(options);
-  scheduler = &adaptive;
-  adaptive.submit(suite.entries()[0], 0);
-  adaptive.submit(suite.entries()[1], 1);
-  adaptive.wait_all();
-  EXPECT_EQ(adaptive.submitted(), 4u);
-  EXPECT_EQ(adaptive.completed(), 4u);
-  EXPECT_EQ(finished.size(), 4u);
-}
-
 // ---- journal integration -----------------------------------------------------
 
+// The journal stores records, not full scenario results: a resumed
+// session gets the recovered records from the journal itself, and a
+// recovered index is never submitted again; a fresh index still runs.
 TEST(SweepScheduler, JournalReplayHandlesCarryRecordsNotOutcomes) {
   const fs::path dir = temp_dir("dnnlife_scheduler_journal");
   const std::string path = (dir / "journal.jsonl").string();
@@ -229,11 +188,11 @@ TEST(SweepScheduler, JournalReplayHandlesCarryRecordsNotOutcomes) {
   header.manifest_hash = suite.manifest_hash();
   header.total_scenarios = suite.size();
   header.include_timing = false;
+  SweepScheduler::Options options;
+  options.threads_per_scenario = 1;
 
   {  // First session: run points 0 and 1, journaled.
     SweepJournal journal = SweepJournal::create(path, header);
-    SweepScheduler::Options options;
-    options.threads_per_scenario = 1;
     options.journal = &journal;
     SweepScheduler scheduler(options);
     scheduler.submit(suite.entries()[0], 0);
@@ -241,29 +200,25 @@ TEST(SweepScheduler, JournalReplayHandlesCarryRecordsNotOutcomes) {
     scheduler.wait_all();
   }
 
-  // Second session: the same indices come back as replayed handles; a new
-  // index executes normally.
+  // Second session: both indices come back as journal records.
   SweepJournal journal = SweepJournal::resume(path, header);
   ASSERT_EQ(journal.replayed().size(), 2u);
-  SweepScheduler::Options options;
-  options.threads_per_scenario = 1;
+  for (const SuiteRecord& record : journal.replayed()) {
+    ASSERT_LT(record.index, 2u);
+    EXPECT_EQ(record.name, suite.entries()[record.index].spec.name);
+  }
   options.journal = &journal;
   SweepScheduler scheduler(options);
-  SweepScheduler::Handle replayed = scheduler.submit(suite.entries()[0], 0);
+  EXPECT_THROW(scheduler.submit(suite.entries()[0], 0), std::invalid_argument);
   SweepScheduler::Handle fresh = scheduler.submit(suite.entries()[2], 2);
   scheduler.wait_all();
-  EXPECT_TRUE(replayed.replayed());
-  EXPECT_TRUE(replayed.done());
-  EXPECT_EQ(replayed.record().index, 0u);
-  EXPECT_EQ(replayed.record().name, suite.entries()[0].spec.name);
-  EXPECT_THROW(replayed.outcome(), std::logic_error)
-      << "the journal stores records, not full scenario results";
-  EXPECT_FALSE(fresh.replayed());
-  EXPECT_TRUE(fresh.outcome().ok);
-  EXPECT_EQ(scheduler.submitted(), 1u) << "replays are not fresh submissions";
+  EXPECT_TRUE(fresh.take_outcome().ok);
+  EXPECT_TRUE(journal.completed(2));
   fs::remove_all(dir);
 }
 
+// Journaled by THIS scheduler, not recovered at open: a resubmission is
+// a caller bug and throws like a recovered index.
 TEST(SweepScheduler, ResubmittingAnIndexItAlreadyRanThrows) {
   const fs::path dir = temp_dir("dnnlife_scheduler_dup");
   const ScenarioSuite suite = matrix_suite();
@@ -279,8 +234,6 @@ TEST(SweepScheduler, ResubmittingAnIndexItAlreadyRanThrows) {
   SweepScheduler scheduler(options);
   scheduler.submit(suite.entries()[0], 0);
   scheduler.wait_all();
-  // Journaled by THIS scheduler, not recovered at open: a resubmission is
-  // a caller bug, not a replay.
   EXPECT_THROW(scheduler.submit(suite.entries()[0], 0), std::invalid_argument);
   fs::remove_all(dir);
 }
@@ -316,7 +269,7 @@ TEST(SweepSchedulerMatrix, SummariesAreByteIdenticalAcrossExecutorSizesAndJobs) 
       const std::vector<SuiteOutcome> outcomes = suite.run(options);
       const std::string summary =
           suite_summary_json(make_suite_records(outcomes), info);
-      EXPECT_EQ(fnv1a64(summary), kPinnedSummaryHash)
+      EXPECT_EQ(util::fnv1a64(summary), kPinnedSummaryHash)
           << "summary drifted at executor size " << workers << ", jobs "
           << jobs;
     }
