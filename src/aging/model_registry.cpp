@@ -108,32 +108,26 @@ std::vector<std::string> AgingModelRegistry::names() const {
   return names;
 }
 
-void AgingModelRegistry::check(const std::string& name) const {
-  if (contains(name)) return;
+DeviceModelFactory AgingModelRegistry::factory_of(
+    const std::string& name) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [existing, factory] : factories_)
+    if (existing == name) return factory;
   std::string known;
-  for (const std::string& registered : names())
+  for (const auto& [registered, _] : factories_)
     known += (known.empty() ? "" : ", ") + registered;
   throw std::invalid_argument("no aging model registered under '" + name +
                               "' (registered: " + known + ")");
 }
 
+void AgingModelRegistry::check(const std::string& name) const {
+  factory_of(name);
+}
+
 std::unique_ptr<DeviceAgingModel> AgingModelRegistry::create(
     const std::string& name, const SnmParams& snm,
     const AgingModelParams& params) const {
-  DeviceModelFactory factory;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [existing, candidate] : factories_) {
-      if (existing == name) {
-        factory = candidate;
-        break;
-      }
-    }
-  }
-  if (!factory) {
-    check(name);  // throws for unknown names...
-    return create(name, snm, params);  // ...else it was registered concurrently
-  }
+  const DeviceModelFactory factory = factory_of(name);
   auto model = factory(snm, params);
   DNNLIFE_ENSURES(model != nullptr,
                   "aging-model factory '" + name + "' returned null");

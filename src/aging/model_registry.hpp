@@ -75,6 +75,8 @@ class AgingModelRegistry {
 
  private:
   AgingModelRegistry();
+  /// The factory registered under `name`; throws check()'s diagnostic.
+  DeviceModelFactory factory_of(const std::string& name) const;
 
   mutable std::mutex mutex_;
   std::vector<std::pair<std::string, DeviceModelFactory>> factories_;

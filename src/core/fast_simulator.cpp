@@ -3,16 +3,15 @@
 #include <vector>
 
 #include "core/transducer.hpp"
-#include "sim/write_visit.hpp"
 #include "util/executor.hpp"
 
 namespace dnnlife::core {
 
 namespace {
 
-/// One write of the materialised inference. The payload words live in a
-/// parallel flat buffer indexed by the write's arrival ordinal. Kept at 20
-/// bytes — both simulator phases stream millions of these.
+/// One planned write of the inference, indexed by its stream ordinal; the
+/// commit reads its payload words in place through WriteStream::write_at.
+/// Kept at 20 bytes — both simulator phases stream millions of these.
 struct WriteRecord {
   std::uint32_t row = 0;
   std::uint32_t block = 0;
@@ -69,23 +68,22 @@ aging::DutyCycleTracker simulate_fast(const sim::WriteStream& stream,
   aging::DutyCycleTracker tracker(geometry.cells());
   tracker.set_regions(policies.cell_regions());
 
-  // ---- Phase 1 (sequential): materialise the inference's writes.
+  // ---- Phase 1 (sequential): plan the inference's writes.
   // Policy schedules are stream-order state, so each write is planned here
   // by its region's engine; the expensive duty accumulation is deferred to
   // the row-parallel commit phase. A write's within-region arrival index
   // is its sampler ordinal (one mitigation controller per region).
-  std::vector<WriteRecord> records;
-  records.reserve(stream.writes_per_inference());
-  std::vector<std::uint64_t> payloads;
-  payloads.reserve(stream.writes_per_inference() * words_per_row);
+  const std::uint64_t writes = stream.writes_per_inference();
+  std::vector<WriteRecord> records(writes);
   std::vector<std::uint64_t> region_ordinal(plans.size(), 0);
-  sim::visit_stream_writes(stream, [&](const sim::RowWriteEvent& event) {
+  for (std::uint64_t i = 0; i < writes; ++i) {
+    const sim::RowWriteEvent event = stream.write_at(i);
     DNNLIFE_EXPECTS(event.row < geometry.rows, "write row out of range");
     const std::size_t region = region_map.region_of_row(event.row);
     const AggregatePlan::PlannedWrite planned =
         plans[region]->plan_write(region_ordinal[region], event.row);
     DNNLIFE_EXPECTS(planned.rotate < 64, "rotation exceeds the weight word");
-    WriteRecord record;
+    WriteRecord& record = records[i];
     record.row = event.row;
     record.block = event.block;
     record.rotate = static_cast<std::uint8_t>(planned.rotate);
@@ -93,9 +91,7 @@ aging::DutyCycleTracker simulate_fast(const sim::WriteStream& stream,
     record.local_ordinal =
         static_cast<std::uint32_t>(region_ordinal[region]++);
     record.sampled = planned.sampled;
-    records.push_back(record);
-    payloads.insert(payloads.end(), event.words.begin(), event.words.end());
-  });
+  }
   for (std::size_t r = 0; r < plans.size(); ++r)
     plans[r]->finalize(region_ordinal[r]);
 
@@ -116,11 +112,12 @@ aging::DutyCycleTracker simulate_fast(const sim::WriteStream& stream,
 
   // ---- Phase 2 (parallel over rows): per-row residencies and word-level
   // duty commits. Rows own disjoint cell ranges of the tracker and every
-  // per-write quantity is a pure function of the materialised records, so
-  // the result is bit-identical for any thread count. options.threads is a
-  // concurrency budget on the session executor (one bulk submission, not a
-  // transient pool), so many scenarios can run their commit phases
-  // concurrently without oversubscribing the machine.
+  // per-write quantity is a pure function of the planned records and the
+  // words write_at reads in place, so the result is bit-identical for any
+  // thread count. options.threads is a concurrency budget on the session
+  // executor (one bulk submission, not a transient pool), so many scenarios
+  // can run their commit phases concurrently without oversubscribing the
+  // machine.
   const auto process_rows = [&](unsigned /*shard*/, std::uint64_t row_begin,
                                 std::uint64_t row_end) {
     std::vector<std::uint64_t> rotated(words_per_row);  // per-shard scratch
@@ -150,9 +147,7 @@ aging::DutyCycleTracker simulate_fast(const sim::WriteStream& stream,
         const std::uint32_t c = record.sampled
                                     ? plan.sample_inverted(record.local_ordinal)
                                     : record.inverted_inferences;
-        std::span<const std::uint64_t> stored(
-            payloads.data() + static_cast<std::size_t>(ordinal) * words_per_row,
-            words_per_row);
+        std::span<const std::uint64_t> stored = stream.write_at(ordinal).words;
         if (record.rotate != 0) {
           DNNLIFE_EXPECTS(rotators[region].has_value(),
                           "policy rotated but its weight word does not "

@@ -18,12 +18,13 @@
 //
 // Residency is steady-state cyclic: a write at block k holds until the
 // next write to the same row, wrapping into the next (identical)
-// inference. One O(cells x K) pass total, split into a sequential
-// materialisation phase (one inference's writes, grouped by row — the same
-// footprint the reference simulator's write list costs) and a row-parallel
-// word-level commit phase. Every per-write random draw is a pure function
-// of (seed, region-local write ordinal), so results are bit-identical for
-// any FastSimOptions::threads value.
+// inference. One O(cells x K) pass total, split into a sequential planning
+// phase (one small record per write of one inference, grouped by row) and
+// a row-parallel word-level commit phase that reads each write's payload
+// in place through WriteStream::write_at; no copy of the inference's
+// payloads is made. Every per-write random draw is a pure function of
+// (seed, region-local write ordinal), so results are bit-identical for any
+// FastSimOptions::threads value.
 //
 // Policies whose engine returns no aggregation plan (e.g. the
 // continuous-counter ablation variants) need the reference simulator.

@@ -116,7 +116,7 @@ class InversionPlan final : public AggregatePlan {
       : counts_(region.rows(), 0), row_begin_(region.row_begin),
         inferences_(inferences) {}
 
-  // Caller (the fast simulator's materialisation phase) has already
+  // Caller (the fast simulator's planning phase) has already
   // routed the write to this region's plan; this is a per-write hot loop.
   PlannedWrite plan_write(std::uint64_t, std::uint32_t row) override {
     PlannedWrite planned;
@@ -335,19 +335,16 @@ std::vector<std::string> PolicyRegistry::names() const {
 std::unique_ptr<PolicyEngine> PolicyRegistry::create(
     const std::string& name, const PolicyConfig& config,
     const sim::MemoryGeometry& geometry, const sim::MemoryRegion& region) const {
-  PolicyEngineFactory factory;
-  {
+  const PolicyEngineFactory factory = [&] {
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [existing, candidate] : factories_) {
-      if (existing == name) {
-        factory = candidate;
-        break;
-      }
-    }
-  }
-  if (!factory)
+    for (const auto& [existing, candidate] : factories_)
+      if (existing == name) return candidate;
+    std::string known;
+    for (const auto& [registered, _] : factories_)
+      known += (known.empty() ? "" : ", ") + registered;
     throw std::invalid_argument("no policy engine registered under '" + name +
-                                "'");
+                                "' (registered: " + known + ")");
+  }();
   auto engine = factory(config, geometry, region);
   DNNLIFE_ENSURES(engine != nullptr,
                   "policy factory '" + name + "' returned null");

@@ -6,17 +6,15 @@
 #include "core/metadata_store.hpp"
 #include "core/transducer.hpp"
 #include "sim/weight_memory.hpp"
-#include "sim/write_visit.hpp"
 
 namespace dnnlife::core {
 
 namespace {
 
-struct StoredWrite {
-  std::uint32_t row;
-  std::uint32_t block;
-  std::vector<std::uint64_t> words;
-};
+/// Un-accounted inferences run first so the memory starts in steady state
+/// (a row's pre-first-write content is the previous inference's final
+/// content, matching the fast simulator's cyclic residency).
+constexpr unsigned kWarmupInferences = 1;
 
 }  // namespace
 
@@ -29,15 +27,8 @@ aging::DutyCycleTracker simulate_reference(const sim::WriteStream& stream,
   policies.check_stream_geometry(geometry);
   const std::uint32_t blocks = stream.blocks_per_inference();
   const std::uint32_t words_per_row = geometry.words_per_row();
-
-  // Materialise one inference's write list (identical every inference).
-  std::vector<StoredWrite> writes;
-  writes.reserve(stream.writes_per_inference());
-  sim::visit_stream_writes(stream, [&](const sim::RowWriteEvent& event) {
-    writes.push_back(StoredWrite{
-        event.row, event.block,
-        std::vector<std::uint64_t>(event.words.begin(), event.words.end())});
-  });
+  // One inference's writes, identical every inference: replayed by ordinal.
+  const std::uint64_t writes = stream.writes_per_inference();
 
   std::vector<std::uint32_t> durations = stream.block_durations();
   DNNLIFE_EXPECTS(durations.empty() || durations.size() == blocks,
@@ -83,16 +74,15 @@ aging::DutyCycleTracker simulate_reference(const sim::WriteStream& stream,
                            geometry.cell_index(row, 0), duration, 0, duration);
   };
 
-  const unsigned total_inferences =
-      options.warmup_inferences + options.inferences;
-  for (unsigned inf = 0; inf < total_inferences; ++inf) {
-    const bool accounting = inf >= options.warmup_inferences;
+  for (unsigned inf = 0; inf < kWarmupInferences + options.inferences; ++inf) {
+    const bool accounting = inf >= kWarmupInferences;
     for (const auto& engine : engines) engine->begin_inference();
-    std::size_t next_write = 0;
+    std::uint64_t next_write = 0;
     for (std::uint32_t block = 0; block < blocks; ++block) {
       // Apply this block's writes.
-      while (next_write < writes.size() && writes[next_write].block == block) {
-        const StoredWrite& write = writes[next_write];
+      for (; next_write < writes; ++next_write) {
+        const sim::RowWriteEvent write = stream.write_at(next_write);
+        if (write.block != block) break;
         const std::size_t region = region_map.region_of_row(write.row);
         const WriteAction action = engines[region]->on_write(write.row);
         if (action.rotate != 0) {
@@ -134,14 +124,13 @@ aging::DutyCycleTracker simulate_reference(const sim::WriteStream& stream,
               std::equal(result.begin(), result.end(), write.words.begin()),
               "RDD failed to recover the written row");
         }
-        ++next_write;
       }
       // One residency slot (weighted by the block's duration) for the
       // current memory contents — accrued lazily via content_since.
       if (accounting)
         accounted_time += durations.empty() ? 1u : durations[block];
     }
-    DNNLIFE_ENSURES(next_write == writes.size(),
+    DNNLIFE_ENSURES(next_write == writes,
                     "write blocks out of order in stream");
   }
   for (std::uint32_t row = 0; row < geometry.rows; ++row)

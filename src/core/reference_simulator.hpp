@@ -2,10 +2,12 @@
 //
 // Replays every write of every inference through the behavioural WDE/RDD
 // transducers, a functional SRAM model and the metadata store, then
-// integrates duty-cycle block-by-block. O(cells * K * inferences) — used
-// for small configurations and as the oracle the fast simulator is
-// validated against. Optionally verifies on every write that the RDD
-// recovers the original row from the stored data plus metadata.
+// integrates duty-cycle block-by-block. Each inference re-reads the
+// stream's writes by ordinal (WriteStream::write_at); nothing of the
+// stream is copied. O(cells * K * inferences) — used for small
+// configurations and as the oracle the fast simulator is validated
+// against. Optionally verifies on every write that the RDD recovers the
+// original row from the stored data plus metadata.
 //
 // Policies are consumed through the PolicyEngine abstraction: every write
 // is routed to the engine of the region owning its row (a uniform
@@ -19,11 +21,9 @@
 namespace dnnlife::core {
 
 struct ReferenceSimOptions {
+  /// Accounted inferences, after one un-accounted warm-up inference that
+  /// brings the memory to steady state.
   unsigned inferences = 100;
-  /// Un-accounted inferences run first so the memory starts in steady
-  /// state (a row's pre-first-write content is the previous inference's
-  /// final content, matching the fast simulator's cyclic residency).
-  unsigned warmup_inferences = 1;
   /// Check RDD(WDE(x)) == x on every write.
   bool verify_decode = true;
 };

@@ -39,9 +39,4 @@ BaselineWeightStream::BaselineWeightStream(
   }
 }
 
-void BaselineWeightStream::for_each_write(
-    const std::function<void(const RowWriteEvent&)>& visit) const {
-  visit_writes(visit);
-}
-
 }  // namespace dnnlife::sim

@@ -55,38 +55,28 @@ class BaselineWeightStream final : public WriteStream {
   std::uint64_t writes_per_inference() const override {
     return rows_->rows();
   }
-  void for_each_write(
-      const std::function<void(const RowWriteEvent&)>& visit) const override;
+  /// The ordinal-th dataflow row, landing at a (row, block) that is a pure
+  /// function of the ordinal, so the shared payloads need no per-write
+  /// metadata.
+  RowWriteEvent write_at(std::uint64_t ordinal) const override {
+    RowWriteEvent event;
+    const auto block = static_cast<std::uint32_t>(ordinal / image_rows_);
+    const auto image_row = static_cast<std::uint32_t>(ordinal % image_rows_);
+    // Double buffering: odd blocks land in the upper half.
+    event.row = config_.double_buffered
+                    ? image_row + (block % 2) * image_rows_
+                    : image_row;
+    event.block = block;
+    event.words = rows_->row(ordinal);
+    return event;
+  }
   std::vector<std::uint32_t> block_durations() const override {
     return durations_;
   }
 
   const BaselineAcceleratorConfig& config() const noexcept { return config_; }
 
-  /// Statically-dispatched visitation (see sim/write_visit.hpp).
-  template <class Visitor>
-  void visit_writes(Visitor&& visit) const {
-    visit_encoded_rows(
-        *rows_, [this](std::uint64_t row_index) { return event_at(row_index); },
-        std::forward<Visitor>(visit));
-  }
-
  private:
-  /// Destination (row, block) of the row_index-th dataflow row — a pure
-  /// function of the index, so the shared payloads need no per-event
-  /// metadata.
-  RowWriteEvent event_at(std::uint64_t row_index) const noexcept {
-    RowWriteEvent event;
-    const auto block = static_cast<std::uint32_t>(row_index / image_rows_);
-    const auto image_row = static_cast<std::uint32_t>(row_index % image_rows_);
-    // Double buffering: odd blocks land in the upper half.
-    event.row = config_.double_buffered
-                    ? image_row + (block % 2) * image_rows_
-                    : image_row;
-    event.block = block;
-    return event;
-  }
-
   std::shared_ptr<const EncodedRows> rows_;
   BaselineAcceleratorConfig config_;
   MemoryGeometry geometry_;

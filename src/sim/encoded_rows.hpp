@@ -2,10 +2,11 @@
 //
 // Both tiled accelerator models (baseline accelerator and TPU-like NPU)
 // stream the same Fig. 5 dataflow rows and differ only in where each row
-// lands — an `event_at(row_index)` pure function — so the payload words
-// depend on (network, weight generation, format, dataflow) alone.
-// EncodedRows is that immutable artifact: every stream with the same key,
-// in any sweep point, replays one copy (see core::SweepScheduler).
+// lands, so the payload words depend on (network, weight generation,
+// format, dataflow) alone. EncodedRows is that immutable artifact: a
+// stream's write_at(i) carries row(i) in place to a (row, block) that is
+// a pure function of i, and every stream with the same key, in any sweep
+// point, reads one copy (see core::SweepScheduler).
 //
 // The build is two fan-outs, whatever the layer count:
 //  * Pass 1 (int8 only) scans (layer, chunk) items for each layer's range:
@@ -41,7 +42,6 @@
 #include "dnn/network.hpp"
 #include "quant/word_codec.hpp"
 #include "sim/dataflow.hpp"
-#include "sim/write_stream.hpp"
 
 namespace dnnlife::sim {
 
@@ -93,18 +93,5 @@ class EncodedRows {
   /// item zeroes the rows it owns before packing into them.
   std::unique_ptr<std::uint64_t[]> words_;
 };
-
-/// Visit one inference's writes in dataflow order: the row_index-th row
-/// carries rows.row(row_index) to the (row, block) of event_at(row_index).
-template <class EventAt, class Visitor>
-void visit_encoded_rows(const EncodedRows& rows, EventAt&& event_at,
-                        Visitor&& visit) {
-  const std::uint64_t total = rows.rows();
-  for (std::uint64_t row_index = 0; row_index < total; ++row_index) {
-    RowWriteEvent event = event_at(row_index);
-    event.words = rows.row(row_index);
-    visit(event);
-  }
-}
 
 }  // namespace dnnlife::sim

@@ -25,9 +25,4 @@ NpuWeightStream::NpuWeightStream(std::shared_ptr<const EncodedRows> rows,
   DNNLIFE_ENSURES(tiles_ >= 1, "network produced no weight rows");
 }
 
-void NpuWeightStream::for_each_write(
-    const std::function<void(const RowWriteEvent&)>& visit) const {
-  visit_writes(visit);
-}
-
 }  // namespace dnnlife::sim

@@ -45,33 +45,23 @@ class NpuWeightStream final : public WriteStream {
   std::uint64_t writes_per_inference() const override {
     return rows_->rows();
   }
-  void for_each_write(
-      const std::function<void(const RowWriteEvent&)>& visit) const override;
-
-  const TpuNpuConfig& config() const noexcept { return config_; }
-
-  /// Statically-dispatched visitation (see sim/write_visit.hpp).
-  template <class Visitor>
-  void visit_writes(Visitor&& visit) const {
-    visit_encoded_rows(
-        *rows_, [this](std::uint64_t row_index) { return event_at(row_index); },
-        std::forward<Visitor>(visit));
-  }
-
- private:
-  /// FIFO slot placement of the row_index-th dataflow row — a pure
-  /// function of the index (circular buffer of fifo_tiles tiles).
-  RowWriteEvent event_at(std::uint64_t row_index) const noexcept {
+  /// The ordinal-th dataflow row at its FIFO slot placement — a pure
+  /// function of the ordinal (circular buffer of fifo_tiles tiles).
+  RowWriteEvent write_at(std::uint64_t ordinal) const override {
     const std::uint32_t tile_rows = config_.tile_rows();
-    const auto tile = static_cast<std::uint32_t>(row_index / tile_rows);
+    const auto tile = static_cast<std::uint32_t>(ordinal / tile_rows);
     const std::uint32_t slot = tile % config_.fifo_tiles;
     RowWriteEvent event;
     event.row =
-        slot * tile_rows + static_cast<std::uint32_t>(row_index % tile_rows);
+        slot * tile_rows + static_cast<std::uint32_t>(ordinal % tile_rows);
     event.block = tile;
+    event.words = rows_->row(ordinal);
     return event;
   }
 
+  const TpuNpuConfig& config() const noexcept { return config_; }
+
+ private:
   std::shared_ptr<const EncodedRows> rows_;
   TpuNpuConfig config_;
   MemoryGeometry geometry_;

@@ -2,6 +2,13 @@
 
 namespace dnnlife::sim {
 
+void WriteStream::for_each_write(
+    const std::function<void(const RowWriteEvent&)>& visit) const {
+  const std::uint64_t writes = writes_per_inference();
+  for (std::uint64_t ordinal = 0; ordinal < writes; ++ordinal)
+    visit(write_at(ordinal));
+}
+
 VectorWriteStream::VectorWriteStream(MemoryGeometry geometry, std::uint32_t blocks)
     : geometry_(geometry), blocks_(blocks) {
   geometry_.validate();
@@ -28,11 +35,6 @@ void VectorWriteStream::set_block_durations(std::vector<std::uint32_t> durations
   for (std::uint32_t d : durations)
     DNNLIFE_EXPECTS(d > 0, "durations must be positive");
   durations_ = std::move(durations);
-}
-
-void VectorWriteStream::for_each_write(
-    const std::function<void(const RowWriteEvent&)>& visit) const {
-  visit_writes(visit);
 }
 
 }  // namespace dnnlife::sim

@@ -2,8 +2,11 @@
 //
 // One inference of a fixed network on a fixed accelerator produces a
 // deterministic sequence of row writes (paper Sec. III-B: with the same
-// dataflow, a cell sees only K different bits per inference). Both aging
-// simulators consume this interface; the accelerator models implement it.
+// dataflow, a cell sees only K different bits per inference). The stream
+// is random-access: write_at(i) is the i-th write of that sequence, so
+// both aging simulators read each write by its ordinal, as often and in
+// whatever order they need, without copying one inference's payloads.
+// The accelerator models implement it over their shared EncodedRows.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +39,15 @@ class WriteStream {
   /// Total row writes per inference.
   virtual std::uint64_t writes_per_inference() const = 0;
 
-  /// Visit every write of one inference in temporal order (block-major).
-  virtual void for_each_write(
-      const std::function<void(const RowWriteEvent&)>& visit) const = 0;
+  /// The ordinal-th write of one inference in temporal order (block-major),
+  /// for ordinal < writes_per_inference(). A pure function of the ordinal,
+  /// safe to call concurrently; the returned words stay valid for the
+  /// stream's lifetime.
+  virtual RowWriteEvent write_at(std::uint64_t ordinal) const = 0;
+
+  /// Visit write_at(0), write_at(1), ... write_at(writes_per_inference() - 1).
+  void for_each_write(
+      const std::function<void(const RowWriteEvent&)>& visit) const;
 
   /// Relative residency duration of each mapping slot. Empty (the
   /// default) means uniform durations — the paper's assumption (b). When
@@ -67,17 +76,9 @@ class VectorWriteStream final : public WriteStream {
   MemoryGeometry geometry() const override { return geometry_; }
   std::uint32_t blocks_per_inference() const override { return blocks_; }
   std::uint64_t writes_per_inference() const override { return writes_.size(); }
-  void for_each_write(
-      const std::function<void(const RowWriteEvent&)>& visit) const override;
-
-  /// Statically-dispatched visitation (see sim/write_visit.hpp): identical
-  /// enumeration to for_each_write without the per-event std::function.
-  template <class Visitor>
-  void visit_writes(Visitor&& visit) const {
-    for (const auto& write : writes_) {
-      visit(RowWriteEvent{write.row, write.block,
-                          std::span<const std::uint64_t>(write.words)});
-    }
+  RowWriteEvent write_at(std::uint64_t ordinal) const override {
+    const StoredWrite& write = writes_[ordinal];
+    return RowWriteEvent{write.row, write.block, write.words};
   }
 
  private:

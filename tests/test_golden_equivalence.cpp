@@ -69,7 +69,7 @@ TEST_P(GoldenEquivalence, AllPolicyKindsMatchBitExactly) {
   const unsigned inferences = 16;
   for (const PolicyConfig& policy : golden_policies()) {
     const auto reference =
-        simulate_reference(stream, policy, {inferences, 1, true});
+        simulate_reference(stream, policy, {inferences, true});
     const auto fast = simulate_fast(stream, policy, {inferences});
     EXPECT_EQ(reference.ones_time(), fast.ones_time()) << policy.name();
     EXPECT_EQ(reference.total_time(), fast.total_time()) << policy.name();

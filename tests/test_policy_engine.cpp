@@ -100,12 +100,30 @@ TEST(PolicyRegistry, ExternalPolicyReachableThroughSimulators) {
   sim::VectorWriteStream stream(sim::MemoryGeometry{1, 64}, 1);
   stream.add_write(0, 0, {~0ULL});
   // Every write inverted: the all-ones payload is stored as all zeros.
-  const auto tracker = simulate_reference(stream, custom, {5, 1, false});
+  const auto tracker = simulate_reference(stream, custom, {5, false});
   for (std::size_t cell = 0; cell < 64; ++cell)
     EXPECT_DOUBLE_EQ(tracker.duty(cell), 0.0) << "cell " << cell;
   // The replay-only custom engine is rejected by the fast path, with the
   // same error class the built-in ablation variants produce.
   EXPECT_THROW(simulate_fast(stream, custom, {5}), std::invalid_argument);
+}
+
+TEST(PolicyRegistry, UnknownEngineThrowsListingRegistered) {
+  register_always_invert();
+  PolicyConfig unknown;
+  unknown.engine = "no-such-engine";
+  try {
+    make_policy_engine(unknown, sim::MemoryGeometry{1, 64});
+    FAIL() << "unknown policy engine accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("'no-such-engine'"), std::string::npos) << message;
+    // Built-in and custom registrations alike.
+    EXPECT_NE(message.find(to_string(PolicyKind::kDnnLife)), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("test-always-invert"), std::string::npos)
+        << message;
+  }
 }
 
 TEST(AggregatePlanDefaults, SampleInvertedThrowsWhenUnused) {
@@ -172,7 +190,7 @@ TEST(PolicyValidation, SimulatorsFailFastOnBadConfigs) {
   EXPECT_THROW(simulate_fast(stream, PolicyConfig::dnn_life(2.0), {4}),
                std::invalid_argument);
   EXPECT_THROW(
-      simulate_reference(stream, PolicyConfig::barrel_shifter(60), {4, 1, false}),
+      simulate_reference(stream, PolicyConfig::barrel_shifter(60), {4, false}),
       std::invalid_argument);
 }
 

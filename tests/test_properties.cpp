@@ -84,7 +84,7 @@ TEST_P(SimulatorEquivalence, FastMatchesReference) {
   core::PolicyConfig policy;
   policy.kind = kind;
   policy.weight_bits = codec.bits();
-  const auto reference = core::simulate_reference(stream, policy, {3, 1, false});
+  const auto reference = core::simulate_reference(stream, policy, {3, false});
   const auto fast = core::simulate_fast(stream, policy, {3});
   EXPECT_EQ(reference.ones_time(), fast.ones_time());
   EXPECT_EQ(reference.total_time(), fast.total_time());
@@ -120,7 +120,7 @@ TEST_P(DecodeProperty, ReferenceVerifiesEveryWrite) {
   core::PolicyConfig policy;
   policy.kind = GetParam();
   policy.weight_bits = codec.bits();
-  EXPECT_NO_THROW(core::simulate_reference(stream, policy, {2, 1, true}));
+  EXPECT_NO_THROW(core::simulate_reference(stream, policy, {2, true}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, DecodeProperty,

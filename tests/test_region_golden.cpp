@@ -70,7 +70,7 @@ struct PinnedCase {
   std::uint64_t fast_hash;
 };
 
-/// Hashes of simulate_reference(stream, policy, {16, 1, false}) and
+/// Hashes of simulate_reference(stream, policy, {16, false}) and
 /// simulate_fast(stream, policy, {16, 1}) from the pre-refactor build.
 std::vector<PinnedCase> pinned_cases(bool non_uniform) {
   if (!non_uniform) {
@@ -107,7 +107,7 @@ TEST_P(PreRefactorGolden, EngineMatchesPreRefactorPathBitIdentically) {
     const std::string label = pinned.policy.name();
     // Plain-PolicyConfig wrappers.
     EXPECT_EQ(tracker_hash(simulate_reference(stream, pinned.policy,
-                                              {16, 1, false})),
+                                              {16, false})),
               pinned.reference_hash)
         << "reference " << label;
     EXPECT_EQ(tracker_hash(simulate_fast(stream, pinned.policy, {16, 1})),
@@ -115,7 +115,7 @@ TEST_P(PreRefactorGolden, EngineMatchesPreRefactorPathBitIdentically) {
         << "fast " << label;
     // Explicit single whole-memory region.
     EXPECT_EQ(tracker_hash(simulate_reference(stream, uniform_table(pinned.policy),
-                                              {16, 1, false})),
+                                              {16, false})),
               pinned.reference_hash)
         << "reference/uniform-region " << label;
     EXPECT_EQ(tracker_hash(simulate_fast(stream, uniform_table(pinned.policy),
@@ -241,7 +241,7 @@ TEST(RegionPolicy, HybridReferenceAndThreadCountsAgree) {
   const auto table = hybrid_table(stream.geometry(), 2,
                                   PolicyConfig::inversion(),
                                   PolicyConfig::barrel_shifter(8));
-  const auto reference = simulate_reference(stream, table, {6, 1, true});
+  const auto reference = simulate_reference(stream, table, {6, true});
   const auto fast1 = simulate_fast(stream, table, {6, 1});
   const auto fast4 = simulate_fast(stream, table, {6, 4});
   EXPECT_EQ(reference.ones_time(), fast1.ones_time());

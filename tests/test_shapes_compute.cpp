@@ -110,7 +110,7 @@ TEST(DurationWeighting, FastMatchesReferenceWithDurations) {
                              core::PolicyConfig::inversion(),
                              core::PolicyConfig::barrel_shifter(8)}) {
     const auto reference =
-        core::simulate_reference(stream, policy, {3, 1, false});
+        core::simulate_reference(stream, policy, {3, false});
     const auto fast = core::simulate_fast(stream, policy, {3});
     EXPECT_EQ(reference.ones_time(), fast.ones_time()) << policy.name();
     EXPECT_EQ(reference.total_time(), fast.total_time()) << policy.name();

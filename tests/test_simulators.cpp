@@ -39,7 +39,7 @@ class SmallStreamFixture : public ::testing::Test {
 TEST_F(SmallStreamFixture, FastMatchesReferenceNoMitigation) {
   const auto stream = make_stream();
   const auto reference =
-      simulate_reference(stream, PolicyConfig::none(), {5, 1, false});
+      simulate_reference(stream, PolicyConfig::none(), {5, false});
   const auto fast = simulate_fast(stream, PolicyConfig::none(), {5});
   EXPECT_EQ(reference.ones_time(), fast.ones_time());
   EXPECT_EQ(reference.total_time(), fast.total_time());
@@ -48,7 +48,7 @@ TEST_F(SmallStreamFixture, FastMatchesReferenceNoMitigation) {
 TEST_F(SmallStreamFixture, FastMatchesReferenceInversion) {
   const auto stream = make_stream();
   const auto reference =
-      simulate_reference(stream, PolicyConfig::inversion(), {4, 1, false});
+      simulate_reference(stream, PolicyConfig::inversion(), {4, false});
   const auto fast = simulate_fast(stream, PolicyConfig::inversion(), {4});
   EXPECT_EQ(reference.ones_time(), fast.ones_time());
 }
@@ -56,7 +56,7 @@ TEST_F(SmallStreamFixture, FastMatchesReferenceInversion) {
 TEST_F(SmallStreamFixture, FastMatchesReferenceBarrel) {
   const auto stream = make_stream();
   const auto policy = PolicyConfig::barrel_shifter(8);
-  const auto reference = simulate_reference(stream, policy, {3, 1, false});
+  const auto reference = simulate_reference(stream, policy, {3, false});
   const auto fast = simulate_fast(stream, policy, {3});
   EXPECT_EQ(reference.ones_time(), fast.ones_time());
 }
@@ -66,7 +66,7 @@ TEST_F(SmallStreamFixture, FastMatchesReferenceOnNpuStream) {
   for (const auto& policy :
        {PolicyConfig::none(), PolicyConfig::inversion(),
         PolicyConfig::barrel_shifter(8)}) {
-    const auto reference = simulate_reference(stream, policy, {3, 1, false});
+    const auto reference = simulate_reference(stream, policy, {3, false});
     const auto fast = simulate_fast(stream, policy, {3});
     EXPECT_EQ(reference.ones_time(), fast.ones_time()) << policy.name();
     EXPECT_EQ(reference.total_time(), fast.total_time()) << policy.name();
@@ -78,7 +78,7 @@ TEST_F(SmallStreamFixture, FastMatchesReferenceDnnLifeStatistically) {
   const auto policy = PolicyConfig::dnn_life(0.5);
   const unsigned inferences = 24;
   const auto reference =
-      simulate_reference(stream, policy, {inferences, 1, false});
+      simulate_reference(stream, policy, {inferences, false});
   const auto fast = simulate_fast(stream, policy, {inferences});
   const aging::CalibratedNbtiDeviceModel model;
   const aging::EnvironmentSegmentView ref_segment{&reference, {}};
@@ -98,7 +98,7 @@ TEST_F(SmallStreamFixture, ReferenceDecodeVerificationPasses) {
        {PolicyConfig::none(), PolicyConfig::inversion(),
         PolicyConfig::barrel_shifter(8), PolicyConfig::dnn_life(0.7)}) {
     // verify_decode = true throws on any decode mismatch.
-    EXPECT_NO_THROW(simulate_reference(stream, policy, {2, 1, true}))
+    EXPECT_NO_THROW(simulate_reference(stream, policy, {2, true}))
         << policy.name();
   }
 }
@@ -110,7 +110,7 @@ TEST_F(SmallStreamFixture, FastMatchesReferenceDoubleBuffered) {
   const sim::BaselineWeightStream stream(codec_, config);
   for (const auto& policy :
        {PolicyConfig::none(), PolicyConfig::inversion()}) {
-    const auto reference = simulate_reference(stream, policy, {3, 1, false});
+    const auto reference = simulate_reference(stream, policy, {3, false});
     const auto fast = simulate_fast(stream, policy, {3});
     EXPECT_EQ(reference.ones_time(), fast.ones_time()) << policy.name();
   }
