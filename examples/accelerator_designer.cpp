@@ -4,18 +4,24 @@
 //
 // Usage: accelerator_designer [network] (default custom_mnist)
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "core/scenario_suite.hpp"
 #include "dnn/model_zoo.hpp"
 #include "hw/synthesis.hpp"
 #include "hw/wde_modules.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run_designer(int argc, char** argv) {
   using namespace dnnlife;
   using core::PolicyConfig;
-  const std::string network = argc > 1 ? argv[1] : "custom_mnist";
+  util::FlagTable flags("example_accelerator_designer", "[network]", 1);
+  if (!flags.parse(argc, argv)) return 1;
+  const std::string network = flags.positionals().empty()
+                                  ? "custom_mnist"
+                                  : flags.positionals().front();
 
   std::cout << "Accelerator design exploration for " << network
             << " (int8-symmetric, 100 inferences)\n\n";
@@ -71,4 +77,13 @@ int main(int argc, char** argv) {
                "independent of memory size and dataflow — while the WDE cost\n"
                "scales linearly with the write-port width.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run_designer(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

@@ -65,7 +65,7 @@ int run_audit(int argc, char** argv) {
   if (inferences == 0)
     throw std::invalid_argument("inferences must be at least 1");
   // Fail flag mistakes before the (expensive) payload build.
-  aging::AgingModelRegistry::instance().check(spec.aging_model);
+  aging::AgingModelRegistry::instance().at(spec.aging_model);
   aging::validate_environment(environment);
   // One phase: the whole lifetime sits at the audited operating point,
   // evaluated through the registry-selected model.

@@ -6,15 +6,20 @@
 //
 // Usage: bit_distribution_report [network] (default alexnet)
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "dnn/model_zoo.hpp"
 #include "quant/bit_distribution.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run_report(int argc, char** argv) {
   using namespace dnnlife;
-  const std::string name = argc > 1 ? argv[1] : "alexnet";
+  util::FlagTable flags("example_bit_distribution_report", "[network]", 1);
+  if (!flags.parse(argc, argv)) return 1;
+  const std::string name =
+      flags.positionals().empty() ? "alexnet" : flags.positionals().front();
   const dnn::Network network = dnn::make_network(name);
   const dnn::WeightStreamer streamer(network);
 
@@ -49,4 +54,13 @@ int main(int argc, char** argv) {
                "bit-location; the spread above shows why the paper opts for\n"
                "run-time randomisation instead.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run_report(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

@@ -5,30 +5,30 @@
 // pathology, and (b) that DNN-Life is optimal regardless of the mix.
 #include <array>
 #include <iostream>
+#include <stdexcept>
 
 #include "aging/snm_histogram.hpp"
+#include "core/policy_engine.hpp"
 #include "core/workload.hpp"
 #include "dnn/model_zoo.hpp"
 #include "quant/word_codec.hpp"
 #include "sim/tpu_npu.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run_study(int argc, char** argv) {
   using namespace dnnlife;
   using core::PolicyConfig;
   using core::WorkloadPhase;
 
-  // Optional CLI: multi_dnn [baseline-policy-kind] — the mitigation to
-  // compare DNN-Life against (default: inversion). Parsed with the
-  // from_string round-trip of to_string(PolicyKind).
+  // Optional CLI: multi_dnn [baseline-policy] — the PolicyRegistry name of
+  // the mitigation to compare DNN-Life against (default: inversion).
+  util::FlagTable flags("example_multi_dnn", "[baseline-policy]", 1);
+  if (!flags.parse(argc, argv)) return 1;
   PolicyConfig baseline = PolicyConfig::inversion();
-  if (argc > 1) {
-    try {
-      baseline.kind = core::policy_kind_from_string(argv[1]);
-    } catch (const std::exception& error) {
-      std::cerr << error.what() << "\n";
-      return 1;
-    }
+  if (!flags.positionals().empty()) {
+    baseline.kind = flags.positionals().front();
+    core::PolicyRegistry::instance().at(baseline.kind);  // unknown names throw
   }
   std::cout << "Multi-DNN workload study (TPU-like NPU, int8-symmetric)\n\n";
 
@@ -73,4 +73,13 @@ int main(int argc, char** argv) {
                "on workload luck is exactly what DNN-Life avoids: its rows\n"
                "are balanced by construction under any schedule.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run_study(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

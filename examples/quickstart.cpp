@@ -8,14 +8,17 @@
 //  4. Run the aging simulation with and without DNN-Life and report the
 //     7-year SNM degradation.
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "core/metadata_store.hpp"
+#include "core/policy_engine.hpp"
 #include "core/scenario_suite.hpp"
 #include "core/transducer.hpp"
 #include "core/trbg.hpp"
 #include "dnn/inference.hpp"
 #include "dnn/model_zoo.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -49,19 +52,20 @@ class TransducedWeightSource final : public dnn::WeightSource {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Optional CLI: quickstart [policy-kind] [hardware-kind], e.g.
+int run_quickstart(int argc, char** argv) {
+  // Optional CLI: quickstart [policy] [hardware], e.g.
   //   example_quickstart dnn-life tpu-like-npu
-  // Names round-trip with to_string via the from_string parsers.
+  // The policy is a PolicyRegistry name; the other DNN-Life settings stay.
+  util::FlagTable flags("example_quickstart", "[policy] [hardware]", 2);
+  if (!flags.parse(argc, argv)) return 1;
+  const std::vector<std::string>& args = flags.positionals();
   core::PolicyConfig cli_policy = core::PolicyConfig::dnn_life(0.5);
   core::HardwareKind cli_hardware = core::HardwareKind::kTpuNpu;
-  try {
-    if (argc > 1) cli_policy.kind = core::policy_kind_from_string(argv[1]);
-    if (argc > 2) cli_hardware = core::hardware_kind_from_string(argv[2]);
-  } catch (const std::exception& error) {
-    std::cerr << error.what() << "\n";
-    return 1;
+  if (!args.empty()) {
+    core::PolicyRegistry::instance().at(args[0]);  // unknown names throw
+    cli_policy.kind = args[0];
   }
+  if (args.size() > 1) cli_hardware = core::hardware_kind_from_string(args[1]);
 
   std::cout << "DNN-Life quickstart\n===================\n\n";
 
@@ -131,4 +135,13 @@ int main(int argc, char** argv) {
   std::cout << "\nDNN-Life balances every cell's duty-cycle at no cost to\n"
                "inference results and ~0.05% metadata overhead.\n";
   return roundtrip == reference ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run_quickstart(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }

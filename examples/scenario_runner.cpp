@@ -15,13 +15,6 @@
 //                         else hardware concurrency; at most 4096);
 //                         results are bit-identical for any value
 //   --csv=PATH            export the per-region lifetime breakdown as CSV
-//   --sim-cache-mb=N      duty-state cache budget in MiB (0 disables, the
-//                         default; at most 1048576). A single run
-//                         simulates each spec once, so the cache only pays
-//                         off when the runner is invoked as a
-//                         library-style harness; the flag exists mainly to
-//                         exercise the cache-aware run_scenario path and
-//                         print its counters
 //   --sim-store=DIR       content-addressed disk store of committed duty
 //                         state (see README "Simulation reuse"): the run
 //                         probes DIR/<fingerprint>.simstate before
@@ -47,7 +40,6 @@
 #include <vector>
 
 #include "core/scenario.hpp"
-#include "core/sim_cache.hpp"
 #include "core/sim_store.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -84,7 +76,6 @@ int main(int argc, char** argv) {
   std::string csv_path;
   unsigned jobs = 0;
   unsigned executor_threads = 0;
-  unsigned sim_cache_mb = 0;
   std::string sim_store_dir;
   std::vector<std::pair<std::size_t, double>> phase_temps;
   util::FlagTable flags("example_scenario_runner", "[scenario.json]", 1);
@@ -106,7 +97,6 @@ int main(int argc, char** argv) {
       .add(util::unsigned_flag("jobs", jobs, "concurrency budget", 1024))
       .add(util::executor_threads_flag(executor_threads))
       .add(util::text_flag("csv", "PATH", csv_path, "per-region CSV"))
-      .add(util::sim_cache_mb_flag(sim_cache_mb))
       .add(util::sim_store_flag(sim_store_dir));
   if (!flags.parse(argc, argv)) return 1;
   std::string text = kDefaultScenario;
@@ -123,10 +113,7 @@ int main(int argc, char** argv) {
   try {
     spec = core::parse_scenario(text);
     if (!aging_model_override.empty()) {
-      if (!aging::AgingModelRegistry::instance().contains(
-              aging_model_override))
-        throw std::invalid_argument("unknown --aging-model '" +
-                                    aging_model_override + "'");
+      aging::AgingModelRegistry::instance().at(aging_model_override);
       spec.aging_model = aging_model_override;
     }
     for (const auto& [index, celsius] : phase_temps) {
@@ -157,10 +144,6 @@ int main(int argc, char** argv) {
             << " on the session executor ..." << std::endl;
   // Runtime validation (e.g. an unreachable lifetime threshold for the
   // selected model) must reach the user as cleanly as parse errors.
-  std::shared_ptr<core::SimCache> sim_cache;
-  if (sim_cache_mb > 0)
-    sim_cache = std::make_shared<core::SimCache>(
-        static_cast<std::size_t>(sim_cache_mb) * 1024 * 1024);
   std::shared_ptr<core::SimStore> sim_store;
   if (!sim_store_dir.empty()) {
     try {
@@ -176,7 +159,6 @@ int main(int argc, char** argv) {
   const auto start = std::chrono::steady_clock::now();
   try {
     core::RunScenarioOptions options;
-    options.sim_cache = sim_cache;
     options.sim_store = sim_store;
     run = core::run_scenario(spec, options);
   } catch (const std::exception& error) {
@@ -258,19 +240,6 @@ int main(int argc, char** argv) {
   if (csv)
     std::cout << "per-region lifetime breakdown written to " << csv_path
               << "\n";
-  if (sim_cache) {
-    const core::SimCacheStats stats = sim_cache->stats();
-    std::cout << "sim cache: " << stats.hits << " hit"
-              << (stats.hits == 1 ? "" : "s") << ", " << stats.misses
-              << " miss" << (stats.misses == 1 ? "" : "es") << ", "
-              << stats.evictions << " evicted, " << stats.entries
-              << " resident ("
-              << util::Table::num(
-                     static_cast<double>(stats.bytes_in_use) / (1024.0 * 1024.0),
-                     1)
-              << " MB; fingerprint " << core::simulation_fingerprint(spec)
-              << ")\n";
-  }
   if (sim_store) {
     const core::SimStoreStats stats = sim_store->stats();
     std::cout << "sim store: " << stats.hits << " hit"

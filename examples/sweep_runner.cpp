@@ -16,8 +16,9 @@
 //                    --inject-fault, --executor-threads, --sim-cache-mb,
 //                    --sim-store or --sim-store-mb
 //   --shard=K/N      run only shard K of N (every N-th scenario of the
-//                    stable suite order, 1-based); the summary records the
-//                    manifest so example_sweep_merge can reassemble shards
+//                    stable suite order, 1-based; N at most 1000000); the
+//                    summary records the manifest so example_sweep_merge
+//                    can reassemble shards
 //   --jobs=N         concurrent-scenario budget (default 0 = hardware
 //                    concurrency). A budget, not a pool size: all jobs
 //                    share the one session executor, and slots no point
@@ -130,10 +131,12 @@ bool parse_shard(const std::string& text, dnnlife::core::SuiteShard& shard) {
   if (!dnnlife::util::parse_unsigned_flag(text.substr(0, slash), index) ||
       !dnnlife::util::parse_unsigned_flag(text.substr(slash + 1), count))
     return false;
-  if (index < 1 || count < 1 || index > count) return false;
-  shard.index = index;
-  shard.count = count;
-  return true;
+  try {
+    shard = dnnlife::core::SuiteShard::checked(index, count);
+    return true;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
 }
 
 struct FaultInjection {
@@ -197,7 +200,7 @@ int main(int argc, char** argv) {
       .add(util::text_flag("materialize", "DIR", materialize_dir,
                            "write the spec's documents into DIR and exit"))
       .add({.name = "shard", .metavar = "K/N", .help = "run only shard K of N",
-            .expects = "K/N with 1 <= K <= N",
+            .expects = "K/N with 1 <= K <= N <= 1000000",
             .apply = [&](const std::string& v) {
               return parse_shard(v, shard);
             },

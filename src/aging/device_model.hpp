@@ -21,8 +21,8 @@
 // bit-identical to the paper's evaluation.
 //
 // Models are created through a name-based AgingModelRegistry (see
-// aging/model_registry.hpp), mirroring core::PolicyRegistry, so external
-// device models plug in without touching the report or lifetime layers.
+// aging/model_registry.hpp), so external device models plug in without
+// touching the report or lifetime layers.
 #pragma once
 
 #include <span>

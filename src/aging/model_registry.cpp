@@ -26,18 +26,22 @@ void ModelParamReader::finish() const {
   }
 }
 
-AgingModelRegistry::AgingModelRegistry() {
+namespace {
+
+/// The built-in models, in the order names() lists them.
+AgingModelRegistry::Entries builtin_models() {
+  AgingModelRegistry::Entries models;
   // The default engine is deliberately knob-free: it *is* the paper's
   // calibration, and every tunable lives in the SNM anchors it is built
   // from.
-  factories_.emplace_back(
+  models.emplace_back(
       kDefaultAgingModel,
       [](const SnmParams& snm, const AgingModelParams& params) {
         ModelParamReader reader(params, kDefaultAgingModel);
         reader.finish();
         return std::make_unique<CalibratedNbtiDeviceModel>(snm);
       });
-  factories_.emplace_back(
+  models.emplace_back(
       "arrhenius-nbti",
       [](const SnmParams& snm, const AgingModelParams& params) {
         ModelParamReader reader(params, "arrhenius-nbti");
@@ -48,7 +52,7 @@ AgingModelRegistry::AgingModelRegistry() {
         reader.finish();
         return std::make_unique<ArrheniusNbtiDeviceModel>(snm, thermal);
       });
-  factories_.emplace_back(
+  models.emplace_back(
       "pbti-hci", [](const SnmParams& snm, const AgingModelParams& params) {
         ModelParamReader reader(params, "pbti-hci");
         PbtiHciDeviceModel::Params model_params;
@@ -66,7 +70,7 @@ AgingModelRegistry::AgingModelRegistry() {
         reader.finish();
         return std::make_unique<PbtiHciDeviceModel>(model_params);
       });
-  factories_.emplace_back(
+  models.emplace_back(
       "dual-bti", [](const SnmParams& snm, const AgingModelParams& params) {
         ModelParamReader reader(params, "dual-bti");
         DualBtiDeviceModel::Params model_params;
@@ -76,68 +80,29 @@ AgingModelRegistry::AgingModelRegistry() {
         reader.finish();
         return std::make_unique<DualBtiDeviceModel>(model_params);
       });
+  return models;
 }
 
-AgingModelRegistry& AgingModelRegistry::instance() {
-  static AgingModelRegistry registry;
-  return registry;
-}
+}  // namespace
 
-void AgingModelRegistry::add(const std::string& name,
-                             DeviceModelFactory factory) {
-  DNNLIFE_EXPECTS(!name.empty(), "aging-model name must not be empty");
-  DNNLIFE_EXPECTS(factory != nullptr, "aging-model factory must not be null");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [existing, _] : factories_)
-    DNNLIFE_EXPECTS(existing != name,
-                    "aging model '" + name + "' is already registered");
-  factories_.emplace_back(name, std::move(factory));
-}
-
-bool AgingModelRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return std::any_of(factories_.begin(), factories_.end(),
-                     [&](const auto& entry) { return entry.first == name; });
-}
-
-std::vector<std::string> AgingModelRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, _] : factories_) names.push_back(name);
-  return names;
-}
-
-DeviceModelFactory AgingModelRegistry::factory_of(
-    const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [existing, factory] : factories_)
-    if (existing == name) return factory;
-  std::string known;
-  for (const auto& [registered, _] : factories_)
-    known += (known.empty() ? "" : ", ") + registered;
-  throw std::invalid_argument("no aging model registered under '" + name +
-                              "' (registered: " + known + ")");
-}
-
-void AgingModelRegistry::check(const std::string& name) const {
-  factory_of(name);
-}
-
-std::unique_ptr<DeviceAgingModel> AgingModelRegistry::create(
+std::unique_ptr<DeviceAgingModel> make_aging_model(
     const std::string& name, const SnmParams& snm,
-    const AgingModelParams& params) const {
-  const DeviceModelFactory factory = factory_of(name);
-  auto model = factory(snm, params);
+    const AgingModelParams& params) {
+  auto model = AgingModelRegistry::instance().at(name)(snm, params);
   DNNLIFE_ENSURES(model != nullptr,
                   "aging-model factory '" + name + "' returned null");
   return model;
 }
 
-std::unique_ptr<DeviceAgingModel> make_aging_model(
-    const std::string& name, const SnmParams& snm,
-    const AgingModelParams& params) {
-  return AgingModelRegistry::instance().create(name, snm, params);
+}  // namespace dnnlife::aging
+
+namespace dnnlife::util {
+
+template <>
+aging::AgingModelRegistry& aging::AgingModelRegistry::instance() {
+  static aging::AgingModelRegistry registry("aging model",
+                                            aging::builtin_models());
+  return registry;
 }
 
-}  // namespace dnnlife::aging
+}  // namespace dnnlife::util

@@ -1,17 +1,18 @@
-// Name-based device-aging-model registry (the aging-side mirror of
-// core::PolicyRegistry): scenario JSON and the example CLIs select
-// degradation physics by name, and external models plug in without
-// touching the report or lifetime layers.
+// Name-based device-aging-model registry: scenario JSON, sweep axes and
+// the example CLIs select degradation physics by name, and external models
+// plug in without touching the report or lifetime layers. The registry is
+// util::Registry over DeviceModelFactory, the same template that holds the
+// mitigation policies (core::PolicyRegistry).
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "aging/device_model.hpp"
+#include "util/registry.hpp"
 
 namespace dnnlife::aging {
 
@@ -55,32 +56,7 @@ using DeviceModelFactory = std::function<std::unique_ptr<DeviceAgingModel>(
 /// Thread-safe name → factory registry. The built-in models are
 /// pre-registered: "calibrated-nbti" (default), "arrhenius-nbti",
 /// "pbti-hci" and "dual-bti".
-class AgingModelRegistry {
- public:
-  static AgingModelRegistry& instance();
-
-  /// Register a factory; throws std::invalid_argument on duplicate names.
-  void add(const std::string& name, DeviceModelFactory factory);
-
-  bool contains(const std::string& name) const;
-  std::vector<std::string> names() const;
-
-  /// Throw std::invalid_argument listing the registered names when `name`
-  /// is not registered (the shared "unknown aging model" diagnostic).
-  void check(const std::string& name) const;
-
-  std::unique_ptr<DeviceAgingModel> create(
-      const std::string& name, const SnmParams& snm,
-      const AgingModelParams& params = {}) const;
-
- private:
-  AgingModelRegistry();
-  /// The factory registered under `name`; throws check()'s diagnostic.
-  DeviceModelFactory factory_of(const std::string& name) const;
-
-  mutable std::mutex mutex_;
-  std::vector<std::pair<std::string, DeviceModelFactory>> factories_;
-};
+using AgingModelRegistry = util::Registry<DeviceModelFactory>;
 
 /// Create a registered model; an unknown name throws std::invalid_argument
 /// listing the registered names, an unknown parameter key throws naming
@@ -90,3 +66,9 @@ std::unique_ptr<DeviceAgingModel> make_aging_model(
     const AgingModelParams& params = {});
 
 }  // namespace dnnlife::aging
+
+namespace dnnlife::util {
+/// Defined in model_registry.cpp with the four built-in models.
+template <>
+aging::AgingModelRegistry& aging::AgingModelRegistry::instance();
+}  // namespace dnnlife::util

@@ -1,56 +1,28 @@
 #include "core/mitigation_policy.hpp"
 
-#include <stdexcept>
-
 #include "util/check.hpp"
 
 namespace dnnlife::core {
 
-std::string to_string(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kNone: return "no-mitigation";
-    case PolicyKind::kInversion: return "inversion";
-    case PolicyKind::kBarrelShifter: return "barrel-shifter";
-    case PolicyKind::kDnnLife: return "dnn-life";
-  }
-  return "unknown";
-}
-
-PolicyKind policy_kind_from_string(std::string_view name) {
-  for (const PolicyKind kind :
-       {PolicyKind::kNone, PolicyKind::kInversion, PolicyKind::kBarrelShifter,
-        PolicyKind::kDnnLife}) {
-    if (name == to_string(kind)) return kind;
-  }
-  throw std::invalid_argument(
-      "unknown policy kind '" + std::string(name) +
-      "' (expected one of: no-mitigation, inversion, barrel-shifter, "
-      "dnn-life)");
-}
-
 std::string PolicyConfig::name() const {
-  if (!engine.empty()) return engine;
-  std::string label = to_string(kind);
-  if (kind == PolicyKind::kDnnLife) {
-    label += " (bias=" + std::to_string(trbg_bias).substr(0, 4);
-    label += bias_balancing
-                 ? ", balancing M=" + std::to_string(balancer_bits) + ")"
-                 : ", no balancing)";
-  }
-  return label;
+  if (kind != "dnn-life") return kind;
+  return kind + " (bias=" + std::to_string(trbg_bias).substr(0, 4) +
+         (bias_balancing
+              ? ", balancing M=" + std::to_string(balancer_bits) + ")"
+              : ", no balancing)");
 }
 
 PolicyConfig PolicyConfig::none() { return PolicyConfig{}; }
 
 PolicyConfig PolicyConfig::inversion() {
   PolicyConfig config;
-  config.kind = PolicyKind::kInversion;
+  config.kind = "inversion";
   return config;
 }
 
 PolicyConfig PolicyConfig::barrel_shifter(unsigned weight_bits) {
   PolicyConfig config;
-  config.kind = PolicyKind::kBarrelShifter;
+  config.kind = "barrel-shifter";
   config.weight_bits = weight_bits;
   return config;
 }
@@ -58,7 +30,7 @@ PolicyConfig PolicyConfig::barrel_shifter(unsigned weight_bits) {
 PolicyConfig PolicyConfig::dnn_life(double trbg_bias, bool bias_balancing,
                                     unsigned balancer_bits, std::uint64_t seed) {
   PolicyConfig config;
-  config.kind = PolicyKind::kDnnLife;
+  config.kind = "dnn-life";
   config.trbg_bias = trbg_bias;
   config.bias_balancing = bias_balancing;
   config.balancer_bits = balancer_bits;
@@ -68,18 +40,18 @@ PolicyConfig PolicyConfig::dnn_life(double trbg_bias, bool bias_balancing,
 
 void validate_policy_config(const PolicyConfig& config,
                             std::uint32_t row_bits) {
-  const std::string label = to_string(config.kind);
+  const std::string& label = config.kind;
   DNNLIFE_EXPECTS(config.weight_bits >= 1 && config.weight_bits <= 64,
                   label + ": weight_bits must be in 1..64, got " +
                       std::to_string(config.weight_bits));
-  if (config.kind == PolicyKind::kBarrelShifter && row_bits != 0) {
+  if (config.kind == "barrel-shifter" && row_bits != 0) {
     DNNLIFE_EXPECTS(row_bits % config.weight_bits == 0,
                     label + ": weight_bits " +
                         std::to_string(config.weight_bits) +
                         " must divide the memory row width " +
                         std::to_string(row_bits));
   }
-  if (config.kind == PolicyKind::kDnnLife) {
+  if (config.kind == "dnn-life") {
     DNNLIFE_EXPECTS(config.trbg_bias >= 0.0 && config.trbg_bias <= 1.0,
                     label + ": trbg_bias must be a probability in [0, 1], "
                             "got " + std::to_string(config.trbg_bias));

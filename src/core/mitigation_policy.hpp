@@ -1,50 +1,38 @@
-// Aging-mitigation policies compared in the paper's evaluation (Sec. V-B):
+// Aging-mitigation policies compared in the paper's evaluation (Sec. V-B),
+// by their PolicyConfig::kind (core::PolicyRegistry) names:
 //
-//  kNone          — weights stored as-is.
-//  kInversion     — [19]-style periodic inversion: every other write to a
-//                   location is inverted. The inversion phase is driven by
-//                   the dataflow schedule, which restarts every inference,
-//                   so a given datum always arrives with the same phase —
-//                   exactly the "same data periodically reused" failure
-//                   mode the paper describes. A `continuous_counter`
-//                   variant (never reset) is kept as an ablation.
-//  kBarrelShifter — [15]-style bit rotation: each weight subword is rotated
-//                   by (per-location write index mod weight_bits). Balances
-//                   bit positions but cannot fix a biased average
-//                   '1'-probability (paper observation 3).
-//  kDnnLife       — the proposed scheme: E drawn from a TRBG through the
-//                   aging controller (optional bias balancing), fresh on
-//                   every write, never reset — randomness accumulates
-//                   across inferences, growing the effective K.
+//  "no-mitigation"  — weights stored as-is.
+//  "inversion"      — [19]-style periodic inversion: every other write to a
+//                     location is inverted. The inversion phase is driven by
+//                     the dataflow schedule, which restarts every inference,
+//                     so a given datum always arrives with the same phase —
+//                     exactly the "same data periodically reused" failure
+//                     mode the paper describes. A `continuous_counter`
+//                     variant (never reset) is kept as an ablation.
+//  "barrel-shifter" — [15]-style bit rotation: each weight subword is
+//                     rotated by (per-location write index mod weight_bits).
+//                     Balances bit positions but cannot fix a biased average
+//                     '1'-probability (paper observation 3).
+//  "dnn-life"       — the proposed scheme: E drawn from a TRBG through the
+//                     aging controller (optional bias balancing), fresh on
+//                     every write, never reset — randomness accumulates
+//                     across inferences, growing the effective K.
 //
 // This header holds the declarative side only (config + validation); the
 // behavioural strategy objects live behind the PolicyEngine interface in
-// core/policy_engine.hpp.
+// core/policy_engine.hpp, where extensions register further names.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 namespace dnnlife::core {
 
-enum class PolicyKind { kNone, kInversion, kBarrelShifter, kDnnLife };
-
-std::string to_string(PolicyKind kind);
-
-/// Inverse of to_string(PolicyKind) — round-trips every kind. Throws
-/// std::invalid_argument (listing the valid names) for anything else.
-PolicyKind policy_kind_from_string(std::string_view name);
-
 struct PolicyConfig {
-  PolicyKind kind = PolicyKind::kNone;
-
-  /// Non-empty selects a custom engine registered under this name in the
-  /// PolicyRegistry instead of the built-in `kind` dispatch — the hook
-  /// that makes externally registered policies reachable from every
-  /// layer (region tables, simulators, scenarios). The remaining fields
-  /// are passed to the custom factory verbatim.
-  std::string engine;
+  /// The policy's PolicyRegistry name: a built-in above, or a custom
+  /// engine registered under its own name. The remaining fields are
+  /// passed to the engine's factory verbatim.
+  std::string kind = "no-mitigation";
 
   /// Barrel shifter: rotation granularity (the weight word width).
   unsigned weight_bits = 8;
@@ -72,12 +60,14 @@ struct PolicyConfig {
                                std::uint64_t seed = 0xd00dfeedULL);
 };
 
-/// Up-front validation with actionable messages, instead of failing deep
-/// inside a simulator: weight_bits must be 1..64 and (for the barrel
-/// shifter, which rotates whole rows) divide the row width; a DNN-Life
-/// trbg_bias must be a probability; balancer_bits must fit the hardware
-/// register. `row_bits` of 0 skips the geometry-dependent checks (no
-/// memory bound yet). Throws std::invalid_argument.
+/// Up-front validation with actionable messages that start with the
+/// policy's kind, instead of failing deep inside a simulator: weight_bits
+/// must be 1..64 and (for the barrel shifter, which rotates whole rows)
+/// divide the row width; a DNN-Life trbg_bias must be a probability;
+/// balancer_bits must fit the hardware register. `row_bits` of 0 skips the
+/// geometry-dependent checks (no memory bound yet). Does not check that
+/// `kind` is registered (make_policy_engine and parse_policy do). Throws
+/// std::invalid_argument.
 void validate_policy_config(const PolicyConfig& config,
                             std::uint32_t row_bits = 0);
 

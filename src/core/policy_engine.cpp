@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "core/aging_controller.hpp"
 #include "core/bias_balancer.hpp"
@@ -272,84 +273,34 @@ class DnnLifeEngine final : public PolicyEngine {
   AgingController controller_;
 };
 
-}  // namespace
-
 // ---- registry ----------------------------------------------------------------
 
-PolicyRegistry::PolicyRegistry() {
-  factories_.emplace_back(
-      to_string(PolicyKind::kNone),
-      [](const PolicyConfig& config, const sim::MemoryGeometry&,
-         const sim::MemoryRegion&) {
-        return std::make_unique<NoneEngine>(config);
-      });
-  factories_.emplace_back(
-      to_string(PolicyKind::kInversion),
-      [](const PolicyConfig& config, const sim::MemoryGeometry&,
-         const sim::MemoryRegion& region) {
-        return std::make_unique<InversionEngine>(config, region);
-      });
-  factories_.emplace_back(
-      to_string(PolicyKind::kBarrelShifter),
-      [](const PolicyConfig& config, const sim::MemoryGeometry&,
-         const sim::MemoryRegion& region) {
-        return std::make_unique<BarrelEngine>(config, region);
-      });
-  factories_.emplace_back(
-      to_string(PolicyKind::kDnnLife),
-      [](const PolicyConfig& config, const sim::MemoryGeometry&,
-         const sim::MemoryRegion&) {
-        return std::make_unique<DnnLifeEngine>(config);
-      });
+/// The paper's four policies, pre-registered under their PolicyConfig::kind
+/// names.
+PolicyRegistry::Entries builtin_engines() {
+  return {{"no-mitigation",
+           [](const PolicyConfig& config, const sim::MemoryGeometry&,
+              const sim::MemoryRegion&) {
+             return std::make_unique<NoneEngine>(config);
+           }},
+          {"inversion",
+           [](const PolicyConfig& config, const sim::MemoryGeometry&,
+              const sim::MemoryRegion& region) {
+             return std::make_unique<InversionEngine>(config, region);
+           }},
+          {"barrel-shifter",
+           [](const PolicyConfig& config, const sim::MemoryGeometry&,
+              const sim::MemoryRegion& region) {
+             return std::make_unique<BarrelEngine>(config, region);
+           }},
+          {"dnn-life",
+           [](const PolicyConfig& config, const sim::MemoryGeometry&,
+              const sim::MemoryRegion&) {
+             return std::make_unique<DnnLifeEngine>(config);
+           }}};
 }
 
-PolicyRegistry& PolicyRegistry::instance() {
-  static PolicyRegistry registry;
-  return registry;
-}
-
-void PolicyRegistry::add(const std::string& name, PolicyEngineFactory factory) {
-  DNNLIFE_EXPECTS(!name.empty(), "policy name must not be empty");
-  DNNLIFE_EXPECTS(factory != nullptr, "policy factory must not be null");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [existing, _] : factories_)
-    DNNLIFE_EXPECTS(existing != name,
-                    "policy '" + name + "' is already registered");
-  factories_.emplace_back(name, std::move(factory));
-}
-
-bool PolicyRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return std::any_of(factories_.begin(), factories_.end(),
-                     [&](const auto& entry) { return entry.first == name; });
-}
-
-std::vector<std::string> PolicyRegistry::names() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(factories_.size());
-  for (const auto& [name, _] : factories_) names.push_back(name);
-  return names;
-}
-
-std::unique_ptr<PolicyEngine> PolicyRegistry::create(
-    const std::string& name, const PolicyConfig& config,
-    const sim::MemoryGeometry& geometry, const sim::MemoryRegion& region) const {
-  const PolicyEngineFactory factory = [&] {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [existing, candidate] : factories_)
-      if (existing == name) return candidate;
-    std::string known;
-    for (const auto& [registered, _] : factories_)
-      known += (known.empty() ? "" : ", ") + registered;
-    throw std::invalid_argument("no policy engine registered under '" + name +
-                                "' (registered: " + known + ")");
-  }();
-  auto engine = factory(config, geometry, region);
-  DNNLIFE_ENSURES(engine != nullptr,
-                  "policy factory '" + name + "' returned null");
-  return engine;
-}
+}  // namespace
 
 std::unique_ptr<PolicyEngine> make_policy_engine(
     const PolicyConfig& config, const sim::MemoryGeometry& geometry,
@@ -358,10 +309,12 @@ std::unique_ptr<PolicyEngine> make_policy_engine(
   DNNLIFE_EXPECTS(region.row_begin < region.row_end &&
                       region.row_end <= geometry.rows,
                   "engine region outside the memory");
+  const PolicyEngineFactory factory = PolicyRegistry::instance().at(config.kind);
   validate_policy_config(config, geometry.row_bits);
-  const std::string name =
-      config.engine.empty() ? to_string(config.kind) : config.engine;
-  return PolicyRegistry::instance().create(name, config, geometry, region);
+  auto engine = factory(config, geometry, region);
+  DNNLIFE_ENSURES(engine != nullptr,
+                  "policy factory '" + config.kind + "' returned null");
+  return engine;
 }
 
 std::unique_ptr<PolicyEngine> make_policy_engine(
@@ -371,3 +324,14 @@ std::unique_ptr<PolicyEngine> make_policy_engine(
 }
 
 }  // namespace dnnlife::core
+
+namespace dnnlife::util {
+
+template <>
+core::PolicyRegistry& core::PolicyRegistry::instance() {
+  static core::PolicyRegistry registry("policy engine",
+                                       core::builtin_engines());
+  return registry;
+}
+
+}  // namespace dnnlife::util

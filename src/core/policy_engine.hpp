@@ -1,9 +1,5 @@
-// The first-class policy-engine abstraction.
-//
-// Before this layer existed, the four mitigation policies were re-implemented
-// as PolicyKind switches in the reference simulator, the fast simulator, the
-// workload composer and the WDE selection — every new policy cost N parallel
-// edits. A PolicyEngine now owns both execution styles of one policy:
+// The first-class policy-engine abstraction. A PolicyEngine owns both
+// execution styles of one mitigation policy:
 //
 //  * the stateful per-write replay the reference simulator drives
 //    (begin_inference / on_write), and
@@ -12,20 +8,19 @@
 //    policies that only support literal replay, e.g. the continuous-counter
 //    ablation variants).
 //
-// Engines are created through a name-based registry, so external policies
-// can be plugged in without touching either simulator.
+// Engines are created by PolicyConfig::kind through the name-based
+// PolicyRegistry, so external policies plug in without touching either
+// simulator.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
 
 #include "core/mitigation_policy.hpp"
 #include "sim/memory_geometry.hpp"
 #include "sim/region_map.hpp"
+#include "util/registry.hpp"
 #include "util/rng.hpp"
 
 namespace dnnlife::core {
@@ -97,32 +92,12 @@ using PolicyEngineFactory = std::function<std::unique_ptr<PolicyEngine>(
     const PolicyConfig&, const sim::MemoryGeometry&, const sim::MemoryRegion&)>;
 
 /// Name-based policy-engine registry. The four built-in policies are
-/// pre-registered under their to_string(PolicyKind) names; extensions add
-/// factories under new names. Thread-safe.
-class PolicyRegistry {
- public:
-  static PolicyRegistry& instance();
-
-  /// Register a factory; throws std::invalid_argument on duplicate names.
-  void add(const std::string& name, PolicyEngineFactory factory);
-
-  bool contains(const std::string& name) const;
-  std::vector<std::string> names() const;
-
-  std::unique_ptr<PolicyEngine> create(const std::string& name,
-                                       const PolicyConfig& config,
-                                       const sim::MemoryGeometry& geometry,
-                                       const sim::MemoryRegion& region) const;
-
- private:
-  PolicyRegistry();
-
-  mutable std::mutex mutex_;
-  std::vector<std::pair<std::string, PolicyEngineFactory>> factories_;
-};
+/// registered as "no-mitigation", "inversion", "barrel-shifter" and
+/// "dnn-life"; extensions add factories under new names. Thread-safe.
+using PolicyRegistry = util::Registry<PolicyEngineFactory>;
 
 /// Validate `config` against `geometry` and create its engine through the
-/// registry (name = config.engine when set, else to_string(config.kind)).
+/// registry entry named `config.kind`.
 /// `region` is the row range the engine owns; the two-argument overload
 /// binds the whole memory.
 std::unique_ptr<PolicyEngine> make_policy_engine(
@@ -139,3 +114,9 @@ std::uint32_t sample_binomial(util::Xoshiro256ss& rng, std::uint32_t n,
                               double p);
 
 }  // namespace dnnlife::core
+
+namespace dnnlife::util {
+/// Defined in policy_engine.cpp with the four built-in engines.
+template <>
+core::PolicyRegistry& core::PolicyRegistry::instance();
+}  // namespace dnnlife::util

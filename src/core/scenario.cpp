@@ -64,14 +64,8 @@ PolicyConfig parse_policy(const JsonValue& object) {
                 {"kind", "reset_each_inference", "trbg_bias",
                  "bias_balancing", "balancer_bits", "seed"});
   PolicyConfig policy;
-  const std::string& kind = object.at("kind").as_string();
-  try {
-    policy.kind = policy_kind_from_string(kind);
-  } catch (const std::invalid_argument&) {
-    // Not a built-in: reachable as a custom engine if one is registered.
-    if (!PolicyRegistry::instance().contains(kind)) throw;
-    policy.engine = kind;
-  }
+  policy.kind = object.at("kind").as_string();
+  PolicyRegistry::instance().at(policy.kind);  // unknown names fail here
   if (const JsonValue* v = object.find("reset_each_inference"))
     policy.reset_each_inference = v->as_bool();
   if (const JsonValue* v = object.find("trbg_bias"))
@@ -200,7 +194,7 @@ ScenarioSpec parse_scenario(const std::string& json_text) {
   if (const JsonValue* v = root.find("snm")) parse_snm(*v, spec.snm);
   if (const JsonValue* v = root.find("aging_model")) {
     spec.aging_model = v->as_string();
-    aging::AgingModelRegistry::instance().check(spec.aging_model);
+    aging::AgingModelRegistry::instance().at(spec.aging_model);
   }
   if (const JsonValue* v = root.find("aging_model_params"))
     for (const auto& [key, value] : v->members())
@@ -334,10 +328,7 @@ std::string simulation_fingerprint(const ScenarioSpec& spec) {
   for (const ScenarioRegionSpec& region : regions) {
     fingerprint_field(text, "r.name", region.name);
     fingerprint_field_f64(text, "r.rows", region.row_fraction);
-    fingerprint_field(text, "r.policy",
-                      region.policy.engine.empty()
-                          ? to_string(region.policy.kind)
-                          : region.policy.engine);
+    fingerprint_field(text, "r.policy", region.policy.kind);
     fingerprint_field(text, "r.reset", region.policy.reset_each_inference);
     fingerprint_field_f64(text, "r.trbg", region.policy.trbg_bias);
     fingerprint_field(text, "r.bal", region.policy.bias_balancing);

@@ -152,19 +152,11 @@ ScenarioGenerator ScenarioGenerator::parse(const std::string& json_text) {
         for (const JsonValue& value : values)
           value.as_number_in(parameter->lo, parameter->hi, axis.parameter);
       } else if (axis.parameter == "policy") {
-        for (const JsonValue& value : values) {
-          const std::string& kind = value.as_string();
-          try {
-            policy_kind_from_string(kind);
-          } catch (const std::invalid_argument&) {
-            if (!PolicyRegistry::instance().contains(kind))
-              throw std::invalid_argument(
-                  "sweep axis 'policy' names unknown policy '" + kind + "'");
-          }
-        }
+        for (const JsonValue& value : values)
+          PolicyRegistry::instance().at(value.as_string());
       } else if (axis.parameter == "aging_model") {
         for (const JsonValue& value : values)
-          aging::AgingModelRegistry::instance().check(value.as_string());
+          aging::AgingModelRegistry::instance().at(value.as_string());
       } else if (axis.parameter.rfind(kParamsPrefix, 0) == 0 &&
                  axis.parameter.size() > kParamsPrefix.size()) {
         // Knob values are numbers; which knobs the chosen model accepts is

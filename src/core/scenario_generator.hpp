@@ -25,7 +25,7 @@
 //       {"parameter": "temperature_c", "values": [25, 55, 85]},
 //       {"parameter": "vdd",           "values": [0.95, 1.0]},
 //       {"parameter": "activity_scale","values": [0.5, 1.0]},
-//       {"parameter": "policy",        "values": ["none", "dnn-life"]},
+//       {"parameter": "policy",        "values": ["no-mitigation", "dnn-life"]},
 //       {"parameter": "aging_model",   "values": ["pbti-hci"]},
 //       {"parameter": "aging_model_params.recovery_floor", "values": [0.0, 0.2]}
 //     ],

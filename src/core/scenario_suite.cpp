@@ -59,17 +59,19 @@ ScenarioSuite ScenarioSuite::from_files(const std::vector<std::string>& paths) {
   return suite;
 }
 
+SuiteShard SuiteShard::checked(std::uint64_t index, std::uint64_t count) {
+  if (count == 0 || count > kMaxCount || index == 0 || index > count)
+    throw std::invalid_argument("shard " + std::to_string(index) + "/" +
+                                std::to_string(count) + " is not valid");
+  return {static_cast<unsigned>(index), static_cast<unsigned>(count)};
+}
+
 std::vector<std::size_t> ScenarioSuite::shard_selection(
     std::size_t size, const SuiteShard& shard) {
-  if (shard.count == 0)
-    throw std::invalid_argument("shard count must be at least 1");
-  if (shard.index < 1 || shard.index > shard.count)
-    throw std::invalid_argument(
-        "shard index " + std::to_string(shard.index) + " out of 1.." +
-        std::to_string(shard.count));
+  SuiteShard::checked(shard.index, shard.count);
   std::vector<std::size_t> selection;
-  for (std::size_t i = shard.index - 1; i < size; i += shard.count)
-    selection.push_back(i);
+  for (std::size_t i = 0; i < size; ++i)
+    if (shard.contains(i)) selection.push_back(i);
   return selection;
 }
 

@@ -57,8 +57,23 @@ struct SuiteEntry {
 /// selecting entries index-1, index-1+count, ... of the suite order.
 /// The default {1, 1} selects everything.
 struct SuiteShard {
+  /// The most shards one sweep splits into. The --shard flag,
+  /// shard_selection, journals and summaries accept exactly the shards
+  /// with 1 <= index <= count <= kMaxCount.
+  static constexpr std::uint64_t kMaxCount = 1'000'000;
+
   unsigned index = 1;
   unsigned count = 1;
+
+  /// The shard `index`/`count`; throws std::invalid_argument ("shard
+  /// I/N is not valid") outside the bounds above. 64-bit arguments let a
+  /// parser check a value before narrowing it.
+  static SuiteShard checked(std::uint64_t index, std::uint64_t count);
+
+  /// Whether the entry at suite position `position` belongs to this shard.
+  bool contains(std::size_t position) const noexcept {
+    return position % count == index - 1;
+  }
 };
 
 /// The outcome of one scenario run.

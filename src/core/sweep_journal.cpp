@@ -47,21 +47,14 @@ SweepJournalHeader parse_header_line(std::string_view line) {
   header.total_scenarios =
       static_cast<std::size_t>(manifest.at("scenarios").as_uint());
   const util::JsonValue& shard = doc.at("shard");
-  const std::uint64_t index = shard.at("index").as_uint();
-  const std::uint64_t count = shard.at("count").as_uint();
-  if (count == 0 || index == 0 || index > count || count > 1'000'000)
-    throw std::invalid_argument("journal shard " + std::to_string(index) +
-                                "/" + std::to_string(count) + " is not valid");
-  header.shard.index = static_cast<unsigned>(index);
-  header.shard.count = static_cast<unsigned>(count);
+  header.shard = SuiteShard::checked(shard.at("index").as_uint(),
+                                     shard.at("count").as_uint());
   header.include_timing = doc.at("include_timing").as_bool();
   return header;
 }
 
 bool index_in_shard(std::size_t index, const SweepJournalHeader& header) {
-  return index < header.total_scenarios &&
-         index % header.shard.count ==
-             static_cast<std::size_t>(header.shard.index - 1);
+  return index < header.total_scenarios && header.shard.contains(index);
 }
 
 /// Split into lines. A final element is produced for a trailing fragment
@@ -201,6 +194,7 @@ SweepJournal::~SweepJournal() = default;
 
 SweepJournal SweepJournal::create(const std::string& path,
                                   SweepJournalHeader header) {
+  SuiteShard::checked(header.shard.index, header.shard.count);
   SweepJournal journal;
   journal.state_ = std::make_unique<State>();
   State& state = *journal.state_;

@@ -13,10 +13,10 @@ namespace {
 
 using util::JsonValue;
 
-/// Plausibility caps on untrusted summary fields: merge sizes its cover
-/// bookkeeping from them, so a corrupt document must fail with a named
-/// error instead of a multi-gigabyte allocation.
-constexpr std::uint64_t kMaxShards = 1'000'000;
+/// Plausibility cap on an untrusted summary's scenario count (the shard
+/// count's is SuiteShard::kMaxCount): merge sizes its cover bookkeeping
+/// from them, so a corrupt document must fail with a named error instead
+/// of a multi-gigabyte allocation.
 constexpr std::uint64_t kMaxScenarios = 100'000'000;
 
 std::string describe(const SuiteSummary& summary) {
@@ -45,13 +45,8 @@ SuiteSummary parse_suite_summary(const std::string& json_text,
       // Validate before narrowing: a corrupt document must fail with a
       // named error, not a silent 32-bit truncation, and the counts also
       // size vectors in merge_suite_summaries, so they are bounded here.
-      const std::uint64_t index = shard->at("index").as_uint();
-      const std::uint64_t count = shard->at("count").as_uint();
-      if (count == 0 || count > kMaxShards || index == 0 || index > count)
-        throw std::invalid_argument("shard " + std::to_string(index) + "/" +
-                                    std::to_string(count) + " is not valid");
-      summary.info.shard.index = static_cast<unsigned>(index);
-      summary.info.shard.count = static_cast<unsigned>(count);
+      summary.info.shard = SuiteShard::checked(shard->at("index").as_uint(),
+                                               shard->at("count").as_uint());
     }
     const std::vector<JsonValue>& entries = root.at("scenarios").items();
     summary.records.reserve(entries.size());
@@ -165,7 +160,7 @@ SuiteSummary merge_suite_summaries(std::vector<SuiteSummary> shards,
             "sweep summary " + describe(shard) + ": scenario index " +
             std::to_string(record.index) + " exceeds the sweep size " +
             std::to_string(total));
-      if (record.index % count != shard.info.shard.index - 1)
+      if (!shard.info.shard.contains(record.index))
         throw std::invalid_argument(
             "sweep summary " + describe(shard) + ": scenario index " +
             std::to_string(record.index) + " does not belong to shard " +

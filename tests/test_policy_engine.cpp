@@ -12,39 +12,31 @@
 namespace dnnlife::core {
 namespace {
 
-TEST(PolicyKindStrings, RoundTrip) {
-  for (const PolicyKind kind :
-       {PolicyKind::kNone, PolicyKind::kInversion, PolicyKind::kBarrelShifter,
-        PolicyKind::kDnnLife}) {
-    EXPECT_EQ(policy_kind_from_string(to_string(kind)), kind);
-  }
-  EXPECT_THROW(policy_kind_from_string("rot13"), std::invalid_argument);
-  EXPECT_THROW(policy_kind_from_string(""), std::invalid_argument);
-}
+constexpr const char* kBuiltinPolicies[] = {"no-mitigation", "inversion",
+                                            "barrel-shifter", "dnn-life"};
 
 TEST(PolicyRegistry, BuiltinsAreRegistered) {
   auto& registry = PolicyRegistry::instance();
   const auto names = registry.names();
-  for (const PolicyKind kind :
-       {PolicyKind::kNone, PolicyKind::kInversion, PolicyKind::kBarrelShifter,
-        PolicyKind::kDnnLife}) {
-    EXPECT_TRUE(registry.contains(to_string(kind)));
-    EXPECT_NE(std::find(names.begin(), names.end(), to_string(kind)),
-              names.end());
+  for (const std::string kind : kBuiltinPolicies) {
+    EXPECT_TRUE(registry.contains(kind));
+    EXPECT_NE(std::find(names.begin(), names.end(), kind), names.end());
   }
   EXPECT_FALSE(registry.contains("no-such-policy"));
-  EXPECT_THROW(registry.create("no-such-policy", PolicyConfig::none(),
-                               sim::MemoryGeometry{1, 64},
-                               sim::MemoryRegion{"memory", 0, 1}),
-               std::invalid_argument);
+  for (const std::string kind : {"no-such-policy", "rot13", ""}) {
+    PolicyConfig unknown;
+    unknown.kind = kind;
+    EXPECT_THROW(make_policy_engine(unknown, sim::MemoryGeometry{1, 64}),
+                 std::invalid_argument)
+        << kind;
+  }
 }
 
 TEST(PolicyRegistry, RejectsDuplicateAndBadFactories) {
   auto& registry = PolicyRegistry::instance();
-  EXPECT_THROW(registry.add(to_string(PolicyKind::kNone), nullptr),
-               std::invalid_argument);
+  EXPECT_THROW(registry.add("no-mitigation", nullptr), std::invalid_argument);
   EXPECT_THROW(
-      registry.add(to_string(PolicyKind::kDnnLife),
+      registry.add("dnn-life",
                    [](const PolicyConfig&, const sim::MemoryGeometry&,
                       const sim::MemoryRegion&)
                        -> std::unique_ptr<PolicyEngine> { return nullptr; }),
@@ -83,19 +75,20 @@ void register_always_invert() {
 
 TEST(PolicyRegistry, ExternalPolicyPlugsIn) {
   register_always_invert();
-  const auto engine = PolicyRegistry::instance().create(
-      "test-always-invert", PolicyConfig::none(), sim::MemoryGeometry{4, 64},
-      sim::MemoryRegion{"memory", 0, 4});
+  PolicyConfig custom;
+  custom.kind = "test-always-invert";
+  const auto engine = make_policy_engine(custom, sim::MemoryGeometry{4, 64},
+                                         sim::MemoryRegion{"memory", 0, 4});
   EXPECT_TRUE(engine->on_write(0).invert);
   EXPECT_EQ(engine->make_aggregate_plan(10), nullptr);
 }
 
 TEST(PolicyRegistry, ExternalPolicyReachableThroughSimulators) {
-  // PolicyConfig::engine routes every layer (tables, simulators) to the
+  // PolicyConfig::kind routes every layer (tables, simulators) to the
   // registered factory — no simulator edits needed for a new policy.
   register_always_invert();
   PolicyConfig custom;
-  custom.engine = "test-always-invert";
+  custom.kind = "test-always-invert";
   EXPECT_EQ(custom.name(), "test-always-invert");
   sim::VectorWriteStream stream(sim::MemoryGeometry{1, 64}, 1);
   stream.add_write(0, 0, {~0ULL});
@@ -111,16 +104,18 @@ TEST(PolicyRegistry, ExternalPolicyReachableThroughSimulators) {
 TEST(PolicyRegistry, UnknownEngineThrowsListingRegistered) {
   register_always_invert();
   PolicyConfig unknown;
-  unknown.engine = "no-such-engine";
+  unknown.kind = "no-such-engine";
   try {
     make_policy_engine(unknown, sim::MemoryGeometry{1, 64});
     FAIL() << "unknown policy engine accepted";
   } catch (const std::invalid_argument& error) {
     const std::string message = error.what();
-    EXPECT_NE(message.find("'no-such-engine'"), std::string::npos) << message;
-    // Built-in and custom registrations alike.
-    EXPECT_NE(message.find(to_string(PolicyKind::kDnnLife)), std::string::npos)
+    EXPECT_NE(message.find("no policy engine registered under "
+                           "'no-such-engine' (registered: no-mitigation, "
+                           "inversion, barrel-shifter, dnn-life, "),
+              std::string::npos)
         << message;
+    // Built-in and custom registrations alike.
     EXPECT_NE(message.find("test-always-invert"), std::string::npos)
         << message;
   }
@@ -181,6 +176,23 @@ TEST(PolicyValidation, RejectsBadWeightBits) {
   auto odd = PolicyConfig::dnn_life(0.5);
   odd.weight_bits = 7;
   EXPECT_NO_THROW(validate_policy_config(odd, 96));
+}
+
+TEST(PolicyValidation, MessagesNameTheEngine) {
+  register_always_invert();
+  PolicyConfig custom;
+  custom.kind = "test-always-invert";
+  custom.weight_bits = 0;
+  try {
+    make_policy_engine(custom, sim::MemoryGeometry{1, 64});
+    FAIL() << "weight_bits 0 accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("test-always-invert: weight_bits must be in 1..64"),
+              std::string::npos)
+        << message;
+    EXPECT_EQ(message.find("no-mitigation"), std::string::npos) << message;
+  }
 }
 
 TEST(PolicyValidation, SimulatorsFailFastOnBadConfigs) {

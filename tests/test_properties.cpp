@@ -24,6 +24,23 @@ std::string format_label(quant::WeightFormat format) {
   return label;
 }
 
+/// The built-in policies as test parameters: an index into kPolicyNames
+/// (PolicyConfig::kind), which keeps each parameter a plain 4-byte value.
+enum class BuiltinPolicy { kNone, kInversion, kBarrelShifter, kDnnLife };
+constexpr const char* kPolicyNames[] = {"no-mitigation", "inversion",
+                                        "barrel-shifter", "dnn-life"};
+
+std::string policy_kind(BuiltinPolicy policy) {
+  return kPolicyNames[static_cast<int>(policy)];
+}
+
+std::string policy_label(BuiltinPolicy policy) {
+  std::string label = policy_kind(policy);
+  for (char& ch : label)
+    if (ch == '-') ch = '_';
+  return label;
+}
+
 // ---- codec roundtrip across formats -----------------------------------------
 
 class CodecRoundTrip : public ::testing::TestWithParam<quant::WeightFormat> {
@@ -68,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(Formats, CodecRoundTrip,
 
 // ---- simulator equivalence across (format x policy) --------------------------
 
-using SimCase = std::tuple<quant::WeightFormat, core::PolicyKind>;
+using SimCase = std::tuple<quant::WeightFormat, BuiltinPolicy>;
 
 class SimulatorEquivalence : public ::testing::TestWithParam<SimCase> {};
 
@@ -82,7 +99,7 @@ TEST_P(SimulatorEquivalence, FastMatchesReference) {
   const sim::BaselineWeightStream stream(codec, config);
 
   core::PolicyConfig policy;
-  policy.kind = kind;
+  policy.kind = policy_kind(kind);
   policy.weight_bits = codec.bits();
   const auto reference = core::simulate_reference(stream, policy, {3, false});
   const auto fast = core::simulate_fast(stream, policy, {3});
@@ -95,20 +112,17 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(quant::WeightFormat::kFloat32,
                                          quant::WeightFormat::kInt8Symmetric,
                                          quant::WeightFormat::kInt8Asymmetric),
-                       ::testing::Values(core::PolicyKind::kNone,
-                                         core::PolicyKind::kInversion,
-                                         core::PolicyKind::kBarrelShifter)),
+                       ::testing::Values(BuiltinPolicy::kNone,
+                                         BuiltinPolicy::kInversion,
+                                         BuiltinPolicy::kBarrelShifter)),
     [](const auto& param_info) {
-      std::string label = format_label(std::get<0>(param_info.param)) + "_" +
-                          core::to_string(std::get<1>(param_info.param));
-      for (char& ch : label)
-        if (ch == '-') ch = '_';
-      return label;
+      return format_label(std::get<0>(param_info.param)) + "_" +
+             policy_label(std::get<1>(param_info.param));
     });
 
 // ---- decode property across policies, gate-level metadata corruption ---------
 
-class DecodeProperty : public ::testing::TestWithParam<core::PolicyKind> {};
+class DecodeProperty : public ::testing::TestWithParam<BuiltinPolicy> {};
 
 TEST_P(DecodeProperty, ReferenceVerifiesEveryWrite) {
   const dnn::Network network = dnn::make_custom_mnist();
@@ -118,21 +132,18 @@ TEST_P(DecodeProperty, ReferenceVerifiesEveryWrite) {
   config.weight_memory_bytes = 4 * 1024;
   const sim::BaselineWeightStream stream(codec, config);
   core::PolicyConfig policy;
-  policy.kind = GetParam();
+  policy.kind = policy_kind(GetParam());
   policy.weight_bits = codec.bits();
   EXPECT_NO_THROW(core::simulate_reference(stream, policy, {2, true}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, DecodeProperty,
-                         ::testing::Values(core::PolicyKind::kNone,
-                                           core::PolicyKind::kInversion,
-                                           core::PolicyKind::kBarrelShifter,
-                                           core::PolicyKind::kDnnLife),
+                         ::testing::Values(BuiltinPolicy::kNone,
+                                           BuiltinPolicy::kInversion,
+                                           BuiltinPolicy::kBarrelShifter,
+                                           BuiltinPolicy::kDnnLife),
                          [](const auto& param_info) {
-                           std::string label = core::to_string(param_info.param);
-                           for (char& ch : label)
-                             if (ch == '-') ch = '_';
-                           return label;
+                           return policy_label(param_info.param);
                          });
 
 TEST(DecodeNegative, WrongMetadataCorruptsRow) {

@@ -98,9 +98,9 @@ TEST(ScenarioParse, ReadsTheFullSchema) {
   ASSERT_EQ(spec.regions.size(), 2u);
   EXPECT_EQ(spec.regions[0].name, "hot");
   EXPECT_DOUBLE_EQ(spec.regions[0].row_fraction, 0.25);
-  EXPECT_EQ(spec.regions[0].policy.kind, PolicyKind::kDnnLife);
+  EXPECT_EQ(spec.regions[0].policy.kind, "dnn-life");
   EXPECT_DOUBLE_EQ(spec.regions[0].policy.trbg_bias, 0.7);
-  EXPECT_EQ(spec.regions[1].policy.kind, PolicyKind::kNone);
+  EXPECT_EQ(spec.regions[1].policy.kind, "no-mitigation");
   EXPECT_EQ(spec.threads, 2u);
 }
 

@@ -214,7 +214,7 @@ TEST(ScenarioGenerator, SpecErrorsAreStrictAndNamed) {
   expect_error("{\"name\": \"x\"," + base_block +
                    ", \"axes\": [{\"parameter\": \"policy\", "
                    "\"values\": [\"typo-policy\"]}]}",
-               "unknown policy 'typo-policy'");
+               "no policy engine registered under 'typo-policy'");
   expect_error("{\"name\": \"x\"," + base_block +
                    ", \"axes\": [{\"parameter\": \"aging_model\", "
                    "\"values\": [\"missing-model\"]}]}",

@@ -37,10 +37,12 @@ TEST(SimulationFingerprint, FieldInventoryIsClassified) {
   EXPECT_EQ(sizeof(ScenarioPhaseSpec), 64u)
       << "ScenarioPhaseSpec changed: phases are hashed as (network, "
          "inferences, segment partition) — classify the new field";
-  EXPECT_EQ(sizeof(ScenarioRegionSpec), 112u)
+  // 104 and 64 since PolicyConfig names its policy once (the separate
+  // engine string was deleted; `kind` is hashed as r.policy).
+  EXPECT_EQ(sizeof(ScenarioRegionSpec), 104u)
       << "ScenarioRegionSpec changed: regions are hashed in full — "
          "classify the new field";
-  EXPECT_EQ(sizeof(PolicyConfig), 72u)
+  EXPECT_EQ(sizeof(PolicyConfig), 64u)
       << "PolicyConfig changed: every stream-affecting knob is hashed "
          "(weight_bits excluded: overwritten from the codec) — classify "
          "the new field";

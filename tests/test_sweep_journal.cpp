@@ -24,6 +24,7 @@
 #include "core/sim_cache.hpp"
 #include "core/sim_store.hpp"
 #include "core/sweep_journal.hpp"
+#include "core/sweep_merge.hpp"
 #include "util/json.hpp"
 
 namespace dnnlife::core {
@@ -181,6 +182,43 @@ TEST_F(SweepJournalFixture, SniffsJournalsApartFromSummaries) {
   EXPECT_FALSE(looks_like_sweep_journal(R"({"scenarios": []})"));
   EXPECT_FALSE(looks_like_sweep_journal("not json at all"));
   EXPECT_FALSE(looks_like_sweep_journal(""));
+}
+
+TEST_F(SweepJournalFixture, ShardBoundIsTheSameInEveryLayer) {
+  // The largest legal shard count round-trips through a journal (create,
+  // then resume) and a summary (write, then parse); one more is rejected
+  // where a shard is first accepted, not only when read back.
+  const SuiteShard widest{1, static_cast<unsigned>(SuiteShard::kMaxCount)};
+  SweepJournalHeader header;
+  header.manifest_hash = "abc";
+  header.total_scenarios = 3'000'000;  // shard 1 holds 0, 1000000, 2000000
+  header.shard = widest;
+  header.include_timing = false;
+  const fs::path path = dir_ / "widest.jsonl";
+  SweepJournal::create(path.string(), header).append(record_at(1'000'000, "a"));
+  const SweepJournal resumed = SweepJournal::resume(path.string(), header);
+  EXPECT_EQ(resumed.header().shard.count, SuiteShard::kMaxCount);
+  ASSERT_EQ(resumed.replayed().size(), 1u);
+  EXPECT_EQ(resumed.replayed()[0].index, 1'000'000u);
+
+  SuiteSummaryInfo info;
+  info.total_scenarios = header.total_scenarios;
+  info.manifest_hash = header.manifest_hash;
+  info.shard = widest;
+  info.include_timing = false;
+  const std::vector<SuiteRecord> records = {record_at(2'000'000, "b")};
+  const SuiteSummary summary =
+      parse_suite_summary(suite_summary_json(records, info), "widest.json");
+  EXPECT_EQ(summary.info.shard.index, 1u);
+  EXPECT_EQ(summary.info.shard.count, SuiteShard::kMaxCount);
+
+  const SuiteShard too_wide{1, widest.count + 1};
+  header.shard = too_wide;
+  EXPECT_THROW(SweepJournal::create((dir_ / "too_wide.jsonl").string(), header),
+               std::invalid_argument);
+  EXPECT_FALSE(fs::exists(dir_ / "too_wide.jsonl"));
+  EXPECT_THROW(ScenarioSuite::shard_selection(10, too_wide),
+               std::invalid_argument);
 }
 
 TEST_F(SweepJournalFixture, ToleratesOnlyATruncatedFinalLine) {
