@@ -4,9 +4,12 @@
 // bench JSON records which code path produced the numbers.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "aging/device_model.hpp"
 #include "aging/lifetime.hpp"
@@ -57,6 +60,30 @@ void BM_Int8Encode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Int8Encode);
+
+// float32 synthesis alone, apart from packing: one fill() over every
+// GoogLeNet layer on one thread.
+void BM_WeightFillGoogLeNet(benchmark::State& state) {
+  const dnn::Network net = dnn::make_googlenet();
+  const dnn::WeightStreamer streamer(net);
+  const std::size_t layers = net.weighted_layers().size();
+  std::uint64_t largest = 0;
+  for (std::size_t w = 0; w < layers; ++w)
+    largest = std::max(largest, streamer.layer_weight_count(w));
+  std::vector<float> values(largest);
+  for (auto _ : state) {
+    for (std::size_t w = 0; w < layers; ++w) {
+      streamer.fill(w, 0,
+                    std::span<float>(values.data(),
+                                     streamer.layer_weight_count(w)));
+      benchmark::DoNotOptimize(values.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(net.total_weights()));
+}
+BENCHMARK(BM_WeightFillGoogLeNet)->Unit(benchmark::kMillisecond);
 
 // One cold payload build: every GoogLeNet weight synthesised, quantised
 // and packed for the TPU-like NPU (array 128), per format (0 float32,

@@ -1,7 +1,10 @@
 #include "dnn/weight_gen.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+
+#include "util/lane_log.hpp"
 
 namespace dnnlife::dnn {
 
@@ -75,9 +78,45 @@ void WeightStreamer::fill(std::size_t w, std::uint64_t local_begin,
                           std::span<float> out) const {
   DNNLIFE_EXPECTS(local_begin + out.size() <= layer_weight_count(w),
                   "fill range past the end of the layer");
-  const util::CounterRng rng = layer_rngs_[w];
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = value_at_draw(w, rng.draw_at(local_begin + i));
+  std::uint64_t draws[256];
+  for (std::size_t done = 0; done < out.size(); done += std::size(draws)) {
+    const std::size_t size = std::min(std::size(draws), out.size() - done);
+    layer_rngs_[w].draws_at(local_begin + done, std::span(draws, size));
+    values_at_draws(w, std::span(draws, size), out.subspan(done, size));
+  }
+}
+
+// Lane doubles lie within 4 (lane + libm log error) + 3 ulp of libm's.
+static_assert(WeightStreamer::kMidpointGuard >=
+              64 * (4 * (util::kLaneLogMaxUlp + 1) + 3));
+
+void WeightStreamer::values_at_draws(std::size_t w,
+                                     std::span<const std::uint64_t> draws,
+                                     std::span<float> out) const {
+  DNNLIFE_EXPECTS(w < scales_.size() && draws.size() == out.size(),
+                  "one value per draw of a weighted layer");
+  // Float rounding midpoints have the 29 mantissa bits below float
+  // precision at 0x1000'0000; the unsigned wrap makes `near` one compare.
+  constexpr std::uint64_t kBelowFloat = 0x1fff'ffff;
+  constexpr std::uint64_t kMidpoint = 0x1000'0000;
+  const auto lane_log = [](double x) { return util::lane_log(x); };
+  for (std::size_t k = 0; k < draws.size(); ++k) {
+    const double d = unrounded_at_draw(w, draws[k], lane_log);
+    const bool near = (std::bit_cast<std::uint64_t>(d) & kBelowFloat) -
+                          (kMidpoint - kMidpointGuard) <=
+                      2 * kMidpointGuard;
+    // Zero, below FLT_MIN (float subnormals round elsewhere), non-finite.
+    const double magnitude = std::abs(d);
+    const bool special = !((magnitude >= std::numeric_limits<float>::min()) &
+                           (magnitude <= std::numeric_limits<double>::max()));
+    // A lane to redo becomes all-ones bits, a NaN, which no weight is. A
+    // bit mask, not a select, so that the loop vectorises.
+    const std::uint32_t redo = 0u - static_cast<std::uint32_t>(near | special);
+    out[k] = std::bit_cast<float>(
+        std::bit_cast<std::uint32_t>(static_cast<float>(d)) | redo);
+  }
+  for (std::size_t k = 0; k < draws.size(); ++k)
+    if (std::isnan(out[k])) out[k] = value_at_draw(w, draws[k]);
 }
 
 const util::CounterRng& WeightStreamer::layer_rng(std::size_t w) const {

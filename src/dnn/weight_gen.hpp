@@ -14,6 +14,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -71,7 +72,7 @@ struct RangeScan {
 /// its layer's 53-bit counter draw m, which is non-decreasing in m: the
 /// Laplace inverse CDF scales each sign half by a positive constant and the
 /// halves meet at 0, the tail factor is positive on each half, and the
-/// float cast rounds monotonically — up to the libm `log` error, which
+/// float cast rounds monotonically — up to the `log` error, which
 /// kDrawGuard bounds. So a layer's [min, max], and any monotone function of
 /// its values such as an int8 code (quant::DrawCodes), follows from its
 /// draws alone, with no `log` per weight.
@@ -79,8 +80,15 @@ class WeightStreamer {
  public:
   /// Draws this far apart never come out of order in value_at_draw(), for
   /// any `log` error up to about 1,000 ulp (derivation in
-  /// sim/encoded_rows.hpp).
+  /// sim/encoded_rows.hpp). The int8 payloads count draws against
+  /// thresholds with it; kMidpointGuard is its float32 counterpart.
   static constexpr std::uint64_t kDrawGuard = 1024;
+
+  /// values_at_draws()' lane double, a few ulp from value_at_draw()'s,
+  /// casts to the same float unless it lies within this many ulp of a float
+  /// rounding midpoint (sim/encoded_rows.hpp): about one weight in 2^18,
+  /// which then takes value_at_draw().
+  static constexpr std::uint64_t kMidpointGuard = 1024;
 
   WeightStreamer(const Network& network, WeightGenConfig config = {});
 
@@ -92,15 +100,12 @@ class WeightStreamer {
   float weight(std::uint64_t g) const;
 
   /// The value of weighted layer `w` at counter draw m =
-  /// layer_rng(w).draw_at(local index): the one copy of the synthesis
-  /// arithmetic, which weight(), fill() and quant::DrawCodes all evaluate.
+  /// layer_rng(w).draw_at(local index), with the libm `log`: the scalar
+  /// reference, which weight() and quant::DrawCodes evaluate and fill()
+  /// reproduces bit for bit.
   float value_at_draw(std::size_t w, std::uint64_t m) const {
-    const double value = util::CounterRng::laplace_of_draw(m, scales_[w]);
-    if (config_.tail_asymmetry == 0.0) return static_cast<float>(value);
-    // Skew the two half-distributions, renormalised to keep stddev sigma:
-    // Var[skewed] = sigma^2 * ((1+g)^2 + (1-g)^2) / 2 = sigma^2 (1 + g^2).
-    // An indexed load, not a branch: the sign is a coin flip.
-    return static_cast<float>(value * tail_factor_[value > 0.0]);
+    return static_cast<float>(
+        unrounded_at_draw(w, m, [](double x) { return std::log(x); }));
   }
 
   /// The analytic inverse (via exp) of value_at_draw(), a guess for exact
@@ -110,9 +115,15 @@ class WeightStreamer {
   /// Values of weighted layer `w` (index into Network::weighted_layers())
   /// at local indices [local_begin, local_begin + out.size()): element i
   /// equals weight(weight_offset(w) + local_begin + i), without the
-  /// per-weight layer lookup.
+  /// per-weight layer lookup. values_at_draws() of the layer's draws.
   void fill(std::size_t w, std::uint64_t local_begin,
             std::span<float> out) const;
+
+  /// out[k] = value_at_draw(w, draws[k]) bit for bit, with no libm `log`
+  /// per weight: lanes of util::lane_log, and value_at_draw() itself for
+  /// the rare draw within kMidpointGuard of a float rounding midpoint.
+  void values_at_draws(std::size_t w, std::span<const std::uint64_t> draws,
+                       std::span<float> out) const;
 
   /// The counter generator of weighted layer `w`.
   const util::CounterRng& layer_rng(std::size_t w) const;
@@ -143,6 +154,20 @@ class WeightStreamer {
   std::vector<double> sigmas_;
   std::vector<double> scales_;  // Laplace b = sigma / sqrt(2)
   double tail_factor_[2] = {1.0, 1.0};  // of values <= 0, and > 0
+
+  /// value_at_draw() before the float cast, with `log` as the natural log:
+  /// the one copy of the synthesis arithmetic, for the scalar reference and
+  /// the lanes alike.
+  template <class Log>
+  double unrounded_at_draw(std::size_t w, std::uint64_t m, Log log) const {
+    const double value = util::CounterRng::laplace_of_draw(m, scales_[w], log);
+    // Skew the two half-distributions, renormalised to keep stddev sigma:
+    // Var[skewed] = sigma^2 * ((1+g)^2 + (1-g)^2) / 2 = sigma^2 (1 + g^2).
+    // Both factors loaded, then a blend: the sign is a coin flip, and a
+    // conditional load would not vectorise. Both are exactly 1 when g = 0.
+    const double low = tail_factor_[0], high = tail_factor_[1];
+    return value * (value > 0.0 ? high : low);
+  }
 
   /// Fold of the values at local indices [begin, begin + count).
   WeightRange fold_values(std::size_t w, std::uint64_t begin,

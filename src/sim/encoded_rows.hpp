@@ -16,8 +16,8 @@
 //    from the weight index. An int8 code is code(min draw) + #{T_k <= m}
 //    over the layer's exact thresholds T_k on the draw
 //    (quant::DrawCodes, built by the first item that packs the layer); no
-//    weight is synthesised. float32 tiles synthesise their values
-//    (WeightStreamer::fill) and encode each one.
+//    weight is synthesised. float32 tiles synthesise their values in
+//    lanes with no libm `log` (WeightStreamer::fill) and store each one.
 // Why counting is exact: every step from m to the code — the inverse CDF,
 // tail factor and float cast, then `/ scale`, lround, zero point and
 // clamp — is monotone non-decreasing and exact or correctly rounded,
@@ -31,6 +31,17 @@
 // a threshold or of the layer's extreme draws takes the scalar path, as
 // does the range of a layer whose second-smallest or second-largest draw
 // lies in the band. So the words equal WeightWordCodec::encode bit for bit.
+// Why the float32 lanes are exact: a weight is the float cast of d =
+// log(x) x scale x tail factor, each product correctly rounded, and the
+// lanes form the same products of util::lane_log (within 1 ulp of glibc's
+// `log`, itself within 1 ulp). A rounded product at most doubles its
+// inputs' ulp distance and adds one, so the lane d is within 4 (1 + 1) + 3
+// = 11 ulp of value_at_draw()'s. Doubles that close cast to the same float
+// unless a float rounding midpoint — 29 mantissa bits below float
+// precision at 0x1000'0000; overflow's threshold is one — lies between
+// them. A lane within kMidpointGuard = 1,024 ulp of one, or zero,
+// non-finite or below FLT_MIN (subnormals round elsewhere), takes
+// value_at_draw(): about one weight in 2^18.
 #pragma once
 
 #include <cstdint>

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -86,12 +87,17 @@ class CounterRng {
     return static_cast<double>(draw_at(i)) * 0x1.0p-53;
   }
 
-  /// Laplace(0, scale) of a 53-bit draw; non-decreasing in `draw` up to
-  /// the libm `log` error (see dnn::WeightStreamer::kDrawGuard). The sign
-  /// select is exact — (u < 0 ? scale : -scale) equals -scale * sign(u).
-  static double laplace_of_draw(std::uint64_t draw, double scale) noexcept {
+  /// Laplace(0, scale) of a 53-bit draw, with `log` as the natural log:
+  /// std::log in the scalar reference, util::lane_log in lane loops (its
+  /// argument is a normal double in (0, 1]). Non-decreasing in `draw` up
+  /// to the `log` error (see dnn::WeightStreamer::kDrawGuard). The sign
+  /// select is exact — (u < 0 ? scale : -scale) equals -scale * sign(u) —
+  /// and a blend in lanes.
+  template <class Log>
+  static double laplace_of_draw(std::uint64_t draw, double scale,
+                                Log log) noexcept {
     const double u = open_uniform(draw) - 0.5;
-    return (u < 0 ? scale : -scale) * std::log(1.0 - 2.0 * std::abs(u));
+    return (u < 0 ? scale : -scale) * log(1.0 - 2.0 * std::abs(u));
   }
 
   /// The draw as a uniform in the open interval (0, 1), shifted by half a
@@ -99,7 +105,15 @@ class CounterRng {
   /// round up to 1 (an infinite Laplace weight).
   static double open_uniform(std::uint64_t draw) noexcept {
     constexpr std::uint64_t kLast = (std::uint64_t{1} << 53) - 2;
-    return (static_cast<double>(std::min(draw, kLast)) + 0.5) * 0x1.0p-53;
+    // double(m) as two exact 26- and 27-bit halves, each the low mantissa
+    // of 2^52 minus 2^52: the same double as static_cast, but AVX2 (no
+    // 64-bit int-to-double instruction) vectorises it too.
+    constexpr std::uint64_t kTwo52 = 0x4330'0000'0000'0000;
+    const std::uint64_t m = std::min(draw, kLast);
+    const double high = std::bit_cast<double>(kTwo52 | (m >> 26)) - 0x1.0p52;
+    const double low =
+        std::bit_cast<double>(kTwo52 | (m & 0x3ff'ffff)) - 0x1.0p52;
+    return (high * 0x1.0p26 + low + 0.5) * 0x1.0p-53;
   }
 
  private:

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "dnn/inference.hpp"
@@ -256,6 +257,70 @@ TEST(WeightStreamer, FillMatchesScalarWeightOnVgg16Fc6) {
         streamer.fill(fc6, count - 1, past);
       },
       std::invalid_argument);
+}
+
+// fill() is draws_at() then values_at_draws(), which computes each double
+// with util::lane_log and sends one near a float rounding midpoint to
+// value_at_draw(). Force draws onto midpoints: around draw_near() of the
+// midpoint above each of many float weights, keep the draws whose libm
+// double lies within two ulp of it, where a lane-log error would round the
+// other way but for the guard. Plus the extreme draws, whose doubles are
+// zero or in the far tails.
+TEST(WeightStreamer, FillIsExactAtFloatRoundingMidpoints) {
+  const Network net = make_googlenet();
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 52;
+  const std::size_t layers = net.weighted_layers().size();
+  std::uint64_t near_midpoint = 0;
+  for (const double gamma : {0.0, 0.4}) {
+    WeightGenConfig config;
+    config.tail_asymmetry = gamma;
+    const WeightStreamer streamer(net, config);
+    // value_at_draw()'s double: the Laplace value times the tail factor.
+    const double norm = std::sqrt(1.0 + gamma * gamma);
+    const double tail[2] = {(1.0 - gamma) / norm, (1.0 + gamma) / norm};
+    for (const std::size_t w : {std::size_t{0}, layers / 3, 2 * layers / 3,
+                                layers - 1}) {
+      const double scale = streamer.layer_sigma(w) / std::sqrt(2.0);
+      const auto libm_double = [&](std::uint64_t m) {
+        const double value = util::CounterRng::laplace_of_draw(
+            m, scale, [](double x) { return std::log(x); });
+        return value * tail[value > 0.0];
+      };
+      std::vector<std::uint64_t> draws = {0, 1, kHalf - 1, kHalf,
+                                          2 * kHalf - 2, 2 * kHalf - 1};
+      // Weights from the 3rd to the 97th percentile, where a draw step
+      // moves the double by a few ulp, so some draw lands next to each
+      // midpoint.
+      constexpr int kTargets = 2000;
+      for (int j = 0; j < kTargets; ++j) {
+        const double p = 0.03 + 0.94 * j / kTargets;
+        const auto target = static_cast<std::uint64_t>(p * 0x1.0p53);
+        const float below = streamer.value_at_draw(w, target);
+        const double midpoint =
+            (static_cast<double>(below) +
+             std::nextafter(below, std::numeric_limits<float>::infinity())) /
+            2;
+        const auto centre =
+            static_cast<std::uint64_t>(streamer.draw_near(w, midpoint));
+        for (std::uint64_t m = centre - 8; m <= centre + 8; ++m) {
+          const auto bits = std::bit_cast<std::uint64_t>(libm_double(m));
+          const auto mid = std::bit_cast<std::uint64_t>(midpoint);
+          if ((bits > mid ? bits - mid : mid - bits) <= 2) draws.push_back(m);
+        }
+      }
+      near_midpoint += draws.size() - 6;
+      std::vector<float> values(draws.size());
+      streamer.values_at_draws(w, draws, values);
+      for (std::size_t k = 0; k < draws.size(); ++k) {
+        const float scalar = streamer.value_at_draw(w, draws[k]);
+        ASSERT_EQ(static_cast<float>(libm_double(draws[k])), scalar);
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(values[k]),
+                  std::bit_cast<std::uint32_t>(scalar))
+            << "gamma " << gamma << " layer " << w << " draw " << draws[k];
+      }
+    }
+  }
+  EXPECT_GT(near_midpoint, 4000u);
 }
 
 TEST(WeightStreamer, SigmaScaleMultiplies) {

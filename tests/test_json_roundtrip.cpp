@@ -138,7 +138,8 @@ TEST(JsonRoundTrip, NumberReprIsShortestAndExact) {
   double smallest = std::numeric_limits<double>::infinity();
   double largest = 0.0;
   for (std::uint64_t seed = 0; seed < 2000; ++seed) {
-    const double value = CounterRng::laplace_of_draw(rng.draw_at(seed), 1e6);
+    const double value = CounterRng::laplace_of_draw(
+        rng.draw_at(seed), 1e6, [](double x) { return std::log(x); });
     const std::string repr = json_number_repr(value);
     EXPECT_EQ(JsonValue::parse(repr).as_number(), value) << repr;
     negative += value < 0.0 ? 1 : 0;

@@ -257,17 +257,23 @@ TEST(EncodedRows, SharedArtifactReplaysIntoEitherConstructor) {
                std::invalid_argument);
 }
 
-/// Both int8 formats x both dataflows of `network`, each built at every
-/// budget in `budgets`, against the scalar oracle.
-void expect_int8_builds_match_oracle(const dnn::Network& network,
-                                     std::initializer_list<unsigned> budgets) {
+constexpr std::initializer_list<quant::WeightFormat> kInt8Formats = {
+    quant::WeightFormat::kInt8Symmetric, quant::WeightFormat::kInt8Asymmetric};
+constexpr std::initializer_list<quant::WeightFormat> kAllFormats = {
+    quant::WeightFormat::kInt8Symmetric, quant::WeightFormat::kInt8Asymmetric,
+    quant::WeightFormat::kFloat32};
+
+/// Each of `formats` x both dataflows of `network`, built at every budget
+/// in `budgets`, against the scalar oracle.
+void expect_builds_match_oracle(
+    const dnn::Network& network,
+    std::initializer_list<quant::WeightFormat> formats,
+    std::initializer_list<unsigned> budgets) {
   const dnn::WeightStreamer streamer(network);
   TpuNpuConfig npu;
   npu.array_dim = 128;
   const BaselineAcceleratorConfig baseline;
-  for (const quant::WeightFormat format :
-       {quant::WeightFormat::kInt8Symmetric,
-        quant::WeightFormat::kInt8Asymmetric}) {
+  for (const quant::WeightFormat format : formats) {
     const quant::WeightWordCodec codec(streamer, format);
     for (const DataflowConfig dataflow :
          {npu_dataflow(npu), baseline_dataflow(baseline)}) {
@@ -291,16 +297,22 @@ void expect_int8_builds_match_oracle(const dnn::Network& network,
 }
 
 TEST(PayloadOracle, GoogLeNetInt8BothFormatsDataflowsAndBudgets) {
-  expect_int8_builds_match_oracle(dnn::make_googlenet(), {1u, 4u});
+  expect_builds_match_oracle(dnn::make_googlenet(), kInt8Formats, {1u, 4u});
+}
+
+// float32 words are the lane-log values, each equal to value_at_draw()'s.
+TEST(PayloadOracle, GoogLeNetFloat32BothDataflowsAndBudgets) {
+  expect_builds_match_oracle(dnn::make_googlenet(),
+                             {quant::WeightFormat::kFloat32}, {1u, 4u});
 }
 
 // The big networks: AlexNet's fully-connected layers are over 4 Mi weights
-// each. Minutes of oracle work, so CI runs it on its own in Release:
+// each. Too slow for the ctest suite, so CI runs it on its own in Release:
 //   dnnlife_tests --gtest_also_run_disabled_tests
 //                 --gtest_filter='PayloadOracle.DISABLED_*'
-TEST(PayloadOracle, DISABLED_AlexNetAndResNet152Int8) {
-  expect_int8_builds_match_oracle(dnn::make_alexnet(), {4u});
-  expect_int8_builds_match_oracle(dnn::make_resnet152(), {4u});
+TEST(PayloadOracle, DISABLED_AlexNetAndResNet152AllFormats) {
+  expect_builds_match_oracle(dnn::make_alexnet(), kAllFormats, {4u});
+  expect_builds_match_oracle(dnn::make_resnet152(), kAllFormats, {4u});
 }
 
 TEST(PayloadOracle, RegeneratesLayersPastTheKeepBuffer) {

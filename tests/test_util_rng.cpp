@@ -1,6 +1,7 @@
 // Unit tests for the deterministic RNG layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -100,14 +101,19 @@ TEST(CounterRng, DifferentSeedsDecorrelate) {
   EXPECT_LT(close, 10);
 }
 
+/// The scalar reference's Laplace value of a draw.
+double laplace(std::uint64_t draw, double scale) {
+  return CounterRng::laplace_of_draw(draw, scale,
+                                     [](double x) { return std::log(x); });
+}
+
 TEST(CounterRng, LaplaceVariance) {
   CounterRng rng(13);
   const int n = 200000;
   const double scale = 1.5;
   double sum_sq = 0.0;
   for (int i = 0; i < n; ++i) {
-    const double v = CounterRng::laplace_of_draw(
-        rng.draw_at(static_cast<std::uint64_t>(i)), scale);
+    const double v = laplace(rng.draw_at(static_cast<std::uint64_t>(i)), scale);
     sum_sq += v * v;
   }
   EXPECT_NEAR(sum_sq / n, 2.0 * scale * scale, 0.2);
@@ -117,12 +123,29 @@ TEST(CounterRng, EveryDrawGivesAFiniteValue) {
   // (m + 0.5) of the last draw would round up to 2^53: it maps like the
   // draw below it instead of to an infinite value.
   const std::uint64_t last = (std::uint64_t{1} << 53) - 1;
-  EXPECT_EQ(CounterRng::laplace_of_draw(last, 1.0),
-            CounterRng::laplace_of_draw(last - 1, 1.0));
+  EXPECT_EQ(laplace(last, 1.0), laplace(last - 1, 1.0));
   for (const std::uint64_t draw : {std::uint64_t{0}, last - 1, last})
-    EXPECT_TRUE(std::isfinite(CounterRng::laplace_of_draw(draw, 1.0)));
-  EXPECT_LT(CounterRng::laplace_of_draw(0, 1.0), -36.0);
-  EXPECT_GT(CounterRng::laplace_of_draw(last, 1.0), 35.0);
+    EXPECT_TRUE(std::isfinite(laplace(draw, 1.0)));
+  EXPECT_LT(laplace(0, 1.0), -36.0);
+  EXPECT_GT(laplace(last, 1.0), 35.0);
+}
+
+TEST(CounterRng, OpenUniformConvertsTheDrawExactly) {
+  // open_uniform() converts the draw in two exact halves, so that lane
+  // loops vectorise; the double is the plain conversion's.
+  constexpr std::uint64_t kLast = (std::uint64_t{1} << 53) - 2;
+  const auto plain = [&](std::uint64_t m) {
+    return (static_cast<double>(std::min(m, kLast)) + 0.5) * 0x1.0p-53;
+  };
+  const CounterRng rng(99);
+  for (std::uint64_t i = 0; i < (1u << 16); ++i)
+    ASSERT_EQ(CounterRng::open_uniform(rng.draw_at(i)), plain(rng.draw_at(i)));
+  for (const std::uint64_t m :
+       {std::uint64_t{0}, std::uint64_t{1}, (std::uint64_t{1} << 26) - 1,
+        std::uint64_t{1} << 26, (std::uint64_t{1} << 52) - 1,
+        std::uint64_t{1} << 52, (std::uint64_t{1} << 52) + 1, kLast,
+        kLast + 1})
+    EXPECT_EQ(CounterRng::open_uniform(m), plain(m)) << m;
 }
 
 TEST(DeriveSeed, ProducesDistinctStreams) {
