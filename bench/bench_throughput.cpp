@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <span>
 #include <string>
@@ -19,6 +20,7 @@
 #include "core/region_policy.hpp"
 #include "core/sim_store.hpp"
 #include "core/transducer.hpp"
+#include "core/workload.hpp"
 #include "dnn/model_zoo.hpp"
 #include "quant/bit_distribution.hpp"
 #include "quant/word_codec.hpp"
@@ -192,6 +194,40 @@ void BM_ReferenceSim(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReferenceSim)->Arg(20)->Unit(benchmark::kMillisecond);
+
+// The duty stage of one cold point: GoogLeNet on the baseline accelerator
+// (8,192 x 512-bit weight memory), int8-symmetric, DNN-Life, 20 inferences,
+// through the entry point run_scenario uses. The payloads are built once,
+// outside the timed loop; the loop is the simulation and its tracker.
+void BM_SimulateWorkloadBaselineGoogLeNet(benchmark::State& state) {
+  const dnn::Network net = dnn::make_googlenet();
+  const dnn::WeightStreamer streamer(net);
+  const quant::WeightWordCodec codec(streamer,
+                                     quant::WeightFormat::kInt8Symmetric);
+  const sim::BaselineAcceleratorConfig config;
+  const sim::BaselineWeightStream stream(
+      sim::EncodedRows::build(codec, sim::baseline_dataflow(config), 0),
+      config);
+  core::PolicyConfig policy = core::PolicyConfig::dnn_life();
+  policy.weight_bits = codec.bits();
+  const auto table = core::RegionPolicyTable::uniform(stream.geometry(), policy);
+  const std::array<core::WorkloadPhase, 1> phases = {
+      core::WorkloadPhase{&stream, 20}};
+  core::WorkloadOptions options;
+  options.threads = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) {
+    const auto segments =
+        core::simulate_workload_segments(phases, table, options);
+    benchmark::DoNotOptimize(segments.front().tracker.ones_time().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SimulateWorkloadBaselineGoogLeNet)
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Payload shapes for the accumulate benchmarks: 0 = random (general
 // branch-free blend), 1 = all-zero (padding rows — whole-word skip), 2 =

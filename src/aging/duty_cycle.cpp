@@ -9,6 +9,11 @@ DutyCycleTracker::DutyCycleTracker(std::size_t cell_count)
   DNNLIFE_EXPECTS(cell_count > 0, "tracker needs at least one cell");
 }
 
+DutyCycleTracker::DutyCycleTracker(std::size_t cell_count, Uninitialized)
+    : ones_time_(cell_count), total_time_(cell_count) {
+  DNNLIFE_EXPECTS(cell_count > 0, "tracker needs at least one cell");
+}
+
 void DutyCycleTracker::set_regions(std::vector<CellRegion> regions) {
   std::uint64_t next_cell = 0;
   for (const CellRegion& region : regions) {

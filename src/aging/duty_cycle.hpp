@@ -7,8 +7,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "aging/environment.hpp"
@@ -33,9 +35,37 @@ struct CellRegion {
   }
 };
 
+/// std::allocator whose value-less construct default-initialises: a
+/// vector sized by a count alone leaves its integers uninitialised.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  template <class U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class V>
+  void construct(U* p, V&& value) {
+    ::new (static_cast<void*>(p)) U(std::forward<V>(value));
+  }
+};
+
 class DutyCycleTracker {
  public:
+  using Accumulators =
+      std::vector<std::uint32_t, DefaultInitAllocator<std::uint32_t>>;
+
+  /// A tracker of `cell_count` unused cells (both accumulators zero).
   explicit DutyCycleTracker(std::size_t cell_count);
+
+  /// Leaves the accumulators uninitialised: the caller writes every cell
+  /// before anything reads one. The fast simulator's commit zeroes each
+  /// shard's rows on the shard's thread, so the first touch is parallel.
+  struct Uninitialized {};
+  DutyCycleTracker(std::size_t cell_count, Uninitialized);
 
   std::size_t cell_count() const noexcept { return ones_time_.size(); }
 
@@ -80,10 +110,10 @@ class DutyCycleTracker {
   }
 
   /// Raw accumulators (the fast simulator writes these in bulk).
-  std::vector<std::uint32_t>& ones_time() noexcept { return ones_time_; }
-  std::vector<std::uint32_t>& total_time() noexcept { return total_time_; }
-  const std::vector<std::uint32_t>& ones_time() const noexcept { return ones_time_; }
-  const std::vector<std::uint32_t>& total_time() const noexcept { return total_time_; }
+  Accumulators& ones_time() noexcept { return ones_time_; }
+  Accumulators& total_time() noexcept { return total_time_; }
+  const Accumulators& ones_time() const noexcept { return ones_time_; }
+  const Accumulators& total_time() const noexcept { return total_time_; }
 
   /// True if the cell was never covered by any write (unused memory).
   bool is_unused(std::size_t cell) const { return total_time_[cell] == 0; }
@@ -178,15 +208,15 @@ class DutyCycleTracker {
     }
   }
 
-  std::vector<std::uint32_t> ones_time_;
-  std::vector<std::uint32_t> total_time_;
+  Accumulators ones_time_;
+  Accumulators total_time_;
   std::vector<CellRegion> regions_;
 };
 
 /// One environment segment of a phased workload: the duty-cycle
 /// accumulator of every phase that ran under `environment` (consecutive
 /// equal-environment phases merge — duty time-averages within one
-/// environment; see core::simulate_workload_phased).
+/// environment; see core::simulate_workload_segments).
 struct EnvironmentSegment {
   DutyCycleTracker tracker;
   EnvironmentSpec environment;

@@ -1,5 +1,6 @@
 #include "core/fast_simulator.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "core/transducer.hpp"
@@ -65,7 +66,9 @@ aging::DutyCycleTracker simulate_fast(const sim::WriteStream& stream,
                       (std::uint64_t{1} << 32),
                   "duration x inferences overflows the duty accumulators");
 
-  aging::DutyCycleTracker tracker(geometry.cells());
+  // Uninitialised: each commit shard zeroes its own rows (phase 2).
+  aging::DutyCycleTracker tracker(geometry.cells(),
+                                  aging::DutyCycleTracker::Uninitialized{});
   tracker.set_regions(policies.cell_regions());
 
   // ---- Phase 1 (sequential): plan the inference's writes.
@@ -121,6 +124,12 @@ aging::DutyCycleTracker simulate_fast(const sim::WriteStream& stream,
   const auto process_rows = [&](unsigned /*shard*/, std::uint64_t row_begin,
                                 std::uint64_t row_end) {
     std::vector<std::uint64_t> rotated(words_per_row);  // per-shard scratch
+    // First touch: zero the shard's cells, unwritten rows included, on the
+    // thread that accumulates into them.
+    const std::size_t cell_begin = row_begin * geometry.row_bits;
+    const std::size_t cell_count = (row_end - row_begin) * geometry.row_bits;
+    std::fill_n(tracker.ones_time().begin() + cell_begin, cell_count, 0u);
+    std::fill_n(tracker.total_time().begin() + cell_begin, cell_count, 0u);
     for (std::uint64_t row = row_begin; row < row_end; ++row) {
       const std::uint32_t begin = row_start[row];
       const std::uint32_t end = row_start[row + 1];

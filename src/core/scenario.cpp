@@ -221,7 +221,7 @@ std::vector<ScenarioRegionSpec> resolved_regions(const ScenarioSpec& spec) {
 
 /// The environment of every duty segment the phased simulation produces,
 /// in order: consecutive active phases with equal environments coalesce
-/// (exactly simulate_workload_phased's rule — dormant phases neither
+/// (exactly simulate_workload_segments's rule — dormant phases neither
 /// start nor split a segment). Empty when every phase is dormant.
 std::vector<aging::EnvironmentSpec> segment_environments(
     const ScenarioSpec& spec) {
@@ -298,7 +298,7 @@ std::string simulation_fingerprint(const ScenarioSpec& spec) {
   fingerprint_field(text, "refsim", spec.use_reference_simulator);
   // Phases: network and inference count of every phase in order — dormant
   // phases included, because per-phase policy randomness derives from the
-  // *original* phase index (see simulate_workload_phased), so a dormant
+  // *original* phase index (see simulate_workload_segments), so a dormant
   // phase shifts its successors' seeds by occupying an index. The
   // environment-coalescing partition (which active phases share a duty
   // segment) is structural: it decides how many trackers exist and which
@@ -383,8 +383,8 @@ unsigned stage_budget(const ScenarioSpec& spec,
 /// Simulate the spec's write stream end-to-end and commit the duty state:
 /// build one stream per distinct network (hardware config shared, so all
 /// phases target the same physical memory), resolve the region → policy
-/// table, run the phased simulation and strip the result down to what
-/// evaluation needs — geometry, region tags and the per-segment trackers.
+/// table and simulate the per-segment trackers — all evaluation needs
+/// besides the geometry and the table's region tags.
 /// This is the expensive half of run_scenario and the unit the SimCache
 /// shares across points; the row payloads under it come prebuilt from
 /// `options` when a scheduler shares them. The streams are the only
@@ -422,15 +422,9 @@ std::shared_ptr<const SimulationState> simulate_scenario(
     streams.emplace(phase.network, std::move(stream));
   }
 
+  // simulate_workload_segments rejects phases whose geometries differ.
   const sim::MemoryGeometry geometry =
       streams.at(spec.phases.front().network)->geometry();
-  for (const auto& [name, stream] : streams) {
-    const sim::MemoryGeometry other = stream->geometry();
-    DNNLIFE_EXPECTS(other.rows == geometry.rows &&
-                        other.row_bits == geometry.row_bits,
-                    "scenario phases disagree on the memory geometry "
-                    "(network '" + name + "')");
-  }
 
   // Resolve the region → policy table; the barrel shifter rotates at
   // weight-word granularity, so every policy inherits the codec's width.
@@ -454,13 +448,13 @@ std::shared_ptr<const SimulationState> simulate_scenario(
   WorkloadOptions workload;
   workload.use_reference_simulator = spec.use_reference_simulator;
   workload.threads = stage_budget(spec, options);
-  PhasedWorkloadResult phased =
-      simulate_workload_phased(phases, table, workload);
+  std::vector<aging::EnvironmentSegment> segments =
+      simulate_workload_segments(phases, table, workload);
   auto state = std::make_shared<SimulationState>();
   state->geometry = geometry;
-  state->regions = phased.combined.regions();
-  state->segment_trackers.reserve(phased.segments.size());
-  for (aging::EnvironmentSegment& segment : phased.segments)
+  state->regions = table.cell_regions();
+  state->segment_trackers.reserve(segments.size());
+  for (aging::EnvironmentSegment& segment : segments)
     state->segment_trackers.push_back(std::move(segment.tracker));
   return state;
 }

@@ -1,5 +1,8 @@
 #include "core/workload.hpp"
 
+#include <algorithm>
+#include <numeric>
+
 #include "core/fast_simulator.hpp"
 #include "core/reference_simulator.hpp"
 
@@ -30,29 +33,58 @@ aging::DutyCycleTracker simulate_phase(const WorkloadPhase& phase,
 void check_phases(std::span<const WorkloadPhase> phases,
                   const sim::MemoryGeometry& geometry) {
   DNNLIFE_EXPECTS(!phases.empty(), "workload needs at least one phase");
+  // Every active phase adds its residency to the same per-cell uint32
+  // accumulators (merged within a segment, summed across segments by
+  // aging::gather_cell_segments), so bound the whole workload's sum, not
+  // each phase's: a per-phase bound lets the sum wrap silently.
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 32;
+  std::uint64_t residency = 0;  // < kLimit between phases: no u64 wrap
   for (const WorkloadPhase& phase : phases) {
     DNNLIFE_EXPECTS(phase.stream != nullptr, "phase without stream");
     DNNLIFE_EXPECTS(phase.stream->geometry().rows == geometry.rows &&
                         phase.stream->geometry().row_bits == geometry.row_bits,
                     "phases must share the memory geometry");
     aging::validate_environment(phase.environment);
+    const std::vector<std::uint32_t> durations =
+        phase.stream->block_durations();
+    const std::uint64_t duration =
+        durations.empty()
+            ? phase.stream->blocks_per_inference()
+            : std::accumulate(durations.begin(), durations.end(),
+                              std::uint64_t{0});
+    residency += std::min(duration, kLimit) * phase.inferences;
+    DNNLIFE_EXPECTS(residency < kLimit,
+                    "duration x inferences overflows the duty accumulators");
   }
 }
 
 }  // namespace
 
+std::vector<aging::EnvironmentSegment> simulate_workload_segments(
+    std::span<const WorkloadPhase> phases, const RegionPolicyTable& policies,
+    const WorkloadOptions& options) {
+  check_phases(phases, policies.geometry());
+  std::vector<aging::EnvironmentSegment> segments;
+  for (std::size_t p = 0; p < phases.size(); ++p) {
+    if (phases[p].inferences == 0) continue;  // a dormant phase ages nothing
+    aging::DutyCycleTracker tracker =
+        simulate_phase(phases[p], policies, options, p);
+    // Consecutive active phases in the same environment share a segment:
+    // duty-cycle time-averages within one operating point (the paper's
+    // long-term-average model), so an all-nominal workload stays a single
+    // segment and evaluates bit-identically to the merged view.
+    if (!segments.empty() && segments.back().environment == phases[p].environment)
+      segments.back().tracker.merge(tracker);
+    else
+      segments.push_back({std::move(tracker), phases[p].environment});
+  }
+  return segments;
+}
+
 aging::DutyCycleTracker simulate_workload(std::span<const WorkloadPhase> phases,
                                           const RegionPolicyTable& policies,
                                           const WorkloadOptions& options) {
-  const sim::MemoryGeometry geometry = policies.geometry();
-  check_phases(phases, geometry);
-  aging::DutyCycleTracker combined(geometry.cells());
-  combined.set_regions(policies.cell_regions());
-  for (std::size_t p = 0; p < phases.size(); ++p) {
-    if (phases[p].inferences == 0) continue;  // a dormant phase ages nothing
-    combined.merge(simulate_phase(phases[p], policies, options, p));
-  }
-  return combined;
+  return simulate_workload_phased(phases, policies, options).combined;
 }
 
 aging::DutyCycleTracker simulate_workload(std::span<const WorkloadPhase> phases,
@@ -67,27 +99,13 @@ aging::DutyCycleTracker simulate_workload(std::span<const WorkloadPhase> phases,
 PhasedWorkloadResult simulate_workload_phased(
     std::span<const WorkloadPhase> phases, const RegionPolicyTable& policies,
     const WorkloadOptions& options) {
-  const sim::MemoryGeometry geometry = policies.geometry();
-  check_phases(phases, geometry);
-  PhasedWorkloadResult result{{}, aging::DutyCycleTracker(geometry.cells())};
+  PhasedWorkloadResult result{
+      simulate_workload_segments(phases, policies, options),
+      aging::DutyCycleTracker(policies.geometry().cells())};
+  // Wrapping uint32 adds: merging the segments equals merging every phase.
   result.combined.set_regions(policies.cell_regions());
-  for (std::size_t p = 0; p < phases.size(); ++p) {
-    if (phases[p].inferences == 0) continue;  // a dormant phase ages nothing
-    aging::DutyCycleTracker tracker =
-        simulate_phase(phases[p], policies, options, p);
-    result.combined.merge(tracker);
-    // Consecutive active phases in the same environment share a segment:
-    // duty-cycle time-averages within one operating point (the paper's
-    // long-term-average model), so an all-nominal workload stays a single
-    // segment and evaluates bit-identically to the legacy path.
-    if (!result.segments.empty() &&
-        result.segments.back().environment == phases[p].environment) {
-      result.segments.back().tracker.merge(tracker);
-    } else {
-      result.segments.push_back(aging::EnvironmentSegment{
-          std::move(tracker), phases[p].environment});
-    }
-  }
+  for (const aging::EnvironmentSegment& segment : result.segments)
+    result.combined.merge(segment.tracker);
   return result;
 }
 

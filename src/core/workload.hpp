@@ -42,11 +42,20 @@ struct WorkloadOptions {
 };
 
 /// Simulate the phases in order on the same physical memory (all streams
-/// must share the memory geometry) and accumulate duty-cycle time across
-/// them. DNN-Life phases draw decorrelated randomness (the controller
-/// keeps running across phases in hardware; here each phase derives a
-/// sub-seed, which is statistically equivalent). The returned tracker
-/// carries the table's region tags.
+/// must share the memory geometry) into one duty-cycle tracker per
+/// environment segment, a run of consecutive active phases with equal
+/// environments, and nothing else. Dormant phases neither start nor split
+/// a segment, so an all-dormant workload has none. Phase p derives its
+/// policy randomness from its index (the hardware controller keeps running
+/// across phases; a sub-seed per phase is statistically equivalent). Each
+/// tracker carries the table's region tags. Throws before simulating when
+/// the summed residency of all phases overflows the uint32 accumulators.
+std::vector<aging::EnvironmentSegment> simulate_workload_segments(
+    std::span<const WorkloadPhase> phases, const RegionPolicyTable& policies,
+    const WorkloadOptions& options = {});
+
+/// The merge of simulate_workload_segments' trackers (all-unused when
+/// every phase is dormant).
 aging::DutyCycleTracker simulate_workload(std::span<const WorkloadPhase> phases,
                                           const RegionPolicyTable& policies,
                                           const WorkloadOptions& options = {});
@@ -55,23 +64,15 @@ aging::DutyCycleTracker simulate_workload(std::span<const WorkloadPhase> phases,
 aging::DutyCycleTracker simulate_workload(std::span<const WorkloadPhase> phases,
                                           const PolicyConfig& policy);
 
-/// Environment-aware workload result: `segments` holds one duty-cycle
-/// accumulator per run of consecutive equal-environment phases (duty
-/// time-averages within one environment, so a workload whose phases all
-/// share the nominal environment collapses to a single segment —
-/// bit-identical to the legacy path), and `combined` is the all-phase
-/// merge (the legacy single-operating-point view). Segments may be empty
-/// when every phase is dormant; `combined` is always valid.
+/// simulate_workload_segments' segments plus `combined`, their merge: a
+/// second full per-cell tracker kept for direct callers that want the
+/// single-operating-point view next to the segments (run_scenario does not
+/// build it). `combined` is valid even when `segments` is empty.
 struct PhasedWorkloadResult {
   std::vector<aging::EnvironmentSegment> segments;
   aging::DutyCycleTracker combined;
 };
 
-/// Simulate the phases like simulate_workload but keep per-environment
-/// duty-cycle accumulators so the aging layer can integrate degradation
-/// across the environment timeline. Phase randomness derivation is
-/// identical to simulate_workload (per original phase index), so
-/// `combined` matches it bit-for-bit.
 PhasedWorkloadResult simulate_workload_phased(
     std::span<const WorkloadPhase> phases, const RegionPolicyTable& policies,
     const WorkloadOptions& options = {});

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "aging/snm_histogram.hpp"
@@ -26,7 +27,7 @@
 namespace dnnlife::core {
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t hash, const std::vector<std::uint32_t>& v) {
+std::uint64_t fnv1a(std::uint64_t hash, std::span<const std::uint32_t> v) {
   for (const std::uint32_t x : v) {
     for (int b = 0; b < 4; ++b) {
       hash ^= (x >> (8 * b)) & 0xffu;
@@ -230,7 +231,7 @@ TEST(RegionPolicy, RegionsSharingASeedDrawDecorrelatedRandomness) {
   const auto policy = PolicyConfig::dnn_life(0.5);
   const auto tracker = simulate_fast(
       stream, hybrid_table(stream.geometry(), 1, policy, policy), {100, 1});
-  const std::vector<std::uint32_t>& ones = tracker.ones_time();
+  const auto& ones = tracker.ones_time();
   const bool rows_identical =
       std::equal(ones.begin(), ones.begin() + 64, ones.begin() + 64);
   EXPECT_FALSE(rows_identical);

@@ -49,7 +49,7 @@ TEST(SimulationFingerprint, FieldInventoryIsClassified) {
   EXPECT_EQ(sizeof(aging::EnvironmentSpec), 24u)
       << "EnvironmentSpec changed: environment VALUES are evaluation-only "
          "by design, but the coalescing partition depends on equality — "
-         "check segment_environments still mirrors simulate_workload_phased";
+         "check segment_environments still mirrors simulate_workload_segments";
   EXPECT_EQ(sizeof(sim::BaselineAcceleratorConfig), 32u)
       << "BaselineAcceleratorConfig changed: the active hardware config is "
          "hashed in full — classify the new field";
